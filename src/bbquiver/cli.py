@@ -37,15 +37,25 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _load_config(args) -> RunConfig:
     qdoc = json.loads(Path(args.quiver).read_text())
     quiver = Quiver.from_dict(qdoc)
-    dim = tuple(int(x) for x in args.dim.split(","))
-    theta = tuple(int(x) for x in args.theta.split(","))
+    dim = _int_list(args.dim, "--dim")
+    theta = _int_list(args.theta, "--theta")
     if args.weights and args.generic:
         raise ValidationError("--weights and --generic are mutually exclusive")
     if args.weights:
         w = WeightAssignment.from_json(Path(args.weights).read_text())
+        unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
+        if unknown:
+            raise ValidationError(f"weights for arrows the quiver does not have: {unknown}")
     else:
         w = generic_rank1_weights(quiver)
     raw = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .core import Arrow, Quiver, check_vector
@@ -30,15 +31,11 @@ def _as_char(chi, rank: int) -> Character:
 
 
 def char_add(a: Character, b: Character) -> Character:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def char_sub(a: Character, b: Character) -> Character:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def char_neg(a: Character) -> Character:
-    return tuple(-x for x in a)
+    return tuple(map(operator.sub, a, b))
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class WeightAssignment:
     def from_dict(cls, doc: dict) -> "WeightAssignment":
         try:
             return cls(int(doc["rank"]), dict(doc["weights"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed weight document: {exc}") from exc
 
     @classmethod
@@ -190,26 +187,31 @@ def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     return shift(beta, chi_min)
 
 
-def _neighbors(quiver: Quiver, w: WeightAssignment, cv: tuple[str, Character]):
-    """Covering vertices adjacent to cv in the underlying graph of Q(w)."""
-    v, chi = cv
-    out = []
-    for a in quiver.arrows_from(v):
-        out.append((a.target, char_add(chi, w.of(a))))
-    for a in quiver.arrows_into(v):
-        out.append((a.source, char_sub(chi, w.of(a))))
-    return out
+def _adjacency(quiver: Quiver, w: WeightAssignment) -> dict:
+    """Per base vertex, (neighbour vertex, character offset) for every incident arrow.
+
+    The neighbours of (v, chi) in the underlying graph of Q(w) are the
+    (u, chi + offset) over adj[v].
+    """
+    adj = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        wa = w.of(a)
+        adj[a.source].append((a.target, wa))
+        adj[a.target].append((a.source, tuple(-x for x in wa)))
+    return adj
 
 
 def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
     supp = set(beta.support_vertices())
     if not supp:
         return True
+    adj = _adjacency(quiver, w)
     todo = [next(iter(supp))]
     seen = {todo[0]}
     while todo:
-        cv = todo.pop()
-        for nb in _neighbors(quiver, w, cv):
+        v, chi = todo.pop()
+        for u, off in adj[v]:
+            nb = (u, char_add(chi, off))
             if nb in supp and nb not in seen:
                 seen.add(nb)
                 todo.append(nb)
@@ -284,102 +286,119 @@ def _compositions(total: int, parts: int):
 
 
 def _connected_supports(quiver: Quiver, w: WeightAssignment, d: tuple[int, ...], seed):
-    """Connected covering-vertex sets containing `seed`, each yielded once.
+    """Connected covering-vertex sets containing `seed` and no character below
+    it, each yielded once.
 
-    Per base vertex v at most d_v covering vertices are used.  The classic
-    banned-candidate recursion guarantees each connected set appears exactly
-    once per seed.
+    Per base vertex v at most d_v covering vertices are used.  The extension
+    recursion (Wernicke's ESU) hands each branch its candidate frontier
+    incrementally: the unexplored later siblings plus the new neighbours of
+    the vertex just added, where `seen` holds every vertex already in the set,
+    banned, or on the frontier.  So each connected set appears exactly once.
     """
-    vidx = quiver.vertex_index
+    adj = _adjacency(quiver, w)
+    cap = dict(zip(quiver.vertices, d))
     results = []
 
-    def counts_ok(cv, per_vertex):
-        return per_vertex.get(cv[0], 0) < d[vidx(cv[0])]
+    def fresh(cv, seen):
+        v, chi = cv
+        nbs = {(u, char_add(chi, off)) for u, off in adj[v]}
+        return {nb for nb in nbs if nb not in seen and nb[1] >= seed[1]}
 
-    def rec(current: frozenset, banned: frozenset, per_vertex: dict):
+    def rec(current: frozenset, frontier: list, seen: set, per_vertex: dict):
         results.append(current)
-        cands = sorted(
-            {nb for cv in current for nb in _neighbors(quiver, w, cv)} - current - banned,
-            key=lambda cv: (cv[1], vidx(cv[0])),
-        )
-        for k, cv in enumerate(cands):
-            if not counts_ok(cv, per_vertex):
+        for k, cv in enumerate(frontier):
+            if per_vertex.get(cv[0], 0) >= cap[cv[0]]:
                 continue
+            new = fresh(cv, seen)
             pv = dict(per_vertex)
             pv[cv[0]] = pv.get(cv[0], 0) + 1
-            rec(current | {cv}, banned | frozenset(cands[:k]), pv)
+            rec(current | {cv}, frontier[k + 1:] + list(new), seen | new, pv)
 
-    rec(frozenset([seed]), frozenset(), {seed[0]: 1})
+    first = fresh(seed, {seed})
+    rec(frozenset([seed]), list(first), first | {seed}, {seed[0]: 1})
     return results
+
+
+def shape_key(dims, theta, arrows) -> tuple:
+    """Isomorphism invariant of a connected quiver with labelled vertices.
+
+    Vertex k carries the label (dims[k], theta[k]); `arrows` lists
+    (source, target) index pairs.  A tree keys by its Aho-Hopcroft-Ullman
+    code: labels and arrow directions, rooted at the centre (the smaller code
+    over the two centres when there are two), so two trees share a key
+    exactly when they are isomorphic.  Any other quiver keys by its exact
+    labelled arrow list.
+    """
+    n = len(dims)
+    if len(arrows) != n - 1:
+        return tuple(dims), tuple(theta), tuple(sorted(arrows))
+    nbrs = [[] for _ in range(n)]
+    for s, t in arrows:
+        nbrs[s].append((t, 1))
+        nbrs[t].append((s, -1))
+    degree = [len(x) for x in nbrs]
+    centres, left = [k for k in range(n) if degree[k] <= 1], n
+    while left > 2 and centres:  # peel the leaves layer by layer
+        left -= len(centres)
+        peeled = []
+        for k in centres:
+            for u, _ in nbrs[k]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled.append(u)
+        centres = peeled
+
+    def code(k, parent):
+        return dims[k], theta[k], tuple(sorted((o, code(u, k)) for u, o in nbrs[k] if u != parent))
+
+    return min(code(c, -1) for c in centres)
 
 
 def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
                          use_existence_filter: bool = True) -> list[CoveringDimVector]:
     """All shift classes of covering dimension vectors compatible with d.
 
-    Each emitted vector is in canonical form, projects to d, and has
-    connected support (a disconnected support carries no stable lift since
-    stable representations are indecomposable).  With the filter on, classes
-    whose stable moduli on the support quiver is empty are discarded.
+    Each emitted vector projects to d and has connected support (a
+    disconnected support carries no stable lift since stable representations
+    are indecomposable).  It is already canonical: supports are grown from
+    character 0 upwards, so their least character is 0.  With the filter on,
+    a fill with 1 - <beta, beta> < 0 is dropped on its integer tuple before a
+    vector is built, and a class is discarded when the stable moduli on its
+    support quiver is empty; `has_stable` is asked once per isomorphism class
+    of labelled support quiver (`shape_key`).
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
         raise ValidationError("d must be nonzero")
-    zero = w.zero()
+    from . import existence
 
-    supports = set()
-    for v in quiver.vertices:
-        if d[quiver.vertex_index(v)] == 0:
-            continue
-        for sup in _connected_supports(quiver, w, d, (v, zero)):
-            if min(chi for _, chi in sup) != zero:
-                continue  # shift of a support found from another seed
-            per = {}
-            for u, _ in sup:
-                per[u] = per.get(u, 0) + 1
-            if all(per.get(u, 0) == 0 if d[quiver.vertex_index(u)] == 0
-                   else 1 <= per.get(u, 0) <= d[quiver.vertex_index(u)]
-                   for u in quiver.vertices):
-                supports.add(sup)
-
-    classes: dict = {}
-    for sup in sorted(supports, key=lambda s: sorted(s, key=lambda cv: (cv[1], cv[0]))):
-        slots = {}
-        for v, chi in sup:
-            slots.setdefault(v, []).append((v, chi))
-        for v in slots:
-            slots[v].sort(key=lambda cv: cv[1])
-        order = [v for v in quiver.vertices if v in slots]
-        per_vertex_fills = [
-            list(_compositions(d[quiver.vertex_index(v)], len(slots[v]))) for v in order
-        ]
-        for fill in itertools.product(*per_vertex_fills):
-            assign = {}
-            for v, parts in zip(order, fill):
-                for cv, m in zip(slots[v], parts):
-                    assign[cv] = m
-            beta = canonicalize(CoveringDimVector.from_dict(w.rank, assign))
-            classes[beta.entries] = beta
-
-    out = sorted(classes.values(), key=lambda b: b.entries)
-    if use_existence_filter:
-        from . import existence
-
-        kept = []
-        seen_shapes: dict = {}
-        for beta in out:
-            if 1 - euler_form_covering(quiver, w, beta, beta) < 0:
-                continue
-            sq = support_quiver(quiver, w, beta)
-            theta_hat = sq.lift_stability(theta)
-            vidx = sq.quiver.vertex_index
-            # many classes share the support shape up to renaming characters
-            sig = (sq.dims, theta_hat,
-                   tuple(sorted((vidx(a.source), vidx(a.target)) for a in sq.quiver.arrows)))
-            if sig not in seen_shapes:
-                seen_shapes[sig] = existence.has_stable(sq.quiver, sq.dims, theta_hat)
-            if seen_shapes[sig]:
-                kept.append(beta)
-        out = kept
-    return out
+    vidx = quiver.vertex_index
+    order = [v for v, dv in zip(quiver.vertices, d) if dv]
+    supports = {sup for v in order for sup in _connected_supports(quiver, w, d, (v, w.zero()))
+                if len({u for u, _ in sup}) == len(order)}
+    arrows_out = {v: [(a.target, w.of(a)) for a in quiver.arrows_from(v)] for v in order}
+    out = []
+    verdicts: dict = {}
+    for sup in supports:
+        cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))  # the support quiver's order
+        pos = {cv: k for k, cv in enumerate(cvs)}
+        links = [(k, pos[t]) for k, (v, chi) in enumerate(cvs) for u, wa in arrows_out[v]
+                 for t in [(u, char_add(chi, wa))] if t in pos]
+        theta_hat = tuple(theta[vidx(v)] for v, _ in cvs)
+        parts = [_compositions(d[vidx(v)], sum(u == v for u, _ in cvs)) for v in order]
+        for fill in itertools.product(*parts):
+            dims = sum(fill, ())
+            if use_existence_filter and \
+                    sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
+                continue  # 1 - <beta, beta> < 0
+            beta = CoveringDimVector(w.rank, tuple(zip(cvs, dims)))
+            if use_existence_filter:
+                key = shape_key(dims, theta_hat, links)
+                if key not in verdicts:
+                    sq = support_quiver(quiver, w, beta)
+                    verdicts[key] = existence.has_stable(sq.quiver, sq.dims, theta_hat)
+                if not verdicts[key]:
+                    continue
+            out.append(beta)
+    return sorted(out, key=lambda b: b.entries)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .core import Quiver
 from .covering import (
+    Character,
     CoveringDimVector,
     WeightAssignment,
     _as_char,
@@ -44,7 +45,10 @@ def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVecto
         for a in quiver.arrows_from(v):
             arrow_term += m * supp.get((a.target, char_sub(char_add(xi, w.of(a)), chi)), 0)
         vertex_term += m * supp.get((v, char_sub(xi, chi)), 0)
-    val = (1 if zero else 0) + arrow_term - vertex_term
+    return _checked((1 if zero else 0) + arrow_term - vertex_term, chi)
+
+
+def _checked(val: int, chi: Character) -> int:
     if val < 0:
         raise InconsistencyError(
             f"negative weight-space dimension {val} at chi={chi}; "
@@ -56,27 +60,34 @@ def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVecto
 def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
     """All nonzero characters with positive weight-space dimension, with multiplicity.
 
-    Candidate characters are the differences (xi + w_a - xi') over arrow-linked
-    support pairs and (xi - xi') over same-vertex pairs; outside this finite
-    set both the arrow and vertex sums vanish.
+    One pass over pairs of support entries accumulates the whole formula at
+    once: an arrow-linked pair (s(a), xi), (t(a), eta) adds to the character
+    xi + w_a - eta, a same-vertex pair (v, xi), (v, eta) subtracts from
+    xi - eta, and delta(chi, 0) adds to 0.  Outside these characters both sums
+    vanish.  The characters are then checked in sorted order, raising
+    InconsistencyError at the first negative dimension as `weight_dimension`
+    does.
     """
-    supp = beta.support()
+    by_vertex: dict = {}
+    for (v, xi), m in beta.entries:
+        by_vertex.setdefault(v, []).append((xi, m))
     zero = w.zero()
-    cands = set()
-    for (v, xi), _ in beta.entries:
-        for a in quiver.arrows_from(v):
-            for (u, eta), _ in beta.entries:
-                if u == a.target:
-                    cands.add(char_sub(char_add(xi, w.of(a)), eta))
-    for (v, xi), _ in beta.entries:
-        for (u, eta), _ in beta.entries:
-            if u == v:
-                cands.add(char_sub(xi, eta))
+    acc = {zero: 1}
+    for a in quiver.arrows:
+        wa = w.of(a)
+        for xi, m in by_vertex.get(a.source, ()):
+            for eta, n in by_vertex.get(a.target, ()):
+                chi = char_sub(char_add(xi, wa), eta)
+                acc[chi] = acc.get(chi, 0) + m * n
+    for entries in by_vertex.values():
+        for xi, m in entries:
+            for eta, n in entries:
+                chi = char_sub(xi, eta)
+                acc[chi] = acc.get(chi, 0) - m * n
     table = {}
-    for chi in sorted(cands):
-        val = weight_dimension(quiver, w, beta, chi)
-        if chi != zero and val > 0:
-            table[chi] = val
+    for chi in sorted(acc):
+        if _checked(acc[chi], chi) > 0 and chi != zero:
+            table[chi] = acc[chi]
     return table
 
 
@@ -159,8 +170,7 @@ def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVect
         att_minus = sum(v for c, v in table.items() if lam.pair(c) < 0)
         if att_plus + att_minus != sum(table.values()):
             raise InconsistencyError("one-parameter subgroup does not separate the weight set")
-    isolated = euler_form_covering(quiver, w, beta, beta) == 1
-    return FixedComponent(beta, table, dim_component, att_plus, att_minus, isolated)
+    return FixedComponent(beta, table, dim_component, att_plus, att_minus, dim_component == 0)
 
 
 def generic_normal_form_test(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:

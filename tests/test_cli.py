@@ -127,3 +127,32 @@ def test_determinism(capsys, k3_file):
     main(["fixed-points", *base_args(k3_file, "--format", "json", "--seed", "3")])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("flag,value", [("--dim", "2,x"), ("--theta", "1,0.5")])
+def test_non_integer_vector_exit_2(capsys, k3_file, flag, value):
+    args = {"--dim": "2,3", "--theta": "1,0", flag: value}
+    code = main(["poincare", "--quiver", k3_file, *(x for kv in args.items() for x in kv)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert flag in err["message"]
+
+
+def test_weights_for_missing_arrow_exit_2(capsys, tmp_path, k3_file):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"rank": 1, "weights": {"a1": [9], "a2": [3], "a3": [1],
+                                                        "a4": [7]}}))
+    code = main(["poincare", *base_args(k3_file, "--weights", str(wfile))])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "a4" in err["message"]
+
+
+def test_non_integer_weight_exit_2(capsys, tmp_path, k3_file):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"rank": 1, "weights": {"a1": ["x"], "a2": [3], "a3": [1]}}))
+    code = main(["poincare", *base_args(k3_file, "--weights", str(wfile))])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"

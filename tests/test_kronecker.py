@@ -124,13 +124,16 @@ class TestClosedFormVsPipeline:
 
 class TestEndToEnd:
     @pytest.mark.parametrize(
-        "l,r", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3), (4, 1)]
+        "l,r", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3), (4, 0),
+                (4, 1), (4, 2), (4, 3), (5, 2)]
     )
     def test_pipeline_agrees_with_closed_form(self, l, r):
         self._check(l, r)
 
+    # (6, 3) is left out: its x = 7 components need the corrected subspace-star
+    # Betti numbers (ROADMAP item 1).
     @pytest.mark.slow
-    @pytest.mark.parametrize("l,r", [(4, 0), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("l,r", [(5, 3), (6, 2)])
     def test_pipeline_agrees_with_closed_form_slow(self, l, r):
         self._check(l, r)
 
