@@ -7,6 +7,7 @@ and the interpolation oracle can recover Betti numbers from counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,17 +136,16 @@ class PoincarePolynomial:
         return self.text()
 
 
+@functools.lru_cache(maxsize=None)
 def kirwan_subspace_poincare(x: int) -> PoincarePolynomial:
     """Betti numbers of stable configurations of x points on the line modulo
-    the projective group: b_j = 1 + sum_{nu=1}^{min(j, x-3-j)} binom(x-1, j),
-    for j = 0 .. x-3.  Implemented verbatim, including the summand that does
-    not depend on nu."""
+    the projective group (Kirwan): b_{2j} = sum_{nu=0}^{min(j, x-3-j)}
+    binom(x-1, nu), for j = 0 .. x-3.  Memoised by x."""
     if x < 3 or x % 2 == 0:
         raise ValidationError("the subspace-star count x must be odd and at least 3")
     coeffs = {}
     for j in range(x - 2):
-        reps = min(j, x - 3 - j)
-        coeffs[2 * j] = 1 + max(reps, 0) * math.comb(x - 1, j)
+        coeffs[2 * j] = sum(math.comb(x - 1, nu) for nu in range(min(j, x - 3 - j) + 1))
     return PoincarePolynomial.from_dict(coeffs)
 
 

@@ -14,22 +14,30 @@ are chosen as coordinate complements by echelon pivoting in a fixed basis
 order, so a chart is literally a star-pattern over the matrix entries;
 which entries carry the stars is implementation-canonical, only their
 number is intrinsic.
+
+The bracket in degree k is the degree-k piece of the covering Hom map from
+M to itself (degree 0 resolves Hom and Ext^1), so one pass over pairs of
+levels (`_graded_blocks`) lays out the blocks of every degree, one routine
+(`_hom_rows`) assembles any such map block by block as sparse rows, and the
+fraction-free kernel `linalg.leading_columns` finds its rank and pivots.
+A GradedRep indexes its level dimensions, sorted levels, level offsets and
+arrow weights once, at construction.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Arrow, Quiver, check_vector
+from .core import Quiver, check_vector
 from .covering import (
     CoveringDimVector,
     WeightAssignment,
     shift as shift_covering,
 )
 from .errors import InconsistencyError, UnsupportedError, ValidationError
-from .linalg import column_space_pivots, rank, row_space_contains, solve, zeros
+from .linalg import leading_columns, rank, row_space_contains, solve, zeros
 
 
 def _freeze_matrix(m, rows, cols, what="matrix"):
@@ -69,6 +77,63 @@ class Representation:
         return self.dims[self.quiver.vertex_index(v)]
 
 
+def _hom_rows(dom, cod) -> list:
+    """The map (A_x)_x -> (A_y f_a - g_a A_x)_{a: x -> y} as sparse rows.
+
+    `dom` lists the domain blocks Hom(M_x, N_x) as (x, rows, cols); `cod`
+    lists the codomain blocks Hom(M_x, N_y) as (label, rows, cols, x, y,
+    f_a, g_a), with f_a and g_a the matrices of M and N on the arrow (falsy
+    when zero).  Blocks are nonempty and row-major.  One {codomain index:
+    entry} row per domain coordinate, so their rank is the rank of the map.
+    """
+    incoming: dict = {}
+    outgoing: dict = {}
+    offset = 0
+    for _, rows, cols, x, y, f, g in cod:
+        if f:
+            incoming.setdefault(y, []).append((offset, cols, f))
+        if g:
+            outgoing.setdefault(x, []).append((offset, cols, rows, g))
+        offset += rows * cols
+    out = []
+    for x, rows, cols in dom:
+        ins = incoming.get(x, ())
+        outs = outgoing.get(x, ())
+        for r in range(rows):
+            for c in range(cols):
+                row = {}
+                # E_{rc} f_a: row r of the block is row c of f_a
+                for base, width, f in ins:
+                    base += r * width
+                    for cp, val in enumerate(f[c]):
+                        if val:
+                            row[base + cp] = val
+                # -g_a E_{rc}: column c of the block is minus column r of g_a
+                for base, width, height, g in outs:
+                    for rp in range(height):
+                        val = g[rp][r]
+                        if val:
+                            key = base + rp * width + c  # a loop may hit it twice
+                            row[key] = row.get(key, 0) - val
+                out.append(row)
+    return out
+
+
+def _hom_ext_of(dom, cod) -> tuple[int, int]:
+    rk = len(leading_columns(_hom_rows(dom, cod)))
+    return _size(dom) - rk, _size(cod) - rk
+
+
+def _size(blocks) -> int:
+    return sum(block[1] * block[2] for block in blocks)
+
+
+def _basis(blocks) -> list:
+    """(*key, row, col) for every coordinate of the blocks, in order."""
+    return [(*block[0], r, c) for block in blocks
+            for r in range(block[1]) for c in range(block[2])]
+
+
 def hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
     """(dim Hom, dim Ext^1) between representations of the same quiver.
 
@@ -79,40 +144,11 @@ def hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
     if M.quiver is not N.quiver and M.quiver != N.quiver:
         raise ValidationError("hom_ext needs representations of one common quiver")
     Q = M.quiver
-    idx = Q.vertex_index
-    dom_coords = []
-    for v in Q.vertices:
-        for r in range(N.dim(v)):
-            for c in range(M.dim(v)):
-                dom_coords.append((v, r, c))
-    cod_coords = []
-    cod_offset = {}
-    for a in Q.arrows:
-        cod_offset[a.name] = len(cod_coords)
-        for r in range(N.dim(a.target)):
-            for c in range(M.dim(a.source)):
-                cod_coords.append((a.name, r, c))
-    phi = zeros(len(cod_coords), len(dom_coords))
-    for col, (v, r, c) in enumerate(dom_coords):
-        for a in Q.arrows:
-            if a.target == v:
-                # (E_{rc} . M_a)[r, c'] = M_a[c][c']
-                ma = M.matrix(a.name)
-                base = cod_offset[a.name]
-                for cp in range(M.dim(a.source)):
-                    phi[base + r * M.dim(a.source) + cp][col] += ma[c][cp]
-            if a.source == v:
-                # (N_a . E_{rc})[r', c] = N_a[r'][r]
-                na = N.matrix(a.name)
-                base = cod_offset[a.name]
-                for rp in range(N.dim(a.target)):
-                    phi[base + rp * M.dim(a.source) + c][col] -= na[rp][r]
-    rk = rank(phi)
-    return len(dom_coords) - rk, len(cod_coords) - rk
-
-
-def _cv_name(v: str, chi) -> str:
-    return f"{v}@{','.join(str(c) for c in chi)}"
+    dom = [(v, N.dim(v), M.dim(v)) for v in Q.vertices if N.dim(v) and M.dim(v)]
+    cod = [(a.name, N.dim(a.target), M.dim(a.source), a.source, a.target,
+            M.matrix(a.name), N.matrix(a.name))
+           for a in Q.arrows if N.dim(a.target) and M.dim(a.source)]
+    return _hom_ext_of(dom, cod)
 
 
 @dataclass(frozen=True)
@@ -127,10 +163,33 @@ class GradedRep:
     weights: WeightAssignment
     beta: CoveringDimVector
     blocks: dict
+    # the index: {(vertex, level): dim}, sorted levels and level offsets per
+    # vertex, and {arrow: weight}
+    _dims: dict = field(init=False, repr=False, compare=False)
+    _levels: dict = field(init=False, repr=False, compare=False)
+    _offsets: dict = field(init=False, repr=False, compare=False)
+    _w: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weights.rank != 1:
+        if self.weights.rank != 1 or self.beta.rank != 1:
             raise UnsupportedError("graded representations live under rank-1 actions")
+        dims: dict = {}
+        levels: dict = {}
+        for (v, (n,)), m in self.beta.entries:  # sorted by level
+            if (v, n) not in dims:
+                dims[(v, n)] = m
+                levels.setdefault(v, []).append(n)
+        offsets = {}
+        for v, lv in levels.items():
+            acc, off = 0, {}
+            for n in lv:
+                off[n] = acc
+                acc += dims[(v, n)]
+            offsets[v] = off
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_w", {name: chi[0] for name, chi in self.weights.weights.items()})
         fixed = {}
         for (name, n), m in self.blocks.items():
             a = self.quiver.arrow(name)
@@ -142,21 +201,22 @@ class GradedRep:
         object.__setattr__(self, "blocks", fixed)
 
     def weight(self, arrow_name: str) -> int:
-        return self.weights.of(arrow_name)[0]
+        w = self._w.get(arrow_name)
+        return self.weights.of(arrow_name)[0] if w is None else w
 
     def dim(self, v: str, n: int) -> int:
-        return self.beta.get(v, (n,))
+        return self._dims.get((v, n), 0)
 
     def levels(self, v: str) -> list[int]:
-        return sorted({chi[0] for (u, chi), _ in self.beta.entries if u == v})
+        return list(self._levels.get(v, ()))
 
     def block(self, arrow_name: str, n: int):
-        a = self.quiver.arrow(arrow_name)
-        rows = self.dim(a.target, n + self.weight(arrow_name))
-        cols = self.dim(a.source, n)
         got = self.blocks.get((arrow_name, n))
         if got is not None:
             return got
+        a = self.quiver.arrow(arrow_name)
+        rows = self.dim(a.target, n + self.weight(arrow_name))
+        cols = self.dim(a.source, n)
         return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
 
     def shift(self, c: int) -> "GradedRep":
@@ -170,12 +230,7 @@ class GradedRep:
 
     def level_offsets(self, v: str) -> dict:
         """Start index of each level inside the assembled plain vertex space."""
-        out = {}
-        acc = 0
-        for n in self.levels(v):
-            out[n] = acc
-            acc += self.dim(v, n)
-        return out
+        return dict(self._offsets.get(v, {}))
 
     def plain(self) -> Representation:
         """Forget the grading: one representation of the base quiver, with
@@ -183,60 +238,62 @@ class GradedRep:
         from .covering import project
 
         dims = project(self.beta, self.quiver)
-        mats = {}
-        for a in self.quiver.arrows:
-            rows = dims[self.quiver.vertex_index(a.target)]
-            cols = dims[self.quiver.vertex_index(a.source)]
-            m = [[Fraction(0)] * cols for _ in range(rows)]
-            s_off = self.level_offsets(a.source)
-            t_off = self.level_offsets(a.target)
-            for n in self.levels(a.source):
-                tgt = n + self.weight(a.name)
-                if self.dim(a.target, tgt) == 0:
-                    continue
-                blk = self.block(a.name, n)
-                for r in range(len(blk)):
-                    for c in range(len(blk[0]) if blk else 0):
-                        m[t_off[tgt] + r][s_off[n] + c] = blk[r][c]
-            mats[a.name] = m
+        idx = self.quiver.vertex_index
+        mats = {a.name: [[Fraction(0)] * dims[idx(a.source)] for _ in range(dims[idx(a.target)])]
+                for a in self.quiver.arrows}
+        for (name, n), blk in self.blocks.items():
+            a = self.quiver.arrow(name)
+            t0 = self._offsets[a.target][n + self.weight(name)]
+            s0 = self._offsets[a.source][n]
+            m = mats[name]
+            for r, row in enumerate(blk):
+                m[t0 + r][s0:s0 + len(row)] = row
         return Representation(self.quiver, dims, mats)
 
 
-def covering_union_rep(M: GradedRep, N: GradedRep):
-    """Both graded reps as plain representations of one finite slice of the
-    covering quiver (the full subquiver on the union of their supports)."""
-    if M.quiver != N.quiver or M.weights != N.weights:
-        raise ValidationError("graded representations live over different coverings")
-    Q, w = M.quiver, M.weights
-    cvs = sorted(
-        {cv for cv, _ in M.beta.entries} | {cv for cv, _ in N.beta.entries},
-        key=lambda cv: (Q.vertex_index(cv[0]), cv[1]),
-    )
-    names = {cv: _cv_name(*cv) for cv in cvs}
-    cv_set = set(cvs)
-    arrows = []
-    arrow_src = []
-    for v, chi in cvs:
-        for a in Q.arrows_from(v):
-            tgt = (a.target, (chi[0] + w.of(a)[0],))
-            if tgt in cv_set:
-                arrows.append(Arrow(_cv_name(a.name, chi), names[(v, chi)], names[tgt]))
-                arrow_src.append((a.name, chi[0]))
-    sub = Quiver(tuple(names[cv] for cv in cvs), tuple(arrows))
+def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dict:
+    """The blocks of the covering Hom map from M to N with N's levels
+    lowered by k, for the given degree k or else for every k > 0, in one
+    pass over pairs of levels.
 
-    def make(rep: GradedRep) -> Representation:
-        dims = tuple(rep.beta.get(v, chi) for v, chi in cvs)
-        mats = {}
-        for arr, (aname, n) in zip(arrows, arrow_src):
-            mats[arr.name] = rep.block(aname, n)
-        return Representation(sub, dims, mats)
+    Degree k maps the sum of Hom(M_{v,n}, N_{v,n-k}) to the sum of
+    Hom(M_{s(a),n}, N_{t(a),n+w_a-k}); k = 0 resolves Hom and Ext^1 over
+    the covering, and for N = M and k > 0 the map is the bracket of u_k
+    into R_k.  Returns {k: (dom, cod)} with only nonempty degrees, in the
+    block layout of `_hom_rows`, keyed by (v, n) and (arrow, n) in
+    declaration order, then ascending n.
+    """
+    m_dims, m_levels = M._dims, M._levels
+    n_dims, n_levels = N._dims, N._levels
 
-    return sub, make(M), make(N)
+    def partners(v, top):
+        """(level m of N at v, degree top - m) for each block to emit."""
+        if degree is None:
+            return [(m, top - m) for m in n_levels.get(v, ()) if m < top]
+        return [(top - degree, degree)] if (v, top - degree) in n_dims else []
+
+    pieces: dict = {}
+    for v in M.quiver.vertices:
+        for n in m_levels.get(v, ()):
+            for m, k in partners(v, n):
+                block = ((v, n), n_dims[(v, m)], m_dims[(v, n)])
+                pieces.setdefault(k, ([], []))[0].append(block)
+    for a in M.quiver.arrows:
+        wa = M.weight(a.name)
+        for n in m_levels.get(a.source, ()):
+            f = M.blocks.get((a.name, n))
+            for m, k in partners(a.target, n + wa):
+                block = ((a.name, n), n_dims[(a.target, m)], m_dims[(a.source, n)],
+                         (a.source, n), (a.target, n + wa), f, N.blocks.get((a.name, n - k)))
+                pieces.setdefault(k, ([], []))[1].append(block)
+    return pieces
 
 
 def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
-    _, rm, rn = covering_union_rep(M, N)
-    return hom_ext(rm, rn)
+    """(dim Hom, dim Ext^1) over the covering quiver, level by level."""
+    if M.quiver != N.quiver or M.weights != N.weights:
+        raise ValidationError("graded representations live over different coverings")
+    return _hom_ext_of(*_graded_blocks(M, N, 0).get(0, ((), ())))
 
 
 def is_schur(rep: GradedRep) -> bool:
@@ -261,21 +318,23 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     if strategy not in ("unit", "random"):
         raise ValidationError("strategy must be 'unit' or 'random'")
     real_root = euler_form_covering(quiver, w, beta, beta) == 1
+    dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
+    shapes = []
+    for (v, chi), cols in beta.entries:
+        for a in quiver.arrows_from(v):
+            rows = dims.get((a.target, chi[0] + w.of(a)[0]), 0)
+            if rows:
+                shapes.append((a.name, chi[0], rows, cols))
     attempts = retries if strategy == "random" else 1
     for attempt in range(max(attempts, 1)):
         rng = random.Random(seed + attempt)
         blocks = {}
-        for (v, chi), cols in beta.entries:
-            for a in quiver.arrows_from(v):
-                n = chi[0]
-                rows = beta.get(a.target, (n + w.of(a)[0],))
-                if rows == 0:
-                    continue
-                if strategy == "unit":
-                    m = [[Fraction(1 if r == c else 0) for c in range(cols)] for r in range(rows)]
-                else:
-                    m = [[Fraction(rng.randint(-9, 9)) for _ in range(cols)] for r in range(rows)]
-                blocks[(a.name, n)] = m
+        for name, n, rows, cols in shapes:
+            if strategy == "unit":
+                m = [[1 if r == c else 0 for c in range(cols)] for r in range(rows)]
+            else:
+                m = [[rng.randint(-9, 9) for _ in range(cols)] for r in range(rows)]
+            blocks[(name, n)] = m
         rep = GradedRep(quiver, w, beta, blocks)
         hom, ext = covering_hom_ext(rep, rep)
         if hom == 1 and (not real_root or ext == 0):
@@ -290,20 +349,7 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
 
 
 def _degree_candidates(rep: GradedRep) -> list[int]:
-    ks = set()
-    for v in rep.quiver.vertices:
-        lv = rep.levels(v)
-        for n in lv:
-            for m in lv:
-                if n - m > 0:
-                    ks.add(n - m)
-    for a in rep.quiver.arrows:
-        wa = rep.weight(a.name)
-        for n in rep.levels(a.source):
-            for m in rep.levels(a.target):
-                if n + wa - m > 0:
-                    ks.add(n + wa - m)
-    return sorted(ks)
+    return sorted(_graded_blocks(rep, rep))
 
 
 def graded_pieces(rep: GradedRep, k: int):
@@ -315,44 +361,12 @@ def graded_pieces(rep: GradedRep, k: int):
     """
     if k <= 0:
         raise ValidationError("graded pieces are indexed by positive degrees")
-    u_basis = []
-    for v in rep.quiver.vertices:
-        for n in rep.levels(v):
-            rows, cols = rep.dim(v, n - k), rep.dim(v, n)
-            for r in range(rows):
-                for c in range(cols):
-                    u_basis.append((v, n, r, c))
-    r_basis = []
-    r_index = {}
-    for a in rep.quiver.arrows:
-        wa = rep.weight(a.name)
-        for n in rep.levels(a.source):
-            rows, cols = rep.dim(a.target, n + wa - k), rep.dim(a.source, n)
-            for r in range(rows):
-                for c in range(cols):
-                    r_index[(a.name, n, r, c)] = len(r_basis)
-                    r_basis.append((a.name, n, r, c))
+    dom, cod = _graded_blocks(rep, rep, k).get(k, ((), ()))
+    u_basis, r_basis = _basis(dom), _basis(cod)
     ad = zeros(len(r_basis), len(u_basis))
-    for col, (v, n0, r, c) in enumerate(u_basis):
-        for a in rep.quiver.arrows:
-            wa = rep.weight(a.name)
-            if a.target == v:
-                n = n0 - wa
-                blk = rep.block(a.name, n)
-                cols_src = rep.dim(a.source, n)
-                # x_{t} composed with M_{a,n}: row r of the x-block picks row c of M
-                for cp in range(cols_src):
-                    key = (a.name, n, r, cp)
-                    if key in r_index and blk:
-                        ad[r_index[key]][col] += blk[c][cp]
-            if a.source == v:
-                blk = rep.block(a.name, n0 - k)
-                rows_tgt = rep.dim(a.target, n0 + wa - k)
-                # M_{a, n0-k} composed with x_{s}
-                for rp in range(rows_tgt):
-                    key = (a.name, n0, rp, c)
-                    if key in r_index and blk:
-                        ad[r_index[key]][col] -= blk[rp][r]
+    for col, row in enumerate(_hom_rows(dom, cod)):
+        for i, x in row.items():
+            ad[i][col] = x
     return u_basis, r_basis, ad
 
 
@@ -411,19 +425,19 @@ def choose_complements(rep: GradedRep) -> CellChart:
 
     Raises when the bracket is not injective in some degree, which would
     contradict freeness of the unipotent action at a genuine fixed point.
+    Where u_k is zero the complement is all of R_k and nothing is reduced.
     """
     degrees = []
-    for k in _degree_candidates(rep):
-        u_b, r_b, ad = graded_pieces(rep, k)
-        if not u_b and not r_b:
-            continue
-        pivots = column_space_pivots(ad)
-        if len(pivots) != len(u_b):
+    pieces = _graded_blocks(rep, rep)
+    for k in sorted(pieces):
+        dom, cod = pieces[k]
+        pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else set()
+        if len(pivots) != _size(dom):
             raise InconsistencyError(
                 f"bracket with the fixed representation is not injective in degree {k}"
             )
-        complement = tuple(i for i in range(len(r_b)) if i not in set(pivots))
-        degrees.append(DegreeData(k, tuple(u_b), tuple(r_b), complement))
+        complement = tuple(i for i in range(_size(cod)) if i not in pivots)
+        degrees.append(DegreeData(k, tuple(_basis(dom)), tuple(_basis(cod)), complement))
     return CellChart(rep, tuple(degrees))
 
 
@@ -431,31 +445,24 @@ def emit_cell_table(chart: CellChart) -> "CellTable":
     """Symbol matrices per arrow: fixed entries of M on their level diagonal,
     structural zeros above, and '*' on the chosen free coordinates below."""
     base = chart.base
-    free = set(chart.free_coordinates())
+    dims, levels, offsets = base._dims, base._levels, base._offsets
     tables = {}
     for a in base.quiver.arrows:
-        wa = base.weight(a.name)
-        s_levels = base.levels(a.source)
-        t_levels = base.levels(a.target)
-        s_off = base.level_offsets(a.source)
-        t_off = base.level_offsets(a.target)
-        rows = sum(base.dim(a.target, m) for m in t_levels)
-        cols = sum(base.dim(a.source, n) for n in s_levels)
-        grid = [["0"] * cols for _ in range(rows)]
-        for n in s_levels:
-            for m in t_levels:
-                blk_rows = base.dim(a.target, m)
-                blk_cols = base.dim(a.source, n)
-                for r in range(blk_rows):
-                    for c in range(blk_cols):
-                        gr_, gc = t_off[m] + r, s_off[n] + c
-                        if m == n + wa:
-                            grid[gr_][gc] = str(base.block(a.name, n)[r][c])
-                        elif m < n + wa:
-                            if (a.name, n, r, c, n + wa - m) in free:
-                                grid[gr_][gc] = "*"
-                        # m > n + wa stays a structural zero
-        tables[a.name] = grid
+        rows = sum(dims[(a.target, m)] for m in levels.get(a.target, ()))
+        cols = sum(dims[(a.source, n)] for n in levels.get(a.source, ()))
+        tables[a.name] = [["0"] * cols for _ in range(rows)]
+    arrows = {a.name: a for a in base.quiver.arrows}
+    for (name, n), blk in base.blocks.items():
+        a = arrows[name]
+        t0 = offsets[a.target][n + base.weight(name)]
+        s0 = offsets[a.source][n]
+        grid = tables[name]
+        for r, row in enumerate(blk):
+            grid[t0 + r][s0:s0 + len(row)] = [str(x) for x in row]
+    for name, n, r, c, k in chart.free_coordinates():
+        a = arrows[name]
+        row = offsets[a.target][n + base.weight(name) - k] + r
+        tables[name][row][offsets[a.source][n] + c] = "*"
     return CellTable(chart, tables)
 
 

@@ -115,8 +115,8 @@ def choose_1psg(characters, rank: int) -> OneParamSubgroup:
         raise ValidationError("weight set contains 0; no separating subgroup exists")
     bound = max((max(abs(x) for x in c) for c in chars), default=0)
     lam = OneParamSubgroup(tuple((bound + 1) ** (rank - i - 1) for i in range(rank)), bound)
-    for c in chars:
-        assert lam.pair(c) != 0
+    if any(lam.pair(c) == 0 for c in chars):
+        raise InconsistencyError("one-parameter subgroup does not separate the weight set")
     return lam
 
 

@@ -1,54 +1,30 @@
 """Exact linear algebra over the rationals: echelon forms, ranks, solving.
 
-Matrices are lists of lists of Fractions (rows).  Nothing here is clever;
-rank decisions must be tolerance-free, so everything runs in exact
-arithmetic.
+Dense matrices are lists of lists of rationals (rows).  Rank decisions must
+be tolerance-free, so everything runs in exact arithmetic.
+
+Ranks and pivot columns come from a fraction-free kernel (`leading_columns`):
+each row is scaled to integers by the least common multiple of its
+denominators, which changes neither its span nor the pivot columns, and is
+then reduced against the echelon rows found so far with integer
+combinations, dividing out the content (gcd) of every new row so entries
+stay small.  Rows are sparse ({column: value}), which suits the block
+matrices of the cell charts.  `rref` keeps Fraction arithmetic because
+`solve` needs the reduced form; it is also the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def zeros(rows: int, cols: int):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def copy(m):
     return [row[:] for row in m]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                oi[j] += x * bk[j]
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
 
 
 def rref(m):
@@ -77,18 +53,53 @@ def rref(m):
     return m, pivots
 
 
-def rank(m) -> int:
-    return len(rref(m)[1])
+def _integer_row(row: dict) -> dict:
+    """The nonzero entries of a sparse rational row, scaled to coprime integers."""
+    den = 1
+    for x in row.values():
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    out = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+    g = gcd(*out.values())
+    if g != 1:
+        out = {c: x // g for c, x in out.items()}
+    return out
 
 
-def column_space_pivots(m) -> list[int]:
-    """Row coordinates spanning the column space, greedily in row order.
+def leading_columns(rows) -> list[int]:
+    """Pivot columns of the span of sparse rational rows ({column: value}).
 
-    The standard coordinates NOT returned form a coordinate complement of
-    the column space.
+    Each row is reduced against the echelon rows kept so far, indexed by
+    their leading (smallest) column, until it vanishes or leads at a new
+    column.  The leading columns of any echelon basis are the pivot columns
+    of the reduced row echelon form, so the result equals `rref`'s pivots.
     """
-    _, pivots = rref(transpose(m))
-    return pivots
+    echelon: dict = {}
+    for row in rows:
+        row = _integer_row(row)
+        while row:
+            lead = min(row)
+            basis = echelon.get(lead)
+            if basis is None:
+                echelon[lead] = row
+                break
+            a, b = row[lead], basis[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {c: b * x for c, x in row.items()}
+            for c, y in basis.items():
+                x = new.get(c, 0) - a * y
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            row = {c: x // g for c, x in new.items()} if g > 1 else new
+    return sorted(echelon)
+
+
+def rank(m) -> int:
+    return len(leading_columns([{c: x for c, x in enumerate(row) if x} for row in m]))
 
 
 def solve(a, b):
@@ -109,14 +120,6 @@ def solve(a, b):
         for j in range(bcols):
             x[c][j] = red[r][cols + j]
     return x
-
-
-def in_row_span(basis_rows, v) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not basis_rows:
-        return False
-    return rank(basis_rows) == rank(basis_rows + [list(v)])
 
 
 def row_space_contains(sub_rows, big_rows) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import bbquiver as bq
@@ -55,6 +57,17 @@ class TestKirwan:
         for x in (3, 5, 7, 9):
             assert bq.kirwan_subspace_poincare(x).coefficient(0) == 1
 
+    def test_x7(self):
+        assert bq.kirwan_subspace_poincare(7) == poly({0: 1, 2: 7, 4: 22, 6: 7, 8: 1})
+
+    def test_sum_over_nu(self):
+        for x in (3, 5, 7, 9, 11):
+            p = bq.kirwan_subspace_poincare(x)
+            assert p.is_palindromic(x - 3)
+            for j in range(x - 2):
+                top = min(j, x - 3 - j)
+                assert p.coefficient(2 * j) == sum(math.comb(x - 1, nu) for nu in range(top + 1))
+
     def test_even_or_small_rejected(self):
         with pytest.raises(ValidationError):
             bq.kirwan_subspace_poincare(4)
@@ -98,6 +111,20 @@ class TestComponentPoincare:
         classes = bq.enumerate_compatible(quiver, w, (1, 1), (1, 0))
         comp = bq.analyze_component(quiver, w, classes[0])
         assert bq.component_poincare(quiver, w, (1, 0), comp, budget=1) is UNKNOWN
+
+    def test_seven_star_matches_brute_force(self):
+        star7 = bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, 8))),
+                                      [(f"f{k}", "c", f"p{k}") for k in range(1, 8)])
+        d, theta = (2,) + (1,) * 7, (1,) + (0,) * 7
+        counts = {q: bq.brute_force_stable_count(star7, d, theta, q) for q in (2, 3)}
+        assert counts == {2: 175, 3: 490}
+        w = bq.generic_rank1_weights(star7)
+        comps = [bq.analyze_component(star7, w, beta)
+                 for beta in bq.enumerate_compatible(star7, w, d, theta)]
+        got = bq.assemble_poincare([(c, bq.component_poincare(star7, w, theta, c))
+                                    for c in comps])
+        assert got == bq.kirwan_subspace_poincare(7)
+        assert {q: got.evaluate_q(q) for q in counts} == counts
 
     def test_interpolation_validates_kirwan_x5(self, star_quiver):
         d = (2, 1, 1, 1, 1, 1)

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver.cells import Representation, _degree_candidates, graded_pieces
 from bbquiver.covering import CoveringDimVector
 from bbquiver.errors import UnsupportedError, ValidationError
+from bbquiver.linalg import rref, zeros
 
 from conftest import type1_beta
 
@@ -191,3 +193,134 @@ class TestTwistedFiltration:
         filt["j"] = {0: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1: [[0, 0, 1]]}
         with pytest.raises(ValidationError):
             bq.twisted_filtration_check(plain, filt, w3)
+
+
+def dense_hom_ext(M, N):
+    """Hom and Ext^1 from the dense matrix of (A_i) -> (A_t M_a - N_a A_s)_a,
+    one column per coordinate of the domain, ranked by Fraction `rref`."""
+    Q = M.quiver
+    dom = [(v, r, c) for v in Q.vertices for r in range(N.dim(v)) for c in range(M.dim(v))]
+    cod = {}
+    for a in Q.arrows:
+        for r in range(N.dim(a.target)):
+            for c in range(M.dim(a.source)):
+                cod[(a.name, r, c)] = len(cod)
+    phi = zeros(len(cod), len(dom))
+    for col, (v, r, c) in enumerate(dom):
+        for a in Q.arrows:
+            if a.target == v:
+                for cp in range(M.dim(a.source)):
+                    phi[cod[(a.name, r, cp)]][col] += M.matrix(a.name)[c][cp]
+            if a.source == v:
+                for rp in range(N.dim(a.target)):
+                    phi[cod[(a.name, rp, c)]][col] -= N.matrix(a.name)[rp][r]
+    rk = len(rref(phi)[1])
+    return len(dom) - rk, len(cod) - rk
+
+
+def dense_bracket(rep, k):
+    """u_k, R_k and the bracket matrix built coordinate by coordinate from
+    the defining formula x -> (x_t M_{a,n} - M_{a,n-k} x_s)."""
+    quiver = rep.quiver
+    u_basis = [(v, n, r, c) for v in quiver.vertices for n in rep.levels(v)
+               for r in range(rep.dim(v, n - k)) for c in range(rep.dim(v, n))]
+    r_basis = [(a.name, n, r, c) for a in quiver.arrows for n in rep.levels(a.source)
+               for r in range(rep.dim(a.target, n + rep.weight(a.name) - k))
+               for c in range(rep.dim(a.source, n))]
+    index = {key: i for i, key in enumerate(r_basis)}
+    ad = zeros(len(r_basis), len(u_basis))
+    for col, (v, n0, r, c) in enumerate(u_basis):
+        for a in quiver.arrows:
+            wa = rep.weight(a.name)
+            if a.target == v:
+                blk = rep.block(a.name, n0 - wa)
+                for cp in range(rep.dim(a.source, n0 - wa)):
+                    key = (a.name, n0 - wa, r, cp)
+                    if key in index:
+                        ad[index[key]][col] += blk[c][cp]
+            if a.source == v:
+                blk = rep.block(a.name, n0 - k)
+                for rp in range(rep.dim(a.target, n0 + wa - k)):
+                    key = (a.name, n0, rp, c)
+                    if key in index:
+                        ad[index[key]][col] -= blk[rp][r]
+    return u_basis, r_basis, ad
+
+
+LOOPED = bq.Quiver.from_arrows(("u", "v"), [("l", "v", "v"), ("a", "v", "u"), ("b", "v", "u")])
+
+
+@st.composite
+def rep_pairs(draw):
+    quiver = draw(st.sampled_from((bq.kronecker_quiver(3), LOOPED)))
+    entry = st.one_of(st.integers(-2, 2).map(Fraction),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+    def rep():
+        dims = tuple(draw(st.integers(0, 3)) for _ in quiver.vertices)
+        mats = {}
+        for a in quiver.arrows:
+            rows, cols = dims[quiver.vertex_index(a.target)], dims[quiver.vertex_index(a.source)]
+            mats[a.name] = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        return Representation(quiver, dims, mats)
+
+    return rep(), rep()
+
+
+@st.composite
+def graded_reps(draw):
+    """Graded representations of LOOPED, including a weight-0 loop, whose
+    bracket sends two terms to one coordinate."""
+    w = bq.WeightAssignment(1, {"l": (draw(st.integers(0, 2)),), "a": (1,), "b": (3,)})
+    support = {(v, (n,)): draw(st.integers(0, 2)) for v in ("u", "v") for n in range(-2, 4)}
+    beta = CoveringDimVector.from_dict(1, support)
+    assume(not beta.is_zero())
+    entry = st.one_of(st.integers(-2, 2).map(Fraction),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    blocks = {}
+    for a in LOOPED.arrows:
+        for n in range(-2, 4):
+            rows = beta.get(a.target, (n + w.of(a)[0],))
+            cols = beta.get(a.source, (n,))
+            if rows and cols:
+                blocks[(a.name, n)] = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return bq.GradedRep(LOOPED, w, beta, blocks)
+
+
+class TestAgainstTheDenseRoute:
+    """Block assembly and the integer kernel against dense Fraction elimination."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rep_pairs())
+    def test_hom_ext(self, pair):
+        M, N = pair
+        assert bq.hom_ext(M, N) == dense_hom_ext(M, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_reps())
+    def test_graded_pieces_and_covering_hom(self, rep):
+        for k in _degree_candidates(rep):
+            assert graded_pieces(rep, k) == dense_bracket(rep, k)
+        u, r, ad = dense_bracket(rep, 0)
+        rk = len(rref(ad)[1])
+        assert bq.covering_hom_ext(rep, rep) == (len(u) - rk, len(r) - rk)
+
+    def test_complements_are_the_rref_pivots(self, k3_lifts):
+        quiver = bq.kronecker_quiver(4)
+        w = bq.generic_rank1_weights(quiver)
+        reps = list(k3_lifts)
+        for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0))[::6]:
+            try:
+                reps.append(bq.build_fixed_rep(quiver, w, beta, "unit"))
+            except UnsupportedError:
+                reps.append(bq.build_fixed_rep(quiver, w, beta, "random", seed=0))
+        for rep in reps:
+            chart = bq.choose_complements(rep)
+            assert [d.degree for d in chart.degrees] == _degree_candidates(rep)
+            for d in chart.degrees:
+                u, r, ad = graded_pieces(rep, d.degree)
+                assert (u, r, ad) == dense_bracket(rep, d.degree)
+                pivots = rref([list(col) for col in zip(*ad)])[1]
+                assert len(pivots) == len(u)
+                assert d.complement == tuple(i for i in range(len(r)) if i not in pivots)
+                assert (list(d.u_basis), list(d.r_basis)) == (u, r)

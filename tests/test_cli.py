@@ -156,3 +156,57 @@ def test_non_integer_weight_exit_2(capsys, tmp_path, k3_file):
     code = main(["poincare", *base_args(k3_file, "--weights", str(wfile))])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["poincare", "cells", "normal-form"])
+def test_filter_off_refused_outside_fixed_points(capsys, k3_file, command):
+    code = main([command, *base_args(k3_file, "--filter", "off")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "unsupported"
+    assert "--filter off" in err["message"]
+
+
+def _exit_4(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+def _bump_att_plus(monkeypatch):
+    from dataclasses import replace
+
+    from bbquiver import fixedpoints
+
+    real = fixedpoints.analyze_component
+
+    def bumped(*args):
+        c = real(*args)
+        return replace(c, att_plus=c.att_plus + 1)
+
+    monkeypatch.setattr(fixedpoints, "analyze_component", bumped)
+
+
+def test_duality_failure_exits_4(capsys, monkeypatch, k3_file):
+    from bbquiver import betti
+
+    monkeypatch.setattr(betti, "assemble_poincare",
+                        lambda pairs: bq.PoincarePolynomial(((0, 1), (2, 2))))
+    err = _exit_4(capsys, ["poincare", *base_args(k3_file)])
+    assert err["error"] == "inconsistency" and "duality" in err["message"]
+
+
+def test_balance_failure_exits_4(capsys, monkeypatch, k3_file):
+    _bump_att_plus(monkeypatch)
+    err = _exit_4(capsys, ["fixed-points", *base_args(k3_file)])
+    assert err["error"] == "inconsistency" and "balance" in err["message"]
+
+
+def test_chart_dimension_failure_exits_4(capsys, monkeypatch, k3_file):
+    _bump_att_plus(monkeypatch)
+    err = _exit_4(capsys, ["cells", *base_args(k3_file)])
+    assert err["error"] == "inconsistency" and "cell chart" in err["message"]

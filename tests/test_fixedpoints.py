@@ -78,6 +78,12 @@ class TestOneParamSubgroup:
         with pytest.raises(ValidationError):
             bq.choose_1psg([(0, 0), (1, 0)], 2)
 
+    def test_separation_failure_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setattr(bq.OneParamSubgroup, "pair", lambda self, chi: 0)
+        with pytest.raises(InconsistencyError):
+            bq.choose_1psg([(1, -1), (0, 2)], 2)
+
 
 class TestAttractorDims:
     def test_type2(self, k3, w3):

@@ -91,6 +91,15 @@ class TestPoincare:
     def test_l3_r1_count(self):
         assert bq.kronecker_poincare(3, 1).evaluate(1) == 54 + 4
 
+    @pytest.mark.parametrize("l,r", [(6, 3), (7, 3)])
+    def test_duality_with_seven_point_components(self, l, r):
+        # the first cases with x = 7 type-2 components
+        assert any(lab.x == 7 for lab in bq.enumerate_type2(l, r))
+        dim = (2 * (l - r) + 1) * (2 * r + 1) - 3
+        p = bq.kronecker_poincare(l, r)
+        assert p.is_palindromic(dim)
+        assert p.coefficient(0) == 1 and p.coefficient(2 * dim) == 1
+
     def test_duality(self):
         for l, r in [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2)]:
             dim = (2 * (l - r) + 1) * (2 * r + 1) - 3
