@@ -56,13 +56,6 @@ class PoincarePolynomial:
     def one(cls) -> "PoincarePolynomial":
         return cls(((0, 1),))
 
-    @classmethod
-    def from_cell_dimensions(cls, dims) -> "PoincarePolynomial":
-        out: dict = {}
-        for k in dims:
-            out[2 * k] = out.get(2 * k, 0) + 1
-        return cls.from_dict(out)
-
     def as_dict(self) -> dict:
         return dict(self.coefficients)
 
@@ -80,13 +73,6 @@ class PoincarePolynomial:
         out = self.as_dict()
         for d, c in other.coefficients:
             out[d] = out.get(d, 0) + c
-        return PoincarePolynomial.from_dict(out)
-
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        out: dict = {}
-        for d1, c1 in self.coefficients:
-            for d2, c2 in other.coefficients:
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
         return PoincarePolynomial.from_dict(out)
 
     def evaluate(self, t: int) -> int:

@@ -163,10 +163,6 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_attractors(cfg: RunConfig) -> int:
-    return cmd_fixed_points(cfg)
-
-
 def cmd_poincare(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     comps = _components(cfg)
@@ -294,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
 
-    for name in ("fixed-points", "poincare", "attractors", "cells", "normal-form", "count"):
-        add_common(sub.add_parser(name))
+    for name, handler in HANDLERS.items():
+        p = sub.add_parser(name, aliases=["attractors"] if name == "fixed-points" else [])
+        add_common(p)
+        p.set_defaults(handler=handler)
 
     kp = sub.add_parser("kronecker")
     kp.add_argument("--l", type=int, required=True)
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 HANDLERS = {
     "fixed-points": cmd_fixed_points,
     "poincare": cmd_poincare,
-    "attractors": cmd_attractors,
     "cells": cmd_cells,
     "normal-form": cmd_normal_form,
     "count": cmd_count,
@@ -321,7 +318,7 @@ def main(argv=None) -> int:
         if args.command == "kronecker":
             return cmd_kronecker(args)
         cfg = _load_config(args)
-        return HANDLERS[args.command](cfg)
+        return args.handler(cfg)
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 2

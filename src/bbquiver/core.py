@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,6 +168,3 @@ def is_coprime(quiver: Quiver, d, theta) -> bool:
             return False
     return True
 
-
-def indivisible(d) -> bool:
-    return math.gcd(*[int(x) for x in d]) == 1

@@ -153,14 +153,6 @@ class CoveringDimVector:
     def to_jsonable(self) -> list[dict]:
         return [{"vertex": v, "char": list(chi), "dim": m} for (v, chi), m in self.entries]
 
-    @classmethod
-    def from_jsonable(cls, rank: int, items) -> "CoveringDimVector":
-        support: dict = {}
-        for it in items:
-            key = (it["vertex"], tuple(it["char"]))
-            support[key] = support.get(key, 0) + int(it["dim"])
-        return cls.from_dict(rank, support)
-
 
 def shift(beta: CoveringDimVector, chi) -> CoveringDimVector:
     """s_chi(beta), whose value at (i, xi) is beta at (i, chi + xi)."""

@@ -6,22 +6,26 @@ Two independent routes to the same question:
   quiver through the generic-subdimension recursion (a generic subdimension
   e of d exists iff <e', d - e> >= 0 for every generic subdimension e' of e)
   combined with the slope criterion.
-* `brute_force_stable_count` counts the F_q-points of the moduli space by
-  enumerating all of R(Q, d)(F_q) and testing stability of every single
-  representation, either by exhaustive subrepresentation search or, for the
-  two-vertex shapes d = (2, 2r+1), by the image/span criterion.
+* `brute_force_stable_count` counts the F_q-points of the moduli space: the
+  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  The generic method
+  marks every representation with a destabilizing invariant subspace tuple.
+  For the two-vertex shapes d = (2, 2r+1) the Kronecker method never builds
+  R(Q, d)(F_q): stability is a condition on joins of per-arrow subspaces, so
+  it folds the arrows over a histogram of one arrow's span signatures.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
 from .core import Quiver, check_vector, is_coprime, slope
 from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from .finitefield import (
-    batch_rank_ge,
+    coordinates,
+    encode_rows,
     mat_decode,
     maps_into,
     pg_order,
@@ -53,21 +57,20 @@ class SubdimMemo:
         if d in self._gs_by_box:
             return self._gs_by_box[d]
         box = sorted(itertools.product(*(range(x + 1) for x in d)), key=lambda t: (sum(t), t))
-        index = {e: k for k, e in enumerate(box)}
-        mimg = (self._pairing @ np.array(box, dtype=np.int64).T).T  # row k = M . box[k]
+        boxarr = np.array(box, dtype=np.int64)
+        mimg = boxarr @ self._pairing.T  # row k = M . box[k]
+        members_of: list[list] = [[e] for e in box]
         gs_tuples: dict[tuple, list] = {}
-        gs_arrays: dict[tuple, np.ndarray] = {}
-        for e in box:
-            members = [e]
-            for ep in itertools.product(*(range(x + 1) for x in e)):
-                if ep == e:
-                    continue
-                pair_vals = gs_arrays[ep] @ (mimg[index[e]] - mimg[index[ep]])
-                if pair_vals.size == 0 or int(pair_vals.min()) >= 0:
-                    members.append(ep)
-            members.sort()
-            gs_tuples[e] = members
-            gs_arrays[e] = np.array(members, dtype=np.int64)
+        # box is ordered by total size, so every e' < e is final before e is
+        for k, ep in enumerate(box):
+            members = sorted(members_of[k])
+            gs_tuples[ep] = members
+            # e' is a generic subdimension of every e > e' with <f, e - e'> >= 0
+            # for all f in gs(e')
+            above = k + 1 + np.flatnonzero((boxarr[k + 1:] >= boxarr[k]).all(axis=1))
+            pair_vals = np.array(members, dtype=np.int64) @ (mimg[above] - mimg[k]).T
+            for j in above[pair_vals.min(axis=0) >= 0].tolist():
+                members_of[j].append(ep)
         for e, members in gs_tuples.items():
             for ep in members:
                 self.cache[(ep, e)] = True
@@ -175,51 +178,125 @@ def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
     return int(flags.size - int(flags.sum()))
 
 
+class _SpanLattice:
+    """The subspaces of GF(q)^m by index into `subspaces(m, q)`, with a join
+    memoised on the index pairs that occur."""
+
+    def __init__(self, m: int, q: int):
+        self.q = q
+        self.F = small_field(q)
+        self.subs = subspaces(m, q)
+        self.whole = len(self.subs) - 1
+        self.dims = np.array([s.dim for s in self.subs])
+        self.coords = coordinates(m, q)
+        by_members = {s.members: k for k, s in enumerate(self.subs)}
+        self.line_of = np.zeros(q**m, dtype=np.int64)  # vector code -> index of its span
+        for s in self.subs:
+            if s.dim == 1:
+                self.line_of[list(s.members - {0})] = by_members[s.members]
+        self._by_members = by_members
+        self._join: dict = {}
+
+    def _join_pair(self, a: int, b: int) -> int:
+        if a == 0 or b == self.whole:
+            return b
+        if b == 0 or a == self.whole:
+            return a
+        u = self.coords[list(self.subs[a].members)]
+        v = self.coords[list(self.subs[b].members)]
+        sums = encode_rows(self.F.add[u[:, None, :], v[None, :, :]], self.q)
+        return self._by_members[frozenset(sums.ravel().tolist())]
+
+    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Componentwise index of span(U_a + U_b)."""
+        pairs, inverse = np.unique(a * len(self.subs) + b, return_inverse=True)
+        keys, memo = pairs.tolist(), self._join
+        for key in keys:
+            if key not in memo:
+                memo[key] = self._join_pair(*divmod(key, len(self.subs)))
+        return np.array([memo[key] for key in keys], dtype=np.int64)[inverse.ravel()]
+
+
+@lru_cache(maxsize=None)
+def _span_lattice(m: int, q: int) -> _SpanLattice:
+    return _SpanLattice(m, q)
+
+
+def _merge(codes, weights):
+    """Sum the weights of equal state codes."""
+    codes, inverse = np.unique(codes, return_inverse=True)
+    merged = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(merged, inverse.ravel(), weights)
+    return codes, merged
+
+
+def _fold_arrow(lat, saturate, place, states, weights, sigs, counts, pairs=2**18):
+    """Join every state with every arrow signature, a chunk of states at a time.
+
+    States are int-coded with one lattice index per component (place values
+    `place`); component 0 is the column span, the rest saturated x-spans."""
+    comps = states[:, None] // place % len(lat.subs)
+    step = max(1, pairs // len(sigs))
+    parts = []
+    for lo in range(0, len(states), step):
+        left = np.repeat(comps[lo:lo + step], len(sigs), axis=0)
+        right = np.tile(sigs, (len(left) // len(sigs), 1))
+        code = lat.join(left[:, 0], right[:, 0])
+        for k in range(1, len(place)):
+            code = code + saturate[lat.join(left[:, k], right[:, k])] * place[k]
+        parts.append(_merge(code, np.outer(weights[lo:lo + step], counts).ravel()))
+    return _merge(np.concatenate([c for c, _ in parts]), np.concatenate([w for _, w in parts]))
+
+
 def _count_stable_kronecker(quiver: Quiver, d, q) -> int:
-    """Stable count for d = (2, 2r+1) on the multi-arrow two-vertex quiver:
-    the images of all arrows must fill the sink and every nonzero source
-    vector must have its arrow images span at least r+1 dimensions."""
-    F = small_field(q)
-    rows = d[1]
-    r = (rows - 1) // 2
-    n_arrows = len(quiver.arrows)
-    radix = q ** (2 * rows)
-    total = radix**n_arrows
-    codes = np.arange(radix, dtype=np.int64)
-    # entry (i, j) of every matrix code, j in {0, 1}; column-major encoding
-    ent = [[(codes // (q ** (j * rows + i))) % q for j in range(2)] for i in range(rows)]
-    ent = [[col.astype(np.uint8) for col in row] for row in ent]
+    """Stable count for d = (2, 2r+1) on the n-arrow two-vertex quiver.
 
-    shape = (radix,) * n_arrows
-    arrow_axis = []
-    for ai in range(n_arrows):
-        sl = [1] * n_arrows
-        sl[ai] = radix
-        arrow_axis.append(tuple(sl))
-
-    def entry(ai, i, j):
-        return ent[i][j].reshape(arrow_axis[ai])
-
-    # (a) the stacked columns of all arrows have full rank `rows`
-    stack_cols = []
-    for ai in range(n_arrows):
-        for j in range(2):
-            stack_cols.append([entry(ai, i, j) for i in range(rows)])
-    ok = batch_rank_ge(stack_cols, rows, F)
-
-    # (b) for every nonzero x in F_q^2, the images A_a x span >= r+1 dims
-    nonzero_x = [x for x in itertools.product(range(q), repeat=2) if x != (0, 0)]
-    for x in nonzero_x:
-        c0, c1 = x
-        img_cols = []
-        for ai in range(n_arrows):
-            col = []
-            for i in range(rows):
-                v = F.add[F.mul[entry(ai, i, 0), c0], F.mul[entry(ai, i, 1), c1]]
-                col.append(v)
-            img_cols.append(col)
-        ok = ok & batch_rank_ge(img_cols, r + 1, F)
-    return int(ok.sum())
+    A representation (A_1, ..., A_n) is stable iff the column spans of the
+    A_a fill the sink and, for each of the q+1 projective points x of
+    GF(q)^2, the images A_a x span at least r+1 dimensions.  Both are joins
+    of per-arrow subspaces, so each arrow gets a signature: the lattice index
+    of its column span and of span(A x) for every x, with x-spans of
+    dimension >= r+1 saturated to the whole space.  The n arrows are folded
+    by componentwise join over the histogram of signatures; the count is the
+    weight of the states that are the whole space in every component.
+    """
+    m = d[1]
+    r = (m - 1) // 2
+    n = len(quiver.arrows)
+    if r >= n:  # 2r+1 > 2n and r+1 > n: too few columns, too few images of x
+        return 0
+    if q ** (2 * m * n) >= 2**63:
+        raise UnsupportedError("the Kronecker count needs fewer than 2^63 representations")
+    lat = _span_lattice(m, q)
+    F = lat.F
+    if len(lat.subs) ** (q + 2) >= 2**63:
+        raise UnsupportedError("Kronecker count states need fewer than 2^63 codes")
+    saturate = np.where(lat.dims > r, lat.whole, np.arange(len(lat.subs)))
+    points = [(1, t) for t in range(q)] + [(0, 1)]  # projective points of GF(q)^2
+    # axis 0 is column 1 and axis 1 column 0: A has code col0 + q^m * col1
+    col0 = np.broadcast_to(lat.line_of[None, :], (q**m, q**m)).ravel()
+    col1 = np.broadcast_to(lat.line_of[:, None], (q**m, q**m)).ravel()
+    signature = [lat.join(col0, col1)]
+    for x0, x1 in points:
+        image = F.add[F.mul[x0, lat.coords][None, :, :], F.mul[x1, lat.coords][:, None, :]]
+        signature.append(saturate[lat.line_of[encode_rows(image, q)]].ravel())
+    signature = np.stack(signature, axis=1)
+    sigs, counts = np.unique(signature, axis=0, return_counts=True)
+    counts = counts.astype(np.int64)
+    # Stability is invariant under GL_m acting on all arrows at once, and the
+    # orbits of one arrow are its kernels: the first arrow is 0, e1 (x) phi for
+    # each projective phi, or (e1 e2), weighted by the orbit sizes.
+    first = [0] + [p0 + q**m * p1 for p0, p1 in points]
+    weights = [1] + [q**m - 1] * (q + 1)
+    if m > 1:
+        first.append(1 + q ** (m + 1))
+        weights.append((q**m - 1) * (q**m - q))
+    place = len(lat.subs) ** np.arange(q + 2, dtype=np.int64)
+    states = signature[first] @ place
+    weights = np.array(weights, dtype=np.int64)
+    for _ in range(n - 1):
+        states, weights = _fold_arrow(lat, saturate, place, states, weights, sigs, counts)
+    return int(weights[states == lat.whole * place.sum()].sum())
 
 
 def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
@@ -228,7 +305,7 @@ def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
     """|M^theta(Q, d)(F_q)|: stable points of R(Q, d)(F_q) divided by |PG_d(F_q)|.
 
     `method` is one of auto / generic / kronecker.  The representation space
-    must not exceed `budget` points.
+    must not exceed `budget` points, whether or not the method enumerates it.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")

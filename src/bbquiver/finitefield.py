@@ -153,12 +153,16 @@ def vec_decode(code: int, n: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def vec_add(u, v, F: SmallField):
-    return tuple(int(F.add[a, b]) for a, b in zip(u, v))
+def coordinates(n: int, q: int) -> np.ndarray:
+    """Coordinates of every vector of GF(q)^n: row `code` decodes `code`."""
+    codes = np.arange(q**n, dtype=np.int64)
+    return np.stack([(codes // q**i) % q for i in range(n)], axis=-1).astype(np.uint8)
 
 
-def scalar_mul(c, v, F: SmallField):
-    return tuple(int(F.mul[c, x]) for x in v)
+def encode_rows(coords: np.ndarray, q: int) -> np.ndarray:
+    """Vector codes of coordinate rows (last axis), the inverse of `coordinates`."""
+    n = coords.shape[-1]
+    return coords.astype(np.int64) @ (q ** np.arange(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -170,35 +174,37 @@ class Subspace:
 
 @lru_cache(maxsize=None)
 def subspaces(n: int, q: int) -> tuple[Subspace, ...]:
-    """All subspaces of GF(q)^n, smallest dimensions first.
+    """All subspaces of GF(q)^n: by dimension, then by sorted member codes.
 
-    Built by closing spans level by level; fine for the tiny n used by the
-    counting oracle.
+    Each subspace of dimension k is listed once through its reduced
+    row-echelon basis: pivot columns p_1 < ... < p_k, a 1 at (i, p_i), zeros
+    in the other pivot columns and before p_i, free entries elsewhere.
     """
     F = small_field(q)
-    zero_code = 0
-    levels = [[Subspace(0, frozenset([zero_code]), ())]]
-    all_vectors = [vec_decode(c, n, q) for c in range(q**n)]
-    for dim in range(1, n + 1):
-        seen = {}
-        for sub in levels[dim - 1]:
-            for v in all_vectors:
-                if vec_encode(v, q) in sub.members:
-                    continue
-                span = set(sub.members)
-                new = [v]
-                for c in range(1, q):
-                    new_scaled = scalar_mul(c, v, F)
-                    for mcode in sub.members:
-                        m = vec_decode(mcode, n, q)
-                        span.add(vec_encode(vec_add(m, new_scaled, F), q))
-                key = frozenset(span)
-                if key not in seen:
-                    seen[key] = Subspace(dim, key, sub.basis + (v,))
-        levels.append(sorted(seen.values(), key=lambda s: sorted(s.members)))
+    scalars = np.arange(q, dtype=np.uint8)
     out = []
-    for lvl in levels:
-        out.extend(lvl)
+    for k in range(n + 1):
+        level_codes, level_bases = [], []
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, n) if j not in pivots]
+            bases = np.zeros((q ** len(free), k, n), dtype=np.uint8)
+            bases[:, range(k), pivots] = 1
+            if free:
+                rows, cols = zip(*free)
+                bases[:, rows, cols] = coordinates(len(free), q)
+            members = np.zeros((len(bases), 1, n), dtype=np.uint8)
+            for i in range(k):
+                multiples = F.mul[scalars[None, :, None], bases[:, i, None, :]]
+                members = F.add[members[:, :, None, :], multiples[:, None, :, :]]
+                members = members.reshape(len(bases), -1, n)
+            level_codes.append(np.sort(encode_rows(members, q), axis=1))
+            level_bases.append(bases)
+        codes = np.concatenate(level_codes)
+        bases = np.concatenate(level_bases)
+        for o in np.lexsort(codes.T[::-1]):
+            out.append(Subspace(k, frozenset(codes[o].tolist()),
+                                tuple(map(tuple, bases[o].tolist()))))
     return tuple(out)
 
 
@@ -267,6 +273,9 @@ def batch_det(cols, F: SmallField):
 
 def batch_rank_ge(columns, threshold: int, F: SmallField):
     """Boolean mask: rank of the batch matrices is >= threshold.
+
+    The pipeline does not call it; the tests count Kronecker-shape points
+    with it as a reference for the span-signature fold in `existence`.
 
     `columns` is a list of column vectors, each a list of (batch,) arrays
     (the rows).  Ranks are detected through vanishing of all minors of size

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .betti import PoincarePolynomial, kirwan_subspace_poincare
 from .core import Quiver
-from .covering import CoveringDimVector, WeightAssignment, canonicalize, generic_rank1_weights
+from .covering import CoveringDimVector, WeightAssignment, canonicalize
 from .errors import ValidationError
 
 
@@ -273,10 +273,6 @@ def kronecker_poincare(l: int, r: int) -> PoincarePolynomial:
     for lab in enumerate_type2(l, r):
         total = total + kirwan_subspace_poincare(lab.x).shift(d2_attractor(lab))
     return total
-
-
-def generic_kronecker_weights(l: int) -> WeightAssignment:
-    return generic_rank1_weights(kronecker_quiver(l + 1))
 
 
 def _form_mul(f, g):

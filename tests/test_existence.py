@@ -1,14 +1,121 @@
+import functools
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bbquiver as bq
+from bbquiver import existence
 from bbquiver.covering import CoveringDimVector
 from bbquiver.errors import BudgetExceededError, UnsupportedError
 from bbquiver.existence import SubdimMemo, brute_force_stable_count
-from bbquiver.finitefield import gl_order, pg_order, small_field, subspaces
+from bbquiver.finitefield import (
+    batch_rank_ge,
+    gl_order,
+    pg_order,
+    small_field,
+    subspaces,
+    vec_decode,
+    vec_encode,
+)
 
 
 def k2():
     return bq.kronecker_quiver(2)
+
+
+def double_loop_subdimensions(quiver, d):
+    """gs(e) for every e in the box of d: each e tests every e' < e against
+    gs(e'), one numpy call per pair.  Returns gs(d) and the (e', e) pairs."""
+    n = len(quiver.vertices)
+    pairing = np.array([[bq.euler_form(quiver, u, v) for v in np.eye(n, dtype=int).tolist()]
+                        for u in np.eye(n, dtype=int).tolist()], dtype=np.int64)
+    box = sorted(itertools.product(*(range(x + 1) for x in d)), key=lambda t: (sum(t), t))
+    gs: dict = {}
+    for e in box:
+        members = [e]
+        for ep in itertools.product(*(range(x + 1) for x in e)):
+            if ep == e:
+                continue
+            diff = np.array(e, dtype=np.int64) - np.array(ep, dtype=np.int64)
+            if int((np.array(gs[ep], dtype=np.int64) @ pairing @ diff).min()) >= 0:
+                members.append(ep)
+        gs[e] = sorted(members)
+    return gs[tuple(d)], {(ep, e): True for e, members in gs.items() for ep in members}
+
+
+@st.composite
+def acyclic_quivers_with_d(draw):
+    """Up to 4 vertices, up to 2 parallel arrows i -> j for each i < j, d <= 3."""
+    n = draw(st.integers(1, 4))
+    vertices = [f"v{i}" for i in range(n)]
+    arrows = []
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(draw(st.integers(0, 2))):
+            arrows.append((f"a{i}{j}{k}", vertices[i], vertices[j]))
+    d = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return bq.Quiver.from_arrows(vertices, arrows), d
+
+
+def closure_subspaces(n, q):
+    """(dim, sorted members) of every subspace of GF(q)^n, found by closing
+    spans level by level and sorting each level by its member codes."""
+    F = small_field(q)
+    vectors = [vec_decode(c, n, q) for c in range(q**n)]
+    levels = [[frozenset([0])]]
+    for _ in range(n):
+        seen = set()
+        for sub in levels[-1]:
+            for v in vectors:
+                if vec_encode(v, q) in sub:
+                    continue
+                span = set(sub)
+                for c in range(1, q):
+                    for code in sub:
+                        m = vec_decode(code, n, q)
+                        span.add(vec_encode([F.add[a, F.mul[c, b]] for a, b in zip(m, v)], q))
+                seen.add(frozenset(span))
+        levels.append(sorted(seen, key=sorted))
+    return [(dim, sorted(s)) for dim, level in enumerate(levels) for s in level]
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def minors_count(n, m, q):
+    """Stable points of R(K_n, (2, m))(F_q), m = 2r+1, from batched minors over
+    every representation: the stacked columns have rank m and, for every
+    nonzero x, the images A_a x have rank at least r+1."""
+    F = small_field(q)
+    r = (m - 1) // 2
+    radix = q ** (2 * m)
+    codes = np.arange(radix, dtype=np.int64)
+
+    def entry(a, i, j):  # entry (i, j) of arrow a; column-major matrix codes
+        shape = [1] * n
+        shape[a] = radix
+        return ((codes // q ** (j * m + i)) % q).astype(np.uint8).reshape(shape)
+
+    ok = batch_rank_ge([[entry(a, i, j) for i in range(m)] for a in range(n) for j in range(2)],
+                       m, F)
+    for x0, x1 in itertools.product(range(q), repeat=2):
+        if (x0, x1) == (0, 0):
+            continue
+        images = [[F.add[F.mul[entry(a, i, 0), x0], F.mul[entry(a, i, 1), x1]] for i in range(m)]
+                  for a in range(n)]
+        ok = ok & batch_rank_ge(images, r + 1, F)
+    return int(np.broadcast_to(ok, (radix,) * n).sum())
+
+
+# every Kronecker shape K_n, d = (2, m), m odd, with at most 2^18 representations
+SMALL_KRONECKER = [(n, m, q) for q in (2, 3, 4, 5) for n in range(1, 10) for m in range(1, 19, 2)
+                   if q ** (2 * m * n) <= 2**18]
 
 
 class TestGenericSubdimension:
@@ -24,6 +131,15 @@ class TestGenericSubdimension:
 
     def test_sink_always_embeds(self):
         assert bq.is_generic_subdimension(k2(), (0, 1), (1, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(acyclic_quivers_with_d())
+    def test_push_forward_matches_double_loop(self, quiver_d):
+        quiver, d = quiver_d
+        memo = SubdimMemo(quiver)
+        expected, cache = double_loop_subdimensions(quiver, d)
+        assert memo.generic_subdimensions(d) == expected
+        assert memo.cache == cache
 
     def test_memo_consistency(self, k3):
         memo = SubdimMemo(k3)
@@ -95,6 +211,26 @@ class TestFiniteFieldBasics:
             by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
         assert by_dim == {0: 1, 1: 7, 2: 7, 3: 1}
 
+    def test_subspaces_match_closure_builder(self):
+        for n in (1, 2, 3):
+            for q in (2, 3, 4):
+                subs = subspaces(n, q)
+                assert [(s.dim, sorted(s.members)) for s in subs] == closure_subspaces(n, q)
+
+    @pytest.mark.parametrize("n,q", [(5, 2), (3, 5)])
+    def test_subspace_counts_are_gaussian_binomials(self, n, q):
+        F = small_field(q)
+        by_dim = {}
+        for s in subspaces(n, q):
+            by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
+            # the basis spans exactly the members
+            span = {0}
+            for b in s.basis:
+                span = {vec_encode([F.add[x, F.mul[c, y]] for x, y in zip(vec_decode(u, n, q), b)], q)
+                        for u in span for c in range(q)}
+            assert span == s.members and len(s.members) == q**s.dim
+        assert by_dim == {k: gaussian_binomial(n, k, q) for k in range(n + 1)}
+
 
 class TestBruteForceCount:
     def test_k3_point_count_q2(self, k3):
@@ -110,11 +246,49 @@ class TestBruteForceCount:
             assert brute_force_stable_count(k2(), (1, 1), (1, 0), q) == q + 1
 
     def test_methods_agree_on_kronecker_shapes(self):
-        for num_arrows, d in [(2, (2, 1)), (2, (2, 3)), (3, (2, 3))]:
-            q_quiver = bq.kronecker_quiver(num_arrows)
-            a = brute_force_stable_count(q_quiver, d, (1, 0), 2, method="generic")
-            b = brute_force_stable_count(q_quiver, d, (1, 0), 2, method="kronecker")
-            assert a == b, (num_arrows, d)
+        assert len(SMALL_KRONECKER) == 31
+        for n, m, q in SMALL_KRONECKER:
+            quiver = bq.kronecker_quiver(n)
+            got = brute_force_stable_count(quiver, (2, m), (1, 0), q, method="kronecker")
+            assert got * pg_order((2, m), q) == minors_count(n, m, q), (n, m, q)
+            if q ** (2 * m) <= 729:  # generic tabulates the q^(2m) matrices of one arrow
+                generic = brute_force_stable_count(quiver, (2, m), (1, 0), q, method="generic")
+                assert got == generic, (n, m, q)
+
+    @pytest.mark.slow
+    def test_kronecker_agrees_with_generic_k2_q4(self):
+        k2q = bq.kronecker_quiver(2)
+        assert (brute_force_stable_count(k2q, (2, 3), (1, 0), 4, method="kronecker")
+                == brute_force_stable_count(k2q, (2, 3), (1, 0), 4, method="generic") == 1)
+
+    def test_k4_point_count_q2(self):
+        assert brute_force_stable_count(bq.kronecker_quiver(4), (2, 3), (1, 0), 2) == 15135
+
+    def test_kronecker_fold_in_chunks(self, monkeypatch):
+        # one state per chunk: the partial histograms must merge to the same count
+        monkeypatch.setattr(existence, "_fold_arrow",
+                            functools.partial(existence._fold_arrow, pairs=1))
+        assert brute_force_stable_count(bq.kronecker_quiver(3), (2, 3), (1, 0), 2) == 183
+        assert brute_force_stable_count(bq.kronecker_quiver(3), (2, 3), (1, 0), 3,
+                                        budget=3**18) == 1327
+
+    def test_kronecker_zero_without_enough_arrows(self):
+        # 2r+1 > 2n: the columns cannot span the sink, whatever the budget
+        for n, m in [(1, 3), (2, 5), (3, 7), (30, 61)]:
+            quiver = bq.kronecker_quiver(n)
+            assert brute_force_stable_count(quiver, (2, m), (1, 0), 5, budget=2**10000) == 0
+
+    def test_kronecker_int64_range(self):
+        # K_n at (2, 1) is Gr(2, n); K31 has 2^62 representations at q = 2
+        assert (brute_force_stable_count(bq.kronecker_quiver(31), (2, 1), (1, 0), 2, budget=2**62)
+                == gaussian_binomial(31, 2, 2))
+        with pytest.raises(UnsupportedError, match="2\\^63"):
+            brute_force_stable_count(bq.kronecker_quiver(32), (2, 1), (1, 0), 2, budget=2**64)
+        with pytest.raises(UnsupportedError, match="2\\^63"):
+            brute_force_stable_count(bq.kronecker_quiver(11), (2, 3), (1, 0), 2, budget=2**66)
+        # 2^60 representations, but 12278 subspaces in 6 components overflow the state codes
+        with pytest.raises(UnsupportedError, match="2\\^63"):
+            brute_force_stable_count(bq.kronecker_quiver(3), (2, 5), (1, 0), 4, budget=2**60)
 
     def test_oracle_agrees_with_has_stable(self, k3):
         for d in [(1, 1), (1, 2), (2, 1), (2, 3), (1, 3), (3, 1)]:
