@@ -245,14 +245,12 @@ def cmd_count(cfg: RunConfig) -> int:
 
 def cmd_kronecker(args) -> int:
     l, r = args.l, args.r
-    poly = kronecker.kronecker_poincare(l, r)
-    labels1 = kronecker.enumerate_type1(l, r)
-    labels2 = kronecker.enumerate_type2(l, r)
-    rows = [{"label": lab.display(), "kind": 1,
-             "att_plus": kronecker.d1_attractor(lab, "plus"),
-             "att_minus": kronecker.d1_attractor(lab, "minus")} for lab in labels1]
-    rows += [{"label": lab.display(), "kind": 2, "x": lab.x,
-              "att_plus": kronecker.d2_attractor(lab)} for lab in labels2]
+    coeffs: dict = {}
+    rows = [{"label": lab.display(), "kind": 1, "att_plus": plus, "att_minus": minus}
+            if minus is not None else
+            {"label": lab.display(), "kind": 2, "x": lab.x, "att_plus": plus}
+            for lab, plus, minus in kronecker.attractor_rows(l, r, coeffs)]
+    poly = betti.PoincarePolynomial.from_dict(coeffs)
     payload = {"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
                "labels": rows}
     if args.format == "json":

@@ -2,12 +2,15 @@
 
 Fixed points of the weight regime w_1 >> ... >> w_{l+1} > 0 come in two
 kinds, indexed by arrow labels.  Attractor dimensions are given by counting
-index comparisons; a comparison between two weight SUMS w_p + w_q vs
-w_u + w_v is decided lexicographically on the sorted index pairs, because a
-smaller index means a strictly dominant weight.  (Where a plain min()
-comparison of the index pairs would tie, the sorted-pair rule still decides
-the sum correctly; the two rules differ exactly when both sides share their
-smallest index.)
+index comparisons in eight families; one sweep over them gives both
+attractors, since a comparison that goes one way adds to att_+ and one that
+goes the other way adds to att_-.  A comparison between two weight SUMS
+w_p + w_q vs w_u + w_v is decided lexicographically on the sorted index
+pairs (`_pairs`, compared in `_sum_comparisons`), because a smaller index
+means a strictly dominant weight.  (Where a plain min() comparison of the
+index pairs would tie, the sorted-pair rule still decides the sum correctly;
+the two rules differ exactly when both sides share their smallest index.
+Equal pairs are equal sums and count for neither attractor.)
 """
 
 from __future__ import annotations
@@ -53,6 +56,20 @@ class Label1:
     m_star: tuple[int, ...]
     n: int
     n_star: tuple[int, ...]
+
+    @classmethod
+    def _unchecked(cls, l: int, r: int, m: int, m_star: tuple, n: int, n_star: tuple) -> "Label1":
+        """A label whose fields the enumerator already guarantees valid;
+        skips `__post_init__`."""
+        lab = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(lab, "l", l)
+        setattr_(lab, "r", r)
+        setattr_(lab, "m", m)
+        setattr_(lab, "m_star", m_star)
+        setattr_(lab, "n", n)
+        setattr_(lab, "n_star", n_star)
+        return lab
 
     def __post_init__(self):
         rng = range(1, self.l + 2)
@@ -145,7 +162,7 @@ def enumerate_type1(l: int, r: int) -> list[Label1]:
     for m, n in itertools.combinations(idx, 2):
         for m_star in itertools.combinations([i for i in idx if i != m], r):
             for n_star in itertools.combinations([i for i in idx if i != n], r):
-                out.append(Label1(l, r, m, m_star, n, n_star))
+                out.append(Label1._unchecked(l, r, m, m_star, n, n_star))
     return out
 
 
@@ -164,9 +181,56 @@ def enumerate_type2(l: int, r: int) -> list[Label2]:
     return out
 
 
-def _sum_gt(pair_a, pair_b) -> bool:
-    """w_{a0} + w_{a1} > w_{b0} + w_{b1} in the regime w_1 >> ... >> w_{l+1} > 0."""
-    return sorted(pair_a) < sorted(pair_b)
+def _pairs(l: int) -> list:
+    """pairs[a][b] is the index pair {a, b} in increasing order, encoded as
+    the integer min * (l+2) + max, so that the integers compare as the
+    sorted pairs do lexicographically.  Hence w_a + w_b > w_c + w_d exactly
+    when pairs[a][b] < pairs[c][d].
+    """
+    base = l + 2
+    return [[min(a, b) * base + max(a, b) for b in range(base)] for a in range(base)]
+
+
+def _side(l: int, k: int, star: tuple) -> tuple:
+    """(complement, plus, minus) for one side (k, star) of a type-1 label.
+
+    plus and minus count the comparisons within the side: k against its
+    star, the complement against k, and complement against star entries.
+    The indices of one side are distinct, so every comparison that does not
+    add to att_+ adds to att_-.
+    """
+    comp = tuple(u for u in range(1, l + 2) if u != k and u not in star)
+    plus = (sum(1 for v in star if k < v) + sum(1 for u in comp if u < k)
+            + sum(1 for u in comp for v in star if u < v))
+    return comp, plus, len(star) + len(comp) * (1 + len(star)) - plus
+
+
+def _sum_comparisons(with_b: list, us: tuple, with_a: list, vs: tuple) -> tuple:
+    """(plus, minus) over u in us, v in vs comparing w_u + w_b with w_a + w_v,
+    where with_b = pairs[b] and with_a = pairs[a]: plus counts the pairs with
+    the left sum larger, minus those with it smaller; equal sums count for
+    neither."""
+    plus = minus = 0
+    for u in us:
+        left = with_b[u]
+        for v in vs:
+            right = with_a[v]
+            if left < right:
+                plus += 1
+            elif right < left:
+                minus += 1
+    return plus, minus
+
+
+def _d1_dims(label: Label1, sides: dict, pairs: list) -> tuple:
+    """(att_plus, att_minus) of a type-1 label in one sweep over the eight
+    comparison families; `sides` maps (k, star) to `_side(l, k, star)`."""
+    m, n, ms, ns = label.m, label.n, label.m_star, label.n_star
+    mc, pm, qm = sides[m, ms]
+    nc, pn, qn = sides[n, ns]
+    p6, q6 = _sum_comparisons(pairs[n], mc, pairs[m], ns)  # w_mu + w_n vs w_m + w_nv
+    p8, q8 = _sum_comparisons(pairs[m], nc, pairs[n], ms)  # w_nu + w_m vs w_n + w_mv
+    return pm + pn + p6 + p8 - 1, qm + qn + q6 + q8 - 1
 
 
 def d1_attractor(label: Label1, sign: str = "plus") -> int:
@@ -177,26 +241,10 @@ def d1_attractor(label: Label1, sign: str = "plus") -> int:
     """
     if sign not in ("plus", "minus"):
         raise ValidationError("sign must be 'plus' or 'minus'")
-    flip = sign == "minus"
-
-    def lt(a, b):
-        return (a > b) if flip else (a < b)
-
-    def sum_gt(pa, pb):
-        return _sum_gt(pb, pa) if flip else _sum_gt(pa, pb)
-
-    m, n = label.m, label.n
-    ms, ns = label.m_star, label.n_star
-    mc, nc = label.m_complement, label.n_complement
-    total = -1
-    total += sum(1 for mv in ms if lt(m, mv))
-    total += sum(1 for nv in ns if lt(n, nv))
-    total += sum(1 for mu in mc if lt(mu, m))
-    total += sum(1 for nu in nc if lt(nu, n))
-    total += sum(1 for mu in mc for mv in ms if lt(mu, mv))
-    total += sum(1 for mu in mc for nv in ns if sum_gt((mu, n), (m, nv)))
-    total += sum(1 for nu in nc for nv in ns if lt(nu, nv))
-    total += sum(1 for nu in nc for mv in ms if sum_gt((nu, m), (n, mv)))
+    sides = {(k, star): _side(label.l, k, star)
+             for k, star in ((label.m, label.m_star), (label.n, label.n_star))}
+    plus, minus = _d1_dims(label, sides, _pairs(label.l))
+    total = plus if sign == "plus" else minus
     if total < 0:
         raise ValidationError(f"negative attractor dimension for label {label.display()}")
     return total
@@ -263,16 +311,39 @@ def normal_form_label(l: int, r: int) -> Label1:
     return Label1(l, r, m, m_star, n, n_star)
 
 
+def attractor_rows(l: int, r: int, betti: dict):
+    """One pass over the labels of (l, r), each enumerated once.
+
+    Yields (label, att_plus, att_minus) for every type-1 label, then
+    (label, att_plus, None) for every type-2 label, in enumeration order,
+    and adds each label's Betti numbers into `betti` ({degree: count}) on
+    the way: t^(2 att_plus) for a type-1 label, the subspace-star
+    polynomial shifted by att_plus for a type-2 label.
+    """
+    _check_lr(l, r)
+    pairs = _pairs(l)
+    sides = {(k, star): _side(l, k, star) for k in range(1, l + 2)
+             for star in itertools.combinations([i for i in range(1, l + 2) if i != k], r)}
+    for lab in enumerate_type1(l, r):
+        plus, minus = _d1_dims(lab, sides, pairs)
+        if plus < 0 or minus < 0:
+            raise ValidationError(f"negative attractor dimension for label {lab.display()}")
+        betti[2 * plus] = betti.get(2 * plus, 0) + 1
+        yield lab, plus, minus
+    for lab in enumerate_type2(l, r):
+        dim = d2_attractor(lab)
+        for deg, c in kirwan_subspace_poincare(lab.x).coefficients:
+            betti[deg + 2 * dim] = betti.get(deg + 2 * dim, 0) + c
+        yield lab, dim, None
+
+
 def kronecker_poincare(l: int, r: int) -> PoincarePolynomial:
     """Poincare polynomial of the moduli space for d = (2, 2r+1), assembled
     from the closed-form attractor dimensions."""
-    _check_lr(l, r)
-    total = PoincarePolynomial(())
-    for lab in enumerate_type1(l, r):
-        total = total + PoincarePolynomial(((2 * d1_attractor(lab, "plus"), 1),))
-    for lab in enumerate_type2(l, r):
-        total = total + kirwan_subspace_poincare(lab.x).shift(d2_attractor(lab))
-    return total
+    betti: dict = {}
+    for _ in attractor_rows(l, r, betti):
+        pass
+    return PoincarePolynomial.from_dict(betti)
 
 
 def _form_mul(f, g):

@@ -3,10 +3,52 @@ import math
 import pytest
 
 import bbquiver as bq
+from bbquiver import kronecker
 from bbquiver.errors import ValidationError
 from bbquiver.kronecker import kronecker_stable_exact
 
 PAPER_LABELS = "1231 2121 1232 2131 3121 3131 2132 3231 2123 3132 3123 3232".split()
+SMALL = [(l, r) for l in range(1, 6) for r in range(0, l + 1)]
+
+
+# The per-label route the one-pass table replaced, kept as the reference: one
+# closure-based comparison sweep per label and sign, and one
+# PoincarePolynomial per label.
+def _ref_sum_gt(pair_a, pair_b) -> bool:
+    return sorted(pair_a) < sorted(pair_b)
+
+
+def ref_d1_attractor(label, sign):
+    flip = sign == "minus"
+
+    def lt(a, b):
+        return (a > b) if flip else (a < b)
+
+    def sum_gt(pa, pb):
+        return _ref_sum_gt(pb, pa) if flip else _ref_sum_gt(pa, pb)
+
+    m, n = label.m, label.n
+    ms, ns = label.m_star, label.n_star
+    mc, nc = label.m_complement, label.n_complement
+    total = -1
+    total += sum(1 for mv in ms if lt(m, mv))
+    total += sum(1 for nv in ns if lt(n, nv))
+    total += sum(1 for mu in mc if lt(mu, m))
+    total += sum(1 for nu in nc if lt(nu, n))
+    total += sum(1 for mu in mc for mv in ms if lt(mu, mv))
+    total += sum(1 for mu in mc for nv in ns if sum_gt((mu, n), (m, nv)))
+    total += sum(1 for nu in nc for nv in ns if lt(nu, nv))
+    total += sum(1 for nu in nc for mv in ms if sum_gt((nu, m), (n, mv)))
+    return total
+
+
+def ref_poincare(l, r):
+    total = bq.PoincarePolynomial(())
+    for lab in bq.enumerate_type1(l, r):
+        total = total + bq.PoincarePolynomial(((2 * ref_d1_attractor(lab, "plus"), 1),))
+    for lab in bq.enumerate_type2(l, r):
+        total = total + bq.kirwan_subspace_poincare(lab.x).shift(bq.d2_attractor(lab))
+    return total
 
 
 class TestEnumeration:
@@ -71,6 +113,51 @@ class TestClosedForms:
                 if lab.y == 0 and lab.t == 0:
                     assert bq.d2_attractor(lab) == math.comb(lab.x, 2)
 
+    @pytest.mark.parametrize("l,r", SMALL)
+    def test_one_pass_matches_the_per_label_reference(self, l, r):
+        labels1, labels2 = bq.enumerate_type1(l, r), bq.enumerate_type2(l, r)
+        rows = list(kronecker.attractor_rows(l, r, {}))
+        assert [lab for lab, _, _ in rows] == labels1 + labels2
+        for lab, plus, minus in rows[:len(labels1)]:
+            assert (plus, minus) == (ref_d1_attractor(lab, "plus"),
+                                     ref_d1_attractor(lab, "minus")), lab.display()
+            assert bq.d1_attractor(lab, "plus") == plus
+            assert bq.d1_attractor(lab, "minus") == minus
+        for lab, plus, minus in rows[len(labels1):]:
+            assert (plus, minus) == (bq.d2_attractor(lab), None)
+
+    def test_enumerated_labels_equal_validated_ones(self):
+        for lab in bq.enumerate_type1(3, 1):
+            built = bq.Label1(lab.l, lab.r, lab.m, lab.m_star, lab.n, lab.n_star)
+            assert built == lab and hash(built) == hash(lab) and repr(built) == repr(lab)
+            assert (built.m_complement, built.n_complement) == (lab.m_complement, lab.n_complement)
+
+    @pytest.mark.parametrize("fields", [(2, 1, 3, (1,), 2, (1,)), (2, 1, 1, (1,), 2, (3,)),
+                                        (2, 1, 1, (2,), 3, (4,)), (2, 1, 1, (), 2, (1,))])
+    def test_labels_built_by_hand_are_validated(self, fields):
+        with pytest.raises(ValidationError):
+            bq.Label1(*fields)
+
+    def test_equal_sums_count_for_neither_attractor(self):
+        pairs = kronecker._pairs(3)
+        # w_1 + w_2 against itself; then w_1 + w_2 > w_1 + w_3 and w_2 + w_3 < w_1 + w_4
+        assert kronecker._sum_comparisons(pairs[2], (1,), pairs[1], (2,)) == (0, 0)
+        assert kronecker._sum_comparisons(pairs[2], (1,), pairs[1], (3,)) == (1, 0)
+        assert kronecker._sum_comparisons(pairs[3], (2,), pairs[1], (4,)) == (0, 1)
+
+    def test_negative_dimension_raises(self, monkeypatch):
+        lab = bq.normal_form_label(2, 1)
+        monkeypatch.setattr(kronecker, "_d1_dims", lambda label, sides, pairs: (-1, 7))
+        with pytest.raises(ValidationError, match="negative attractor dimension"):
+            bq.d1_attractor(lab, "plus")
+        assert bq.d1_attractor(lab, "minus") == 7
+        with pytest.raises(ValidationError, match="negative attractor dimension"):
+            bq.kronecker_poincare(2, 1)
+
+    def test_sign_is_validated(self):
+        with pytest.raises(ValidationError):
+            bq.d1_attractor(bq.normal_form_label(2, 1), "both")
+
     def test_plus_minus_balance(self):
         for l in range(1, 5):
             for r in range(0, l + 1):
@@ -107,6 +194,19 @@ class TestPoincare:
             assert p.is_palindromic(dim), (l, r)
             assert p.coefficient(0) == 1 and p.coefficient(2 * dim) == 1
 
+    @pytest.mark.parametrize("l,r", SMALL + [(6, r) for r in range(0, 7)])
+    def test_matches_the_per_label_reference(self, l, r):
+        assert bq.kronecker_poincare(l, r) == ref_poincare(l, r)
+
+    # the whole l = 8 row takes about 4 s, so it is in the slow set
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r", range(0, 9))
+    def test_duality_at_l8(self, r):
+        dim = (2 * (8 - r) + 1) * (2 * r + 1) - 3
+        p = bq.kronecker_poincare(8, r)
+        assert p.is_palindromic(dim)
+        assert p.coefficient(0) == 1 and p.coefficient(2 * dim) == 1
+
 
 class TestClosedFormVsPipeline:
     @pytest.mark.parametrize("l,r", [(l, r) for l in range(1, 5) for r in range(0, l + 1)])
@@ -139,10 +239,8 @@ class TestEndToEnd:
     def test_pipeline_agrees_with_closed_form(self, l, r):
         self._check(l, r)
 
-    # (6, 3) is left out: its x = 7 components need the corrected subspace-star
-    # Betti numbers (ROADMAP item 1).
     @pytest.mark.slow
-    @pytest.mark.parametrize("l,r", [(5, 3), (6, 2)])
+    @pytest.mark.parametrize("l,r", [(5, 3), (6, 2), (6, 3)])
     def test_pipeline_agrees_with_closed_form_slow(self, l, r):
         self._check(l, r)
 
