@@ -7,16 +7,20 @@ Two independent routes to the same question:
   e of d exists iff <e', d - e> >= 0 for every generic subdimension e' of e)
   combined with the slope criterion.
 * `brute_force_stable_count` counts the F_q-points of the moduli space: the
-  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  The generic method
-  marks every representation with a destabilizing invariant subspace tuple.
-  For the two-vertex shapes d = (2, 2r+1) the Kronecker method never builds
-  R(Q, d)(F_q): stability is a condition on joins of per-arrow subspaces, so
-  it folds the arrows over a histogram of one arrow's span signatures.
+  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  Neither method
+  builds R(Q, d)(F_q); both fold the arrows one at a time over a histogram
+  of per-arrow signatures.  The generic method scores each subspace tuple
+  linearly (theta'' . dim) and keeps a table over the subspaces of the
+  vertices in play of the best score an invariant tuple could still reach; a
+  representation is stable iff no invariant tuple scores above 0.  For the
+  two-vertex shapes d = (2, 2r+1) the Kronecker method folds joins of
+  per-arrow span signatures instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -26,14 +30,13 @@ from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from .finitefield import (
     coordinates,
     encode_rows,
-    mat_decode,
-    maps_into,
     pg_order,
     small_field,
     subspaces,
 )
 
 DEFAULT_BUDGET = 2**24
+_HOPELESS = -1  # generic count: no invariant tuple through this entry can score above 0
 
 
 class SubdimMemo:
@@ -136,46 +139,121 @@ def _rep_radices(quiver: Quiver, d, q):
     return [q ** (d[idx(a.source)] * d[idx(a.target)]) for a in quiver.arrows]
 
 
-def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
-    """Mark every representation admitting a destabilizing invariant subspace
-    tuple, then count the unmarked ones.
+@lru_cache(maxsize=None)
+def _arrow_signatures(ds: int, dt: int, q: int, loop: bool):
+    """Histogram of the dt x ds matrices A over GF(q) by signature.
 
-    The subspace tuples range over products of the full subspace lattices of
-    the vertex spaces; for a fixed tuple the invariant representations form a
-    product set across arrows, marked in one numpy fancy-index assignment.
+    The signature of A is the boolean table of subspace pairs (U_s, U_t),
+    indexed as in `subspaces`, with A U_s inside U_t; for a loop only the
+    pairs U_s = U_t.  Returns the distinct signatures and their counts.
+    """
+    sources, targets = subspaces(ds, q), subspaces(dt, q)
+    if q ** (ds * dt) * len(sources) * len(targets) > 2**28:
+        raise UnsupportedError("the generic count needs per-arrow signature tables "
+                               "below 2^28 entries")
+    F = small_field(q)
+    vectors = coordinates(ds, q)
+    mats = coordinates(ds * dt, q).reshape(q ** (ds * dt), ds, dt)  # mats[:, c]: column c
+    image = np.zeros((len(mats), len(vectors), dt), dtype=np.uint8)
+    for c in range(ds):
+        image = F.add[image, F.mul[mats[:, None, c, :], vectors[None, :, c, None]]]
+    image = encode_rows(image, q)  # image[m, v]: code of A v
+    member = np.zeros((len(targets), q**dt), dtype=bool)
+    for k, u in enumerate(targets):
+        member[k, list(u.members)] = True
+    fits = []  # fits[k][m, j]: matrix m maps U_k into U_j
+    for u in sources:
+        basis = encode_rows(np.array(u.basis, dtype=np.uint8).reshape(u.dim, ds), q)
+        fits.append(member[:, image[:, basis]].all(axis=-1).T)
+    signature = np.stack(fits, axis=1)
+    if loop:
+        signature = np.diagonal(signature, axis1=1, axis2=2)
+    sigs, counts = np.unique(signature.reshape(len(mats), -1), axis=0, return_counts=True)
+    return sigs.reshape((len(sigs),) + signature.shape[1:]), counts.astype(np.int64)
+
+
+def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
+    """Stable points of R(Q, d)(F_q), folding the arrows over signatures.
+
+    With theta'' = |d| theta - (theta . d) 1, a subrepresentation of
+    dimension e destabilizes iff theta'' . e > 0; e = 0 and e = d score 0 and
+    coprimality rules out 0 elsewhere, so a representation is stable iff no
+    invariant subspace tuple scores above 0.  A state is a table over the
+    subspace tuples of the live vertices (touched by a folded arrow and by
+    one still to come) holding the headroom of the best invariant tuple
+    extending each entry: its score so far plus the best score the vertices
+    not yet joined could add.  A vertex joins at its first arrow, each arrow
+    masks the table by its signature, and a vertex is maximized out after
+    its last arrow.  Entries with no headroom above 0 are hopeless and all
+    become -1, so states merge and their weights add; a representation is
+    stable iff its final state is hopeless.
     """
     idx = quiver.vertex_index
-    radices = _rep_radices(quiver, d, q)
-    flags = np.zeros(radices, dtype=bool)
-    subs = [subspaces(d[idx(v)], q) for v in quiver.vertices]
-    mu = slope(theta, d)
+    if math.prod(_rep_radices(quiver, d, q)) >= 2**63:
+        raise UnsupportedError("the generic count needs fewer than 2^63 representations")
+    score = [sum(d) * t - sum(t * x for t, x in zip(theta, d)) for t in theta]
+    score = [c // (math.gcd(*score) or 1) for c in score]
+    gain = [max(0, c * x) for c, x in zip(score, d)]  # best score vertex i can add
+    bound = sum(gain) + sum(abs(c) * x for c, x in zip(score, d)) + 2  # |entries| + 1 < bound
+    if bound >= 2**63:
+        raise UnsupportedError("the generic count needs subspace scores below 2^63")
+    dtype = np.min_scalar_type(-bound)
+    arrows = [(idx(a.source), idx(a.target)) for a in quiver.arrows]
+    last = {v: k for k, arrow in enumerate(arrows) for v in arrow}
+    live: list = []
+    states = _clip(np.array([sum(gain)], dtype=dtype))
+    weights = np.ones(1, dtype=np.int64)
+    for k, (s, t) in enumerate(arrows):
+        for v in dict.fromkeys((s, t)):
+            if v not in live:
+                column = score[v] * np.array([u.dim for u in subspaces(d[v], q)]) - gain[v]
+                states = states[..., None] + column.astype(dtype)
+                live.append(v)
+        sigs, counts = _arrow_signatures(d[s], d[t], q, s == t)
+        shape = [1] * len(live)
+        shape[live.index(s)], shape[live.index(t)] = sigs.shape[1], sigs.shape[-1]
+        if live.index(s) > live.index(t):
+            sigs = sigs.transpose(0, 2, 1)
+        done = tuple(2 + j for j, v in enumerate(live) if last[v] == k)
+        states, weights = _mask_arrow(states, weights, sigs.reshape(len(sigs), *shape), counts,
+                                      done)
+        live = [v for v in live if last[v] != k]
+    return int(weights[states == _HOPELESS].sum())
 
-    shape_tables: dict = {}
-    arrow_tables = []
-    for a in quiver.arrows:
-        si, ti = idx(a.source), idx(a.target)
-        if (si, ti) not in shape_tables:
-            rows, cols = d[ti], d[si]
-            mats = [mat_decode(code, rows, cols, q) for code in range(q ** (rows * cols))]
-            table = {}
-            for us_i, us in enumerate(subs[si]):
-                for ut_i, ut in enumerate(subs[ti]):
-                    codes = [code for code, m in enumerate(mats)
-                             if maps_into(m, us, ut, cols, q)]
-                    table[(us_i, ut_i)] = np.array(codes, dtype=np.int64)
-            shape_tables[(si, ti)] = table
-        arrow_tables.append(shape_tables[(si, ti)])
 
-    for tup in itertools.product(*(range(len(s)) for s in subs)):
-        dims = tuple(subs[i][k].dim for i, k in enumerate(tup))
-        if sum(dims) == 0 or dims == tuple(d):
-            continue
-        if slope(theta, dims) < mu:
-            continue
-        lists = [arrow_tables[ai][(tup[idx(a.source)], tup[idx(a.target)])]
-                 for ai, a in enumerate(quiver.arrows)]
-        flags[np.ix_(*lists)] = True
-    return int(flags.size - int(flags.sum()))
+def _clip(states):
+    """Entries that cannot score above 0 become `_HOPELESS`."""
+    return np.where(states > 0, states, _HOPELESS)
+
+
+def _merge_rows(states, weights):
+    """Sum the weights of equal state tables (axis 0 indexes the states).
+
+    Each table is compared as one opaque byte string, which sorts far faster
+    than `np.unique(..., axis=0)` comparing it entry by entry."""
+    flat = np.ascontiguousarray(states.reshape(len(states), -1))
+    keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    merged = np.zeros(len(first), dtype=np.int64)
+    np.add.at(merged, inverse.ravel(), weights)
+    return states[first], merged
+
+
+def _mask_arrow(states, weights, mask, counts, done, pairs=2**22):
+    """Mask every state table by every signature, maximize out the axes `done`
+    (numbered with the state and signature axes in front), mark the hopeless
+    entries and merge, a chunk of states at a time: at most about `pairs`
+    table entries are held at once."""
+    step = max(1, pairs // (len(mask) * states[0].size))
+    parts = []
+    for lo in range(0, len(states), step):
+        # where(mask, states, _HOPELESS), without where's slow broadcasting
+        masked = ((states[lo:lo + step, None] - _HOPELESS) * mask + _HOPELESS).max(axis=done)
+        masked = _clip(masked)
+        parts.append(_merge_rows(masked.reshape((-1,) + masked.shape[2:]),
+                                 np.outer(weights[lo:lo + step], counts).ravel()))
+    return _merge_rows(np.concatenate([c for c, _ in parts]),
+                       np.concatenate([w for _, w in parts]))
 
 
 class _SpanLattice:

@@ -156,7 +156,7 @@ def vec_decode(code: int, n: int, q: int) -> tuple[int, ...]:
 def coordinates(n: int, q: int) -> np.ndarray:
     """Coordinates of every vector of GF(q)^n: row `code` decodes `code`."""
     codes = np.arange(q**n, dtype=np.int64)
-    return np.stack([(codes // q**i) % q for i in range(n)], axis=-1).astype(np.uint8)
+    return (codes[:, None] // q ** np.arange(n, dtype=np.int64) % q).astype(np.uint8)
 
 
 def encode_rows(coords: np.ndarray, q: int) -> np.ndarray:
@@ -206,30 +206,6 @@ def subspaces(n: int, q: int) -> tuple[Subspace, ...]:
             out.append(Subspace(k, frozenset(codes[o].tolist()),
                                 tuple(map(tuple, bases[o].tolist()))))
     return tuple(out)
-
-
-def mat_decode(code: int, rows: int, cols: int, q: int):
-    """Column-major decode of a rows x cols matrix over GF(q)."""
-    flat = vec_decode(code, rows * cols, q)
-    return tuple(tuple(flat[c * rows + r] for c in range(cols)) for r in range(rows))
-
-
-def mat_apply(mat, vec, F: SmallField):
-    out = []
-    for row in mat:
-        acc = 0
-        for a, x in zip(row, vec):
-            acc = int(F.add[acc, F.mul[a, x]])
-        out.append(acc)
-    return tuple(out)
-
-
-def maps_into(mat, source: Subspace, target: Subspace, n_cols: int, q: int) -> bool:
-    F = small_field(q)
-    for b in source.basis:
-        if vec_encode(mat_apply(mat, b, F), q) not in target.members:
-            return False
-    return True
 
 
 def gl_order(n: int, q: int) -> int:

@@ -1,9 +1,10 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver import existence
@@ -111,6 +112,112 @@ def minors_count(n, m, q):
                   for a in range(n)]
         ok = ok & batch_rank_ge(images, r + 1, F)
     return int(np.broadcast_to(ok, (radix,) * n).sum())
+
+
+def mat_decode(code, rows, cols, q):
+    """Column-major decode of a rows x cols matrix over GF(q)."""
+    flat = vec_decode(code, rows * cols, q)
+    return tuple(tuple(flat[c * rows + r] for c in range(cols)) for r in range(rows))
+
+
+def maps_into(mat, source, target, q):
+    """Does the matrix map the subspace `source` into `target`?"""
+    F = small_field(q)
+    for b in source.basis:
+        image = [0] * len(mat)
+        for r, row in enumerate(mat):
+            for a, x in zip(row, b):
+                image[r] = int(F.add[image[r], F.mul[a, x]])
+        if vec_encode(image, q) not in target.members:
+            return False
+    return True
+
+
+def flag_array_count(quiver, d, theta, q):
+    """Stable points of R(Q, d)(F_q): mark every representation admitting a
+    destabilizing invariant subspace tuple, then count the unmarked ones.
+
+    The subspace tuples range over products of the full subspace lattices of
+    the vertex spaces; for a fixed tuple the invariant representations form a
+    product set across arrows, marked in one numpy fancy-index assignment.
+    """
+    idx = quiver.vertex_index
+    radices = [q ** (d[idx(a.source)] * d[idx(a.target)]) for a in quiver.arrows]
+    flags = np.zeros(radices, dtype=bool)
+    subs = [subspaces(d[idx(v)], q) for v in quiver.vertices]
+    mu = bq.slope(theta, d)
+
+    shape_tables: dict = {}
+    arrow_tables = []
+    for a in quiver.arrows:
+        si, ti = idx(a.source), idx(a.target)
+        if (si, ti) not in shape_tables:
+            rows, cols = d[ti], d[si]
+            mats = [mat_decode(code, rows, cols, q) for code in range(q ** (rows * cols))]
+            table = {}
+            for us_i, us in enumerate(subs[si]):
+                for ut_i, ut in enumerate(subs[ti]):
+                    codes = [code for code, m in enumerate(mats) if maps_into(m, us, ut, q)]
+                    table[(us_i, ut_i)] = np.array(codes, dtype=np.int64)
+            shape_tables[(si, ti)] = table
+        arrow_tables.append(shape_tables[(si, ti)])
+
+    for tup in itertools.product(*(range(len(s)) for s in subs)):
+        dims = tuple(subs[i][k].dim for i, k in enumerate(tup))
+        if sum(dims) == 0 or dims == tuple(d):
+            continue
+        if bq.slope(theta, dims) < mu:
+            continue
+        lists = [arrow_tables[ai][(tup[idx(a.source)], tup[idx(a.target)])]
+                 for ai, a in enumerate(quiver.arrows)]
+        flags[np.ix_(*lists)] = True
+    return int(flags.size - int(flags.sum()))
+
+
+def star(leaves):
+    """Centre c with one arrow c -> p_k to each leaf."""
+    return bq.Quiver.from_arrows(("c",) + tuple(f"p{k}" for k in range(1, leaves + 1)),
+                                 [(f"f{k}", "c", f"p{k}") for k in range(1, leaves + 1)])
+
+
+def star_case(leaves, q):
+    return star(leaves), (2,) + (1,) * leaves, (1,) + (0,) * leaves, q
+
+
+CHAIN = bq.Quiver.from_arrows(("u", "v", "x"), [("a1", "u", "v"), ("a2", "u", "v"),
+                                               ("b1", "v", "x"), ("b2", "v", "x")])
+TRIANGLE = bq.Quiver.from_arrows(("u", "v", "w"), [("a", "u", "v"), ("b", "v", "w"),
+                                                  ("c", "u", "w")])
+REFERENCE_CASES = {
+    **{f"star5 q={q}": star_case(5, q) for q in (2, 3, 5)},
+    **{f"star7 q={q}": star_case(7, q) for q in (2, 3)},
+    **{f"chain q={q}": (CHAIN, (1, 2, 2), (2, 1, 0), q) for q in (2, 3, 4)},
+    **{f"K2 (3,2) q={q}": (bq.kronecker_quiver(2), (3, 2), (1, 0), q) for q in (2, 3)},
+    "K3 (1,0) q=2": (bq.kronecker_quiver(3), (1, 0), (1, 0), 2),
+}
+
+
+@st.composite
+def small_counting_cases(draw):
+    """At most 3 vertices and 1 to 4 arrows between any two vertices, loops
+    and cycles included; a theta-coprime d <= 2, q in {2, 3}, at most 2^16
+    points."""
+    n = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=4))
+    vertices = [f"v{i}" for i in range(n)]
+    quiver = bq.Quiver.from_arrows(vertices, [(f"a{k}", vertices[i], vertices[j])
+                                              for k, (i, j) in enumerate(pairs)])
+    d = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    d[0] = max(d[0], 2 - sum(d[1:]))
+    if math.gcd(*d) > 1:  # d/2 would have the slope of d for every theta
+        d[d.index(0) if 0 in d else 0] = 1
+    d = tuple(d)
+    theta = tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    exponent = sum(d[i] * d[j] for i, j in pairs)
+    q = draw(st.sampled_from([q for q in (2, 3) if q**exponent <= 2**16]))
+    assume(bq.is_coprime(quiver, d, theta))
+    return quiver, d, theta, q
 
 
 # every Kronecker shape K_n, d = (2, m), m odd, with at most 2^18 representations
@@ -314,3 +421,65 @@ class TestBruteForceCount:
         d = (2, 1, 1, 1, 1, 1)
         got = [brute_force_stable_count(star_quiver, d, theta, q) for q in (2, 3, 5)]
         assert got == [15, 25, 51]
+
+
+class TestGenericFold:
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES), ids=list(REFERENCE_CASES))
+    def test_matches_flag_array(self, case):
+        quiver, d, theta, q = REFERENCE_CASES[case]
+        assert existence._count_stable_generic(quiver, d, theta, q) == flag_array_count(
+            quiver, d, theta, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_counting_cases())
+    @example((TRIANGLE, (1, 1, 1), (3, 1, 0), 3))   # not bipartite; |M| = q + 1
+    @example((TRIANGLE, (2, 1, 1), (3, 1, 0), 2))
+    @example((TRIANGLE, (1, 1, 1), (0, 1, 2), 2))   # the sink w scores 3 > 0
+    @example((bq.Quiver.from_arrows(("u", "v"), [("a", "u", "v"), ("l", "v", "v")]),
+              (1, 2), (1, 0), 3))                  # a loop
+    def test_matches_flag_array_on_small_quivers(self, case):
+        quiver, d, theta, q = case
+        assert existence._count_stable_generic(quiver, d, theta, q) == flag_array_count(
+            quiver, d, theta, q)
+
+    def test_seven_star_beyond_the_flag_array(self):
+        # 4^14 and 5^14 representations; P(t) = 1 + 7t^2 + 22t^4 + 7t^6 + t^8 at t^2 = q
+        for q, expected in [(4, 1085), (5, 2086)]:
+            quiver, d, theta, _ = star_case(7, q)
+            assert expected == 1 + 7 * q + 22 * q**2 + 7 * q**3 + q**4
+            assert brute_force_stable_count(quiver, d, theta, q, budget=5**14) == expected
+
+    def test_int64_range(self):
+        # K_n at (1, 1) is P^(n-1); K62 has 2^62 representations at q = 2
+        assert (brute_force_stable_count(bq.kronecker_quiver(62), (1, 1), (1, 0), 2,
+                                         budget=2**62) == 2**62 - 1)
+        with pytest.raises(UnsupportedError, match="2\\^63"):
+            brute_force_stable_count(bq.kronecker_quiver(63), (1, 1), (1, 0), 2, budget=2**64)
+
+    def test_signature_table_guard(self):
+        # one arrow with 3^12 matrices and 28 x 212 subspace pairs: refused before tabulating
+        with pytest.raises(UnsupportedError, match="2\\^28"):
+            brute_force_stable_count(bq.kronecker_quiver(1), (3, 4), (1, 0), 3)
+
+    def test_fold_in_chunks(self, monkeypatch):
+        # one state per chunk: the partial histograms must merge to the same count
+        monkeypatch.setattr(existence, "_mask_arrow",
+                            functools.partial(existence._mask_arrow, pairs=1))
+        assert brute_force_stable_count(*star_case(7, 3)) == 490
+        assert brute_force_stable_count(CHAIN, (1, 2, 2), (2, 1, 0), 3) == 178
+        assert brute_force_stable_count(bq.kronecker_quiver(2), (3, 2), (1, 0), 2) == 1
+
+    def test_without_arrows(self):
+        point = bq.Quiver.from_arrows(("v",), [])
+        assert brute_force_stable_count(point, (1,), (5,), 3) == 1
+        two = bq.Quiver.from_arrows(("u", "v"), [])
+        assert brute_force_stable_count(two, (1, 0), (0, 1), 2) == 1
+        assert brute_force_stable_count(two, (1, 1), (1, 0), 2) == 0
+
+    def test_theta_scale(self, k3):
+        # theta'' is divided by the gcd of its entries: a scaled theta counts the same
+        assert brute_force_stable_count(k3, (2, 3), (10**20, 0), 2, method="generic") == 183
+        path = bq.Quiver.from_arrows(("a", "b", "c"), [("x", "a", "b"), ("y", "b", "c")])
+        assert brute_force_stable_count(path, (1, 1, 1), (10**10, 1, 0), 2) == 1
+        with pytest.raises(UnsupportedError, match="2\\^63"):
+            brute_force_stable_count(path, (1, 1, 1), (10**20, 1, 0), 2)
