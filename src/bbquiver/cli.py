@@ -139,6 +139,7 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
                 f"balance fails at [{_beta_label(c.beta)}]: att+ + att- + dim = "
                 f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
             )
+    lines = []  # report lines are built only for the formats that print them
     if cfg.fmt == "csv":
         lines = ["beta,dim_component,att_plus,att_minus,isolated"]
         for beta, c in zip(classes, comps):
@@ -147,7 +148,7 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
             else:
                 lines.append(f"\"{_beta_label(c.beta)}\",{c.dim_component},"
                              f"{c.att_plus},{c.att_minus},{c.isolated}")
-    else:
+    elif cfg.fmt != "json":
         lines = [f"{len(classes)} fixed-point classes"]
         for beta, c in zip(classes, comps):
             if c is None:
@@ -204,11 +205,9 @@ def cmd_cells(cfg: RunConfig) -> int:
             )
         table = cells.emit_cell_table(chart)
         out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
-        lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
-        if cfg.fmt == "latex":
-            lines.append(table.latex())
-        else:
-            lines.append(table.text())
+        if cfg.fmt != "json":
+            lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
+            lines.append(table.latex() if cfg.fmt == "latex" else table.text())
     lines.append("chart dimensions match attractors: ok")
     _emit(cfg, {"cells": out, "checks": {"charts_match_attractors": True}}, lines)
     return 0
@@ -229,8 +228,9 @@ def cmd_normal_form(cfg: RunConfig) -> int:
         chart = cells.choose_complements(rep)
         table = cells.emit_cell_table(chart)
         out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
-        lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")
-        lines.append(table.text() if cfg.fmt != "latex" else table.latex())
+        if cfg.fmt != "json":
+            lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")
+            lines.append(table.text() if cfg.fmt != "latex" else table.latex())
     _emit(cfg, {"normal_forms": out}, lines)
     return 0
 

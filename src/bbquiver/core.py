@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
     _vindex: dict = field(init=False, repr=False, compare=False, hash=False)
+    _out: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -48,6 +50,8 @@ class Quiver:
             if a.source not in vset or a.target not in vset:
                 raise ValidationError(f"arrow {a.name}: endpoint not a declared vertex")
         object.__setattr__(self, "_vindex", {v: k for k, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_out", {v: tuple(a for a in self.arrows if a.source == v)
+                                          for v in self.vertices})
 
     @classmethod
     def from_arrows(cls, vertices, arrows):
@@ -66,11 +70,8 @@ class Quiver:
                 return a
         raise ValidationError(f"unknown arrow {name!r}")
 
-    def arrows_from(self, v: str):
-        return [a for a in self.arrows if a.source == v]
-
-    def arrows_into(self, v: str):
-        return [a for a in self.arrows if a.target == v]
+    def arrows_from(self, v: str) -> tuple[Arrow, ...]:
+        return self._out.get(v, ())
 
     def is_acyclic(self) -> bool:
         indeg = {v: 0 for v in self.vertices}
@@ -105,9 +106,9 @@ class Quiver:
         try:
             vertices = tuple(doc["vertices"])
             arrows = tuple(Arrow(a["name"], a["from"], a["to"]) for a in doc["arrows"])
-        except (KeyError, TypeError) as exc:
+            return cls(vertices, arrows)
+        except (KeyError, TypeError) as exc:  # TypeError also for unhashable names
             raise ValidationError(f"malformed quiver document: {exc}") from exc
-        return cls(vertices, arrows)
 
     @classmethod
     def from_json(cls, text: str) -> "Quiver":
@@ -151,20 +152,24 @@ def slope(theta, d) -> Fraction:
     return Fraction(num, total)
 
 
+def slope_scores(theta, d) -> tuple[int, ...]:
+    """theta'' = |d| theta - theta(d) 1: theta'' . e = |d| |e| (mu(e) - mu(d)), an integer."""
+    total, value = sum(d), sum(t * x for t, x in zip(theta, d))
+    return tuple(total * t - value for t in theta)
+
+
 def is_coprime(quiver: Quiver, d, theta) -> bool:
     """True iff no proper nonzero d' <= d has the same slope as d.
 
-    Decided by exhausting the box 0 <= d' <= d; fine at desk scale.
+    Decided by exhausting the box 0 <= d' <= d on integer slope scores; fine
+    at desk scale.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
         raise ValidationError("coprimality undefined for the zero dimension vector")
-    mu = slope(theta, d)
-    for dp in itertools.product(*(range(x + 1) for x in d)):
-        if sum(dp) == 0 or dp == d:
-            continue
-        if slope(theta, dp) == mu:
-            return False
-    return True
+    score = slope_scores(theta, d)
+    box = itertools.product(*(range(x + 1) for x in d))
+    next(box)  # skip e = 0; e = d scores 0 and comes last, so it must be the first zero
+    return next(e for e in box if not sum(map(operator.mul, score, e))) == d
 

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import Arrow, Quiver, check_vector
-from .errors import ValidationError
+from .errors import UnsupportedError, ValidationError
 
 Character = tuple[int, ...]
 
@@ -38,12 +38,44 @@ def char_sub(a: Character, b: Character) -> Character:
     return tuple(map(operator.sub, a, b))
 
 
+class CharCodec:
+    """Integer codes of rank-n characters: chi -> sum_i chi_i B^(n-1-i), B = 6 bound + 1.
+
+    `encode` takes characters with every |chi_i| <= bound.  On sums of up to
+    three of them the map is injective and additive, and codes order as the
+    tuples order lexicographically.  A code is the pairing with the
+    one-parameter subgroup (B^(n-1), ..., B, 1); for rank 1 it is the coordinate.
+    """
+
+    def __init__(self, rank: int, bound: int):
+        self.rank, self.bound = rank, bound
+
+    def encode(self, chi, origin=None) -> int:
+        """The code of chi - origin (of chi when origin is None)."""
+        code, b = 0, self.bound
+        for x in chi if origin is None else map(operator.sub, chi, origin):
+            if not -b <= x <= b:
+                raise UnsupportedError(f"character {tuple(chi)} is more than {b} from {origin or 0}")
+            code = code * (6 * b + 1) + x
+        return code
+
+    def decode(self, code: int) -> Character:
+        r, top, low = 3 * self.bound, code, ()
+        for _ in range(1, self.rank):  # peel the low digits; the top one is what is left
+            top, digit = divmod(top + r, 2 * r + 1)
+            low = (digit - r, *low)
+        if not -r <= top <= r:
+            raise UnsupportedError(f"code {code} is outside the code range {r}")
+        return (top, *low)
+
+
 @dataclass(frozen=True)
 class WeightAssignment:
     """Rank-n torus weights: one integer n-tuple per arrow."""
 
     rank: int
     weights: dict = field(hash=False)
+    _top: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -52,6 +84,8 @@ class WeightAssignment:
         for name, w in self.weights.items():
             fixed[name] = _as_char(w, self.rank)
         object.__setattr__(self, "weights", fixed)
+        top = max((abs(x) for w in fixed.values() for x in w), default=0)
+        object.__setattr__(self, "_top", max(top, 1))
 
     def of(self, arrow: Arrow | str) -> Character:
         name = arrow.name if isinstance(arrow, Arrow) else arrow
@@ -63,6 +97,11 @@ class WeightAssignment:
     def zero(self) -> Character:
         return (0,) * self.rank
 
+    def codec(self, span: int) -> CharCodec:
+        """Codes for characters within `span` of an origin and for the weights:
+        bound span + M, where M = `_top` is the largest weight coordinate (at least 1)."""
+        return CharCodec(self.rank, span + self._top)
+
     def to_dict(self) -> dict:
         return {"rank": self.rank, "weights": {k: list(v) for k, v in self.weights.items()}}
 
@@ -70,7 +109,7 @@ class WeightAssignment:
     def from_dict(cls, doc: dict) -> "WeightAssignment":
         try:
             return cls(int(doc["rank"]), dict(doc["weights"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed weight document: {exc}") from exc
 
     @classmethod
@@ -125,14 +164,16 @@ class CoveringDimVector:
         object.__setattr__(self, "entries", tuple(fixed))
 
     @classmethod
+    def trusted(cls, rank: int, entries: tuple) -> "CoveringDimVector":
+        """Wrap entries already in stored form, skipping the constructor's checks."""
+        beta = object.__new__(cls)
+        object.__setattr__(beta, "rank", rank)
+        object.__setattr__(beta, "entries", entries)
+        return beta
+
+    @classmethod
     def from_dict(cls, rank: int, support: dict) -> "CoveringDimVector":
         return cls(rank, tuple(support.items()))
-
-    def support(self) -> dict:
-        return {key: m for key, m in self.entries}
-
-    def support_vertices(self) -> list[tuple[str, Character]]:
-        return [key for key, _ in self.entries]
 
     def get(self, v: str, chi) -> int:
         chi = _as_char(chi, self.rank)
@@ -157,10 +198,8 @@ class CoveringDimVector:
 def shift(beta: CoveringDimVector, chi) -> CoveringDimVector:
     """s_chi(beta), whose value at (i, xi) is beta at (i, chi + xi)."""
     chi = _as_char(chi, beta.rank)
-    return CoveringDimVector(
-        beta.rank,
-        tuple((((v, char_sub(xi, chi)), m)) for (v, xi), m in beta.entries),
-    )
+    return CoveringDimVector.trusted(  # a translation keeps the entries' order
+        beta.rank, tuple(((v, char_sub(xi, chi)), m) for (v, xi), m in beta.entries))
 
 
 def project(beta: CoveringDimVector, quiver: Quiver) -> tuple[int, ...]:
@@ -175,35 +214,50 @@ def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     """The unique shift whose lexicographically smallest support character is 0."""
     if beta.is_zero():
         raise ValidationError("cannot canonicalize the zero covering vector")
-    chi_min = min(chi for (_, chi), _ in beta.entries)
-    return shift(beta, chi_min)
+    return shift(beta, beta.entries[0][0][1])
 
 
-def _adjacency(quiver: Quiver, w: WeightAssignment) -> dict:
-    """Per base vertex, (neighbour vertex, character offset) for every incident arrow.
+def _entry_codes(w: WeightAssignment, *classes: CoveringDimVector):
+    """The codec for some classes and their entries as ((vertex, code), count).
 
-    The neighbours of (v, chi) in the underlying graph of Q(w) are the
-    (u, chi + offset) over adj[v].
+    Characters are coded relative to the least one of the first nonzero class,
+    under `w.codec` of the largest coordinate distance of an entry from it.  So
+    an entry plus or minus a weight, or a difference of two entries plus a
+    weight, stays within the code range, whatever the classes' width.
+    """
+    origin = next((beta.entries[0][0][1] for beta in classes if beta.entries), None)
+    codec = w.codec(max((abs(x - o) for beta in classes for (_, xi), _ in beta.entries
+                         for x, o in zip(xi, origin)), default=0))
+    return codec, [[((v, codec.encode(xi, origin)), m) for (v, xi), m in beta.entries]
+                   for beta in classes]
+
+
+def _adjacency(quiver: Quiver, w: WeightAssignment, codec: CharCodec) -> dict:
+    """Per base vertex, (neighbour vertex, code offset) for every incident arrow.
+
+    The neighbours of (v, c) in the underlying graph of Q(w) are the
+    (u, c + offset) over adj[v].
     """
     adj = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
-        wa = w.of(a)
+        wa = codec.encode(w.of(a))
         adj[a.source].append((a.target, wa))
-        adj[a.target].append((a.source, tuple(-x for x in wa)))
+        adj[a.target].append((a.source, -wa))
     return adj
 
 
 def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
-    supp = set(beta.support_vertices())
+    codec, (rows,) = _entry_codes(w, beta)
+    supp = {cv for cv, _ in rows}
     if not supp:
         return True
-    adj = _adjacency(quiver, w)
+    adj = _adjacency(quiver, w, codec)
     todo = [next(iter(supp))]
     seen = {todo[0]}
     while todo:
-        v, chi = todo.pop()
+        v, c = todo.pop()
         for u, off in adj[v]:
-            nb = (u, char_add(chi, off))
+            nb = (u, c + off)
             if nb in supp and nb not in seen:
                 seen.add(nb)
                 todo.append(nb)
@@ -234,66 +288,59 @@ def support_quiver(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     """The finite subquiver of Q(w) carrying beta, with beta as dimension vector."""
     if beta.is_zero():
         raise ValidationError("support quiver of the zero vector")
-    supp = beta.support()
+    codec, (rows,) = _entry_codes(w, beta)
+    supp = dict(rows)
+    char = {cv: xi for (cv, _), ((_, xi), _) in zip(rows, beta.entries)}
     keys = sorted(supp, key=lambda cv: (quiver.vertex_index(cv[0]), cv[1]))
-    names = {cv: _cv_name(*cv) for cv in keys}
+    names = {cv: _cv_name(cv[0], char[cv]) for cv in keys}
     arrows = []
     cov_arrows = []
-    for v, chi in keys:
+    for v, c in keys:
         for a in quiver.arrows_from(v):
-            tgt = (a.target, char_add(chi, w.of(a)))
+            tgt = (a.target, c + codec.encode(w.of(a)))
             if tgt in supp:
-                arrows.append(Arrow(_cv_name(a.name, chi), names[(v, chi)], names[tgt]))
-                cov_arrows.append((a.name, chi))
+                arrows.append(Arrow(_cv_name(a.name, char[(v, c)]), names[(v, c)], names[tgt]))
+                cov_arrows.append((a.name, char[(v, c)]))
     sub = Quiver(tuple(names[cv] for cv in keys), tuple(arrows))
     dims = tuple(supp[cv] for cv in keys)
-    return SupportQuiver(sub, dims, tuple(keys), tuple(cov_arrows), quiver)
+    return SupportQuiver(sub, dims, tuple((cv[0], char[cv]) for cv in keys), tuple(cov_arrows),
+                         quiver)
 
 
 def euler_form_covering(quiver: Quiver, w: WeightAssignment,
                         beta: CoveringDimVector, gamma: CoveringDimVector) -> int:
     """<beta, gamma> for the covering quiver, via the finite supports."""
-    gsup = gamma.support()
+    codec, (rows, gamma_rows) = _entry_codes(w, beta, gamma)
+    gsup = dict(gamma_rows)
     total = 0
-    for (v, chi), m in beta.entries:
-        total += m * gsup.get((v, chi), 0)
+    for (v, c), m in rows:
+        total += m * gsup.get((v, c), 0)
         for a in quiver.arrows_from(v):
-            total -= m * gsup.get((a.target, char_add(chi, w.of(a))), 0)
+            total -= m * gsup.get((a.target, c + codec.encode(w.of(a))), 0)
     return total
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All tuples of `parts` >= 1 positive integers summing to `total`."""
     for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in list(cuts) + [total]:
-            out.append(c - prev)
-            prev = c
-        yield tuple(out)
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
-def _connected_supports(quiver: Quiver, w: WeightAssignment, d: tuple[int, ...], seed):
+def _connected_supports(adj: dict, cap: dict, seed):
     """Connected covering-vertex sets containing `seed` and no character below
-    it, each yielded once.
+    it, each yielded once; `adj` is `_adjacency`, so characters are codes.
 
-    Per base vertex v at most d_v covering vertices are used.  The extension
+    Per base vertex v at most cap[v] covering vertices are used.  The extension
     recursion (Wernicke's ESU) hands each branch its candidate frontier
     incrementally: the unexplored later siblings plus the new neighbours of
     the vertex just added, where `seen` holds every vertex already in the set,
     banned, or on the frontier.  So each connected set appears exactly once.
     """
-    adj = _adjacency(quiver, w)
-    cap = dict(zip(quiver.vertices, d))
     results = []
 
     def fresh(cv, seen):
-        v, chi = cv
-        nbs = {(u, char_add(chi, off)) for u, off in adj[v]}
+        v, c = cv
+        nbs = {(u, c + off) for u, off in adj[v]}
         return {nb for nb in nbs if nb not in seen and nb[1] >= seed[1]}
 
     def rec(current: frozenset, frontier: list, seen: set, per_vertex: dict):
@@ -366,25 +413,31 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     from . import existence
 
     vidx = quiver.vertex_index
+    codec = w.codec((sum(d) - 1) * w._top)  # the span of a connected support
+    adj = _adjacency(quiver, w, codec)
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
-    supports = {sup for v in order for sup in _connected_supports(quiver, w, d, (v, w.zero()))
+    cap = dict(zip(quiver.vertices, d))
+    supports = {sup for v in order for sup in _connected_supports(adj, cap, (v, 0))
                 if len({u for u, _ in sup}) == len(order)}
-    arrows_out = {v: [(a.target, w.of(a)) for a in quiver.arrows_from(v)] for v in order}
+    arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
+                  for v in order}
     out = []
     verdicts: dict = {}
     for sup in supports:
         cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))  # the support quiver's order
         pos = {cv: k for k, cv in enumerate(cvs)}
-        links = [(k, pos[t]) for k, (v, chi) in enumerate(cvs) for u, wa in arrows_out[v]
-                 for t in [(u, char_add(chi, wa))] if t in pos]
+        links = [(k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
+                 for t in [(u, c + wa)] if t in pos]
         theta_hat = tuple(theta[vidx(v)] for v, _ in cvs)
+        keys = [(v, codec.decode(c)) for v, c in cvs]
+        by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
         parts = [_compositions(d[vidx(v)], sum(u == v for u, _ in cvs)) for v in order]
         for fill in itertools.product(*parts):
             dims = sum(fill, ())
             if use_existence_filter and \
                     sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
                 continue  # 1 - <beta, beta> < 0
-            beta = CoveringDimVector(w.rank, tuple(zip(cvs, dims)))
+            beta = CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
             if use_existence_filter:
                 key = shape_key(dims, theta_hat, links)
                 if key not in verdicts:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Quiver, check_vector, is_coprime, slope
+from .core import Quiver, check_vector, is_coprime, slope_scores
 from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from .finitefield import (
     coordinates,
@@ -113,13 +114,8 @@ def has_stable(quiver: Quiver, d, theta, memo: SubdimMemo | None = None) -> bool
     if not is_coprime(quiver, d, theta):
         raise UnsupportedError("has_stable requires a theta-coprime dimension vector")
     memo = memo or SubdimMemo(quiver)
-    mu = slope(theta, d)
-    for e in memo.generic_subdimensions(d):
-        if sum(e) == 0 or e == d:
-            continue
-        if slope(theta, e) > mu:
-            return False
-    return True
+    score = slope_scores(theta, d)  # theta'' . e > 0 iff mu(e) > mu(d), for e != 0
+    return all(sum(map(operator.mul, score, e)) <= 0 for e in memo.generic_subdimensions(d))
 
 
 def _is_kronecker_shape(quiver: Quiver, d, theta) -> bool:
@@ -191,7 +187,7 @@ def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
     idx = quiver.vertex_index
     if math.prod(_rep_radices(quiver, d, q)) >= 2**63:
         raise UnsupportedError("the generic count needs fewer than 2^63 representations")
-    score = [sum(d) * t - sum(t * x for t, x in zip(theta, d)) for t in theta]
+    score = slope_scores(theta, d)
     score = [c // (math.gcd(*score) or 1) for c in score]
     gain = [max(0, c * x) for c, x in zip(score, d)]  # best score vertex i can add
     bound = sum(gain) + sum(abs(c) * x for c, x in zip(score, d)) + 2  # |entries| + 1 < bound

@@ -23,9 +23,9 @@ from .covering import (
     CoveringDimVector,
     WeightAssignment,
     _as_char,
-    char_add,
-    char_sub,
+    _entry_codes,
     euler_form_covering,
+    shift,
 )
 from .errors import InconsistencyError, UnsupportedError, ValidationError
 
@@ -37,58 +37,60 @@ def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVecto
     the class of an actual stable fixed point.
     """
     chi = _as_char(chi, w.rank)
-    zero = chi == w.zero()
-    supp = beta.support()
-    arrow_term = 0
-    vertex_term = 0
-    for (v, xi), m in beta.entries:
-        for a in quiver.arrows_from(v):
-            arrow_term += m * supp.get((a.target, char_sub(char_add(xi, w.of(a)), chi)), 0)
-        vertex_term += m * supp.get((v, char_sub(xi, chi)), 0)
-    return _checked((1 if zero else 0) + arrow_term - vertex_term, chi)
+    moved = shift(beta, tuple(-x for x in chi))
+    return _checked((0 if any(chi) else 1) - euler_form_covering(quiver, w, beta, moved), chi)
 
 
 def _checked(val: int, chi: Character) -> int:
     if val < 0:
-        raise InconsistencyError(
-            f"negative weight-space dimension {val} at chi={chi}; "
-            "beta does not admit a stable lift"
-        )
+        raise InconsistencyError(f"negative weight-space dimension {val} at chi={chi}; "
+                                 "beta does not admit a stable lift")
     return val
 
 
-def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
-    """All nonzero characters with positive weight-space dimension, with multiplicity.
+def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector):
+    """(weight table, plus side, minus side, zero-weight dimension) in one pass.
 
-    One pass over pairs of support entries accumulates the whole formula at
-    once: an arrow-linked pair (s(a), xi), (t(a), eta) adds to the character
-    xi + w_a - eta, a same-vertex pair (v, xi), (v, eta) subtracts from
-    xi - eta, and delta(chi, 0) adds to 0.  Outside these characters both sums
-    vanish.  The characters are then checked in sorted order, raising
-    InconsistencyError at the first negative dimension as `weight_dimension`
-    does.
+    An arrow-linked pair of support entries (s(a), xi), (t(a), eta) adds to
+    the character xi + w_a - eta, a same-vertex pair (v, xi), (v, eta)
+    subtracts from xi - eta, and delta(chi, 0) adds to 0; outside these
+    characters both sums vanish.  Characters are integer codes, checked in
+    sorted order (the tuples' order), raising InconsistencyError at the first
+    negative dimension as `weight_dimension` does.  The sides split by the
+    sign of the code: the side of the subgroup `choose_1psg` would pick.
     """
+    codec, (rows,) = _entry_codes(w, beta)
     by_vertex: dict = {}
-    for (v, xi), m in beta.entries:
-        by_vertex.setdefault(v, []).append((xi, m))
-    zero = w.zero()
-    acc = {zero: 1}
+    for (v, c), m in rows:
+        by_vertex.setdefault(v, []).append((c, m))
+    acc = {0: 1}
     for a in quiver.arrows:
-        wa = w.of(a)
+        wa = codec.encode(w.of(a))
+        targets = by_vertex.get(a.target, ())
         for xi, m in by_vertex.get(a.source, ()):
-            for eta, n in by_vertex.get(a.target, ()):
-                chi = char_sub(char_add(xi, wa), eta)
+            for eta, n in targets:
+                chi = xi + wa - eta
                 acc[chi] = acc.get(chi, 0) + m * n
     for entries in by_vertex.values():
         for xi, m in entries:
             for eta, n in entries:
-                chi = char_sub(xi, eta)
+                chi = xi - eta
                 acc[chi] = acc.get(chi, 0) - m * n
-    table = {}
+    table, sides = {}, [0, 0]
     for chi in sorted(acc):
-        if _checked(acc[chi], chi) > 0 and chi != zero:
-            table[chi] = acc[chi]
-    return table
+        val = acc[chi]
+        if val < 0:
+            _checked(val, codec.decode(chi))
+        if val and chi:
+            table[codec.decode(chi)] = val
+            sides[chi < 0] += val
+    return table, sides[0], sides[1], acc[0]
+
+
+def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
+    """All nonzero characters with positive weight-space dimension, with
+    multiplicity, from one pass over pairs of support entries (`_weight_spaces`)."""
+    return _weight_spaces(quiver, w, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -144,28 +146,20 @@ def attractor_dims(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     """
     if w.rank != 1:
         raise UnsupportedError("attractor sides need a rank-1 action; compose with choose_1psg first")
-    table = weight_support(quiver, w, beta)
-    att_plus = sum(v for (c,), v in table.items() if c > 0)
-    att_minus = sum(v for (c,), v in table.items() if c < 0)
-    dim_component = weight_dimension(quiver, w, beta, (0,))
-    return att_plus, att_minus, dim_component
+    return _weight_spaces(quiver, w, beta)[1:]
 
 
 def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
                       lam: OneParamSubgroup | None = None) -> FixedComponent:
     """Bundle the tangent data of one fixed-point class.
 
-    For rank > 1 a one-parameter subgroup must be supplied (or is chosen from
-    the component's own weights) to split the tangent space into sides.
+    For rank > 1 a supplied one-parameter subgroup splits the tangent space
+    into sides; without one the sides are those of the subgroup
+    `choose_1psg` picks from the component's own weights, which puts a
+    character on the side of its first nonzero coordinate.
     """
-    table = weight_support(quiver, w, beta)
-    dim_component = weight_dimension(quiver, w, beta, w.zero())
-    if w.rank == 1:
-        att_plus = sum(v for (c,), v in table.items() if c > 0)
-        att_minus = sum(v for (c,), v in table.items() if c < 0)
-    else:
-        if lam is None:
-            lam = choose_1psg(table.keys(), w.rank) if table else OneParamSubgroup((1,) * w.rank, 0)
+    table, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
+    if w.rank > 1 and lam is not None:
         att_plus = sum(v for c, v in table.items() if lam.pair(c) > 0)
         att_minus = sum(v for c, v in table.items() if lam.pair(c) < 0)
         if att_plus + att_minus != sum(table.values()):

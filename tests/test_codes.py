@@ -1,0 +1,241 @@
+"""Integer character codes and the boundary around them.
+
+* `CharCodec` against tuple arithmetic: round trip, addition and
+  lexicographic order, for ranks 1-3 within the bound, and refusal outside it.
+* Kernels give the values of tuple arithmetic on classes of any width, the
+  code bound being sized from the classes passed.
+* The trusted constructor against the validating one, on enumerator output.
+* The code-sign sides of `analyze_component` against `choose_1psg`.
+* Integer slope scores against `Fraction` slopes, and the arrow index.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bbquiver as bq
+from bbquiver.covering import CharCodec, CoveringDimVector, char_add, char_sub, is_connected
+
+
+@st.composite
+def codec_and_chars(draw, count):
+    rank = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 60))
+    char = st.tuples(*[st.integers(-bound, bound)] * rank)
+    return CharCodec(rank, bound), [draw(char) for _ in range(count)]
+
+
+class TestCharCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_chars(1))
+    def test_round_trip(self, drawn):
+        codec, (chi,) = drawn
+        assert codec.decode(codec.encode(chi)) == chi
+
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_chars(3))
+    def test_codes_add(self, drawn):
+        codec, (a, b, c) = drawn
+        code = codec.encode(a) + codec.encode(b) - codec.encode(c)
+        assert codec.decode(code) == char_sub(char_add(a, b), c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_chars(6))
+    def test_codes_order_like_tuples(self, drawn):
+        codec, (a, b, c, x, y, z) = drawn
+        assert (codec.encode(a) < codec.encode(b)) == (a < b)
+        # also on sums of three, the widest characters the kernels form
+        left, right = char_sub(char_add(a, b), c), char_sub(char_add(x, y), z)
+        left_code = codec.encode(a) + codec.encode(b) - codec.encode(c)
+        right_code = codec.encode(x) + codec.encode(y) - codec.encode(z)
+        assert (left_code < right_code) == (left < right)
+        assert (left_code == right_code) == (left == right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(codec_and_chars(2))
+    def test_pairing_and_origin(self, drawn):
+        codec, (chi, origin) = drawn
+        base = 6 * codec.bound + 1
+        lam = [base ** (codec.rank - 1 - i) for i in range(codec.rank)]
+        assert codec.encode(chi) == sum(l * c for l, c in zip(lam, chi))
+        if codec.bound:
+            half = CharCodec(codec.rank, 2 * codec.bound)
+            assert half.encode(chi, origin) == half.encode(char_sub(chi, origin))
+
+    def test_rank_one_code_is_the_coordinate(self):
+        codec = CharCodec(1, 7)
+        assert [codec.encode((x,)) for x in range(-7, 8)] == list(range(-7, 8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 30), st.data())
+    def test_outside_the_bound_raises(self, rank, bound, data):
+        codec = CharCodec(rank, bound)
+        chi = list(data.draw(st.tuples(*[st.integers(-bound, bound)] * rank)))
+        k = data.draw(st.integers(0, rank - 1))
+        chi[k] = data.draw(st.sampled_from([bound + 1, -bound - 1, 10 * bound + 5]))
+        with pytest.raises(bq.UnsupportedError):
+            codec.encode(tuple(chi))
+        with pytest.raises(bq.UnsupportedError):
+            codec.decode((6 * bound + 1) ** rank)
+
+
+RANK2 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1)})
+
+
+class TestWideClasses:
+    """Classes of any width get the values of tuple arithmetic: the code bound
+    is sized from the classes' own spread.  `wide` has total 2, so a bound
+    sized from the total alone would have let (0, 13) share the code of (1, 0)."""
+
+    wide = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (0, 13)): 1})
+
+    def test_kernels_give_the_tuple_values(self):
+        k2 = bq.kronecker_quiver(2)
+        for fn in (bq.weight_support, bq.analyze_component):
+            with pytest.raises(bq.InconsistencyError):  # zero weight: 1 - 2 < 0
+                fn(k2, RANK2, self.wide)
+        sq = bq.support_quiver(k2, RANK2, self.wide)
+        assert sq.quiver.arrows == () and sq.dims == (1, 1)
+        assert sq.covering_vertices == (("i", (0, 0)), ("j", (0, 13)))
+        assert bq.euler_form_covering(k2, RANK2, self.wide, self.wide) == 2
+        assert bq.weight_dimension(k2, RANK2, self.wide, (1, 0)) == 0
+        assert bq.weight_dimension(k2, RANK2, self.wide, (0, -13)) == 0
+
+    def test_is_connected_says_no(self):
+        assert not is_connected(bq.kronecker_quiver(2), RANK2, self.wide)
+
+    def test_far_characters_have_zero_weight_space(self):
+        k2 = bq.kronecker_quiver(2)
+        beta = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (1, 0)): 1})
+        assert bq.weight_dimension(k2, RANK2, beta, (1000, -500)) == 0
+        assert bq.euler_form_covering(k2, RANK2, beta, bq.shift(beta, (-1000, 500))) == 0
+        rank1 = bq.WeightAssignment(1, {"a1": 1, "a2": 2})
+        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", 1): 1})
+        assert bq.weight_dimension(k2, rank1, beta, (10 ** 6,)) == 0
+        assert bq.weight_dimension(k2, rank1, beta, (1,)) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=2, max_size=2),
+        *[st.dictionaries(st.tuples(st.sampled_from("ij"),
+                                    st.tuples(*[st.integers(-40, 40)] * rank)),
+                          st.integers(1, 2), max_size=4)] * 2)))
+    def test_euler_form_matches_tuple_arithmetic(self, drawn):
+        rank, (w1, w2), beta, gamma = drawn
+        k2 = bq.kronecker_quiver(2)
+        w = bq.WeightAssignment(rank, {"a1": w1, "a2": w2})
+        expected = sum(m * gamma.get(cv, 0) for cv, m in beta.items()) - sum(
+            m * gamma.get(("j", char_add(xi, wa)), 0)
+            for (v, xi), m in beta.items() if v == "i" for wa in (w1, w2))
+        assert bq.euler_form_covering(k2, w, CoveringDimVector.from_dict(rank, beta),
+                                      CoveringDimVector.from_dict(rank, gamma)) == expected
+
+    def test_shifted_classes_are_coded_from_their_least_character(self):
+        k2 = bq.kronecker_quiver(2)
+        beta = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (1, 0)): 1})
+        far = bq.shift(beta, (-1000, 500))
+        assert bq.weight_support(k2, RANK2, far) == bq.weight_support(k2, RANK2, beta)
+        assert bq.euler_form_covering(k2, RANK2, far, far) == 1
+
+    def test_the_zero_class_still_has_a_codec(self):
+        k2, zero = bq.kronecker_quiver(2), CoveringDimVector(2, ())
+        comp = bq.analyze_component(k2, RANK2, zero)
+        assert (comp.weight_table, comp.att_plus, comp.att_minus, comp.dim_component) == \
+            ({}, 0, 0, 1)
+        assert is_connected(k2, RANK2, zero)
+
+
+def neg_weights():
+    return bq.WeightAssignment(1, {"a1": -3, "a2": 5, "a3": 0})
+
+
+ENUMERATED = {
+    "K3 (2,3) generic": (bq.kronecker_quiver(3), None, (2, 3), (1, 0)),
+    "K3 (2,3) rank 2": (bq.kronecker_quiver(3),
+                        bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1), "a3": (1, 1)}),
+                        (2, 3), (1, 0)),
+    "K3 (2,3) rank 3": (bq.kronecker_quiver(3),
+                        bq.WeightAssignment(3, {"a1": (1, 0, 0), "a2": (0, -1, 0),
+                                                "a3": (0, 0, 2)}), (2, 3), (1, 0)),
+    "K3 (3,4) mixed signs": (bq.kronecker_quiver(3), neg_weights(), (3, 4), (1, 0)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ENUMERATED))
+def enumerated(request):
+    quiver, w, d, theta = ENUMERATED[request.param]
+    w = w or bq.generic_rank1_weights(quiver)
+    return quiver, w, bq.enumerate_compatible(quiver, w, d, theta, use_existence_filter=False)
+
+
+class TestTrustedOutput:
+    def test_matches_the_validating_constructor(self, enumerated):
+        _, w, classes = enumerated
+        assert classes
+        for beta in classes:
+            rebuilt = CoveringDimVector(w.rank, tuple(reversed(beta.entries)))
+            assert rebuilt == beta and hash(rebuilt) == hash(beta)
+            assert rebuilt.entries == beta.entries
+            assert all(type(x) is int for (_, chi), _ in beta.entries for x in chi)
+
+    def test_code_sides_are_the_choose_1psg_sides(self, enumerated):
+        quiver, w, classes = enumerated
+        seen = 0
+        for beta in classes:
+            try:
+                comp = bq.analyze_component(quiver, w, beta)
+            except bq.InconsistencyError:
+                continue
+            if w.rank > 1 and comp.weight_table:
+                lam = bq.choose_1psg(comp.weight_table.keys(), w.rank)
+                other = bq.analyze_component(quiver, w, beta, lam)
+                assert (other.att_plus, other.att_minus) == (comp.att_plus, comp.att_minus)
+                seen += 1
+            assert comp.dim_component == bq.weight_dimension(quiver, w, beta, w.zero())
+        assert seen or w.rank == 1
+
+
+def reference_coprime(d, theta):
+    mu = bq.slope(theta, d)
+    return all(bq.slope(theta, e) != mu for e in itertools.product(*(range(x + 1) for x in d))
+               if sum(e) and e != d)
+
+
+class TestIntegerSlopes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n))))
+    def test_is_coprime_matches_fraction_slopes(self, drawn):
+        d, theta = drawn
+        quiver = bq.Quiver.from_arrows([f"v{k}" for k in range(len(d))], [])
+        assert bq.is_coprime(quiver, d, theta) == reference_coprime(tuple(d), theta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 7), st.integers(-5, 5),
+           st.integers(-5, 5))
+    def test_has_stable_matches_fraction_slopes(self, arrows, d0, d1, t0, t1):
+        quiver, d, theta = bq.kronecker_quiver(arrows), (d0, d1), (t0, t1)
+        if not bq.is_coprime(quiver, d, theta):
+            with pytest.raises(bq.UnsupportedError):
+                bq.has_stable(quiver, d, theta)
+            return
+        memo = bq.SubdimMemo(quiver)
+        mu = bq.slope(theta, d)
+        expected = all(bq.slope(theta, e) <= mu for e in memo.generic_subdimensions(d)
+                       if sum(e) and e != d)
+        assert bq.has_stable(quiver, d, theta) == expected
+
+
+class TestArrowIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
+    def test_arrows_from_matches_a_scan(self, ends):
+        vertices = ("p", "q", "r", "s")
+        quiver = bq.Quiver.from_arrows(vertices, [(f"a{k}", vertices[s], vertices[t])
+                                                  for k, (s, t) in enumerate(ends)])
+        for v in vertices:
+            assert quiver.arrows_from(v) == tuple(a for a in quiver.arrows if a.source == v)
+        assert quiver.arrows_from("elsewhere") == ()
