@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import betti, cells, covering, existence, fixedpoints, kronecker
@@ -93,10 +95,66 @@ def _beta_label(beta) -> str:
     return " ".join(f"{v}@{','.join(map(str, chi))}:{m}" for (v, chi), m in beta.entries)
 
 
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json.dumps(key))  # json's own spelling: true, null, NaN, 1.5
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(obj, head: str, tail: str, indent: str, out: list) -> None:
+    """Append `head + obj + tail` to `out` in the layout of `_json_text`.
+
+    Separators, indentation, keys and closing brackets are folded into the
+    text of the scalars, so every scalar is one chunk.
+    """
+    if type(obj) is str:
+        out.append(head + _quote(obj) + tail)
+    elif type(obj) is int:
+        out.append(head + int.__repr__(obj) + tail)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(head + "[]" + tail)
+            return
+        inner = indent + "  "
+        head += "[" + inner
+        for item in obj[:-1]:
+            _write_json(item, head, "", inner, out)
+            head = "," + inner
+        _write_json(obj[-1], head, indent + "]" + tail, inner, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append(head + "{}" + tail)
+            return
+        inner = indent + "  "
+        head += "{" + inner
+        items = sorted(obj.items())
+        for key, value in items[:-1]:
+            _write_json(value, head + _json_key(key) + ": ", "", inner, out)
+            head = "," + inner
+        key, value = items[-1]
+        _write_json(value, head + _json_key(key) + ": ", indent + "}" + tail, inner, out)
+    else:  # bool, None, floats and anything json refuses with its own TypeError
+        out.append(head + json.dumps(obj) + tail)
+
+
+def _json_text(obj) -> str:
+    """The stdlib JSON text of `obj` with sorted keys and an indent of 2, byte for byte.
+
+    json's C encoder ignores `indent`, so the stdlib takes its pure-Python
+    generator chain, which passes every chunk through one frame per nesting
+    level; this writer appends to one list instead.
+    """
+    out: list = []
+    _write_json(obj, "", "", "\n", out)
+    return "".join(out)
+
+
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     payload = {"config_hash": cfg.digest(), **payload}
     if cfg.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)
@@ -254,7 +312,7 @@ def cmd_kronecker(args) -> int:
     payload = {"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
                "labels": rows}
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     elif args.format == "csv":
         print("label,kind,att_plus,att_minus")
         for row in rows:
@@ -309,14 +367,32 @@ HANDLERS = {
 }
 
 
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """`--theta -1,0` as `--theta=-1,0`: argparse takes "-1,0" for an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--dim", "--theta") and token[:1] == "-" and token[1:2].isdecimal():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "kronecker":
-            return cmd_kronecker(args)
-        cfg = _load_config(args)
-        return args.handler(cfg)
+            code = cmd_kronecker(args)
+        else:
+            code = args.handler(_load_config(args))
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`); as the Python docs advise, point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 2

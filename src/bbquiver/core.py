@@ -104,10 +104,14 @@ class Quiver:
     @classmethod
     def from_dict(cls, doc: dict) -> "Quiver":
         try:
-            vertices = tuple(doc["vertices"])
-            arrows = tuple(Arrow(a["name"], a["from"], a["to"]) for a in doc["arrows"])
-            return cls(vertices, arrows)
-        except (KeyError, TypeError) as exc:  # TypeError also for unhashable names
+            vertices, arrows = doc["vertices"], doc["arrows"]
+            if type(vertices) is not list or type(arrows) is not list:
+                raise TypeError("vertices and arrows must be lists")
+            arrows = [(a["name"], a["from"], a["to"]) for a in arrows]
+            if not all(type(x) is str for x in itertools.chain(vertices, *arrows)):
+                raise TypeError("vertex and arrow names must be strings")
+            return cls(tuple(vertices), tuple(Arrow(*a) for a in arrows))
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed quiver document: {exc}") from exc
 
     @classmethod

@@ -108,8 +108,14 @@ class WeightAssignment:
     @classmethod
     def from_dict(cls, doc: dict) -> "WeightAssignment":
         try:
-            return cls(int(doc["rank"]), dict(doc["weights"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            rank, weights = doc["rank"], doc["weights"]
+            if type(rank) is not int or type(weights) is not dict:
+                raise TypeError("rank must be an integer and weights an object")
+            if not all(type(w) is int or type(w) is list and all(type(x) is int for x in w)
+                       for w in weights.values()):
+                raise TypeError("each weight must be a list of integers")
+            return cls(rank, weights)
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed weight document: {exc}") from exc
 
     @classmethod

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import bbquiver as bq
-from bbquiver.kronecker import kronecker_stable_exact
+from kronecker_oracle import kronecker_stable_exact
 
 GOLDEN_POLY = {0: 1, 2: 1, 4: 3, 6: 3, 8: 3, 10: 1, 12: 1}
 CHART_MULTISET = [0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,32 @@ def test_chart_dimension_failure_exits_4(capsys, monkeypatch, k3_file):
     _bump_att_plus(monkeypatch)
     err = _exit_4(capsys, ["cells", *base_args(k3_file)])
     assert err["error"] == "inconsistency" and "cell chart" in err["message"]
+
+
+@pytest.mark.parametrize("flag,value", [("--theta", "-1,0"), ("--theta", "-1,1"),
+                                        ("--dim", "-2,3"), ("--dim", "-2,x")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_vector_as_its_own_argument(capsys, k3_file, flag, value, fmt):
+    """`--theta -1,0` is read as `--theta=-1,0`, not as an unknown option."""
+    args = {"--dim": "2,3", "--theta": "1,0"}
+    del args[flag]
+    rest = [*(x for kv in args.items() for x in kv), "--format", fmt]
+    joined = main(["poincare", "--quiver", k3_file, f"{flag}={value}", *rest])
+    expected = capsys.readouterr()
+    assert main(["poincare", "--quiver", k3_file, flag, value, *rest]) == joined
+    assert capsys.readouterr() == expected
+    assert joined == (0 if flag == "--theta" else 2)
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    """A reader that stops early (`| head -c 10`) ends the run quietly with exit 1."""
+    src = str(Path(bq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "bbquiver.cli", "kronecker", "--l", "6",
+                             "--r", "2", "--format", "json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+    assert proc.stdout.read(10) == b'{\n  "l": 6'
+    proc.stdout.close()  # the report is far larger than a pipe buffer
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""

@@ -4,13 +4,16 @@ Each draw breaks one part of a valid `fixed-points` request on K3 (2,3): the
 quiver document, the weight document, `--dim` or `--theta`.  The CLI must
 exit 2 (validation) or 3 (unsupported) with one JSON error object on stderr
 and nothing on stdout.  Classes built inside the pipeline skip validation,
-so this boundary is the only place malformed input can be caught.
+so this boundary is the only place malformed input can be caught.  Loosely
+typed documents (names that are not strings, a fractional rank, weights as
+digit strings) count as malformed: they are refused, not coerced.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bbquiver.cli import main
@@ -27,6 +30,7 @@ json_values = st.recursive(json_scalars, lambda inner: st.one_of(
 unhashable = st.one_of(st.lists(json_scalars, max_size=2),
                        st.dictionaries(st.text(max_size=2), json_scalars, max_size=2))
 not_a_list = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False))
+not_a_string = not_a_list  # none of those scalars is a string either
 
 
 def _not_an_int(text):
@@ -47,7 +51,7 @@ def broken_quiver(draw):
     kind = draw(st.sampled_from(["drop key", "drop arrow key", "not a list", "bad arrow",
                                  "unhashable vertex", "unhashable field", "unknown endpoint",
                                  "duplicate vertex", "duplicate arrow", "not an object",
-                                 "truncated"]))
+                                 "truncated", "loose vertices", "name not a string"]))
     if kind == "drop key":
         del doc[draw(st.sampled_from(["vertices", "arrows"]))]
     elif kind == "drop arrow key":
@@ -69,6 +73,13 @@ def broken_quiver(draw):
         doc["arrows"].append(dict(arrow))
     elif kind == "not an object":
         return json.dumps(draw(st.one_of(json_scalars, st.lists(json_values, max_size=3))))
+    elif kind == "loose vertices":  # a string or object of the two names
+        doc["vertices"] = draw(st.sampled_from(["ij", {"i": 0, "j": 1}]))
+    elif kind == "name not a string":  # consistently renamed, so only the type is wrong
+        old, new = draw(st.sampled_from(["i", "j", "a1"])), draw(not_a_string)
+        doc["vertices"] = [new if v == old else v for v in doc["vertices"]]
+        for a in doc["arrows"]:
+            a.update((key, new) for key, value in a.items() if value == old)
     else:
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -81,7 +92,7 @@ def broken_weights(draw):
     name = draw(st.sampled_from(["a1", "a2", "a3"]))
     kind = draw(st.sampled_from(["drop key", "bad rank", "bad weight", "wrong length",
                                  "missing arrow", "unknown arrow", "not an object",
-                                 "truncated"]))
+                                 "truncated", "loose rank", "loose weight"]))
     if kind == "drop key":
         del doc[draw(st.sampled_from(["rank", "weights"]))]
     elif kind == "bad rank":
@@ -102,6 +113,12 @@ def broken_weights(draw):
         doc["weights"][unknown] = [1]
     elif kind == "not an object":
         return json.dumps(draw(st.one_of(json_scalars, st.lists(json_values, max_size=3))))
+    elif kind == "loose rank":  # values int() would accept
+        doc["rank"] = draw(st.sampled_from([1.0, 1.7, True, "1"]))
+    elif kind == "loose weight":
+        w = doc["weights"][name][0]
+        doc["weights"][name] = draw(st.sampled_from([str(w), [str(w)], [float(w)], float(w),
+                                                     [True]]))
     else:
         text = json.dumps(doc)
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -144,6 +161,35 @@ def test_malformed_input_exits_with_a_json_error(tmp_path, broken):
     assert out.getvalue() == ""
     report = json.loads(err.getvalue())
     assert report["error"] in ("validation", "unsupported") and report["message"]
+
+
+def _renamed(old, new):
+    return json.loads(json.dumps(QUIVER).replace(json.dumps(old), json.dumps(new)))
+
+
+LOOSELY_TYPED = {
+    "vertices as a string": ({**QUIVER, "vertices": "ij"}, WEIGHTS),
+    "integer vertex name": (_renamed("i", 0), WEIGHTS),
+    "null vertex name": (_renamed("j", None), WEIGHTS),
+    "integer arrow name": (_renamed("a2", 2), None),
+    "fractional rank": (QUIVER, {**WEIGHTS, "rank": 1.7}),
+    "weight as a digit string": (QUIVER, {**WEIGHTS, "weights": {**WEIGHTS["weights"],
+                                                                 "a1": "7"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOSELY_TYPED))
+def test_loosely_typed_documents_are_refused(tmp_path, case):
+    quiver_doc, weights_doc = LOOSELY_TYPED[case]
+    quiver, weights = tmp_path / "quiver.json", tmp_path / "weights.json"
+    quiver.write_text(json.dumps(quiver_doc))
+    weights.write_text(json.dumps(weights_doc))
+    argv = ["fixed-points", "--quiver", str(quiver), "--dim=2,3", "--theta=1,0"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv if weights_doc is None else [*argv, "--weights", str(weights)])
+    assert (code, out.getvalue()) == (2, "")
+    assert json.loads(err.getvalue())["error"] == "validation"
 
 
 def test_the_unbroken_request_succeeds(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import bbquiver as bq
 from bbquiver import kronecker
 from bbquiver.errors import ValidationError
-from bbquiver.kronecker import kronecker_stable_exact
+from kronecker_oracle import kronecker_stable_exact
 
 PAPER_LABELS = "1231 2121 1232 2131 3121 3131 2132 3231 2123 3132 3123 3232".split()
 SMALL = [(l, r) for l in range(1, 6) for r in range(0, l + 1)]
