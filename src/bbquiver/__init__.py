@@ -39,7 +39,6 @@ from .errors import (
     BBQuiverError,
     BudgetExceededError,
     InconsistencyError,
-    PartialResultError,
     UnsupportedError,
     ValidationError,
 )

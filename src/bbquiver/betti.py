@@ -1,8 +1,8 @@
-"""Poincare polynomials: per-component providers and global assembly.
+"""Poincare polynomials: component polynomials and global assembly.
 
 Cohomology of the moduli spaces in scope is concentrated in even degrees,
-so polynomials live in t^2; point counts over F_q are then polynomial in q
-and the interpolation oracle can recover Betti numbers from counts.
+so polynomials live in t^2; point counts over F_q are then polynomial in q,
+and interpolating the Harder-Narasimhan counts recovers Betti numbers.
 """
 
 from __future__ import annotations
@@ -14,15 +14,9 @@ from fractions import Fraction
 
 from .core import Quiver
 from .covering import WeightAssignment, support_quiver
-from .errors import (
-    BudgetExceededError,
-    InconsistencyError,
-    PartialResultError,
-    ValidationError,
-)
+from .errors import InconsistencyError, ValidationError
 from .fixedpoints import FixedComponent
-
-UNKNOWN = None  # returned by component providers for out-of-reach components
+from .hn import stable_counts
 
 
 @dataclass(frozen=True)
@@ -135,91 +129,28 @@ def kirwan_subspace_poincare(x: int) -> PoincarePolynomial:
     return PoincarePolynomial.from_dict(coeffs)
 
 
-def _star_leaf_count(quiver: Quiver, dims) -> int | None:
-    """If the quiver is a star with a dimension-2 center, single arrows
-    between center and leaves, and leaves of dimension 1 or 2, return the
-    number of dimension-1 leaves; otherwise None.  Dimension-2 leaves carry
-    an isomorphism generically and split off."""
-    n = len(quiver.vertices)
-    if n < 2:
-        return None
-    degree = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        if a.source == a.target:
-            return None
-        degree[a.source] += 1
-        degree[a.target] += 1
-    centers = [v for v in quiver.vertices if degree[v] == n - 1]
-    if len(centers) != 1 or len(quiver.arrows) != n - 1:
-        return None
-    center = centers[0]
-    if dims[quiver.vertex_index(center)] != 2:
-        return None
-    for a in quiver.arrows:
-        if center not in (a.source, a.target):
-            return None
-    if any(degree[v] != 1 for v in quiver.vertices if v != center):
-        return None
-    x = 0
-    for v in quiver.vertices:
-        if v == center:
-            continue
-        dv = dims[quiver.vertex_index(v)]
-        if dv == 1:
-            x += 1
-        elif dv != 2:
-            return None
-    return x
-
-
 def component_poincare(quiver: Quiver, w: WeightAssignment, theta,
-                       component: FixedComponent,
-                       budget: int = 2**24,
-                       field_sizes=(2, 3, 4, 5)):
-    """Poincare polynomial of one fixed-point component, or UNKNOWN.
+                       component: FixedComponent) -> PoincarePolynomial:
+    """Poincare polynomial of one fixed-point component.
 
-    Provider chain: isolated components are points; subspace-star supports
-    use the closed Betti formula; anything else small enough goes through
-    finite-field counting and interpolation.
+    An isolated component is a point.  Any other component is the moduli
+    space of its support quiver under the lifted stability theta-hat: its
+    HN counts at q = 2 .. dim + 3 interpolate to the polynomial, and the
+    spare count checks the interpolant.
     """
     if component.isolated and component.dim_component == 0:
         return PoincarePolynomial.one()
     sq = support_quiver(quiver, w, component.beta)
-    x = _star_leaf_count(sq.quiver, sq.dims)
-    if x is not None and x >= 3 and x % 2 == 1 and component.dim_component == x - 3:
-        return kirwan_subspace_poincare(x)
-    # interpolation oracle
-    from .existence import brute_force_stable_count
-
-    needed = component.dim_component + 1
-    theta_hat = sq.lift_stability(theta)
-    counts = []
-    for q in field_sizes:
-        try:
-            counts.append((q, brute_force_stable_count(sq.quiver, sq.dims, theta_hat, q,
-                                                       budget=budget)))
-        except BudgetExceededError:
-            continue
-        if len(counts) >= needed:
-            break
-    if len(counts) < needed:
-        return UNKNOWN
-    return interpolate_from_counts(counts, component.dim_component)
+    dim = component.dim_component
+    counts = stable_counts(sq.quiver, sq.dims, sq.lift_stability(theta), range(2, dim + 4))
+    return interpolate_from_counts(counts, dim)
 
 
 def assemble_poincare(components) -> PoincarePolynomial:
     """Sum over components of t^(2 att_plus) times the component polynomial.
 
-    `components` is an iterable of (FixedComponent, PoincarePolynomial or
-    UNKNOWN); any UNKNOWN poisons the assembly.
+    `components` is an iterable of (FixedComponent, PoincarePolynomial).
     """
-    components = list(components)
-    offenders = [comp for comp, poly in components if poly is UNKNOWN]
-    if offenders:
-        raise PartialResultError(
-            f"{len(offenders)} component(s) have unknown Poincare polynomials",
-            offenders=offenders,
-        )
     total = PoincarePolynomial(())
     for comp, poly in components:
         total = total + poly.shift(comp.att_plus)

@@ -225,20 +225,21 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
 def cmd_poincare(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     comps = _components(cfg)
-    pairs = [(c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c,
-                                          budget=cfg.budget)) for c in comps]
-    poly = betti.assemble_poincare(pairs)
+    poly = betti.assemble_poincare(
+        (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c)) for c in comps)
     from .core import euler_form
 
-    dim = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
-    if not poly.is_palindromic(dim):
+    # a nonempty projective variety with a torus action has a fixed point
+    dim = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim) if comps else None
+    if comps and not poly.is_palindromic(dim):
         raise InconsistencyError(f"P(t) = {poly.text()} breaks Poincare duality in dimension {dim}")
     checks = {
         "duality": True,
         "euler_characteristic": poly.evaluate(1),
         "dimension": dim,
     }
-    lines = [f"P(t) = {poly.text()}", f"dimension {dim}, duality ok"]
+    lines = [f"P(t) = {poly.text()}",
+             f"dimension {dim}, duality ok" if comps else "the moduli space is empty"]
     if cfg.fmt == "latex":
         lines = [poly.latex()]
     _emit(cfg, {"poincare": poly.as_dict(), "text": poly.text(), "checks": checks}, lines)
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use generic rank-1 weights (default when --weights is absent)")
         p.add_argument("--filter", choices=("on", "off"), default="on")
         p.add_argument("--field", type=int, default=2)
-        p.add_argument("--budget", type=int, default=existence.DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=existence.DEFAULT_BUDGET,
+                       help="cap on the points of R(Q, d)(F_q) for count")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
 

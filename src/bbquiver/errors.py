@@ -15,19 +15,11 @@ class ValidationError(BBQuiverError):
 
 class UnsupportedError(BBQuiverError):
     """Well-formed input outside the supported regime (non-coprime,
-    oriented cycles, exceeded budgets, unknowable components)."""
+    oriented cycles, exceeded budgets)."""
 
 
 class BudgetExceededError(UnsupportedError):
     """A brute-force computation would exceed the configured budget."""
-
-
-class PartialResultError(UnsupportedError):
-    """An aggregate needed every part but some were unknown."""
-
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = list(offenders)
 
 
 class InconsistencyError(BBQuiverError):

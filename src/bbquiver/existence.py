@@ -28,13 +28,8 @@ import numpy as np
 
 from .core import Quiver, check_vector, is_coprime, slope_scores
 from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
-from .finitefield import (
-    coordinates,
-    encode_rows,
-    pg_order,
-    small_field,
-    subspaces,
-)
+from .finitefield import coordinates, encode_rows, small_field, subspaces
+from .hn import pg_order
 
 DEFAULT_BUDGET = 2**24
 _HOPELESS = -1  # generic count: no invariant tuple through this entry can score above 0

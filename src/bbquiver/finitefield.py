@@ -208,23 +208,6 @@ def subspaces(n: int, q: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
-def gl_order(n: int, q: int) -> int:
-    total = 1
-    for k in range(n):
-        total *= q**n - q**k
-    return total
-
-
-def pg_order(dims, q: int) -> int:
-    """|PG_d(F_q)| = prod_i |GL_{d_i}(F_q)| / (q - 1)."""
-    total = 1
-    for d in dims:
-        total *= gl_order(d, q)
-    if total % (q - 1) != 0:
-        raise UnsupportedError("group order not divisible by q-1")
-    return total // (q - 1)
-
-
 def batch_det(cols, F: SmallField):
     """Determinant of a k x k matrix given as k column arrays of k (batch,) arrays.
 

@@ -125,6 +125,28 @@ def test_star_quiver_run(capsys, tmp_path, star_quiver):
     assert "duality ok" in out
 
 
+def test_poincare_under_trivial_weights(capsys, tmp_path, k3_file):
+    """Equal arrow weights fix every point: one 6-dimensional component."""
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"rank": 1, "weights": {"a1": [1], "a2": [1], "a3": [1]}}))
+    code = main(["poincare", *base_args(k3_file, "--weights", str(wfile))])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "P(t) = 1 + t^2 + 3t^4 + 3t^6 + 3t^8 + t^10 + t^12\n" in out
+    assert "dimension 6, duality ok" in out
+
+
+def test_poincare_of_an_empty_space(capsys, k3_file):
+    """No fixed-point class: the space is empty and has no dimension."""
+    args = ["poincare", "--quiver", k3_file, "--dim", "2,3", "--theta", "-1,0"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == ["P(t) = 0", "the moduli space is empty"]
+    assert main([*args, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["poincare"] == {} and payload["checks"]["dimension"] is None
+
+
 def test_determinism(capsys, k3_file):
     main(["fixed-points", *base_args(k3_file, "--format", "json", "--seed", "3")])
     first = capsys.readouterr().out

@@ -13,13 +13,12 @@ from bbquiver.errors import BudgetExceededError, UnsupportedError
 from bbquiver.existence import SubdimMemo, brute_force_stable_count
 from bbquiver.finitefield import (
     batch_rank_ge,
-    gl_order,
-    pg_order,
     small_field,
     subspaces,
     vec_decode,
     vec_encode,
 )
+from bbquiver.hn import gl_order, pg_order
 
 
 def k2():
