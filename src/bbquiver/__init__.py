@@ -42,12 +42,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .existence import (
-    SubdimMemo,
-    brute_force_stable_count,
-    has_stable,
-    is_generic_subdimension,
-)
+from .existence import brute_force_stable_count, has_stable
 from .fixedpoints import (
     FixedComponent,
     OneParamSubgroup,

@@ -56,9 +56,6 @@ class PoincarePolynomial:
     def coefficient(self, degree: int) -> int:
         return self.as_dict().get(degree, 0)
 
-    def degree(self) -> int:
-        return self.coefficients[-1][0] if self.coefficients else 0
-
     def shift(self, cell_dim: int) -> "PoincarePolynomial":
         """Multiply by t^(2 * cell_dim)."""
         return PoincarePolynomial(tuple((d + 2 * cell_dim, c) for d, c in self.coefficients))
@@ -105,12 +102,6 @@ class PoincarePolynomial:
                 term = f"t^{{{d}}}"
                 parts.append(term if c == 1 else f"{c} {term}")
         return " + ".join(parts)
-
-    def coefficient_list(self) -> list[int]:
-        out = [0] * (self.degree() + 1)
-        for d, c in self.coefficients:
-            out[d] = c
-        return out
 
     def __str__(self) -> str:
         return self.text()

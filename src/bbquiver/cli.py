@@ -246,23 +246,29 @@ def cmd_poincare(cfg: RunConfig) -> int:
     return 0
 
 
+def _cell_table(cfg: RunConfig, beta):
+    """Chart and cell table at the fixed point of class beta, on a 0/1 unit
+    representative where one certifies, else on a random one."""
+    try:
+        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "unit", seed=cfg.seed)
+    except UnsupportedError:
+        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "random", seed=cfg.seed)
+    chart = cells.choose_complements(rep)
+    return chart, cells.emit_cell_table(chart)
+
+
 def cmd_cells(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     comps = _components(cfg)
     out = []
     lines = []
     for c in comps:
-        try:
-            rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, "unit", seed=cfg.seed)
-        except UnsupportedError:
-            rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, "random", seed=cfg.seed)
-        chart = cells.choose_complements(rep)
+        chart, table = _cell_table(cfg, c.beta)
         if chart.total_dim != c.att_plus:
             raise InconsistencyError(
                 f"cell chart at [{_beta_label(c.beta)}] has dimension {chart.total_dim}, "
                 f"attractor has {c.att_plus}"
             )
-        table = cells.emit_cell_table(chart)
         out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
         if cfg.fmt != "json":
             lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
@@ -280,12 +286,7 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     lines = [f"{len(hits)} generic-normal-form class(es)"]
     out = []
     for c in hits:
-        try:
-            rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, "unit", seed=cfg.seed)
-        except UnsupportedError:
-            rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, "random", seed=cfg.seed)
-        chart = cells.choose_complements(rep)
-        table = cells.emit_cell_table(chart)
+        chart, table = _cell_table(cfg, c.beta)
         out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
         if cfg.fmt != "json":
             lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")

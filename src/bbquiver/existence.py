@@ -1,27 +1,24 @@
 """Nonemptiness of stable moduli, and a finite-field counting oracle.
 
-Two independent routes to the same question:
+Two questions, one route each:
 
 * `has_stable` decides M^{theta-st}(Q, d) != {} for coprime d on an acyclic
-  quiver through the generic-subdimension recursion (a generic subdimension
-  e of d exists iff <e', d - e> >= 0 for every generic subdimension e' of e)
-  combined with the slope criterion.
+  quiver from the Harder-Narasimhan count of `hn.stable_counts` at q = 2.
 * `brute_force_stable_count` counts the F_q-points of the moduli space: the
-  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  Neither method
+  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  Neither kernel
   builds R(Q, d)(F_q); both fold the arrows one at a time over a histogram
-  of per-arrow signatures.  The generic method scores each subspace tuple
+  of per-arrow signatures.  The generic kernel scores each subspace tuple
   linearly (theta'' . dim) and keeps a table over the subspaces of the
   vertices in play of the best score an invariant tuple could still reach; a
   representation is stable iff no invariant tuple scores above 0.  For the
-  two-vertex shapes d = (2, 2r+1) the Kronecker method folds joins of
-  per-arrow span signatures instead.
+  two-vertex shapes d = (2, 2r+1) the Kronecker kernel folds joins of
+  per-arrow span signatures instead.  The count is independent of HN, and
+  the tests hold the two against each other.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -29,78 +26,19 @@ import numpy as np
 from .core import Quiver, check_vector, is_coprime, slope_scores
 from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from .finitefield import coordinates, encode_rows, small_field, subspaces
-from .hn import pg_order
+from .hn import pg_order, stable_counts
 
 DEFAULT_BUDGET = 2**24
 _HOPELESS = -1  # generic count: no invariant tuple through this entry can score above 0
 
 
-class SubdimMemo:
-    """Per-quiver cache of generic subdimension sets, keyed by ambient d."""
-
-    def __init__(self, quiver: Quiver):
-        if not quiver.is_acyclic():
-            raise UnsupportedError("generic subdimension recursion needs an acyclic quiver")
-        self.quiver = quiver
-        self.cache: dict = {}
-        self._gs_by_box: dict = {}
-        n = len(quiver.vertices)
-        m = np.eye(n, dtype=np.int64)
-        for a in quiver.arrows:
-            m[quiver.vertex_index(a.source), quiver.vertex_index(a.target)] -= 1
-        self._pairing = m  # <u, v> = u . (M v)
-
-    def generic_subdimensions(self, d) -> list[tuple[int, ...]]:
-        """All generic subdimension vectors of d, computed bottom-up over the box."""
-        d = tuple(int(x) for x in d)
-        if d in self._gs_by_box:
-            return self._gs_by_box[d]
-        box = sorted(itertools.product(*(range(x + 1) for x in d)), key=lambda t: (sum(t), t))
-        boxarr = np.array(box, dtype=np.int64)
-        mimg = boxarr @ self._pairing.T  # row k = M . box[k]
-        members_of: list[list] = [[e] for e in box]
-        gs_tuples: dict[tuple, list] = {}
-        # box is ordered by total size, so every e' < e is final before e is
-        for k, ep in enumerate(box):
-            members = sorted(members_of[k])
-            gs_tuples[ep] = members
-            # e' is a generic subdimension of every e > e' with <f, e - e'> >= 0
-            # for all f in gs(e')
-            above = k + 1 + np.flatnonzero((boxarr[k + 1:] >= boxarr[k]).all(axis=1))
-            pair_vals = np.array(members, dtype=np.int64) @ (mimg[above] - mimg[k]).T
-            for j in above[pair_vals.min(axis=0) >= 0].tolist():
-                members_of[j].append(ep)
-        for e, members in gs_tuples.items():
-            for ep in members:
-                self.cache[(ep, e)] = True
-        self._gs_by_box[d] = gs_tuples[d]
-        return gs_tuples[d]
-
-    def is_generic_subdimension(self, e, d) -> bool:
-        e = tuple(int(x) for x in e)
-        d = tuple(int(x) for x in d)
-        key = (e, d)
-        if key not in self.cache:
-            self.cache[key] = e in set(self.generic_subdimensions(d))
-        return self.cache[key]
-
-
-def is_generic_subdimension(quiver: Quiver, e, d, memo: SubdimMemo | None = None) -> bool:
-    """Does the generic representation of dimension d contain a subrepresentation
-    of dimension e?  Requires 0 <= e <= d componentwise and Q acyclic."""
-    e = check_vector(quiver, e, "e", nonnegative=True)
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    if any(a > b for a, b in zip(e, d)):
-        raise UnsupportedError("e must be componentwise at most d")
-    memo = memo or SubdimMemo(quiver)
-    return memo.is_generic_subdimension(e, d)
-
-
-def has_stable(quiver: Quiver, d, theta, memo: SubdimMemo | None = None) -> bool:
+def has_stable(quiver: Quiver, d, theta) -> bool:
     """M^{theta-st}(Q, d) != {} for theta-coprime d on an acyclic quiver.
 
-    Every proper nonzero generic subdimension must have slope at most mu(d);
-    strict inequality is automatic under coprimality.
+    Asks the Harder-Narasimhan count at q = 2.  For coprime d on an acyclic
+    quiver M^st is smooth and projective with |M^st(F_q)| = sum_i b_{2i} q^i,
+    and b_0 = 1 when it is nonempty, so the count at q = 2 is positive exactly
+    when M^st is nonempty.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -108,9 +46,9 @@ def has_stable(quiver: Quiver, d, theta, memo: SubdimMemo | None = None) -> bool
         raise UnsupportedError("d must be nonzero")
     if not is_coprime(quiver, d, theta):
         raise UnsupportedError("has_stable requires a theta-coprime dimension vector")
-    memo = memo or SubdimMemo(quiver)
-    score = slope_scores(theta, d)  # theta'' . e > 0 iff mu(e) > mu(d), for e != 0
-    return all(sum(map(operator.mul, score, e)) <= 0 for e in memo.generic_subdimensions(d))
+    if not quiver.is_acyclic():
+        raise UnsupportedError("the existence test needs an acyclic quiver")
+    return stable_counts(quiver, d, theta, (2,))[0][1] > 0
 
 
 def _is_kronecker_shape(quiver: Quiver, d, theta) -> bool:
@@ -369,12 +307,12 @@ def _count_stable_kronecker(quiver: Quiver, d, q) -> int:
 
 
 def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
-                             budget: int = DEFAULT_BUDGET,
-                             method: str = "auto") -> int:
+                             budget: int = DEFAULT_BUDGET) -> int:
     """|M^theta(Q, d)(F_q)|: stable points of R(Q, d)(F_q) divided by |PG_d(F_q)|.
 
-    `method` is one of auto / generic / kronecker.  The representation space
-    must not exceed `budget` points, whether or not the method enumerates it.
+    The Kronecker kernel counts the two-vertex (2, 2r+1) shape, the generic
+    kernel every other.  The representation space must not exceed `budget`
+    points, whether or not the kernel enumerates it.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -390,16 +328,10 @@ def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
         raise BudgetExceededError(
             f"representation space has {size} points, budget is {budget}"
         )
-    if method == "auto":
-        method = "kronecker" if _is_kronecker_shape(quiver, d, theta) else "generic"
-    if method == "kronecker":
-        if not _is_kronecker_shape(quiver, d, theta):
-            raise UnsupportedError("kronecker method needs the two-vertex (2, 2r+1) shape")
+    if _is_kronecker_shape(quiver, d, theta):
         stable = _count_stable_kronecker(quiver, d, q)
-    elif method == "generic":
-        stable = _count_stable_generic(quiver, d, theta, q)
     else:
-        raise UnsupportedError(f"unknown counting method {method!r}")
+        stable = _count_stable_generic(quiver, d, theta, q)
     order = pg_order(d, q)
     if stable % order != 0:
         raise InconsistencyError(

@@ -6,15 +6,17 @@
   code bound being sized from the classes passed.
 * The trusted constructor against the validating one, on enumerator output.
 * The code-sign sides of `analyze_component` against `choose_1psg`.
-* Integer slope scores against `Fraction` slopes, and the arrow index.
+* Integer slope scores against `Fraction` slopes, the HN existence verdict
+  against the Schofield oracle, and the arrow index.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
+import schofield_oracle
 from bbquiver.covering import CharCodec, CoveringDimVector, char_add, char_sub, is_connected
 
 
@@ -197,6 +199,19 @@ class TestTrustedOutput:
         assert seen or w.rank == 1
 
 
+@st.composite
+def acyclic_quivers_with_d(draw):
+    """Up to 4 vertices, up to 2 parallel arrows i -> j for each i < j, d <= 3."""
+    n = draw(st.integers(1, 4))
+    vertices = [f"v{i}" for i in range(n)]
+    arrows = []
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(draw(st.integers(0, 2))):
+            arrows.append((f"a{i}{j}{k}", vertices[i], vertices[j]))
+    d = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return bq.Quiver.from_arrows(vertices, arrows), d
+
+
 def reference_coprime(d, theta):
     mu = bq.slope(theta, d)
     return all(bq.slope(theta, e) != mu for e in itertools.product(*(range(x + 1) for x in d))
@@ -214,19 +229,16 @@ class TestIntegerSlopes:
         assert bq.is_coprime(quiver, d, theta) == reference_coprime(tuple(d), theta)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 7), st.integers(-5, 5),
-           st.integers(-5, 5))
-    def test_has_stable_matches_fraction_slopes(self, arrows, d0, d1, t0, t1):
-        quiver, d, theta = bq.kronecker_quiver(arrows), (d0, d1), (t0, t1)
+    @given(acyclic_quivers_with_d(), st.data())
+    def test_has_stable_matches_fraction_slopes(self, quiver_d, data):
+        quiver, d = quiver_d
+        assume(any(d))
+        theta = data.draw(st.lists(st.integers(-5, 5), min_size=len(d), max_size=len(d)))
         if not bq.is_coprime(quiver, d, theta):
             with pytest.raises(bq.UnsupportedError):
                 bq.has_stable(quiver, d, theta)
             return
-        memo = bq.SubdimMemo(quiver)
-        mu = bq.slope(theta, d)
-        expected = all(bq.slope(theta, e) <= mu for e in memo.generic_subdimensions(d)
-                       if sum(e) and e != d)
-        assert bq.has_stable(quiver, d, theta) == expected
+        assert bq.has_stable(quiver, d, theta) == schofield_oracle.has_stable(quiver, d, theta)
 
 
 class TestArrowIndex:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver import existence
+from bbquiver import existence, hn
 from bbquiver.covering import CoveringDimVector
-from bbquiver.errors import BudgetExceededError, UnsupportedError
-from bbquiver.existence import SubdimMemo, brute_force_stable_count
+from bbquiver.errors import BudgetExceededError, InconsistencyError, UnsupportedError
+from bbquiver.existence import brute_force_stable_count
 from bbquiver.finitefield import (
     batch_rank_ge,
     small_field,
@@ -19,43 +19,11 @@ from bbquiver.finitefield import (
     vec_encode,
 )
 from bbquiver.hn import gl_order, pg_order
+from schofield_oracle import generic_subdimensions
 
 
 def k2():
     return bq.kronecker_quiver(2)
-
-
-def double_loop_subdimensions(quiver, d):
-    """gs(e) for every e in the box of d: each e tests every e' < e against
-    gs(e'), one numpy call per pair.  Returns gs(d) and the (e', e) pairs."""
-    n = len(quiver.vertices)
-    pairing = np.array([[bq.euler_form(quiver, u, v) for v in np.eye(n, dtype=int).tolist()]
-                        for u in np.eye(n, dtype=int).tolist()], dtype=np.int64)
-    box = sorted(itertools.product(*(range(x + 1) for x in d)), key=lambda t: (sum(t), t))
-    gs: dict = {}
-    for e in box:
-        members = [e]
-        for ep in itertools.product(*(range(x + 1) for x in e)):
-            if ep == e:
-                continue
-            diff = np.array(e, dtype=np.int64) - np.array(ep, dtype=np.int64)
-            if int((np.array(gs[ep], dtype=np.int64) @ pairing @ diff).min()) >= 0:
-                members.append(ep)
-        gs[e] = sorted(members)
-    return gs[tuple(d)], {(ep, e): True for e, members in gs.items() for ep in members}
-
-
-@st.composite
-def acyclic_quivers_with_d(draw):
-    """Up to 4 vertices, up to 2 parallel arrows i -> j for each i < j, d <= 3."""
-    n = draw(st.integers(1, 4))
-    vertices = [f"v{i}" for i in range(n)]
-    arrows = []
-    for i, j in itertools.combinations(range(n), 2):
-        for k in range(draw(st.integers(0, 2))):
-            arrows.append((f"a{i}{j}{k}", vertices[i], vertices[j]))
-    d = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    return bq.Quiver.from_arrows(vertices, arrows), d
 
 
 def closure_subspaces(n, q):
@@ -225,40 +193,20 @@ SMALL_KRONECKER = [(n, m, q) for q in (2, 3, 4, 5) for n in range(1, 10) for m i
 
 
 class TestGenericSubdimension:
+    """The Schofield oracle that `has_stable` is tested against, on known cases."""
+
     def test_zero_always_embeds(self, k3):
-        assert bq.is_generic_subdimension(k3, (0, 0), (2, 3))
+        assert (0, 0) in generic_subdimensions(k3, (2, 3))
 
     def test_k2_source_line_does_not_embed(self):
         # <(1,0), (0,1)> = -2 < 0 kills the only candidate subdimension
-        assert not bq.is_generic_subdimension(k2(), (1, 0), (1, 1))
+        assert (1, 0) not in generic_subdimensions(k2(), (1, 1))
 
     def test_k2_diagonal_embeds(self):
-        assert bq.is_generic_subdimension(k2(), (1, 1), (2, 2))
+        assert (1, 1) in generic_subdimensions(k2(), (2, 2))
 
     def test_sink_always_embeds(self):
-        assert bq.is_generic_subdimension(k2(), (0, 1), (1, 1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(acyclic_quivers_with_d())
-    def test_push_forward_matches_double_loop(self, quiver_d):
-        quiver, d = quiver_d
-        memo = SubdimMemo(quiver)
-        expected, cache = double_loop_subdimensions(quiver, d)
-        assert memo.generic_subdimensions(d) == expected
-        assert memo.cache == cache
-
-    def test_memo_consistency(self, k3):
-        memo = SubdimMemo(k3)
-        subs = memo.generic_subdimensions((2, 3))
-        for e in subs:
-            rest = tuple(a - b for a, b in zip((2, 3), e))
-            for ep in memo.generic_subdimensions(e):
-                assert bq.euler_form(k3, ep, rest) >= 0
-
-    def test_cyclic_rejected(self):
-        cyc = bq.Quiver.from_arrows(("x", "y"), [("a", "x", "y"), ("b", "y", "x")])
-        with pytest.raises(UnsupportedError):
-            bq.is_generic_subdimension(cyc, (1, 0), (1, 1))
+        assert (0, 1) in generic_subdimensions(k2(), (1, 1))
 
 
 class TestHasStable:
@@ -292,6 +240,17 @@ class TestHasStable:
     def test_non_coprime_unsupported(self, k3):
         with pytest.raises(UnsupportedError):
             bq.has_stable(k3, (2, 2), (1, 0))
+
+    def test_cyclic_rejected(self):
+        cyc = bq.Quiver.from_arrows(("x", "y"), [("a", "x", "y"), ("b", "y", "x")])
+        with pytest.raises(UnsupportedError, match="acyclic"):
+            bq.has_stable(cyc, (1, 1), (1, 0))
+
+    def test_count_remainder_is_an_inconsistency(self, k3, monkeypatch):
+        # a group order that does not divide the HN sum must surface, not read as a verdict
+        monkeypatch.setattr(hn, "pg_order", lambda dims, q: 7**9)
+        with pytest.raises(InconsistencyError):
+            bq.has_stable(k3, (2, 3), (1, 0))
 
 
 class TestFiniteFieldBasics:
@@ -355,17 +314,17 @@ class TestBruteForceCount:
         assert len(SMALL_KRONECKER) == 31
         for n, m, q in SMALL_KRONECKER:
             quiver = bq.kronecker_quiver(n)
-            got = brute_force_stable_count(quiver, (2, m), (1, 0), q, method="kronecker")
-            assert got * pg_order((2, m), q) == minors_count(n, m, q), (n, m, q)
+            got = existence._count_stable_kronecker(quiver, (2, m), q)
+            assert got == minors_count(n, m, q), (n, m, q)
             if q ** (2 * m) <= 729:  # generic tabulates the q^(2m) matrices of one arrow
-                generic = brute_force_stable_count(quiver, (2, m), (1, 0), q, method="generic")
+                generic = existence._count_stable_generic(quiver, (2, m), (1, 0), q)
                 assert got == generic, (n, m, q)
 
     @pytest.mark.slow
     def test_kronecker_agrees_with_generic_k2_q4(self):
         k2q = bq.kronecker_quiver(2)
-        assert (brute_force_stable_count(k2q, (2, 3), (1, 0), 4, method="kronecker")
-                == brute_force_stable_count(k2q, (2, 3), (1, 0), 4, method="generic") == 1)
+        assert (existence._count_stable_kronecker(k2q, (2, 3), 4)
+                == existence._count_stable_generic(k2q, (2, 3), (1, 0), 4) == pg_order((2, 3), 4))
 
     def test_k4_point_count_q2(self):
         assert brute_force_stable_count(bq.kronecker_quiver(4), (2, 3), (1, 0), 2) == 15135
@@ -477,7 +436,7 @@ class TestGenericFold:
 
     def test_theta_scale(self, k3):
         # theta'' is divided by the gcd of its entries: a scaled theta counts the same
-        assert brute_force_stable_count(k3, (2, 3), (10**20, 0), 2, method="generic") == 183
+        assert existence._count_stable_generic(k3, (2, 3), (10**20, 0), 2) == 183 * pg_order((2, 3), 2)
         path = bq.Quiver.from_arrows(("a", "b", "c"), [("x", "a", "b"), ("y", "b", "c")])
         assert brute_force_stable_count(path, (1, 1, 1), (10**10, 1, 0), 2) == 1
         with pytest.raises(UnsupportedError, match="2\\^63"):
