@@ -42,7 +42,6 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .existence import brute_force_stable_count, has_stable
 from .fixedpoints import (
     FixedComponent,
     OneParamSubgroup,
@@ -53,6 +52,7 @@ from .fixedpoints import (
     weight_dimension,
     weight_support,
 )
+from .hn import has_stable
 from .kronecker import (
     Label1,
     Label2,

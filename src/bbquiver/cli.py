@@ -9,16 +9,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from . import betti, cells, covering, existence, fixedpoints, kronecker
+from . import betti, cells, covering, fixedpoints, hn, kronecker
 from .core import Quiver, is_coprime
 from .covering import WeightAssignment, generic_rank1_weights
-from .errors import InconsistencyError, UnsupportedError, ValidationError
+from .errors import BudgetExceededError, InconsistencyError, UnsupportedError, ValidationError
+
+DEFAULT_BUDGET = 2**24  # cap on the points of R(Q, d)(F_q) for `count`; part of the config hash
 
 
 @dataclass
@@ -29,7 +32,7 @@ class RunConfig:
     weights: WeightAssignment
     use_filter: bool = True
     field_size: int = 2
-    budget: int = existence.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
     fmt: str = "text"
     raw: dict = field(default_factory=dict)
@@ -295,11 +298,28 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     return 0
 
 
+def _is_prime_power(q: int) -> bool:
+    """q = p^k for a prime p and k >= 1, by trial division up to isqrt(q)."""
+    if q < 2:
+        return False
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)  # least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def cmd_count(cfg: RunConfig) -> int:
     _require_coprime(cfg)
-    n = existence.brute_force_stable_count(cfg.quiver, cfg.dim, cfg.theta, cfg.field_size,
-                                           budget=cfg.budget)
-    _emit(cfg, {"q": cfg.field_size, "count": n}, [f"|M(F_{cfg.field_size})| = {n}"])
+    q = cfg.field_size
+    if not _is_prime_power(q):
+        raise ValidationError(f"--field must be a prime power, got {q}")
+    idx = cfg.quiver.vertex_index
+    size = q ** sum(cfg.dim[idx(a.source)] * cfg.dim[idx(a.target)] for a in cfg.quiver.arrows)
+    if size > cfg.budget:
+        raise BudgetExceededError(
+            f"representation space has {size} points, budget is {cfg.budget}")
+    n = hn.stable_counts(cfg.quiver, cfg.dim, cfg.theta, (q,))[0][1]
+    _emit(cfg, {"q": q, "count": n}, [f"|M(F_{q})| = {n}"])
     return 0
 
 
@@ -344,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use generic rank-1 weights (default when --weights is absent)")
         p.add_argument("--filter", choices=("on", "off"), default="on")
         p.add_argument("--field", type=int, default=2)
-        p.add_argument("--budget", type=int, default=existence.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on the points of R(Q, d)(F_q) for count")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")

@@ -15,6 +15,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 
+from . import hn
 from .core import Arrow, Quiver, check_vector
 from .errors import UnsupportedError, ValidationError
 
@@ -416,7 +417,6 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
         raise ValidationError("d must be nonzero")
-    from . import existence
 
     vidx = quiver.vertex_index
     codec = w.codec((sum(d) - 1) * w._top)  # the span of a connected support
@@ -448,7 +448,7 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
                 key = shape_key(dims, theta_hat, links)
                 if key not in verdicts:
                     sq = support_quiver(quiver, w, beta)
-                    verdicts[key] = existence.has_stable(sq.quiver, sq.dims, theta_hat)
+                    verdicts[key] = hn.has_stable(sq.quiver, sq.dims, theta_hat)
                 if not verdicts[key]:
                     continue
             out.append(beta)

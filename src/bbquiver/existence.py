@@ -1,19 +1,20 @@
-"""Nonemptiness of stable moduli, and a finite-field counting oracle.
+"""Brute-force F_q-point counts of quiver moduli: the independent counting oracle.
 
-Two questions, one route each:
+The runtime counts by the Harder-Narasimhan recursion (`hn.stable_counts`)
+and never imports this module or `finitefield`, the two numpy modules; only
+the tests and the benchmark's tracer do.  `has_stable` is `hn.has_stable`,
+re-exported because the tracer wraps it under this module's name.
 
-* `has_stable` decides M^{theta-st}(Q, d) != {} for coprime d on an acyclic
-  quiver from the Harder-Narasimhan count of `hn.stable_counts` at q = 2.
-* `brute_force_stable_count` counts the F_q-points of the moduli space: the
-  stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  Neither kernel
-  builds R(Q, d)(F_q); both fold the arrows one at a time over a histogram
-  of per-arrow signatures.  The generic kernel scores each subspace tuple
-  linearly (theta'' . dim) and keeps a table over the subspaces of the
-  vertices in play of the best score an invariant tuple could still reach; a
-  representation is stable iff no invariant tuple scores above 0.  For the
-  two-vertex shapes d = (2, 2r+1) the Kronecker kernel folds joins of
-  per-arrow span signatures instead.  The count is independent of HN, and
-  the tests hold the two against each other.
+`brute_force_stable_count` counts the F_q-points of the moduli space: the
+stable points of R(Q, d)(F_q), divided by |PG_d(F_q)|.  Neither kernel builds
+R(Q, d)(F_q); both fold the arrows one at a time over a histogram of
+per-arrow signatures.  The generic kernel scores each subspace tuple linearly
+(theta'' . dim) and keeps a table over the subspaces of the vertices in play
+of the best score an invariant tuple could still reach; a representation is
+stable iff no invariant tuple scores above 0.  For the two-vertex shapes
+d = (2, 2r+1) the Kronecker kernel folds joins of per-arrow span signatures
+instead.  The count is independent of HN, and the tests hold the two against
+each other.
 """
 
 from __future__ import annotations
@@ -26,29 +27,9 @@ import numpy as np
 from .core import Quiver, check_vector, is_coprime, slope_scores
 from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from .finitefield import coordinates, encode_rows, small_field, subspaces
-from .hn import pg_order, stable_counts
+from .hn import has_stable, pg_order  # noqa: F401 (has_stable: re-exported)
 
-DEFAULT_BUDGET = 2**24
 _HOPELESS = -1  # generic count: no invariant tuple through this entry can score above 0
-
-
-def has_stable(quiver: Quiver, d, theta) -> bool:
-    """M^{theta-st}(Q, d) != {} for theta-coprime d on an acyclic quiver.
-
-    Asks the Harder-Narasimhan count at q = 2.  For coprime d on an acyclic
-    quiver M^st is smooth and projective with |M^st(F_q)| = sum_i b_{2i} q^i,
-    and b_0 = 1 when it is nonempty, so the count at q = 2 is positive exactly
-    when M^st is nonempty.
-    """
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    theta = check_vector(quiver, theta, "theta")
-    if sum(d) == 0:
-        raise UnsupportedError("d must be nonzero")
-    if not is_coprime(quiver, d, theta):
-        raise UnsupportedError("has_stable requires a theta-coprime dimension vector")
-    if not quiver.is_acyclic():
-        raise UnsupportedError("the existence test needs an acyclic quiver")
-    return stable_counts(quiver, d, theta, (2,))[0][1] > 0
 
 
 def _is_kronecker_shape(quiver: Quiver, d, theta) -> bool:
@@ -307,7 +288,7 @@ def _count_stable_kronecker(quiver: Quiver, d, q) -> int:
 
 
 def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
-                             budget: int = DEFAULT_BUDGET) -> int:
+                             budget: int = 2**24) -> int:
     """|M^theta(Q, d)(F_q)|: stable points of R(Q, d)(F_q) divided by |PG_d(F_q)|.
 
     The Kronecker kernel counts the two-vertex (2, 2r+1) shape, the generic

@@ -11,6 +11,8 @@ splitting off the last part gives
 over the 0 < f < e with mu(f) > mu(d).  For theta-coprime d the semistable
 points are stable with free PG_d-orbits, so |M^st_d(F_q)| = s(d) / |PG_d(F_q)|
 exactly.  The identity is polynomial in q, so any integer q >= 2 serves.
+
+`has_stable` reads nonemptiness of the stable moduli off the count at q = 2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .core import Quiver, slope_scores
+from .core import Quiver, check_vector, is_coprime, slope_scores
 from .errors import InconsistencyError, UnsupportedError
 
 
@@ -97,3 +99,22 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
             raise InconsistencyError(f"HN count {s[-1]} at q={q} is not divisible by |PG_d|")
         out.append((q, count))
     return out
+
+
+def has_stable(quiver: Quiver, d, theta) -> bool:
+    """M^{theta-st}(Q, d) != {} for theta-coprime d on an acyclic quiver.
+
+    Asks the count at q = 2.  For coprime d on an acyclic quiver M^st is
+    smooth and projective with |M^st(F_q)| = sum_i b_{2i} q^i, and b_0 = 1
+    when it is nonempty, so the count at q = 2 is positive exactly when M^st
+    is nonempty.
+    """
+    d = check_vector(quiver, d, "d", nonnegative=True)
+    theta = check_vector(quiver, theta, "theta")
+    if sum(d) == 0:
+        raise UnsupportedError("d must be nonzero")
+    if not is_coprime(quiver, d, theta):
+        raise UnsupportedError("has_stable requires a theta-coprime dimension vector")
+    if not quiver.is_acyclic():
+        raise UnsupportedError("the existence test needs an acyclic quiver")
+    return stable_counts(quiver, d, theta, (2,))[0][1] > 0

@@ -7,7 +7,7 @@ subdimension e' of e (A. Schofield, General representations of quivers,
 Proc. LMS 65, 1992).  For theta-coprime d on an acyclic quiver, M^st(Q, d)
 is nonempty iff no proper nonzero generic subdimension of d has slope above
 mu(d).  Nothing here shares code with the Harder-Narasimhan count behind
-`existence.has_stable`.
+`hn.has_stable`.
 """
 
 import itertools

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bbquiver as bq
-from bbquiver.cli import main
+from bbquiver.cli import _is_prime_power, main
 
 
 @pytest.fixture()
@@ -73,6 +73,30 @@ def test_count_command(capsys, k3_file):
 def test_count_budget_exit_3(capsys, k3_file):
     code = main(["count", *base_args(k3_file, "--field", "2", "--budget", "100")])
     assert code == 3
+
+
+@pytest.mark.parametrize("q", [7, 17, 49])
+def test_count_at_any_prime_power(capsys, tmp_path, q):
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(2).to_dict()))
+    code = main(["count", "--quiver", str(path), "--dim", "1,1", "--theta", "1,0",
+                 "--field", str(q), "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["count"] == q + 1  # P^1
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, -4])
+def test_count_field_not_a_prime_power_exit_2(capsys, k3_file, q):
+    assert main(["count", *base_args(k3_file, "--field", str(q))]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def test_prime_power_check_is_exact():
+    powers = {p**k for p in range(2, 2000) if all(p % m for m in range(2, p))
+              for k in range(1, 12) if p**k < 2000}
+    assert [q for q in range(-2, 2000) if _is_prime_power(q)] == sorted(powers)
+    assert _is_prime_power(17**2) and _is_prime_power(2**31 - 1)
+    assert not _is_prime_power(17 * 19)
 
 
 def test_kronecker_command(capsys):

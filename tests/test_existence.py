@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver import existence, hn
+from bbquiver.cli import main
 from bbquiver.covering import CoveringDimVector
 from bbquiver.errors import BudgetExceededError, InconsistencyError, UnsupportedError
 from bbquiver.existence import brute_force_stable_count
@@ -441,3 +443,35 @@ class TestGenericFold:
         assert brute_force_stable_count(path, (1, 1, 1), (10**10, 1, 0), 2) == 1
         with pytest.raises(UnsupportedError, match="2\\^63"):
             brute_force_stable_count(path, (1, 1, 1), (10**20, 1, 0), 2)
+
+
+TWO_CYCLE = bq.Quiver.from_arrows(("x", "y"), [("a1", "x", "y"), ("a2", "x", "y"),
+                                               ("b", "y", "x")])
+LOOP = bq.Quiver.from_arrows(("x", "y"), [("a1", "x", "y"), ("a2", "x", "y"), ("l", "y", "y")])
+COUNT_ROUTE_CASES = {
+    "K2 (3,2) q=2": (bq.kronecker_quiver(2), (3, 2), (1, 0), 2),
+    "K4 (2,3) q=2": (bq.kronecker_quiver(4), (2, 3), (1, 0), 2),
+    "star7 q=3": star_case(7, 3),
+    "chain (1,2,2) q=4": (CHAIN, (1, 2, 2), (2, 1, 0), 4),
+    **{f"K3 (2,3) q={q}": (bq.kronecker_quiver(3), (2, 3), (1, 0), q) for q in (2, 3, 4)},
+    "K3 (2,3) q=5": pytest.param(bq.kronecker_quiver(3), (2, 3), (1, 0), 5,
+                                 marks=pytest.mark.slow),
+    **{f"2-cycle {d} q={q}": (TWO_CYCLE, d, (1, 0), q) for d in ((1, 2), (2, 1)) for q in (2, 3)},
+    **{f"loop {d} q={q}": (LOOP, d, (1, 0), q) for d in ((1, 2), (1, 1)) for q in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("quiver,d,theta,q", list(COUNT_ROUTE_CASES.values()),
+                         ids=list(COUNT_ROUTE_CASES))
+def test_cli_count_matches_brute_force(capsys, tmp_path, quiver, d, theta, q):
+    """`bbquiver count` (the HN recursion) against the brute-force F_q count,
+    on cyclic quivers too: HN needs no acyclicity to count."""
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver.to_dict()))
+    budget = 10**13  # caps |R(Q, d)(F_q)|, which neither route enumerates
+    code = main(["count", "--quiver", str(path), "--dim", ",".join(map(str, d)),
+                 "--theta", ",".join(map(str, theta)), "--field", str(q),
+                 "--budget", str(budget), "--format", "json"])
+    assert code == 0
+    count = json.loads(capsys.readouterr().out)["count"]
+    assert count == brute_force_stable_count(quiver, d, theta, q, budget=budget)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver import existence
+from bbquiver import hn
 from bbquiver.covering import char_add, char_sub, shape_key
 
 
@@ -103,7 +103,7 @@ def reference_filter(quiver, w, d, theta, classes):
         if 1 - bq.euler_form_covering(quiver, w, beta, beta) < 0:
             continue
         sq = bq.support_quiver(quiver, w, beta)
-        if existence.has_stable(sq.quiver, sq.dims, sq.lift_stability(theta)):
+        if hn.has_stable(sq.quiver, sq.dims, sq.lift_stability(theta)):
             kept.append(beta)
     return kept
 
@@ -126,8 +126,8 @@ class TestFilter:
 
     def test_one_has_stable_call_per_isomorphism_class(self, monkeypatch):
         calls = []
-        original = existence.has_stable
-        monkeypatch.setattr(existence, "has_stable", lambda *a: calls.append(a) or original(*a))
+        original = hn.has_stable
+        monkeypatch.setattr(hn, "has_stable", lambda *a: calls.append(a) or original(*a))
         quiver, w, d, theta = CASES["K4 (2,5)"]
         bq.enumerate_compatible(quiver, w, d, theta)
         assert len(calls) == 3

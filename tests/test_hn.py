@@ -28,8 +28,11 @@ def hn_poincare(quiver, d, theta, dim):
     (star(5), (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0)),
 ], ids=["K2 (3,2)", "K3 (2,3)", "chain (1,2,2)", "star5"])
 def test_matches_brute_force(quiver, d, theta):
+    pytest.importorskip("numpy")  # the brute-force F_q oracle is the one route that needs it
+    from bbquiver.existence import brute_force_stable_count
+
     # the budget caps |R(Q, d)(F_q)|, which neither counting method enumerates
-    brute = [(q, bq.brute_force_stable_count(quiver, d, theta, q, budget=2**30))
+    brute = [(q, brute_force_stable_count(quiver, d, theta, q, budget=2**30))
              for q in (2, 3)]
     assert stable_counts(quiver, d, theta, (2, 3)) == brute
 
