@@ -1,8 +1,9 @@
 """Poincare polynomials: component polynomials and global assembly.
 
 Cohomology of the moduli spaces in scope is concentrated in even degrees,
-so polynomials live in t^2; point counts over F_q are then polynomial in q,
-and interpolating the Harder-Narasimhan counts recovers Betti numbers.
+so polynomials live in t^2, and the point count over F_q is the polynomial
+at t^2 = q.  Its coefficients, the Betti numbers, are the base-Q digits of
+the Harder-Narasimhan count at one field size Q larger than all of them.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Quiver
 from .covering import WeightAssignment, support_quiver
@@ -125,16 +125,26 @@ def component_poincare(quiver: Quiver, w: WeightAssignment, theta,
     """Poincare polynomial of one fixed-point component.
 
     An isolated component is a point.  Any other component is the moduli
-    space of its support quiver under the lifted stability theta-hat: its
-    HN counts at q = 2 .. dim + 3 interpolate to the polynomial, and the
-    spare count checks the interpolant.
+    space of its support quiver under the lifted stability theta-hat, read
+    off its HN counts by `stable_poincare`.
     """
     if component.isolated and component.dim_component == 0:
         return PoincarePolynomial.one()
     sq = support_quiver(quiver, w, component.beta)
-    dim = component.dim_component
-    counts = stable_counts(sq.quiver, sq.dims, sq.lift_stability(theta), range(2, dim + 4))
-    return interpolate_from_counts(counts, dim)
+    return stable_poincare(sq.quiver, sq.dims, sq.lift_stability(theta), component.dim_component)
+
+
+def stable_poincare(quiver: Quiver, d, theta, dim: int) -> PoincarePolynomial:
+    """Poincare polynomial of M^theta-st(Q, d), for theta-coprime d on an
+    acyclic quiver, from its HN counts at q = 2 and q = 2^(a+2), a = a(d, d).
+
+    The count at q = 2 is at most |R_d(F_2)| = 2^a, so the larger size
+    exceeds every Betti number (see `interpolate_from_counts`), and it is not
+    2 even when d meets no arrow.
+    """
+    idx = quiver.vertex_index
+    a = sum(d[idx(x.source)] * d[idx(x.target)] for x in quiver.arrows)
+    return interpolate_from_counts(stable_counts(quiver, d, theta, (2, 2 ** (a + 2))), dim)
 
 
 def assemble_poincare(components) -> PoincarePolynomial:
@@ -149,51 +159,34 @@ def assemble_poincare(components) -> PoincarePolynomial:
 
 
 def interpolate_from_counts(counts, dim: int) -> PoincarePolynomial:
-    """The unique integer polynomial of degree <= dim through the counts,
-    re-expressed in t with q = t^2.
+    """The polynomial sum_i b_2i t^2i of degree <= 2 dim whose value at
+    t^2 = q is the count at q, for each (q, count) in `counts`.
 
-    Extra counts beyond dim + 1 are used as consistency checks.  Rejects
-    non-integer or negative coefficients.
+    The b_2i are the base-Q digits of the count at the largest size Q.  They
+    are nonnegative, so each is at most the count at the smallest size,
+    which Q must exceed; the other counts check the digits.
     """
     pts = sorted(counts)
     if len({q for q, _ in pts}) != len(pts):
         raise ValidationError("duplicate field sizes in counts")
-    if len(pts) < dim + 1:
-        raise ValidationError(f"need at least {dim + 1} counts, got {len(pts)}")
-    base, extra = pts[: dim + 1], pts[dim + 1:]
-    # Lagrange interpolation over the rationals
-    coeffs = [Fraction(0)] * (dim + 1)
-    for qi, ci in base:
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for qj, _ in base:
-            if qj == qi:
-                continue
-            num = _poly_mul(num, [Fraction(-qj), Fraction(1)])
-            den *= Fraction(qi - qj)
-        scale = Fraction(ci) / den
-        for k, x in enumerate(num):
-            coeffs[k] += scale * x
-    out = {}
-    for k, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise InconsistencyError(f"non-integer interpolated coefficient {c} at q^{k}")
-        if c < 0:
-            raise InconsistencyError(f"negative interpolated coefficient {c} at q^{k}")
-        if c:
-            out[2 * k] = int(c)
-    poly = PoincarePolynomial.from_dict(out)
-    for q, c in extra:
+    if len(pts) < 2:
+        raise ValidationError(f"need at least 2 counts, got {len(pts)}")
+    if any(c < 0 for _, c in pts):
+        raise ValidationError("counts must be nonnegative")
+    (q0, c0), (base, n) = pts[0], pts[-1]
+    if base <= c0:
+        raise ValidationError(f"q={base} does not exceed the count {c0} at q={q0}, "
+                              "which bounds every Betti number")
+    digits = []
+    while n and len(digits) <= dim:
+        n, b = divmod(n, base)
+        digits.append(b)
+    if n:
+        raise InconsistencyError(f"count {pts[-1][1]} at q={base} has a nonzero digit "
+                                 f"above q^{dim}")
+    poly = PoincarePolynomial.from_dict({2 * k: b for k, b in enumerate(digits)})
+    for q, c in pts[:-1]:
         if poly.evaluate_q(q) != c:
-            raise InconsistencyError(
-                f"count at q={q} is {c}, interpolant predicts {poly.evaluate_q(q)}"
-            )
+            raise InconsistencyError(f"count at q={q} is {c}, the digits at q={base} "
+                                     f"predict {poly.evaluate_q(q)}")
     return poly
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -227,15 +228,23 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
 
 def cmd_poincare(cfg: RunConfig) -> int:
     _require_coprime(cfg)
+    if not cfg.quiver.is_acyclic():
+        # M^st is then not projective, so the BB sum is not its Poincare polynomial
+        raise UnsupportedError("poincare needs an acyclic quiver")
     comps = _components(cfg)
     poly = betti.assemble_poincare(
         (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c)) for c in comps)
     from .core import euler_form
 
+    total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
     # a nonempty projective variety with a torus action has a fixed point
-    dim = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim) if comps else None
+    dim = total if comps else None
     if comps and not poly.is_palindromic(dim):
         raise InconsistencyError(f"P(t) = {poly.text()} breaks Poincare duality in dimension {dim}")
+    whole = betti.stable_poincare(cfg.quiver, cfg.dim, cfg.theta, total)
+    if whole != poly:
+        raise InconsistencyError(f"the fixed points give P(t) = {poly.text()}, "
+                                 f"the HN count of the whole space {whole.text()}")
     checks = {
         "duality": True,
         "euler_characteristic": poly.evaluate(1),
@@ -298,14 +307,68 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     return 0
 
 
+# the first 13 primes; as Miller-Rabin bases they decide primality exactly
+# below MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MR_BOUND."""
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q^(1/k)) for q >= 1: Newton's method from just above a float
+    estimate of the root's leading 50 bits."""
+    shift = max(q.bit_length() // k - 50, 0)
+    est = int(2 ** (math.log2(q >> shift * k) / k))
+    r = (est + (est >> 40) + 2) << shift
+    while True:
+        s = ((k - 1) * r + q // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _is_prime_power(q: int) -> bool:
-    """q = p^k for a prime p and k >= 1, by trial division up to isqrt(q)."""
+    """q = p^k for a prime p and k >= 1.
+
+    The least root r of q (q = r^k with k largest) is p exactly when q is a
+    power of the prime p.  It is found by taking exact prime-th roots while
+    there are any.  Raises UnsupportedError when r >= MR_BOUND, where
+    primality cannot be certified.
+    """
     if q < 2:
         return False
-    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)  # least prime factor
-    while q % p == 0:
-        q //= p
-    return q == 1
+    root, k = q, 2
+    while k <= root.bit_length():
+        r = _iroot(root, k)
+        if r**k == root:
+            root = r
+        else:
+            k = next(p for p in itertools.count(k + 1) if _is_prime(p))
+    if root >= MR_BOUND:
+        raise UnsupportedError(f"the least root of q has {root.bit_length()} bits; primality "
+                               f"is certified only below {MR_BOUND}")
+    return _is_prime(root)
 
 
 def cmd_count(cfg: RunConfig) -> int:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import bbquiver as bq
-from bbquiver.cli import _is_prime_power, main
+from bbquiver.cli import _iroot, _is_prime_power, main
 
 
 @pytest.fixture()
@@ -99,6 +100,38 @@ def test_prime_power_check_is_exact():
     assert not _is_prime_power(17 * 19)
 
 
+@pytest.mark.parametrize("q", [2**61 - 1, (2**61 - 1)**2, 2**100, 3**900],
+                         ids=["2^61-1", "(2^61-1)^2", "2^100", "3^900"])
+def test_large_prime_powers_accepted(q):
+    assert _is_prime_power(q)
+
+
+@pytest.mark.parametrize("q", [3215031751, 3825123056546413051, 6**40, 10**30])
+def test_strong_pseudoprimes_and_composites_rejected(q):
+    """3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    3825123056546413051 to every prime base up to 31."""
+    assert not _is_prime_power(q)
+
+
+def test_root_beyond_certified_bound_exit_3(capsys, k3_file):
+    assert main(["count", *base_args(k3_file, "--field", str((2**89 - 1)**2))]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "unsupported"
+
+
+def test_large_field_answers_at_once(capsys, k3_file):
+    start = time.perf_counter()
+    code = main(["count", *base_args(k3_file, "--field", str(2**61 - 1), "--budget", "1")])
+    assert code == 3 and time.perf_counter() - start < 1.0
+    assert "budget" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_integer_root():
+    for q in [1, 2, 3, 8, 9, 1000, 10**50 + 7, 2**200, 3**333 - 1, 10**400]:
+        for k in range(1, 70):
+            r = _iroot(q, k)
+            assert r**k <= q < (r + 1)**k, (q, k)
+
+
 def test_kronecker_command(capsys):
     code = main(["kronecker", "--l", "2", "--r", "1"])
     out = capsys.readouterr().out
@@ -158,6 +191,35 @@ def test_poincare_under_trivial_weights(capsys, tmp_path, k3_file):
     assert code == 0
     assert "P(t) = 1 + t^2 + 3t^4 + 3t^6 + 3t^8 + t^10 + t^12\n" in out
     assert "dimension 6, duality ok" in out
+
+
+def test_poincare_of_a_simple_vector(capsys, k3_file):
+    """d = (1, 0) meets no arrow: a point, whose HN check uses q = 2 and 4."""
+    assert main(["poincare", "--quiver", k3_file, "--dim", "1,0", "--theta", "1,0"]) == 0
+    assert capsys.readouterr().out.startswith("P(t) = 1\ndimension 0, duality ok\n")
+
+
+CYCLIC = {
+    "loop": ({"vertices": ["a", "b"], "arrows": [{"name": "x", "from": "a", "to": "a"},
+                                                 {"name": "y", "from": "a", "to": "b"}]}, "1,1"),
+    "2-cycle": ({"vertices": ["a", "b"], "arrows": [{"name": "x", "from": "a", "to": "b"},
+                                                    {"name": "z", "from": "a", "to": "b"},
+                                                    {"name": "y", "from": "b", "to": "a"}]}, "1,2"),
+}
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+def test_poincare_refuses_oriented_cycles(capsys, tmp_path, name):
+    """M^st is not projective, so the BB sum is not its Poincare polynomial."""
+    doc, dim = CYCLIC[name]
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc))
+    args = ["--quiver", str(path), "--dim", dim, "--theta", "1,0"]
+    assert main(["poincare", *args]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "unsupported" and captured.out == ""
+    for command in ("fixed-points", "cells", "count"):
+        assert main([command, *args]) == 0, command
 
 
 def test_poincare_of_an_empty_space(capsys, k3_file):
@@ -248,6 +310,20 @@ def test_duality_failure_exits_4(capsys, monkeypatch, k3_file):
                         lambda pairs: bq.PoincarePolynomial(((0, 1), (2, 2))))
     err = _exit_4(capsys, ["poincare", *base_args(k3_file)])
     assert err["error"] == "inconsistency" and "duality" in err["message"]
+
+
+def test_dropped_components_fail_the_hn_check(capsys, monkeypatch, k3_file):
+    """Without its att+ = 0 and att+ = 6 points K3 (2,3) sums to
+    t^2 + 3t^4 + 3t^6 + 3t^8 + t^10, which keeps duality; the whole-space
+    HN count does not agree."""
+    from bbquiver import cli
+
+    real = cli._components
+    monkeypatch.setattr(cli, "_components",
+                        lambda cfg: [c for c in real(cfg) if c.att_plus not in (0, 6)])
+    err = _exit_4(capsys, ["poincare", *base_args(k3_file)])
+    assert err["error"] == "inconsistency"
+    assert "t^2 + 3t^4 + 3t^6 + 3t^8 + t^10" in err["message"] and "HN" in err["message"]
 
 
 def test_balance_failure_exits_4(capsys, monkeypatch, k3_file):

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
-import schofield_oracle
 from bbquiver.covering import CharCodec, CoveringDimVector, char_add, char_sub, is_connected
+
+pytest.importorskip("numpy")  # the Schofield oracle below needs it
+import schofield_oracle
 
 
 @st.composite

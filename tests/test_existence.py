@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
+
+np = pytest.importorskip("numpy")  # the brute-force F_q oracle and its kernels
 from bbquiver import existence, hn
 from bbquiver.cli import main
 from bbquiver.covering import CoveringDimVector

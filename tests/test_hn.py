@@ -1,11 +1,17 @@
 """The Harder-Narasimhan count against independent routes: brute-force F_q
-counts, Kirwan's subspace-star formula and the Kronecker closed form."""
+counts, Kirwan's subspace-star formula and the Kronecker closed form; and the
+base-q digit reader that turns two counts into a Poincare polynomial, against
+Lagrange interpolation of dim + 2 counts."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver.errors import UnsupportedError
+from bbquiver import betti
+from bbquiver.betti import PoincarePolynomial, interpolate_from_counts, stable_poincare
+from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationError
 from bbquiver.hn import stable_counts
+from lagrange_oracle import interpolate
 
 
 def star(x):
@@ -18,7 +24,7 @@ CHAIN = bq.Quiver.from_arrows(("u", "v", "x"), [("a1", "u", "v"), ("a2", "u", "v
 
 
 def hn_poincare(quiver, d, theta, dim):
-    return bq.interpolate_from_counts(stable_counts(quiver, d, theta, range(2, dim + 4)), dim)
+    return interpolate(stable_counts(quiver, d, theta, range(2, dim + 4)), dim)
 
 
 @pytest.mark.parametrize("quiver,d,theta", [
@@ -71,3 +77,77 @@ def test_localization_sum_matches_whole_space(quiver, d, theta, weights):
     assert any(c.dim_component for c in comps)
     total = bq.assemble_poincare((c, bq.component_poincare(quiver, w, theta, c)) for c in comps)
     assert total == hn_poincare(quiver, d, theta, 1 - bq.euler_form(quiver, d, d))
+
+
+@st.composite
+def acyclic_instances(draw):
+    """A quiver on up to 4 vertices with arrows i -> j for i < j only, a
+    dimension vector d <= 3 and a stability theta in [-5, 5]."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    quiver = bq.Quiver.from_arrows(tuple(f"v{i}" for i in range(n)),
+                                   [(f"a{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(arrows)])
+    d = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    theta = tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    return quiver, d, theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(acyclic_instances())
+def test_digits_match_lagrange(instance):
+    quiver, d, theta = instance
+    assume(any(d) and bq.is_coprime(quiver, d, theta))
+    dim = 1 - bq.euler_form(quiver, d, d)
+    assert stable_poincare(quiver, d, theta, dim) == hn_poincare(quiver, d, theta, dim)
+
+
+def test_one_two_size_count_per_component(monkeypatch):
+    quiver, d, theta = bq.kronecker_quiver(3), (3, 4), (1, 0)
+    w = bq.WeightAssignment(1, {"a1": (0,), "a2": (0,), "a3": (2,)})
+    comps = [bq.analyze_component(quiver, w, beta)
+             for beta in bq.enumerate_compatible(quiver, w, d, theta)]
+    calls = []
+
+    def spy(quiver, d, theta, qs):
+        calls.append(tuple(qs))
+        return stable_counts(quiver, d, theta, qs)
+
+    monkeypatch.setattr(betti, "stable_counts", spy)
+    for c in comps:
+        bq.component_poincare(quiver, w, theta, c)
+    positive = [c for c in comps if not (c.isolated and c.dim_component == 0)]
+    assert positive and len(calls) == len(positive)
+    assert all(len(qs) == 2 and qs[0] == 2 for qs in calls)
+
+
+class TestDigitReader:
+    def test_k3_digits(self):
+        golden = PoincarePolynomial.from_dict({0: 1, 2: 1, 4: 3, 6: 3, 8: 3, 10: 1, 12: 1})
+        assert interpolate_from_counts([(2, 183), (256, golden.evaluate_q(256))], 6) == golden
+
+    @pytest.mark.parametrize("dim", [-3, 0, 5])
+    def test_zero_count_is_the_zero_polynomial(self, dim):
+        assert interpolate_from_counts([(2, 0), (4, 0)], dim) == PoincarePolynomial(())
+
+    @pytest.mark.parametrize("counts", [
+        [(2, 5), (4, 7)],          # q = 4 does not exceed the count 5 at q = 2
+        [(2, 1), (2, 1), (4, 1)],  # duplicate size
+        [(2, 1)],                  # fewer than two counts
+        [],
+        [(2, 1), (8, -3)],         # negative: the digit loop would never end
+        [(2, -1), (8, 1)],
+    ], ids=["q too small", "duplicate", "one count", "no count", "negative at Q",
+            "negative at 2"])
+    def test_validation(self, counts):
+        with pytest.raises(ValidationError):
+            interpolate_from_counts(counts, 3)
+
+    @pytest.mark.parametrize("counts,dim", [
+        ([(2, 3), (4, 5)], 0),            # 5 = 1 + 4 has a digit at q^1
+        ([(2, 3), (8, 9)], -1),
+        ([(2, 3), (3, 5), (8, 9)], 1),    # the digits 1 + q predict 4 at q = 3
+    ], ids=["digit above dim", "negative dim", "other count disagrees"])
+    def test_inconsistency(self, counts, dim):
+        with pytest.raises(InconsistencyError):
+            interpolate_from_counts(counts, dim)

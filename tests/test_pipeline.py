@@ -7,6 +7,8 @@ import pytest
 
 import bbquiver as bq
 from bbquiver.covering import CoveringDimVector, canonicalize, is_connected, project
+
+pytest.importorskip("numpy")  # the brute-force F_q oracle below needs it
 from bbquiver.existence import brute_force_stable_count
 
 
