@@ -12,26 +12,19 @@ from .betti import (
 from .cells import (
     CellChart,
     GradedRep,
-    Representation,
     build_fixed_rep,
     choose_complements,
     covering_hom_ext,
     emit_cell_table,
-    graded_isomorphic,
-    hom_ext,
-    standard_filtration,
-    twisted_filtration_check,
 )
 from .core import Quiver, euler_form, is_coprime, slope
 from .covering import (
     CoveringDimVector,
     WeightAssignment,
     canonicalize,
-    covering_target,
     enumerate_compatible,
     euler_form_covering,
     generic_rank1_weights,
-    project,
     shift,
     support_quiver,
 )
@@ -63,7 +56,6 @@ from .kronecker import (
     kronecker_poincare,
     kronecker_quiver,
     label_to_beta,
-    normal_form_label,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,9 @@ levels (`_graded_blocks`) lays out the blocks of every degree, one routine
 (`_hom_rows`) assembles any such map block by block as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots.
 A GradedRep indexes its level dimensions, sorted levels, level offsets and
-arrow weights once, at construction.
+arrow weights once, at construction.  The CLI runs only this pipeline; plain
+representations, dense bracket matrices and the twisted-filtration check of
+attractor membership are the tests' second route.
 """
 
 from __future__ import annotations
@@ -30,51 +32,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Quiver, check_vector
-from .covering import (
-    CoveringDimVector,
-    WeightAssignment,
-    shift as shift_covering,
-)
+from .core import Quiver
+from .covering import CoveringDimVector, WeightAssignment
 from .errors import InconsistencyError, UnsupportedError, ValidationError
-from .linalg import leading_columns, rank, row_space_contains, solve, zeros
+from .linalg import leading_columns
 
 
 def _freeze_matrix(m, rows, cols, what="matrix"):
-    out = []
-    if rows and cols:
-        if len(m) != rows or any(len(r) != cols for r in m):
-            raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
-    out = tuple(tuple(Fraction(x) for x in row) for row in m)
-    return out
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A representation of a finite quiver with exact rational matrices."""
-
-    quiver: Quiver
-    dims: tuple[int, ...]
-    matrices: dict
-
-    def __post_init__(self):
-        dims = check_vector(self.quiver, self.dims, "dims", nonnegative=True)
-        object.__setattr__(self, "dims", dims)
-        idx = self.quiver.vertex_index
-        fixed = {}
-        for a in self.quiver.arrows:
-            rows, cols = dims[idx(a.target)], dims[idx(a.source)]
-            m = self.matrices.get(a.name)
-            if m is None:
-                m = tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-            fixed[a.name] = _freeze_matrix(m, rows, cols, f"matrix of arrow {a.name}")
-        object.__setattr__(self, "matrices", fixed)
-
-    def matrix(self, arrow_name: str):
-        return self.matrices[arrow_name]
-
-    def dim(self, v: str) -> int:
-        return self.dims[self.quiver.vertex_index(v)]
+    if rows and cols and (len(m) != rows or any(len(r) != cols for r in m)):
+        raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
 def _hom_rows(dom, cod) -> list:
@@ -134,23 +101,6 @@ def _basis(blocks) -> list:
             for r in range(block[1]) for c in range(block[2])]
 
 
-def hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
-    """(dim Hom, dim Ext^1) between representations of the same quiver.
-
-    Computed as nullity and corank of the map sending a vertex-wise tuple
-    (A_i) to (A_{t(a)} M_a - N_a A_{s(a)})_a, which resolves Hom and Ext^1
-    for path algebras.
-    """
-    if M.quiver is not N.quiver and M.quiver != N.quiver:
-        raise ValidationError("hom_ext needs representations of one common quiver")
-    Q = M.quiver
-    dom = [(v, N.dim(v), M.dim(v)) for v in Q.vertices if N.dim(v) and M.dim(v)]
-    cod = [(a.name, N.dim(a.target), M.dim(a.source), a.source, a.target,
-            M.matrix(a.name), N.matrix(a.name))
-           for a in Q.arrows if N.dim(a.target) and M.dim(a.source)]
-    return _hom_ext_of(dom, cod)
-
-
 @dataclass(frozen=True)
 class GradedRep:
     """Level-graded representation realizing a rank-one covering class.
@@ -207,50 +157,6 @@ class GradedRep:
     def dim(self, v: str, n: int) -> int:
         return self._dims.get((v, n), 0)
 
-    def levels(self, v: str) -> list[int]:
-        return list(self._levels.get(v, ()))
-
-    def block(self, arrow_name: str, n: int):
-        got = self.blocks.get((arrow_name, n))
-        if got is not None:
-            return got
-        a = self.quiver.arrow(arrow_name)
-        rows = self.dim(a.target, n + self.weight(arrow_name))
-        cols = self.dim(a.source, n)
-        return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-    def shift(self, c: int) -> "GradedRep":
-        """The translated representation whose level xi holds the old level xi + c."""
-        return GradedRep(
-            self.quiver,
-            self.weights,
-            shift_covering(self.beta, (c,)),
-            {(name, n - c): m for (name, n), m in self.blocks.items()},
-        )
-
-    def level_offsets(self, v: str) -> dict:
-        """Start index of each level inside the assembled plain vertex space."""
-        return dict(self._offsets.get(v, {}))
-
-    def plain(self) -> Representation:
-        """Forget the grading: one representation of the base quiver, with
-        vertex bases ordered by ascending level."""
-        from .covering import project
-
-        dims = project(self.beta, self.quiver)
-        idx = self.quiver.vertex_index
-        mats = {a.name: [[Fraction(0)] * dims[idx(a.source)] for _ in range(dims[idx(a.target)])]
-                for a in self.quiver.arrows}
-        for (name, n), blk in self.blocks.items():
-            a = self.quiver.arrow(name)
-            t0 = self._offsets[a.target][n + self.weight(name)]
-            s0 = self._offsets[a.source][n]
-            m = mats[name]
-            for r, row in enumerate(blk):
-                m[t0 + r][s0:s0 + len(row)] = row
-        return Representation(self.quiver, dims, mats)
-
-
 def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dict:
     """The blocks of the covering Hom map from M to N with N's levels
     lowered by k, for the given degree k or else for every k > 0, in one
@@ -294,11 +200,6 @@ def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
     if M.quiver != N.quiver or M.weights != N.weights:
         raise ValidationError("graded representations live over different coverings")
     return _hom_ext_of(*_graded_blocks(M, N, 0).get(0, ((), ())))
-
-
-def is_schur(rep: GradedRep) -> bool:
-    hom, _ = covering_hom_ext(rep, rep)
-    return hom == 1
 
 
 def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
@@ -348,28 +249,6 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     )
 
 
-def _degree_candidates(rep: GradedRep) -> list[int]:
-    return sorted(_graded_blocks(rep, rep))
-
-
-def graded_pieces(rep: GradedRep, k: int):
-    """Bases of u_k and R_k plus the exact matrix of the bracket x -> [x, M]
-    restricted to degree k.
-
-    Coordinates are ordered by declaration order (vertices for u, arrows for
-    R), then ascending level, then row-major within each block.
-    """
-    if k <= 0:
-        raise ValidationError("graded pieces are indexed by positive degrees")
-    dom, cod = _graded_blocks(rep, rep, k).get(k, ((), ()))
-    u_basis, r_basis = _basis(dom), _basis(cod)
-    ad = zeros(len(r_basis), len(u_basis))
-    for col, row in enumerate(_hom_rows(dom, cod)):
-        for i, x in row.items():
-            ad[i][col] = x
-    return u_basis, r_basis, ad
-
-
 @dataclass(frozen=True)
 class DegreeData:
     degree: int
@@ -397,27 +276,6 @@ class CellChart:
                 a, n, r, c = d.r_basis[i]
                 out.append((a, n, r, c, d.degree))
         return out
-
-    def sample_point(self, values) -> Representation:
-        """The plain representation {M} + sum values[c] * (free coordinate c).
-
-        `values` is a sequence of rationals, one per free coordinate, in the
-        order of free_coordinates().
-        """
-        coords = self.free_coordinates()
-        values = [Fraction(v) for v in values]
-        if len(values) != len(coords):
-            raise ValidationError(f"need {len(coords)} coordinate values")
-        plain = self.base.plain()
-        mats = {a: [list(row) for row in plain.matrix(a)] for a in plain.matrices}
-        for (a, n, r, c, k), val in zip(coords, values):
-            arrow = self.base.quiver.arrow(a)
-            wa = self.base.weight(a)
-            t_off = self.base.level_offsets(arrow.target)
-            s_off = self.base.level_offsets(arrow.source)
-            mats[a][t_off[n + wa - k] + r][s_off[n] + c] += val
-        return Representation(plain.quiver, plain.dims, mats)
-
 
 def choose_complements(rep: GradedRep) -> CellChart:
     """Row-echelon the bracket image in every positive degree and keep the
@@ -471,9 +329,6 @@ class CellTable:
     chart: CellChart
     patterns: dict
 
-    def star_count(self) -> int:
-        return sum(row.count("*") for grid in self.patterns.values() for row in grid)
-
     def text(self) -> str:
         parts = []
         for name in (a.name for a in self.chart.base.quiver.arrows):
@@ -497,157 +352,3 @@ class CellTable:
             "patterns": {name: [list(row) for row in grid]
                          for name, grid in self.patterns.items()},
         }
-
-
-def standard_filtration(rep: GradedRep) -> dict:
-    """F_{i,n} = sum of the level spaces up to n, in plain coordinates."""
-    out = {}
-    for v in rep.quiver.vertices:
-        levels = rep.levels(v)
-        if not levels:
-            continue
-        offs = rep.level_offsets(v)
-        total = sum(rep.dim(v, n) for n in levels)
-        by_level = {}
-        for n in levels:
-            top = offs[n] + rep.dim(v, n)
-            rows = []
-            for k in range(top):
-                row = [Fraction(0)] * total
-                row[k] = Fraction(1)
-                rows.append(row)
-            by_level[n] = rows
-        out[v] = by_level
-    return out
-
-
-def _step_value(by_level: dict, n: int):
-    """Value of a step filtration at level n: largest keyed level <= n."""
-    chosen = None
-    for key in sorted(by_level):
-        if key <= n:
-            chosen = key
-    if chosen is None:
-        return []
-    return by_level[chosen]
-
-
-def twisted_filtration_check(N: Representation, filtration: dict, w: WeightAssignment):
-    """Does N map each filtration level into the weight-shifted level?
-
-    Returns (True, gr) with the induced graded representation on success and
-    (False, None) when some arrow violates a level containment.  The
-    filtration is a per-vertex map {level: spanning rows}; it must be nested
-    and exhaust the vertex space at its top level.
-    """
-    if w.rank != 1:
-        raise UnsupportedError("twisted filtrations are a rank-1 notion")
-    Q = N.quiver
-    idx = Q.vertex_index
-    for v in Q.vertices:
-        if N.dim(v) == 0:
-            continue
-        if v not in filtration or not filtration[v]:
-            raise ValidationError(f"no filtration given at vertex {v}")
-        keys = sorted(filtration[v])
-        prev = []
-        for n in keys:
-            cur = [list(row) for row in filtration[v][n]]
-            if not row_space_contains(prev, cur):
-                raise ValidationError(f"filtration at {v} is not nested at level {n}")
-            prev = cur
-        if rank(prev) != N.dim(v):
-            raise ValidationError(f"filtration at {v} does not exhaust the vertex space")
-    for a in Q.arrows:
-        if N.dim(a.source) == 0:
-            continue
-        wa = w.of(a)[0]
-        fs = filtration[a.source]
-        ft = filtration[a.target] if N.dim(a.target) else {}
-        mat = N.matrix(a.name)
-        for n, rows in fs.items():
-            images = [_mat_vec(mat, vec) for vec in rows]
-            images = [img for img in images if any(x != 0 for x in img)]
-            if not images:
-                continue
-            target_rows = [list(r) for r in _step_value(ft, n + wa)]
-            if not row_space_contains(images, target_rows):
-                return False, None
-    gr = _associated_graded(N, filtration, w)
-    return True, gr
-
-
-def _mat_vec(mat, vec):
-    return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
-
-
-def _adapted_bases(filtration_v, dim_full):
-    """Per level: vectors extending the previous level's space, plus the
-    accumulated basis below each level."""
-    keys = sorted(filtration_v)
-    adapted = {}
-    below = []
-    for n in keys:
-        cur = filtration_v[n]
-        lifts = []
-        acc = [list(r) for r in below]
-        for vec in cur:
-            cand = acc + [list(vec)]
-            if rank(cand) > rank(acc):
-                lifts.append(list(vec))
-                acc = cand
-        adapted[n] = (below, lifts)
-        below = acc
-    return adapted
-
-
-def _associated_graded(N: Representation, filtration: dict, w: WeightAssignment) -> GradedRep:
-    Q = N.quiver
-    adapted = {}
-    level_dims = {}
-    for v in Q.vertices:
-        if N.dim(v) == 0:
-            continue
-        adapted[v] = _adapted_bases(filtration[v], N.dim(v))
-        for n, (below, lifts) in adapted[v].items():
-            if lifts:
-                level_dims[(v, (n,))] = len(lifts)
-    beta = CoveringDimVector.from_dict(1, level_dims)
-    blocks = {}
-    for a in Q.arrows:
-        wa = w.of(a)[0]
-        if N.dim(a.source) == 0 or N.dim(a.target) == 0:
-            continue
-        mat = N.matrix(a.name)
-        for n, (below_s, lifts_s) in adapted[a.source].items():
-            if not lifts_s:
-                continue
-            m = n + wa
-            if (a.target, (m,)) not in level_dims:
-                continue
-            below_t, lifts_t = adapted[a.target][m]
-            basis_rows = [list(r) for r in below_t] + [list(r) for r in lifts_t]
-            block = []
-            for u in lifts_s:
-                img = _mat_vec(mat, u)
-                coeffs = solve([list(col) for col in zip(*basis_rows)],
-                               [[x] for x in img])
-                if coeffs is None:
-                    raise InconsistencyError("graded image left the filtration step")
-                block.append([coeffs[len(below_t) + i][0] for i in range(len(lifts_t))])
-            # block rows currently indexed by source lifts; transpose to target x source
-            rows = len(lifts_t)
-            cols = len(lifts_s)
-            blocks[(a.name, n)] = [[block[c][r] for c in range(cols)] for r in range(rows)]
-    return GradedRep(Q, w, beta, blocks)
-
-
-def graded_isomorphic(A: GradedRep, B: GradedRep) -> bool:
-    """Same dimension data, both Schur, and a nonzero homomorphism: then the
-    two graded representations are isomorphic."""
-    if A.beta != B.beta:
-        return False
-    if not is_schur(A) or not is_schur(B):
-        return False
-    hom, _ = covering_hom_ext(A, B)
-    return hom >= 1

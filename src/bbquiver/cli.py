@@ -55,8 +55,6 @@ def _load_config(args) -> RunConfig:
     quiver = Quiver.from_dict(qdoc)
     dim = _int_list(args.dim, "--dim")
     theta = _int_list(args.theta, "--theta")
-    if args.weights and args.generic:
-        raise ValidationError("--weights and --generic are mutually exclusive")
     if args.weights:
         w = WeightAssignment.from_json(Path(args.weights).read_text())
         unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
@@ -311,6 +309,7 @@ def cmd_normal_form(cfg: RunConfig) -> int:
 # below MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
+FERMAT_BITS = 2048  # one base-2 Fermat test on a root this long takes about 25 ms
 
 
 def _is_prime(n: int) -> bool:
@@ -353,8 +352,10 @@ def _is_prime_power(q: int) -> bool:
 
     The least root r of q (q = r^k with k largest) is p exactly when q is a
     power of the prime p.  It is found by taking exact prime-th roots while
-    there are any.  Raises UnsupportedError when r >= MR_BOUND, where
-    primality cannot be certified.
+    there are any.  A root r >= MR_BOUND is still shown composite by a factor
+    in MR_BASES or, up to FERMAT_BITS bits, by failing the base-2 Fermat
+    test; otherwise it raises UnsupportedError, since primality cannot be
+    certified there.
     """
     if q < 2:
         return False
@@ -366,6 +367,9 @@ def _is_prime_power(q: int) -> bool:
         else:
             k = next(p for p in itertools.count(k + 1) if _is_prime(p))
     if root >= MR_BOUND:
+        if any(root % p == 0 for p in MR_BASES) or (
+                root.bit_length() <= FERMAT_BITS and pow(2, root - 1, root) != 1):
+            return False
         raise UnsupportedError(f"the least root of q has {root.bit_length()} bits; primality "
                                f"is certified only below {MR_BOUND}")
     return _is_prime(root)
@@ -422,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiver", required=True, help="quiver description JSON file")
         p.add_argument("--dim", required=True, help="dimension vector, comma separated")
         p.add_argument("--theta", required=True, help="stability weights, comma separated")
-        p.add_argument("--weights", help="weight assignment JSON file")
-        p.add_argument("--generic", action="store_true",
-                       help="use generic rank-1 weights (default when --weights is absent)")
+        p.add_argument("--weights", help="weight assignment JSON file (default: generic rank-1)")
         p.add_argument("--filter", choices=("on", "off"), default="on")
         p.add_argument("--field", type=int, default=2)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -8,16 +8,11 @@ arithmetic is exact (ints and Fractions, never floats).
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-
-DimVector = tuple[int, ...]
-Stability = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class Arrow:
@@ -113,14 +108,6 @@ class Quiver:
             return cls(tuple(vertices), tuple(Arrow(*a) for a in arrows))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed quiver document: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Quiver":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 def check_vector(quiver: Quiver, d, name: str = "vector", nonnegative: bool = False) -> tuple[int, ...]:

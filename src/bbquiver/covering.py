@@ -31,10 +31,6 @@ def _as_char(chi, rank: int) -> Character:
     return t
 
 
-def char_add(a: Character, b: Character) -> Character:
-    return tuple(map(operator.add, a, b))
-
-
 def char_sub(a: Character, b: Character) -> Character:
     return tuple(map(operator.sub, a, b))
 
@@ -140,13 +136,6 @@ def generic_rank1_weights(quiver: Quiver) -> WeightAssignment:
     return WeightAssignment(1, {a.name: (base ** (n - k - 1),) for k, a in enumerate(quiver.arrows)})
 
 
-def covering_target(quiver: Quiver, w: WeightAssignment, arrow: Arrow | str, chi) -> tuple[str, Character]:
-    """Target of the covering arrow (a, chi), namely (t(a), chi + w_a)."""
-    a = quiver.arrow(arrow) if isinstance(arrow, str) else arrow
-    chi = _as_char(chi, w.rank)
-    return (a.target, char_add(chi, w.of(a)))
-
-
 @dataclass(frozen=True)
 class CoveringDimVector:
     """Finitely supported dimension vector of the covering quiver.
@@ -209,14 +198,6 @@ def shift(beta: CoveringDimVector, chi) -> CoveringDimVector:
         beta.rank, tuple(((v, char_sub(xi, chi)), m) for (v, xi), m in beta.entries))
 
 
-def project(beta: CoveringDimVector, quiver: Quiver) -> tuple[int, ...]:
-    """Push beta down to Q: d_i = sum over characters of beta_{i, chi}."""
-    d = [0] * len(quiver.vertices)
-    for (v, _), m in beta.entries:
-        d[quiver.vertex_index(v)] += m
-    return tuple(d)
-
-
 def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     """The unique shift whose lexicographically smallest support character is 0."""
     if beta.is_zero():
@@ -251,24 +232,6 @@ def _adjacency(quiver: Quiver, w: WeightAssignment, codec: CharCodec) -> dict:
         adj[a.source].append((a.target, wa))
         adj[a.target].append((a.source, -wa))
     return adj
-
-
-def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
-    codec, (rows,) = _entry_codes(w, beta)
-    supp = {cv for cv, _ in rows}
-    if not supp:
-        return True
-    adj = _adjacency(quiver, w, codec)
-    todo = [next(iter(supp))]
-    seen = {todo[0]}
-    while todo:
-        v, c = todo.pop()
-        for u, off in adj[v]:
-            nb = (u, c + off)
-            if nb in supp and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return seen == supp
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ class Label1:
     """Isolated fixed points: star pairs (m, m_*) and (n, n_*).
 
     m_star avoids m, n_star avoids n, both strictly increasing, m < n.
-    The complements (of size s = l - r each) are derived.
+    The complements in 1..l+1 (of size l - r each) are implicit.
     """
 
     l: int
@@ -80,30 +80,12 @@ class Label1:
             if avoid in star or any(x not in rng for x in star):
                 raise ValidationError(f"{name} out of range or hitting its excluded index")
 
-    @property
-    def s(self) -> int:
-        return self.l - self.r
-
-    @property
-    def m_complement(self) -> tuple[int, ...]:
-        used = {self.m, *self.m_star}
-        return tuple(x for x in range(1, self.l + 2) if x not in used)
-
-    @property
-    def n_complement(self) -> tuple[int, ...]:
-        used = {self.n, *self.n_star}
-        return tuple(x for x in range(1, self.l + 2) if x not in used)
-
     def display(self) -> str:
         if self.l == 2 and self.r == 1:
             return f"{self.m_star[0]}{self.m}{self.n}{self.n_star[0]}"
         ms = ",".join(map(str, self.m_star))
         ns = ",".join(map(str, self.n_star))
         return f"m={self.m};m*=({ms});n={self.n};n*=({ns})"
-
-    def key(self) -> dict:
-        return {"kind": 1, "m": self.m, "m_star": list(self.m_star),
-                "n": self.n, "n_star": list(self.n_star)}
 
 
 @dataclass(frozen=True)
@@ -148,10 +130,6 @@ class Label2:
         ms = ",".join(map(str, self.m_star))
         ns = ",".join(map(str, self.n_star))
         return f"x={self.x};m*=({ms});n*=({ns})"
-
-    def key(self) -> dict:
-        return {"kind": 2, "y": self.y, "m_star": list(self.m_star),
-                "n_star": list(self.n_star)}
 
 
 def enumerate_type1(l: int, r: int) -> list[Label1]:
@@ -295,19 +273,6 @@ def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | 
         for nv in label.n_star:
             put("j", wk(nv), 2)
     return canonicalize(CoveringDimVector.from_dict(1, support))
-
-
-def normal_form_label(l: int, r: int) -> Label1:
-    """The unique type-1 label whose minus-attractor vanishes, hence whose
-    plus-attractor chart is the dense open cell of dimension
-    (2s+1)(2r+1) - 3."""
-    _check_lr(l, r)
-    s = l - r
-    m = s + 1
-    m_star = tuple(range(s + 2, l + 2))
-    n = s + 2
-    n_star = tuple([s + 1] + list(range(s + 3, l + 2)))
-    return Label1(l, r, m, m_star, n, n_star)
 
 
 def attractor_rows(l: int, r: int, betti: dict):

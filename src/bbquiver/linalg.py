@@ -1,7 +1,4 @@
-"""Exact linear algebra over the rationals: echelon forms, ranks, solving.
-
-Dense matrices are lists of lists of rationals (rows).  Rank decisions must
-be tolerance-free, so everything runs in exact arithmetic.
+"""Exact pivot columns over the rationals, without tolerances.
 
 Ranks and pivot columns come from a fraction-free kernel (`leading_columns`):
 each row is scaled to integers by the least common multiple of its
@@ -9,8 +6,8 @@ denominators, which changes neither its span nor the pivot columns, and is
 then reduced against the echelon rows found so far with integer
 combinations, dividing out the content (gcd) of every new row so entries
 stay small.  Rows are sparse ({column: value}), which suits the block
-matrices of the cell charts.  `rref` keeps Fraction arithmetic because
-`solve` needs the reduced form; it is also the tests' oracle for the kernel.
+matrices of the cell charts.  `rref`, the dense reduced row echelon form in
+Fraction arithmetic on lists of rows, is the tests' reference for the kernel.
 """
 
 from __future__ import annotations
@@ -19,17 +16,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def copy(m):
-    return [row[:] for row in m]
-
-
 def rref(m):
     """Reduced row echelon form; returns (rref_matrix, pivot_column_indices)."""
-    m = copy(m)
+    m = [[Fraction(x) for x in row] for row in m]  # int rows would divide into floats
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -96,37 +85,3 @@ def leading_columns(rows) -> list[int]:
             g = gcd(*new.values())
             row = {c: x // g for c, x in new.items()} if g > 1 else new
     return sorted(echelon)
-
-
-def rank(m) -> int:
-    return len(leading_columns([{c: x for c, x in enumerate(row) if x} for row in m]))
-
-
-def solve(a, b):
-    """One solution x of a x = b (columns of b), or None if inconsistent."""
-    if not a:
-        return [] if all(all(x == 0 for x in row) for row in b) else None
-    rows, cols = len(a), len(a[0])
-    bcols = len(b[0]) if b else 0
-    aug = [a[i][:] + b[i][:] for i in range(rows)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:cols]) and any(x != 0 for x in row[cols:]):
-            return None
-    x = zeros(cols, bcols)
-    for r, c in enumerate(pivots):
-        if c >= cols:
-            return None
-        for j in range(bcols):
-            x[c][j] = red[r][cols + j]
-    return x
-
-
-def row_space_contains(sub_rows, big_rows) -> bool:
-    """True iff the row space of sub_rows lies inside that of big_rows."""
-    if not sub_rows:
-        return True
-    if not big_rows:
-        return all(all(x == 0 for x in row) for row in sub_rows)
-    r_big = rank(big_rows)
-    return rank(big_rows + sub_rows) == r_big

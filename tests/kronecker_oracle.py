@@ -1,4 +1,5 @@
-"""Exact stability of Kronecker representations with d = (2, 2r+1).
+"""Exact stability of Kronecker representations with d = (2, 2r+1), and
+the label helpers that only the tests use.
 
 An independent oracle for the tests: it decides stability from the
 representation's matrices alone, over the algebraic closure, without the
@@ -9,7 +10,31 @@ import itertools
 from fractions import Fraction
 
 from bbquiver.errors import ValidationError
-from bbquiver.linalg import rank as _rank
+from bbquiver.kronecker import Label1, _check_lr
+from chart_oracle import rank as _rank
+
+
+def m_complement(label: Label1) -> tuple[int, ...]:
+    used = {label.m, *label.m_star}
+    return tuple(x for x in range(1, label.l + 2) if x not in used)
+
+
+def n_complement(label: Label1) -> tuple[int, ...]:
+    used = {label.n, *label.n_star}
+    return tuple(x for x in range(1, label.l + 2) if x not in used)
+
+
+def normal_form_label(l: int, r: int) -> Label1:
+    """The unique type-1 label whose minus-attractor vanishes, hence whose
+    plus-attractor chart is the dense open cell of dimension
+    (2s+1)(2r+1) - 3."""
+    _check_lr(l, r)
+    s = l - r
+    m = s + 1
+    m_star = tuple(range(s + 2, l + 2))
+    n = s + 2
+    n_star = tuple([s + 1] + list(range(s + 3, l + 2)))
+    return Label1(l, r, m, m_star, n, n_star)
 
 
 def _form_mul(f, g):

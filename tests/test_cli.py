@@ -86,7 +86,9 @@ def test_count_at_any_prime_power(capsys, tmp_path, q):
     assert json.loads(capsys.readouterr().out)["count"] == q + 1  # P^1
 
 
-@pytest.mark.parametrize("q", [6, 1, 0, -4])
+# beyond MR_BOUND a small factor (2e30, 3e40) or the base-2 Fermat test
+# (10^30 + 1 = 61 * 101 * ...) still shows the root composite
+@pytest.mark.parametrize("q", [6, 1, 0, -4, 2 * 10**30, 10**30 + 1, 3 * 10**40])
 def test_count_field_not_a_prime_power_exit_2(capsys, k3_file, q):
     assert main(["count", *base_args(k3_file, "--field", str(q))]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bbquiver.linalg import leading_columns, rank, rref
+from bbquiver.linalg import leading_columns, rref
+from chart_oracle import rank
 
 ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -65,3 +66,8 @@ def test_integer_entries_and_empty_shapes():
     assert leading_columns([]) == [] and leading_columns([{}, {}]) == []
     assert rank([[2, 4], [1, 2]]) == 1
     assert leading_columns([{1: 3, 2: 1}, {1: 6, 2: 2}]) == [1]
+
+
+def test_rref_is_exact_on_integer_rows():
+    # in floats, 121 - 55 * (11 / 5) is not 0 and the rank would read 2
+    assert rref([[5, 11], [55, 121]]) == ([[1, Fraction(11, 5)], [0, 0]], [0])
