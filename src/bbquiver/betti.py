@@ -53,9 +53,6 @@ class PoincarePolynomial:
     def as_dict(self) -> dict:
         return dict(self.coefficients)
 
-    def coefficient(self, degree: int) -> int:
-        return self.as_dict().get(degree, 0)
-
     def shift(self, cell_dim: int) -> "PoincarePolynomial":
         """Multiply by t^(2 * cell_dim)."""
         return PoincarePolynomial(tuple((d + 2 * cell_dim, c) for d, c in self.coefficients))

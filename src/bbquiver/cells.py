@@ -21,9 +21,12 @@ levels (`_graded_blocks`) lays out the blocks of every degree, one routine
 (`_hom_rows`) assembles any such map block by block as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots.
 A GradedRep indexes its level dimensions, sorted levels, level offsets and
-arrow weights once, at construction.  The CLI runs only this pipeline; plain
-representations, dense bracket matrices and the twisted-filtration check of
-attractor membership are the tests' second route.
+arrow weights once, at construction, and makes that pass over itself once,
+on first use (`pieces`): certification reads degree 0 and the chart the
+degrees k > 0.  Blocks with integer entries stay int.  The CLI runs only
+this pipeline; plain representations, dense bracket matrices and the
+twisted-filtration check of attractor membership are the tests' second
+route.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Quiver
 from .covering import CoveringDimVector, WeightAssignment
@@ -39,9 +43,10 @@ from .linalg import leading_columns
 
 
 def _freeze_matrix(m, rows, cols, what="matrix"):
+    """The matrix as a tuple of rows; integer entries stay int, others become Fraction."""
     if rows and cols and (len(m) != rows or any(len(r) != cols for r in m)):
         raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+    return tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in m)
 
 
 def _hom_rows(dom, cod) -> list:
@@ -157,9 +162,16 @@ class GradedRep:
     def dim(self, v: str, n: int) -> int:
         return self._dims.get((v, n), 0)
 
+    @cached_property
+    def pieces(self) -> dict:
+        """`_graded_blocks(self, self)`, built once: degree 0 certifies the
+        representative and each degree k > 0 is the bracket of u_k into R_k."""
+        return _graded_blocks(self, self)
+
+
 def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dict:
     """The blocks of the covering Hom map from M to N with N's levels
-    lowered by k, for the given degree k or else for every k > 0, in one
+    lowered by k, for the given degree k or else for every k >= 0, in one
     pass over pairs of levels.
 
     Degree k maps the sum of Hom(M_{v,n}, N_{v,n-k}) to the sum of
@@ -175,7 +187,7 @@ def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dic
     def partners(v, top):
         """(level m of N at v, degree top - m) for each block to emit."""
         if degree is None:
-            return [(m, top - m) for m in n_levels.get(v, ()) if m < top]
+            return [(m, top - m) for m in n_levels.get(v, ()) if m <= top]
         return [(top - degree, degree)] if (v, top - degree) in n_dims else []
 
     pieces: dict = {}
@@ -207,18 +219,18 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     """A certified representative of the fixed point of class beta.
 
     beta must already have passed the existence filter.  Certification is
-    dim End = 1, plus rigidity (Ext^1 = 0) when beta is a real root; the
+    dim End = 1, read off degree 0 of `GradedRep.pieces`.  That also gives
+    rigidity when beta is a real root: in degree 0, dim Hom - dim Ext^1 is
+    the size of the domain minus the size of the codomain, which is
+    <beta, beta>, so Hom = 1 forces Ext^1 = 0 when <beta, beta> = 1.  The
     unit strategy fills each block with a 0/1 partial identity, the random
     strategy draws small integer entries from the given seed and retries on
     certification failure.
     """
-    from .covering import euler_form_covering
-
     if w.rank != 1:
         raise UnsupportedError("fixed representations are built for rank-1 actions")
     if strategy not in ("unit", "random"):
         raise ValidationError("strategy must be 'unit' or 'random'")
-    real_root = euler_form_covering(quiver, w, beta, beta) == 1
     dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
     shapes = []
     for (v, chi), cols in beta.entries:
@@ -237,8 +249,7 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
                 m = [[rng.randint(-9, 9) for _ in range(cols)] for r in range(rows)]
             blocks[(name, n)] = m
         rep = GradedRep(quiver, w, beta, blocks)
-        hom, ext = covering_hom_ext(rep, rep)
-        if hom == 1 and (not real_root or ext == 0):
+        if _hom_ext_of(*rep.pieces[0])[0] == 1:
             return rep
     if strategy == "unit":
         raise UnsupportedError(
@@ -286,9 +297,9 @@ def choose_complements(rep: GradedRep) -> CellChart:
     Where u_k is zero the complement is all of R_k and nothing is reduced.
     """
     degrees = []
-    pieces = _graded_blocks(rep, rep)
-    for k in sorted(pieces):
-        dom, cod = pieces[k]
+    for k, (dom, cod) in sorted(rep.pieces.items()):
+        if k == 0:
+            continue  # the certificate
         pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else set()
         if len(pivots) != _size(dom):
             raise InconsistencyError(

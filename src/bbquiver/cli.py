@@ -421,22 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bbquiver",
                                      description="Torus-fixed-point data for quiver moduli")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--quiver", required=True, help="quiver description JSON file")
-        p.add_argument("--dim", required=True, help="dimension vector, comma separated")
-        p.add_argument("--theta", required=True, help="stability weights, comma separated")
-        p.add_argument("--weights", help="weight assignment JSON file (default: generic rank-1)")
-        p.add_argument("--filter", choices=("on", "off"), default="on")
-        p.add_argument("--field", type=int, default=2)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on the points of R(Q, d)(F_q) for count")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
+    common = argparse.ArgumentParser(add_help=False)  # the flags every handler takes
+    common.add_argument("--quiver", required=True, help="quiver description JSON file")
+    common.add_argument("--dim", required=True, help="dimension vector, comma separated")
+    common.add_argument("--theta", required=True, help="stability weights, comma separated")
+    common.add_argument("--weights", help="weight assignment JSON file (default: generic rank-1)")
+    common.add_argument("--filter", choices=("on", "off"), default="on")
+    common.add_argument("--field", type=int, default=2)
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="cap on the points of R(Q, d)(F_q) for count")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
 
     for name, handler in HANDLERS.items():
-        p = sub.add_parser(name, aliases=["attractors"] if name == "fixed-points" else [])
-        add_common(p)
+        p = sub.add_parser(name, aliases=["attractors"] if name == "fixed-points" else [],
+                           parents=[common])
         p.set_defaults(handler=handler)
 
     kp = sub.add_parser("kronecker")

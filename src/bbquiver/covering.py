@@ -91,9 +91,6 @@ class WeightAssignment:
         except KeyError:
             raise ValidationError(f"no weight assigned to arrow {name!r}") from None
 
-    def zero(self) -> Character:
-        return (0,) * self.rank
-
     def codec(self, span: int) -> CharCodec:
         """Codes for characters within `span` of an origin and for the weights:
         bound span + M, where M = `_top` is the largest weight coordinate (at least 1)."""
@@ -178,14 +175,8 @@ class CoveringDimVector:
                 return m
         return 0
 
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def characters(self) -> list[Character]:
-        return sorted({chi for (_, chi), _ in self.entries})
 
     def to_jsonable(self) -> list[dict]:
         return [{"vertex": v, "char": list(chi), "dim": m} for (v, chi), m in self.entries]
@@ -374,7 +365,10 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     a fill with 1 - <beta, beta> < 0 is dropped on its integer tuple before a
     vector is built, and a class is discarded when the stable moduli on its
     support quiver is empty; `has_stable` is asked once per isomorphism class
-    of labelled support quiver (`shape_key`).
+    of labelled support quiver (`shape_key`).  Which fills survive depends
+    only on a support's shape, its base vertices in support-quiver order and
+    the arrows between their positions, so they are found once per shape and
+    turned into vectors for each support of that shape.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -391,28 +385,35 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
                   for v in order}
     out = []
-    verdicts: dict = {}
+    verdicts: dict = {}  # shape_key -> has_stable
+    fills: dict = {}     # support shape -> its surviving fills
     for sup in supports:
         cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))  # the support quiver's order
         pos = {cv: k for k, cv in enumerate(cvs)}
-        links = [(k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
-                 for t in [(u, c + wa)] if t in pos]
-        theta_hat = tuple(theta[vidx(v)] for v, _ in cvs)
-        keys = [(v, codec.decode(c)) for v, c in cvs]
-        by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
-        parts = [_compositions(d[vidx(v)], sum(u == v for u, _ in cvs)) for v in order]
-        for fill in itertools.product(*parts):
-            dims = sum(fill, ())
-            if use_existence_filter and \
-                    sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
-                continue  # 1 - <beta, beta> < 0
-            beta = CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
-            if use_existence_filter:
-                key = shape_key(dims, theta_hat, links)
-                if key not in verdicts:
-                    sq = support_quiver(quiver, w, beta)
-                    verdicts[key] = hn.has_stable(sq.quiver, sq.dims, theta_hat)
-                if not verdicts[key]:
-                    continue
-            out.append(beta)
+        links = tuple((k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
+                      for t in [(u, c + wa)] if t in pos)
+        bases = tuple(v for v, _ in cvs)
+        kept = fills.get((bases, links))
+        if kept is None:
+            kept = fills[(bases, links)] = []
+            theta_hat = tuple(theta[vidx(v)] for v in bases)
+            parts = [_compositions(d[vidx(v)], bases.count(v)) for v in order]
+            for fill in itertools.product(*parts):
+                dims = sum(fill, ())
+                if use_existence_filter:
+                    if sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
+                        continue  # 1 - <beta, beta> < 0
+                    key = shape_key(dims, theta_hat, links)
+                    if key not in verdicts:  # the support quiver, on vertices 0, 1, ...
+                        sub = Quiver.from_arrows(map(str, range(len(dims))), (
+                            (str(k), str(i), str(j)) for k, (i, j) in enumerate(links)))
+                        verdicts[key] = hn.has_stable(sub, dims, theta_hat)
+                    if not verdicts[key]:
+                        continue
+                kept.append(dims)
+        if kept:
+            keys = [(v, codec.decode(c)) for v, c in cvs]
+            by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
+            out.extend(CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
+                       for dims in kept)
     return sorted(out, key=lambda b: b.entries)

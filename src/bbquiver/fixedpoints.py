@@ -133,9 +133,6 @@ class FixedComponent:
     att_minus: int
     isolated: bool
 
-    def total_tangent_dim(self) -> int:
-        return self.att_plus + self.att_minus + self.dim_component
-
 
 def attractor_dims(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> tuple[int, int, int]:
     """(att_plus, att_minus, dim_component) for a rank-one action.

@@ -118,10 +118,6 @@ class Label2:
         return 2 * (self.r - self.y) + 1
 
     @property
-    def t(self) -> int:
-        return self.l + 1 - self.x - self.y
-
-    @property
     def complement(self) -> tuple[int, ...]:
         used = set(self.m_star) | set(self.n_star)
         return tuple(i for i in range(1, self.l + 2) if i not in used)

@@ -170,7 +170,7 @@ def ungraded(rep: GradedRep) -> Representation:
 
 
 def _degree_candidates(rep: GradedRep) -> list[int]:
-    return sorted(_graded_blocks(rep, rep))
+    return sorted(k for k in _graded_blocks(rep, rep) if k > 0)
 
 
 def graded_pieces(rep: GradedRep, k: int):

@@ -1,24 +1,39 @@
 """Covering-quiver helpers that only the tests use: the target of one
-covering arrow, the base dimension vector of a class, and connectedness of
-a class's support in the covering."""
+covering arrow, the base dimension vector, total and characters of a
+class, connectedness of a class's support in the covering, the zero
+character, the total tangent dimension of a fixed component, and the
+fill enumeration one support at a time (`enumerate_per_support`), the
+reference for `enumerate_compatible`, which finds fills once per support
+shape."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 
-from bbquiver.core import Arrow, Quiver
+from bbquiver import hn
+from bbquiver.core import Arrow, Quiver, check_vector
 from bbquiver.covering import (
     Character,
     CoveringDimVector,
     WeightAssignment,
     _adjacency,
     _as_char,
+    _compositions,
+    _connected_supports,
     _entry_codes,
+    shape_key,
+    support_quiver,
 )
+from bbquiver.fixedpoints import FixedComponent
 
 
 def char_add(a: Character, b: Character) -> Character:
     return tuple(map(operator.add, a, b))
+
+
+def zero_character(w: WeightAssignment) -> Character:
+    return (0,) * w.rank
 
 
 def covering_target(quiver: Quiver, w: WeightAssignment, arrow: Arrow | str, chi) -> tuple[str, Character]:
@@ -34,6 +49,18 @@ def project(beta: CoveringDimVector, quiver: Quiver) -> tuple[int, ...]:
     for (v, _), m in beta.entries:
         d[quiver.vertex_index(v)] += m
     return tuple(d)
+
+
+def total(beta: CoveringDimVector) -> int:
+    return sum(m for _, m in beta.entries)
+
+
+def characters(beta: CoveringDimVector) -> list[Character]:
+    return sorted({chi for (_, chi), _ in beta.entries})
+
+
+def total_tangent_dim(comp: FixedComponent) -> int:
+    return comp.att_plus + comp.att_minus + comp.dim_component
 
 
 def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
@@ -52,3 +79,47 @@ def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -
                 seen.add(nb)
                 todo.append(nb)
     return seen == supp
+
+
+def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
+                          use_existence_filter: bool = True) -> list[CoveringDimVector]:
+    """`enumerate_compatible` with every support's fills generated, bounded
+    and turned into vectors on their own, and has_stable asked on the
+    support quiver of the first class of each `shape_key`."""
+    d = check_vector(quiver, d, "d", nonnegative=True)
+    theta = check_vector(quiver, theta, "theta")
+    vidx = quiver.vertex_index
+    codec = w.codec((sum(d) - 1) * w._top)
+    adj = _adjacency(quiver, w, codec)
+    order = [v for v, dv in zip(quiver.vertices, d) if dv]
+    cap = dict(zip(quiver.vertices, d))
+    supports = {sup for v in order for sup in _connected_supports(adj, cap, (v, 0))
+                if len({u for u, _ in sup}) == len(order)}
+    arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
+                  for v in order}
+    out = []
+    verdicts: dict = {}
+    for sup in supports:
+        cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))
+        pos = {cv: k for k, cv in enumerate(cvs)}
+        links = [(k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
+                 for t in [(u, c + wa)] if t in pos]
+        theta_hat = tuple(theta[vidx(v)] for v, _ in cvs)
+        keys = [(v, codec.decode(c)) for v, c in cvs]
+        by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
+        parts = [_compositions(d[vidx(v)], sum(u == v for u, _ in cvs)) for v in order]
+        for fill in itertools.product(*parts):
+            dims = sum(fill, ())
+            if use_existence_filter and \
+                    sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
+                continue
+            beta = CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
+            if use_existence_filter:
+                key = shape_key(dims, theta_hat, links)
+                if key not in verdicts:
+                    sq = support_quiver(quiver, w, beta)
+                    verdicts[key] = hn.has_stable(sq.quiver, sq.dims, theta_hat)
+                if not verdicts[key]:
+                    continue
+            out.append(beta)
+    return sorted(out, key=lambda b: b.entries)

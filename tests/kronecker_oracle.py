@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from bbquiver.errors import ValidationError
-from bbquiver.kronecker import Label1, _check_lr
+from bbquiver.kronecker import Label1, Label2, _check_lr
 from chart_oracle import rank as _rank
 
 
@@ -22,6 +22,11 @@ def m_complement(label: Label1) -> tuple[int, ...]:
 def n_complement(label: Label1) -> tuple[int, ...]:
     used = {label.n, *label.n_star}
     return tuple(x for x in range(1, label.l + 2) if x not in used)
+
+
+def label_t(label: Label2) -> int:
+    """t = l + 1 - x - y, the arrows that neither m_star nor n_star uses."""
+    return label.l + 1 - label.x - label.y
 
 
 def normal_form_label(l: int, r: int) -> Label1:

@@ -1,12 +1,17 @@
 """Lagrange interpolation of F_q-point counts: the independent route from
 counts at q = 2 .. dim + 3 to a Poincare polynomial, against which the
 runtime's base-q digit reader (`bbquiver.betti.interpolate_from_counts`) is
-tested."""
+tested, and the coefficient reader the tests use."""
 
 from fractions import Fraction
 
 from bbquiver.betti import PoincarePolynomial
 from bbquiver.errors import InconsistencyError, ValidationError
+
+
+def coefficient(poly: PoincarePolynomial, degree: int) -> int:
+    """The coefficient of t^degree."""
+    return poly.as_dict().get(degree, 0)
 
 
 def interpolate(counts, dim: int) -> PoincarePolynomial:

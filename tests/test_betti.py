@@ -5,7 +5,7 @@ import pytest
 import bbquiver as bq
 from bbquiver.betti import PoincarePolynomial
 from bbquiver.errors import InconsistencyError, ValidationError
-from lagrange_oracle import interpolate
+from lagrange_oracle import coefficient, interpolate
 
 pytest.importorskip("numpy")  # the brute-force F_q oracle below needs it
 from bbquiver.existence import brute_force_stable_count
@@ -49,12 +49,12 @@ class TestKirwan:
 
     def test_b1_of_5(self):
         p = bq.kirwan_subspace_poincare(5)
-        assert p.coefficient(2) == 5
+        assert coefficient(p, 2) == 5
         assert p == poly({0: 1, 2: 5, 4: 1})
 
     def test_b0_always_one(self):
         for x in (3, 5, 7, 9):
-            assert bq.kirwan_subspace_poincare(x).coefficient(0) == 1
+            assert coefficient(bq.kirwan_subspace_poincare(x), 0) == 1
 
     def test_x7(self):
         assert bq.kirwan_subspace_poincare(7) == poly({0: 1, 2: 7, 4: 22, 6: 7, 8: 1})
@@ -65,7 +65,7 @@ class TestKirwan:
             assert p.is_palindromic(x - 3)
             for j in range(x - 2):
                 top = min(j, x - 3 - j)
-                assert p.coefficient(2 * j) == sum(math.comb(x - 1, nu) for nu in range(top + 1))
+                assert coefficient(p, 2 * j) == sum(math.comb(x - 1, nu) for nu in range(top + 1))
 
     def test_even_or_small_rejected(self):
         with pytest.raises(ValidationError):
@@ -140,7 +140,7 @@ class TestAssemble:
         p = bq.assemble_poincare(pairs)
         dim = 1 - bq.euler_form(k3, (2, 3), (2, 3))
         assert p.is_palindromic(dim)
-        assert p.coefficient(0) == 1 and p.coefficient(2 * dim) == 1
+        assert coefficient(p, 0) == 1 and coefficient(p, 2 * dim) == 1
 
     def test_order_independence(self, k3, w3, k3_components):
         pairs = [(c, PoincarePolynomial.one()) for c in k3_components]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
+from bbquiver import cells
 from bbquiver.covering import CoveringDimVector
 from bbquiver.errors import UnsupportedError, ValidationError
 from bbquiver.linalg import rref
@@ -27,6 +28,7 @@ from chart_oracle import (
     zeros,
 )
 from conftest import type1_beta
+from covering_oracle import characters, total
 from kronecker_oracle import normal_form_label
 
 
@@ -97,6 +99,52 @@ class TestBuildFixedRep:
         a = bq.build_fixed_rep(k3, w3, beta, "random", seed=4)
         b = bq.build_fixed_rep(k3, w3, beta, "random", seed=4)
         assert a.blocks == b.blocks
+
+
+def uncertified_reps(quiver, w, beta, seed=0):
+    """The representatives of class beta with 0/1 partial identity blocks and
+    with random blocks in -9..9, as `build_fixed_rep` fills them, uncertified."""
+    dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
+    shapes = [(a.name, n, dims.get((a.target, n + w.of(a)[0]), 0), cols)
+              for (v, n), cols in dims.items() for a in quiver.arrows_from(v)]
+    rng = random.Random(seed)
+    unit = {(a, n): [[int(r == c) for c in range(cols)] for r in range(rows)]
+            for a, n, rows, cols in shapes if rows}
+    rand = {(a, n): [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            for a, n, rows, cols in shapes if rows}
+    return [bq.GradedRep(quiver, w, beta, unit), bq.GradedRep(quiver, w, beta, rand)]
+
+
+class TestCertificate:
+    """`build_fixed_rep` certifies by dim Hom = 1 alone, which for a real root
+    forces Ext^1 = 0 because dim Hom - dim Ext^1 = <beta, beta>."""
+
+    @pytest.mark.parametrize("arrows", [3, 4, 5])
+    def test_hom_minus_ext_is_the_euler_form(self, arrows):
+        quiver = bq.kronecker_quiver(arrows)
+        w = bq.generic_rank1_weights(quiver)
+        for beta in bq.enumerate_compatible(quiver, w, (2, 3), (1, 0)):
+            euler = bq.euler_form_covering(quiver, w, beta, beta)
+            for rep in uncertified_reps(quiver, w, beta, seed=arrows):
+                hom, ext = bq.covering_hom_ext(rep, rep)
+                assert hom - ext == euler, (beta, rep.blocks)
+
+    def test_graded_blocks_built_once_per_representative(self, monkeypatch, k3, w3, k3_classes):
+        calls = []
+        original = cells._graded_blocks
+        monkeypatch.setattr(cells, "_graded_blocks",
+                            lambda M, N, *rest: calls.append((M, N, rest)) or original(M, N, *rest))
+        for beta in k3_classes:
+            calls.clear()
+            try:
+                rep = bq.build_fixed_rep(k3, w3, beta, "unit")
+            except UnsupportedError:
+                rep = bq.build_fixed_rep(k3, w3, beta, "random", seed=0)
+            bq.choose_complements(rep)
+            assert all(M is N and rest == () for M, N, rest in calls)
+            built = [M for M, _, _ in calls]
+            assert len({id(M) for M in built}) == len(built)  # once per attempted representative
+            assert any(M is rep for M in built)
 
 
 class TestGradedPieces:
@@ -176,8 +224,8 @@ class TestTwistedFiltration:
         }
         ok, gr = twisted_filtration_check(m, filt, w)
         assert ok
-        assert gr.beta.total() == 5
-        assert gr.beta.characters() == [(-1000,)]
+        assert total(gr.beta) == 5
+        assert characters(gr.beta) == [(-1000,)]
 
     def test_chart_points_attract(self, k3, w3, k3_classes, k3_lifts):
         rng = random.Random(9)

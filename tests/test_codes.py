@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver.covering import CharCodec, CoveringDimVector, char_sub
-from covering_oracle import char_add, is_connected
+from covering_oracle import char_add, is_connected, zero_character
 
 pytest.importorskip("numpy")  # the Schofield oracle below needs it
 import schofield_oracle
@@ -198,7 +198,7 @@ class TestTrustedOutput:
                 other = bq.analyze_component(quiver, w, beta, lam)
                 assert (other.att_plus, other.att_minus) == (comp.att_plus, comp.att_minus)
                 seen += 1
-            assert comp.dim_component == bq.weight_dimension(quiver, w, beta, w.zero())
+            assert comp.dim_component == bq.weight_dimension(quiver, w, beta, zero_character(w))
         assert seen or w.rank == 1
 
 

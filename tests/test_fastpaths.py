@@ -5,6 +5,9 @@
 * The filtered `enumerate_compatible` (integer-tuple Euler rejection and the
   isomorphism-keyed `has_stable` cache) against the unfiltered classes kept by
   `euler_form_covering` and an uncached `has_stable` call per class.
+* `enumerate_compatible`, which finds each support shape's surviving fills
+  once, against the loop that fills every support on its own, with the
+  filter on and off.
 * `shape_key` against brute-force isomorphism of small labelled trees.
 """
 
@@ -12,12 +15,12 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver import hn
 from bbquiver.covering import char_sub, shape_key
-from covering_oracle import char_add
+from covering_oracle import char_add, enumerate_per_support, zero_character
 
 
 def double_chain():
@@ -75,7 +78,7 @@ def reference_weight_support(quiver, w, beta):
     table = {}
     for chi in sorted(cands):
         val = bq.weight_dimension(quiver, w, beta, chi)
-        if chi != w.zero() and val > 0:
+        if chi != zero_character(w) and val > 0:
             table[chi] = val
     return table
 
@@ -132,6 +135,42 @@ class TestFilter:
         quiver, w, d, theta = CASES["K4 (2,5)"]
         bq.enumerate_compatible(quiver, w, d, theta)
         assert len(calls) == 3
+
+
+@st.composite
+def acyclic_cases(draw):
+    """A quiver on up to 4 vertices with up to two arrows i -> j for each
+    i < j, a dimension vector, a theta, and rank-1 weights in 0..2 (equal
+    weights give parallel links) or rank-2 weights in {0, 1}^2."""
+    n = draw(st.integers(1, 4))
+    arrows = [(f"a{i}{j}{m}", f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+              for m in range(draw(st.integers(0, 2)))]
+    quiver = bq.Quiver.from_arrows(tuple(f"v{k}" for k in range(n)), arrows)
+    rank = draw(st.integers(1, 2))
+    coord = st.integers(0, 2 if rank == 1 else 1)
+    w = bq.WeightAssignment(rank, {a[0]: tuple(draw(coord) for _ in range(rank)) for a in arrows})
+    d = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)))
+    theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return quiver, w, d, theta
+
+
+class TestShapeCache:
+    """Fills found once per support shape against the loop over supports."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(acyclic_cases(), st.booleans())
+    def test_matches_per_support_reference(self, case, use_filter):
+        quiver, w, d, theta = case
+        assume(not use_filter or bq.is_coprime(quiver, d, theta))
+        assert bq.enumerate_compatible(quiver, w, d, theta, use_filter) == \
+            enumerate_per_support(quiver, w, d, theta, use_filter)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_named_cases(self, name, use_filter):
+        quiver, w, d, theta = CASES[name]
+        assert bq.enumerate_compatible(quiver, w, d, theta, use_filter) == \
+            enumerate_per_support(quiver, w, d, theta, use_filter)
 
 
 def isomorphic(a, b):

@@ -7,7 +7,7 @@ import pytest
 
 import bbquiver as bq
 from bbquiver.covering import CoveringDimVector, canonicalize
-from covering_oracle import is_connected, project
+from covering_oracle import is_connected, project, total_tangent_dim
 
 pytest.importorskip("numpy")  # the brute-force F_q oracle below needs it
 from bbquiver.existence import brute_force_stable_count
@@ -88,7 +88,7 @@ class TestChainPipeline:
         assert len(classes) == 1
         comps = [bq.analyze_component(quiver, w, b) for b in classes]
         assert comps[0].isolated
-        assert comps[0].total_tangent_dim() == 1 - bq.euler_form(quiver, (1, 1, 1), (1, 1, 1)) == 0
+        assert total_tangent_dim(comps[0]) == 1 - bq.euler_form(quiver, (1, 1, 1), (1, 1, 1)) == 0
         pairs = [(c, bq.component_poincare(quiver, w, theta, c)) for c in comps]
         poly = bq.assemble_poincare(pairs)
         assert poly.as_dict() == {0: 1}
