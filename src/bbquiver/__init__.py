@@ -14,7 +14,6 @@ from .cells import (
     GradedRep,
     build_fixed_rep,
     choose_complements,
-    covering_hom_ext,
     emit_cell_table,
 )
 from .core import Quiver, euler_form, is_coprime, slope

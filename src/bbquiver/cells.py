@@ -169,10 +169,9 @@ class GradedRep:
         return _graded_blocks(self, self)
 
 
-def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dict:
+def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
     """The blocks of the covering Hom map from M to N with N's levels
-    lowered by k, for the given degree k or else for every k >= 0, in one
-    pass over pairs of levels.
+    lowered by k, for every k >= 0, in one pass over pairs of levels.
 
     Degree k maps the sum of Hom(M_{v,n}, N_{v,n-k}) to the sum of
     Hom(M_{s(a),n}, N_{t(a),n+w_a-k}); k = 0 resolves Hom and Ext^1 over
@@ -186,9 +185,7 @@ def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dic
 
     def partners(v, top):
         """(level m of N at v, degree top - m) for each block to emit."""
-        if degree is None:
-            return [(m, top - m) for m in n_levels.get(v, ()) if m <= top]
-        return [(top - degree, degree)] if (v, top - degree) in n_dims else []
+        return [(m, top - m) for m in n_levels.get(v, ()) if m <= top]
 
     pieces: dict = {}
     for v in M.quiver.vertices:
@@ -205,13 +202,6 @@ def _graded_blocks(M: GradedRep, N: GradedRep, degree: int | None = None) -> dic
                          (a.source, n), (a.target, n + wa), f, N.blocks.get((a.name, n - k)))
                 pieces.setdefault(k, ([], []))[1].append(block)
     return pieces
-
-
-def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
-    """(dim Hom, dim Ext^1) over the covering quiver, level by level."""
-    if M.quiver != N.quiver or M.weights != N.weights:
-        raise ValidationError("graded representations live over different coverings")
-    return _hom_ext_of(*_graded_blocks(M, N, 0).get(0, ((), ())))
 
 
 def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
@@ -263,9 +253,7 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
 @dataclass(frozen=True)
 class DegreeData:
     degree: int
-    u_basis: tuple
-    r_basis: tuple
-    complement: tuple  # indices into r_basis
+    free: tuple  # (arrow, source level, row, col) of each coordinate of the complement
 
 
 @dataclass(frozen=True)
@@ -277,16 +265,11 @@ class CellChart:
 
     @property
     def total_dim(self) -> int:
-        return sum(len(d.complement) for d in self.degrees)
+        return sum(len(d.free) for d in self.degrees)
 
     def free_coordinates(self) -> list[tuple]:
         """(arrow, source level, row, col, degree) for every free entry."""
-        out = []
-        for d in self.degrees:
-            for i in d.complement:
-                a, n, r, c = d.r_basis[i]
-                out.append((a, n, r, c, d.degree))
-        return out
+        return [(*coord, d.degree) for d in self.degrees for coord in d.free]
 
 def choose_complements(rep: GradedRep) -> CellChart:
     """Row-echelon the bracket image in every positive degree and keep the
@@ -305,8 +288,8 @@ def choose_complements(rep: GradedRep) -> CellChart:
             raise InconsistencyError(
                 f"bracket with the fixed representation is not injective in degree {k}"
             )
-        complement = tuple(i for i in range(_size(cod)) if i not in pivots)
-        degrees.append(DegreeData(k, tuple(_basis(dom)), tuple(_basis(cod)), complement))
+        degrees.append(DegreeData(k, tuple(x for i, x in enumerate(_basis(cod))
+                                           if i not in pivots)))
     return CellChart(rep, tuple(degrees))
 
 

@@ -13,16 +13,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import betti, cells, covering, fixedpoints, hn, kronecker
 from .core import Quiver, is_coprime
 from .covering import WeightAssignment, generic_rank1_weights
-from .errors import BudgetExceededError, InconsistencyError, UnsupportedError, ValidationError
-
-DEFAULT_BUDGET = 2**24  # cap on the points of R(Q, d)(F_q) for `count`; part of the config hash
+from .errors import InconsistencyError, UnsupportedError, ValidationError
 
 
 @dataclass
@@ -30,16 +28,14 @@ class RunConfig:
     quiver: Quiver
     dim: tuple[int, ...]
     theta: tuple[int, ...]
-    weights: WeightAssignment
-    use_filter: bool = True
-    field_size: int = 2
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    fmt: str = "text"
-    raw: dict = field(default_factory=dict)
+    weights: WeightAssignment | None  # None for a command that takes no weights
+    fmt: str
+    # every input the command reads, as the config hash covers it: the three
+    # above, the weights where it takes them, and its filter, seed or field
+    inputs: dict
 
     def digest(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True).encode()
+        blob = json.dumps(self.inputs, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -51,29 +47,23 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _load_config(args) -> RunConfig:
-    qdoc = json.loads(Path(args.quiver).read_text())
-    quiver = Quiver.from_dict(qdoc)
+    quiver = Quiver.from_dict(json.loads(Path(args.quiver).read_text()))
     dim = _int_list(args.dim, "--dim")
     theta = _int_list(args.theta, "--theta")
-    if args.weights:
-        w = WeightAssignment.from_json(Path(args.weights).read_text())
-        unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
-        if unknown:
-            raise ValidationError(f"weights for arrows the quiver does not have: {unknown}")
-    else:
-        w = generic_rank1_weights(quiver)
-    raw = {
-        "quiver": quiver.to_dict(),
-        "dim": list(dim),
-        "theta": list(theta),
-        "weights": w.to_dict(),
-        "filter": args.filter,
-        "field": args.field,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
-    return RunConfig(quiver, dim, theta, w, args.filter == "on",
-                     args.field, args.budget, args.seed, args.format, raw)
+    inputs = {"quiver": quiver.to_dict(), "dim": list(dim), "theta": list(theta)}
+    given = vars(args)  # the common flags and the ones this command declares
+    w = None
+    if "weights" in given:
+        if args.weights:
+            w = WeightAssignment.from_json(Path(args.weights).read_text())
+            unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
+            if unknown:
+                raise ValidationError(f"weights for arrows the quiver does not have: {unknown}")
+        else:
+            w = generic_rank1_weights(quiver)
+        inputs["weights"] = w.to_dict()
+    inputs.update((key, given[key]) for key in ("filter", "field", "seed") if key in given)
+    return RunConfig(quiver, dim, theta, w, args.format, inputs)
 
 
 def _require_coprime(cfg: RunConfig):
@@ -84,12 +74,7 @@ def _require_coprime(cfg: RunConfig):
 
 
 def _components(cfg: RunConfig):
-    if not cfg.use_filter:
-        # classes without a stable lift have no tangent data to analyze
-        raise UnsupportedError("--filter off is supported by fixed-points only")
-    classes = covering.enumerate_compatible(
-        cfg.quiver, cfg.weights, cfg.dim, cfg.theta, use_existence_filter=cfg.use_filter
-    )
+    classes = covering.enumerate_compatible(cfg.quiver, cfg.weights, cfg.dim, cfg.theta)
     return [fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta) for beta in classes]
 
 
@@ -167,8 +152,9 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     from .core import euler_form
 
+    use_filter = cfg.inputs["filter"] == "on"
     classes = covering.enumerate_compatible(
-        cfg.quiver, cfg.weights, cfg.dim, cfg.theta, use_existence_filter=cfg.use_filter
+        cfg.quiver, cfg.weights, cfg.dim, cfg.theta, use_existence_filter=use_filter
     )
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
     rows = []
@@ -177,7 +163,7 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
         try:
             comps.append(fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta))
         except InconsistencyError as exc:
-            if cfg.use_filter:
+            if use_filter:
                 raise
             # without the existence filter, candidate classes with no stable
             # lift are expected; report them instead of failing
@@ -260,9 +246,9 @@ def _cell_table(cfg: RunConfig, beta):
     """Chart and cell table at the fixed point of class beta, on a 0/1 unit
     representative where one certifies, else on a random one."""
     try:
-        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "unit", seed=cfg.seed)
+        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "unit", seed=cfg.inputs["seed"])
     except UnsupportedError:
-        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "random", seed=cfg.seed)
+        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "random", seed=cfg.inputs["seed"])
     chart = cells.choose_complements(rep)
     return chart, cells.emit_cell_table(chart)
 
@@ -291,8 +277,7 @@ def cmd_cells(cfg: RunConfig) -> int:
 def cmd_normal_form(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     comps = _components(cfg)
-    hits = [c for c in comps
-            if fixedpoints.generic_normal_form_test(cfg.quiver, cfg.weights, c.beta)]
+    hits = [c for c in comps if fixedpoints.generic_normal_form_test(c)]
     lines = [f"{len(hits)} generic-normal-form class(es)"]
     out = []
     for c in hits:
@@ -377,14 +362,9 @@ def _is_prime_power(q: int) -> bool:
 
 def cmd_count(cfg: RunConfig) -> int:
     _require_coprime(cfg)
-    q = cfg.field_size
+    q = cfg.inputs["field"]
     if not _is_prime_power(q):
         raise ValidationError(f"--field must be a prime power, got {q}")
-    idx = cfg.quiver.vertex_index
-    size = q ** sum(cfg.dim[idx(a.source)] * cfg.dim[idx(a.target)] for a in cfg.quiver.arrows)
-    if size > cfg.budget:
-        raise BudgetExceededError(
-            f"representation space has {size} points, budget is {cfg.budget}")
     n = hn.stable_counts(cfg.quiver, cfg.dim, cfg.theta, (q,))[0][1]
     _emit(cfg, {"q": q, "count": n}, [f"|M(F_{q})| = {n}"])
     return 0
@@ -417,25 +397,31 @@ def cmd_kronecker(args) -> int:
     return 0
 
 
+# the flags a command may declare besides the common ones
+OPTIONAL_FLAGS = {
+    "--weights": {"help": "weight assignment JSON file (default: generic rank-1)"},
+    "--filter": {"choices": ("on", "off"), "default": "on",
+                 "help": "existence filter; off also reports classes without a stable lift"},
+    "--seed": {"type": int, "default": 0, "help": "seed of the random lifts"},
+    "--field": {"type": int, "default": 2, "help": "the prime power q of F_q"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bbquiver",
                                      description="Torus-fixed-point data for quiver moduli")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the flags every handler takes
+    common = argparse.ArgumentParser(add_help=False)  # the flags every handler reads
     common.add_argument("--quiver", required=True, help="quiver description JSON file")
     common.add_argument("--dim", required=True, help="dimension vector, comma separated")
     common.add_argument("--theta", required=True, help="stability weights, comma separated")
-    common.add_argument("--weights", help="weight assignment JSON file (default: generic rank-1)")
-    common.add_argument("--filter", choices=("on", "off"), default="on")
-    common.add_argument("--field", type=int, default=2)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="cap on the points of R(Q, d)(F_q) for count")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
 
-    for name, handler in HANDLERS.items():
+    for name, (handler, flags) in HANDLERS.items():
         p = sub.add_parser(name, aliases=["attractors"] if name == "fixed-points" else [],
                            parents=[common])
+        for flag in flags:
+            p.add_argument(flag, **OPTIONAL_FLAGS[flag])
         p.set_defaults(handler=handler)
 
     kp = sub.add_parser("kronecker")
@@ -445,12 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command with the optional flags its handler reads
 HANDLERS = {
-    "fixed-points": cmd_fixed_points,
-    "poincare": cmd_poincare,
-    "cells": cmd_cells,
-    "normal-form": cmd_normal_form,
-    "count": cmd_count,
+    "fixed-points": (cmd_fixed_points, ("--weights", "--filter")),
+    "poincare": (cmd_poincare, ("--weights",)),
+    "cells": (cmd_cells, ("--weights", "--seed")),
+    "normal-form": (cmd_normal_form, ("--weights", "--seed")),
+    "count": (cmd_count, ("--field",)),
 }
 
 

@@ -15,11 +15,15 @@ class ValidationError(BBQuiverError):
 
 class UnsupportedError(BBQuiverError):
     """Well-formed input outside the supported regime (non-coprime,
-    oriented cycles, exceeded budgets)."""
+    oriented cycles, a field size whose primality cannot be certified)."""
 
 
 class BudgetExceededError(UnsupportedError):
-    """A brute-force computation would exceed the configured budget."""
+    """A brute-force computation would exceed the configured budget.
+
+    Only the F_q oracle `existence.brute_force_stable_count` raises it; the
+    CLI never does.
+    """
 
 
 class InconsistencyError(BBQuiverError):

@@ -164,15 +164,14 @@ def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVect
     return FixedComponent(beta, table, dim_component, att_plus, att_minus, dim_component == 0)
 
 
-def generic_normal_form_test(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
-    """True iff beta is a real root and its minus-attractor vanishes.
+def generic_normal_form_test(c: FixedComponent) -> bool:
+    """True iff the class is a real root and its minus-attractor vanishes.
 
     These are exactly the conditions under which the plus-attractor chart of
-    the isolated fixed point is a dense open cell of the moduli space.
+    the isolated fixed point is a dense open cell of the moduli space.  The
+    zero weight space has dimension 1 - <beta, beta>, so beta is a real root
+    exactly when the component is isolated.
     """
-    if w.rank != 1:
+    if c.beta.rank != 1:
         raise UnsupportedError("the open-cell criterion is a rank-1 statement")
-    if euler_form_covering(quiver, w, beta, beta) != 1:
-        return False
-    _, att_minus, _ = attractor_dims(quiver, w, beta)
-    return att_minus == 0
+    return c.isolated and c.att_minus == 0

@@ -1,7 +1,8 @@
 """Second routes for the cell charts, kept for the tests.
 
-Plain (ungraded) representations with their Hom and Ext^1, the dense
-matrix of the bracket in one degree, a graded representation read level by
+Plain (ungraded) representations with their Hom and Ext^1, the Hom and
+Ext^1 of graded ones over the covering, the dense matrix of the bracket in
+one degree, a graded representation read level by
 level, and the twisted-filtration check of attractor membership: a point of
 a chart attracts to its fixed point exactly when it maps the standard
 filtration of the fixed representation into the weight-shifted filtration,
@@ -24,7 +25,6 @@ from bbquiver.cells import (
     _graded_blocks,
     _hom_ext_of,
     _hom_rows,
-    covering_hom_ext,
 )
 from bbquiver.core import Quiver, check_vector
 from bbquiver.covering import CoveringDimVector, WeightAssignment
@@ -117,6 +117,14 @@ def hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
     return _hom_ext_of(dom, cod)
 
 
+def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
+    """(dim Hom, dim Ext^1) over the covering quiver, level by level: the
+    degree-0 piece of the graded Hom blocks."""
+    if M.quiver != N.quiver or M.weights != N.weights:
+        raise ValidationError("graded representations live over different coverings")
+    return _hom_ext_of(*_graded_blocks(M, N).get(0, ((), ())))
+
+
 def is_schur(rep: GradedRep) -> bool:
     hom, _ = covering_hom_ext(rep, rep)
     return hom == 1
@@ -182,7 +190,7 @@ def graded_pieces(rep: GradedRep, k: int):
     """
     if k <= 0:
         raise ValidationError("graded pieces are indexed by positive degrees")
-    dom, cod = _graded_blocks(rep, rep, k).get(k, ((), ()))
+    dom, cod = _graded_blocks(rep, rep).get(k, ((), ()))
     u_basis, r_basis = _basis(dom), _basis(cod)
     ad = zeros(len(r_basis), len(u_basis))
     for col, row in enumerate(_hom_rows(dom, cod)):

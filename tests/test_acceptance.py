@@ -10,6 +10,7 @@ import pytest
 
 import bbquiver as bq
 from chart_oracle import (
+    covering_hom_ext,
     graded_isomorphic,
     sample_point,
     shift,
@@ -162,7 +163,7 @@ def test_criterion_7_ext_equivalence(k3, w3, k3_classes, k3_lifts):
         for c in chis:
             if c == 0:
                 continue
-            _, ext = bq.covering_hom_ext(rep, shift(rep, -c))
+            _, ext = covering_hom_ext(rep, shift(rep, -c))
             assert ext == bq.weight_dimension(k3, w3, beta, (c,)), (beta, c)
             checked += 1
     report(7, f"Ext^1(N, shifted N) = weight dimension on {checked} samples")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -71,11 +72,6 @@ def test_count_command(capsys, k3_file):
     assert "183" in out
 
 
-def test_count_budget_exit_3(capsys, k3_file):
-    code = main(["count", *base_args(k3_file, "--field", "2", "--budget", "100")])
-    assert code == 3
-
-
 @pytest.mark.parametrize("q", [7, 17, 49])
 def test_count_at_any_prime_power(capsys, tmp_path, q):
     path = tmp_path / "k2.json"
@@ -122,9 +118,9 @@ def test_root_beyond_certified_bound_exit_3(capsys, k3_file):
 
 def test_large_field_answers_at_once(capsys, k3_file):
     start = time.perf_counter()
-    code = main(["count", *base_args(k3_file, "--field", str(2**61 - 1), "--budget", "1")])
-    assert code == 3 and time.perf_counter() - start < 1.0
-    assert "budget" in json.loads(capsys.readouterr().err)["message"]
+    code = main(["count", *base_args(k3_file, "--field", str(2**61 - 1))])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.startswith(f"|M(F_{2**61 - 1})| = ")
 
 
 def test_integer_root():
@@ -236,9 +232,9 @@ def test_poincare_of_an_empty_space(capsys, k3_file):
 
 
 def test_determinism(capsys, k3_file):
-    main(["fixed-points", *base_args(k3_file, "--format", "json", "--seed", "3")])
+    main(["cells", *base_args(k3_file, "--format", "json", "--seed", "3")])
     first = capsys.readouterr().out
-    main(["fixed-points", *base_args(k3_file, "--format", "json", "--seed", "3")])
+    main(["cells", *base_args(k3_file, "--format", "json", "--seed", "3")])
     second = capsys.readouterr().out
     assert first == second
 
@@ -274,13 +270,76 @@ def test_non_integer_weight_exit_2(capsys, tmp_path, k3_file):
 
 @pytest.mark.parametrize("command", ["poincare", "cells", "normal-form"])
 def test_filter_off_refused_outside_fixed_points(capsys, k3_file, command):
-    code = main([command, *base_args(k3_file, "--filter", "off")])
-    assert code == 3
+    with pytest.raises(SystemExit) as exc:
+        main([command, *base_args(k3_file, "--filter", "off")])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["error"] == "unsupported"
-    assert "--filter off" in err["message"]
+    assert "unrecognized arguments: --filter off" in captured.err
+
+
+# the optional flags each command reads; every other one is a usage error
+READS = {
+    "fixed-points": {"--weights", "--filter"},
+    "attractors": {"--weights", "--filter"},
+    "poincare": {"--weights"},
+    "cells": {"--weights", "--seed"},
+    "normal-form": {"--weights", "--seed"},
+    "count": {"--field"},
+}
+OPTIONAL = {"--weights": None, "--filter": "on", "--seed": "1", "--field": "3",
+            "--budget": "100"}
+
+
+@pytest.mark.parametrize("flag", sorted(OPTIONAL))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_takes_only_the_flags_it_reads(capsys, tmp_path, k3, k3_file,
+                                                    command, flag):
+    value = OPTIONAL[flag]
+    if value is None:
+        value = str(tmp_path / "w.json")
+        Path(value).write_text(json.dumps(bq.generic_rank1_weights(k3).to_dict()))
+    argv = [command, *base_args(k3_file, flag, value)]
+    if flag in READS[command]:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_flags_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == {"--quiver", "--dim", "--theta", "--format"} | READS[command]
+
+
+def _config_hash(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[-1]
+
+
+def test_config_hash_ignores_the_format(capsys, k3_file):
+    """The text reports end in `[config <hash>]`; JSON reports carry the same hash."""
+    for command in READS:
+        text = _config_hash(capsys, [command, *base_args(k3_file)])
+        assert text == _config_hash(capsys, [command, *base_args(k3_file, "--format", "csv")])
+        assert main([command, *base_args(k3_file, "--format", "json")]) == 0
+        assert text == f"[config {json.loads(capsys.readouterr().out)['config_hash']}]"
+
+
+@pytest.mark.parametrize("command,flag,values", [("cells", "--seed", ("0", "1")),
+                                                 ("count", "--field", ("2", "3")),
+                                                 ("fixed-points", "--filter", ("on", "off"))])
+def test_config_hash_covers_the_flags_a_command_reads(capsys, k3_file, command, flag, values):
+    first, second = (_config_hash(capsys, [command, *base_args(k3_file, flag, value)])
+                     for value in values)
+    assert first.startswith("[config ") and first != second
 
 
 def _exit_4(capsys, argv):

@@ -472,7 +472,7 @@ def test_cli_count_matches_brute_force(capsys, tmp_path, quiver, d, theta, q):
     budget = 10**13  # caps |R(Q, d)(F_q)|, which neither route enumerates
     code = main(["count", "--quiver", str(path), "--dim", ",".join(map(str, d)),
                  "--theta", ",".join(map(str, theta)), "--field", str(q),
-                 "--budget", str(budget), "--format", "json"])
+                 "--format", "json"])
     assert code == 0
     count = json.loads(capsys.readouterr().out)["count"]
     assert count == brute_force_stable_count(quiver, d, theta, q, budget=budget)

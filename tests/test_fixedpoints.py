@@ -7,6 +7,11 @@ from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationErro
 from conftest import type1_beta
 
 
+def star(leaves):
+    return bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, leaves + 1))),
+                                 [(f"f{k}", "c", f"p{k}") for k in range(1, leaves + 1)])
+
+
 def type2_beta(k3, w3):
     support = {("i", (0,)): 2}
     for k in (1, 2, 3):
@@ -127,13 +132,14 @@ class TestHigherRankReduction:
 
 class TestGenericNormalForm:
     def test_3232_is_normal_form(self, k3, w3):
-        assert bq.generic_normal_form_test(k3, w3, type1_beta(k3, w3, "3232"))
+        c = bq.analyze_component(k3, w3, type1_beta(k3, w3, "3232"))
+        assert bq.generic_normal_form_test(c)
 
     def test_type2_is_not(self, k3, w3):
-        assert not bq.generic_normal_form_test(k3, w3, type2_beta(k3, w3))
+        assert not bq.generic_normal_form_test(bq.analyze_component(k3, w3, type2_beta(k3, w3)))
 
-    def test_unique_among_components(self, k3, w3, k3_classes):
-        hits = [b for b in k3_classes if bq.generic_normal_form_test(k3, w3, b)]
+    def test_unique_among_components(self, k3, w3, k3_components):
+        hits = [c for c in k3_components if bq.generic_normal_form_test(c)]
         assert len(hits) == 1
 
     def test_positive_dimensional_fails(self, k3, w3):
@@ -146,4 +152,34 @@ class TestGenericNormalForm:
             1, {("c", (0,)): 2, **{(f"p{k}", w.of(f"f{k}")): 1 for k in range(1, 6)}}
         )
         assert bq.euler_form_covering(star5, w, beta, beta) != 1
-        assert not bq.generic_normal_form_test(star5, w, beta)
+        assert not bq.generic_normal_form_test(bq.analyze_component(star5, w, beta))
+
+    def test_rank2_rejected(self, k3):
+        w = bq.WeightAssignment(3, {"a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1)})
+        c = bq.analyze_component(k3, w, bq.enumerate_compatible(k3, w, (2, 3), (1, 0))[0])
+        with pytest.raises(UnsupportedError):
+            bq.generic_normal_form_test(c)
+
+    @pytest.mark.parametrize("case", ["K3 (2,3)", "K4 (2,3)", "K4 (2,5)", "K3 (3,4)",
+                                      "star5", "star7"])
+    @pytest.mark.parametrize("weights", ["generic", "k mod 3"])
+    def test_agrees_with_the_euler_form_criterion(self, case, weights):
+        """Isolated with att- = 0 is the real-root-and-att- = 0 criterion:
+        the zero weight space has dimension 1 - <beta, beta>."""
+        quiver, d, theta = {
+            "K3 (2,3)": (bq.kronecker_quiver(3), (2, 3), (1, 0)),
+            "K4 (2,3)": (bq.kronecker_quiver(4), (2, 3), (1, 0)),
+            "K4 (2,5)": (bq.kronecker_quiver(4), (2, 5), (1, 0)),
+            "K3 (3,4)": (bq.kronecker_quiver(3), (3, 4), (1, 0)),
+            "star5": (star(5), (2,) + (1,) * 5, (1,) + (0,) * 5),
+            "star7": (star(7), (2,) + (1,) * 7, (1,) + (0,) * 7),
+        }[case]
+        if weights == "generic":
+            w = bq.generic_rank1_weights(quiver)
+        else:
+            w = bq.WeightAssignment(1, {a.name: (k % 3,) for k, a in enumerate(quiver.arrows, 1)})
+        for beta in bq.enumerate_compatible(quiver, w, d, theta):
+            reference = (bq.euler_form_covering(quiver, w, beta, beta) == 1
+                         and bq.attractor_dims(quiver, w, beta)[1] == 0)
+            c = bq.analyze_component(quiver, w, beta)
+            assert bq.generic_normal_form_test(c) == reference, beta

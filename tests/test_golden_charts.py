@@ -27,11 +27,11 @@ CASES = {
 }
 
 GOLDEN = {
-    ("cells", "K3 (2,3)"): "9dab78d2c4000ca46a0ec1c9c9b9e1573d48bc23d08b899df6c2dd7e3ec01a79",
-    ("cells", "K4 (2,5)"): "ec360fe3d39479b4dc5618a13b3bcdf47736fd08c28b705f12c9713768a3d3e5",
-    ("cells", "star5"): "32cf521b26572f29b354cbe7db78c50c2b5ff74c5592210f9b05ca954d3c5822",
-    ("normal-form", "K3 (2,3)"): "8026707431b5958d81be780e35823cd9ad7d7948ed399efe4f55b3ac17d23c57",
-    ("normal-form", "K4 (2,5)"): "953da368e79aa9bcf810065b2cb41ce09167b34c2e2ac224bec70f98992d7902",
+    ("cells", "K3 (2,3)"): "016fa99c7c7947e1f7b8056efebdf64d9140fe7347151aad4264e41696372660",
+    ("cells", "K4 (2,5)"): "2644ee5ca266df6d045acc08b3c6b2aa0969349e6550c5dd288ee3bfad9ac353",
+    ("cells", "star5"): "815b8098d869e596e3d5df0cd8a08c743f5a6fae501fa4ec35add3b3947acb37",
+    ("normal-form", "K3 (2,3)"): "9e477a3b9bb136590f792b0b481d61b023be792e12cb385a676d81a841065284",
+    ("normal-form", "K4 (2,5)"): "298382f9784a4aeba3c5e683f899d520a29e41db35388566c53651b8e37342ee",
 }
 
 

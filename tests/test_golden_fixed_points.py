@@ -28,13 +28,13 @@ CASES = {
 }
 
 GOLDEN = {
-    ("K4 (2,5) filter off", "json"): "436467ddfd299e7ee64b7fe889169c9eb73aa6f75dec27b5bcbce0f0210592b7",
-    ("K4 (2,5) filter off", "csv"): "1a44f6d84b704288672831ed20cf87657afad9e51f24e9443e72f647e285e873",
-    ("K4 (2,5) filter off", "text"): "4155b31b34d1cb6acfacd0d949ca28f6e49fbcfa4ece70efa19ad12492a1379a",
-    ("K3 (2,3) rank 2", "json"): "83ddf917029ae9802b8e34108ad95337820467ff856b1708c9972680524d42ce",
-    ("K3 (2,3) rank 2", "csv"): "dff0f91b1325077dfe5e05e5a1eb95e193d77256463b92ffbd075819d7fbbb2f",
-    ("K3 (2,3) rank 2", "text"): "7982870cccf163a2ebf344ba56c31881632fd2d27b10d5f2745d106772965e6b",
-    ("K3 (2,3) poincare", "text"): "f4bea75689835c0bc2e8c39e23b4046d148f869de726b5ee8c0fe8edce68a0d2",
+    ("K4 (2,5) filter off", "json"): "5ae237bf5c251f20ccd93016f0f892d9748214b4a3bb18341b2462f537215394",
+    ("K4 (2,5) filter off", "csv"): "c4ec99b3eab207695e4c3cb436f5164da947aca9a782314907c38c3c0e126c30",
+    ("K4 (2,5) filter off", "text"): "174ff189fdc6ba0caa4cc1cf4b90c498e96b275b24611bbbb7dba90bc96bb9e7",
+    ("K3 (2,3) rank 2", "json"): "b79981b5427095f71deb74a29bc51f5353833e16e5bb2eaf6799f3e22728ab09",
+    ("K3 (2,3) rank 2", "csv"): "bbbbfd834e4ee916798e641bd6ab82faeec5792500cd65de88e9db39d17ed3af",
+    ("K3 (2,3) rank 2", "text"): "2e9f29164381e2f2c8bd86ac86f098895ed29fcdf7a44fc210591d3e2aa2c2fc",
+    ("K3 (2,3) poincare", "text"): "30624f55c54e3bf71bcd1497370407c8a65c497b34828b3035a0d9b682462bc6",
 }
 
 

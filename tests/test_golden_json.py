@@ -38,15 +38,15 @@ CASES = {
 }
 
 GOLDEN = {
-    "poincare K3 (2,3)": "c1fa3596f027a5da58953edc91acf5d25ade46f0fc3f9eb0c91e208648758f6c",
-    "poincare star5": "26b1656930a02ea00f4ac0d9f7b7de2f037ce6c10359fad7602c8caa739fc8c3",
-    "count K3 (2,3) q=2": "938face97a00e51ff8eb953e10fd99b9aedad63c26146dbfb5f1667f250ffc0b",
-    "count K2 (1,2) q=5": "fe49a7771260abb70f90c23f1fac37d0d86a7764f97d91a1c0f727a5f28e171b",
-    "normal-form star5": "9ad71501cbaa8d4624bbb7dc44b3497bfe751c4a8eb7264344c1185ecbd17061",
-    "normal-form K4 (2,3)": "6d1d4040e54d38b53e2a9b89bedc8ab1c99d6ed2f0cf45add413f910d004a2df",
-    "fixed-points K4 (2,5)": "513f863115439df12821ce58edcffa32d89b011c0971f786afbe474e3b3e63c0",
+    "poincare K3 (2,3)": "de19ef67b6681d5f57eb7836992bd5de797d1afd920b6703ff10c80dee58b2c2",
+    "poincare star5": "7ddfe638198029300f069c84a084e33567a8aa627b3fc5dcb848584067cc873c",
+    "count K3 (2,3) q=2": "a2d0f3b2b82e62cb94d58be5ce5ff9fe3a63fbce0a2eb283260702c18f3df039",
+    "count K2 (1,2) q=5": "43d0dba33f2cee26035e7e78ad062c5ed9df62ac029001c1e6adcf6978e69a0d",
+    "normal-form star5": "02158904d9740998af80d2f6170c796e880780f5fc159d1bc9c10e30fda28286",
+    "normal-form K4 (2,3)": "9267c340fda71a6e443ddfc27b85b0fabfea18ce7f3c59b2ab250c68ef26f357",
+    "fixed-points K4 (2,5)": "1a5b7a06f2f67cfaa7cfac6eff56cb1e41bd39e6bb3d15a0bf5d70424bb8a56b",
     "fixed-points non-ASCII names":
-        "1270df15ca809ffb7e6fa8d68598a860d6ada38553e21ddf3a422b8686f1915e",
+        "69e3b9b22e429d3a41446fd0326a6cfe8fae8439c787224948e6ba9a40d8f7a5",
 }
 
 
