@@ -53,16 +53,6 @@ class PoincarePolynomial:
     def as_dict(self) -> dict:
         return dict(self.coefficients)
 
-    def shift(self, cell_dim: int) -> "PoincarePolynomial":
-        """Multiply by t^(2 * cell_dim)."""
-        return PoincarePolynomial(tuple((d + 2 * cell_dim, c) for d, c in self.coefficients))
-
-    def __add__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        out = self.as_dict()
-        for d, c in other.coefficients:
-            out[d] = out.get(d, 0) + c
-        return PoincarePolynomial.from_dict(out)
-
     def evaluate(self, t: int) -> int:
         return sum(c * t**d for d, c in self.coefficients)
 
@@ -149,10 +139,12 @@ def assemble_poincare(components) -> PoincarePolynomial:
 
     `components` is an iterable of (FixedComponent, PoincarePolynomial).
     """
-    total = PoincarePolynomial(())
+    total: dict = {}
     for comp, poly in components:
-        total = total + poly.shift(comp.att_plus)
-    return total
+        shift = 2 * comp.att_plus
+        for d, c in poly.coefficients:
+            total[d + shift] = total.get(d + shift, 0) + c
+    return PoincarePolynomial.from_dict(total)
 
 
 def interpolate_from_counts(counts, dim: int) -> PoincarePolynomial:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation error, 3 unsupported input,
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
@@ -46,24 +45,23 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _load_config(args) -> RunConfig:
-    quiver = Quiver.from_dict(json.loads(Path(args.quiver).read_text()))
-    dim = _int_list(args.dim, "--dim")
-    theta = _int_list(args.theta, "--theta")
+def _load_config(args: dict) -> RunConfig:
+    quiver = Quiver.from_dict(json.loads(Path(args["quiver"]).read_text()))
+    dim = _int_list(args["dim"], "--dim")
+    theta = _int_list(args["theta"], "--theta")
     inputs = {"quiver": quiver.to_dict(), "dim": list(dim), "theta": list(theta)}
-    given = vars(args)  # the common flags and the ones this command declares
     w = None
-    if "weights" in given:
-        if args.weights:
-            w = WeightAssignment.from_json(Path(args.weights).read_text())
+    if "weights" in args:
+        if args["weights"]:
+            w = WeightAssignment.from_json(Path(args["weights"]).read_text())
             unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
             if unknown:
                 raise ValidationError(f"weights for arrows the quiver does not have: {unknown}")
         else:
             w = generic_rank1_weights(quiver)
         inputs["weights"] = w.to_dict()
-    inputs.update((key, given[key]) for key in ("filter", "field", "seed") if key in given)
-    return RunConfig(quiver, dim, theta, w, args.format, inputs)
+    inputs.update((key, args[key]) for key in ("filter", "field", "seed") if key in args)
+    return RunConfig(quiver, dim, theta, w, args["format"], inputs)
 
 
 def _require_coprime(cfg: RunConfig):
@@ -370,8 +368,8 @@ def cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kronecker(args) -> int:
-    l, r = args.l, args.r
+def cmd_kronecker(args: dict) -> int:
+    l, r = args["l"], args["r"]
     coeffs: dict = {}
     rows = [{"label": lab.display(), "kind": 1, "att_plus": plus, "att_minus": minus}
             if minus is not None else
@@ -380,14 +378,14 @@ def cmd_kronecker(args) -> int:
     poly = betti.PoincarePolynomial.from_dict(coeffs)
     payload = {"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
                "labels": rows}
-    if args.format == "json":
+    if args["format"] == "json":
         print(_json_text(payload))
-    elif args.format == "csv":
+    elif args["format"] == "csv":
         print("label,kind,att_plus,att_minus")
         for row in rows:
             print(f"{row['label']},{row['kind']},{row['att_plus']},{row.get('att_minus', '')}")
         print(f"# P(t) = {poly.text()}")
-    elif args.format == "latex":
+    elif args["format"] == "latex":
         print(poly.latex())
     else:
         for row in rows:
@@ -397,69 +395,93 @@ def cmd_kronecker(args) -> int:
     return 0
 
 
-# the flags a command may declare besides the common ones
-OPTIONAL_FLAGS = {
-    "--weights": {"help": "weight assignment JSON file (default: generic rank-1)"},
-    "--filter": {"choices": ("on", "off"), "default": "on",
-                 "help": "existence filter; off also reports classes without a stable lift"},
-    "--seed": {"type": int, "default": 0, "help": "seed of the random lifts"},
-    "--field": {"type": int, "default": 2, "help": "the prime power q of F_q"},
+# each flag: its type or its choices, its default (None: the flag is required), its help
+FLAGS = {
+    "--quiver": (str, None, "quiver description JSON file"),
+    "--dim": (str, None, "dimension vector, comma separated"),
+    "--theta": (str, None, "stability weights, comma separated"),
+    "--format": (("text", "json", "latex", "csv"), "text", "report format"),
+    "--weights": (str, "", "weight assignment JSON file (default: generic rank-1)"),
+    "--filter": (("on", "off"), "on", "off also reports classes without a stable lift"),
+    "--seed": (int, 0, "seed of the random lifts"),
+    "--field": (int, 2, "the prime power q of F_q"),
+    "--l": (int, None, "the Kronecker quiver has l + 1 arrows"),
+    "--r": (int, None, "the dimension vector is (2, 2r + 1)"),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bbquiver",
-                                     description="Torus-fixed-point data for quiver moduli")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # the flags every handler reads
-    common.add_argument("--quiver", required=True, help="quiver description JSON file")
-    common.add_argument("--dim", required=True, help="dimension vector, comma separated")
-    common.add_argument("--theta", required=True, help="stability weights, comma separated")
-    common.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
-
-    for name, (handler, flags) in HANDLERS.items():
-        p = sub.add_parser(name, aliases=["attractors"] if name == "fixed-points" else [],
-                           parents=[common])
-        for flag in flags:
-            p.add_argument(flag, **OPTIONAL_FLAGS[flag])
-        p.set_defaults(handler=handler)
-
-    kp = sub.add_parser("kronecker")
-    kp.add_argument("--l", type=int, required=True)
-    kp.add_argument("--r", type=int, required=True)
-    kp.add_argument("--format", choices=("text", "json", "latex", "csv"), default="text")
-    return parser
-
-
-# each command with the optional flags its handler reads
+COMMON = ("--quiver", "--dim", "--theta", "--format")
+# each command with its handler and every flag it takes
 HANDLERS = {
-    "fixed-points": (cmd_fixed_points, ("--weights", "--filter")),
-    "poincare": (cmd_poincare, ("--weights",)),
-    "cells": (cmd_cells, ("--weights", "--seed")),
-    "normal-form": (cmd_normal_form, ("--weights", "--seed")),
-    "count": (cmd_count, ("--field",)),
+    "fixed-points": (cmd_fixed_points, COMMON + ("--weights", "--filter")),
+    "poincare": (cmd_poincare, COMMON + ("--weights",)),
+    "cells": (cmd_cells, COMMON + ("--weights", "--seed")),
+    "normal-form": (cmd_normal_form, COMMON + ("--weights", "--seed")),
+    "count": (cmd_count, COMMON + ("--field",)),
+    "kronecker": (cmd_kronecker, ("--l", "--r", "--format")),
 }
+ALIASES = {"attractors": "fixed-points"}
+USAGE = "usage: bbquiver COMMAND (--flag VALUE | --flag=VALUE)..."
 
 
-def _attach_negative_vectors(argv: list[str]) -> list[str]:
-    """`--theta -1,0` as `--theta=-1,0`: argparse takes "-1,0" for an option."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in ("--dim", "--theta") and token[:1] == "-" and token[1:2].isdecimal():
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+def _usage(name: str) -> str:
+    words = []
+    for flag in HANDLERS[ALIASES.get(name, name)][1]:
+        kind, default, _ = FLAGS[flag]
+        metavar = "{" + ",".join(kind) + "}" if type(kind) is tuple else flag[2:].upper()
+        words.append(f"{flag} {metavar}" if default is None else f"[{flag} {metavar}]")
+    return f"usage: bbquiver {name} {' '.join(words)}"
+
+
+def _usage_error(name: str | None, message: str):
+    usage, prog = (_usage(name), f"bbquiver {name}") if name else (USAGE, "bbquiver")
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list) -> tuple[str, dict]:
+    """The command of `bbquiver COMMAND (--flag VALUE | --flag=VALUE)...` and
+    the value of each flag it takes, keyed without `--`.  A value is always the
+    next token (`--theta -1,0`), a repeated flag keeps its last value, and
+    flags are never abbreviated."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        print(f"{USAGE}\ncommands: {', '.join(HANDLERS)}, attractors (= fixed-points)")
+        raise SystemExit(0)
+    if name not in HANDLERS and name not in ALIASES:
+        _usage_error(None, f"unknown command {name!r}" if name else "a command is required")
+    flags = HANDLERS[ALIASES.get(name, name)][1]
+    args, extras = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage(name) + "".join(f"\n  {f:<10} {FLAGS[f][2]}" for f in flags))
+            raise SystemExit(0)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            extras.append(token)
+            continue
+        if not eq and (value := next(tokens, None)) is None:
+            _usage_error(name, f"argument {flag}: expected one argument")
+        kind = FLAGS[flag][0]
+        if type(kind) is tuple and value not in kind:
+            _usage_error(name, f"argument {flag}: invalid choice: {value!r} (choose from "
+                         f"{', '.join(kind)})")
+        try:
+            args[flag[2:]] = int(value) if kind is int else value
+        except ValueError:
+            _usage_error(name, f"argument {flag}: invalid int value: {value!r}")
+    if extras:
+        _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
+    missing = [f for f in flags if FLAGS[f][1] is None and f[2:] not in args]
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    return ALIASES.get(name, name), {f[2:]: FLAGS[f][1] for f in flags} | args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
+    handler = HANDLERS[command][0]
     try:
-        if args.command == "kronecker":
-            code = cmd_kronecker(args)
-        else:
-            code = args.handler(_load_config(args))
+        code = handler(args if command == "kronecker" else _load_config(args))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -124,9 +124,11 @@ class WeightAssignment:
 def generic_rank1_weights(quiver: Quiver) -> WeightAssignment:
     """Rank-1 weights w_{a_k} = B^(N-k) realizing w_1 >> ... >> w_N > 0.
 
-    B = 5 + 4 * (max arrow multiplicity) separates every integer combination
-    of weights with coefficients in [-4, 4], which covers all character
-    differences produced by the weight-space formulas on these quivers.
+    B = 5 + 4 * (max arrow multiplicity) separates integer combinations of
+    weights with coefficients in [-4, 4], which is never checked against the
+    enumerated supports.  A base that fails to separate still gives a correct
+    answer for its C* action (Bialynicki-Birula holds for any C* action), but
+    a larger fixed locus than the full torus's.
     """
     base = 5 + 4 * quiver.max_multiplicity()
     n = len(quiver.arrows)

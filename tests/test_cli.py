@@ -426,3 +426,86 @@ def test_closed_stdout_is_not_an_error(tmp_path):
     proc.stdout.close()  # the report is far larger than a pipe buffer
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
+
+
+def _usage_error(capsys, argv):
+    """Run argv, which must be a usage error, and return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_usage_error_shows_the_command_usage(capsys, k3_file):
+    err = _usage_error(capsys, ["poincare", *base_args(k3_file, "--seed", "3")])
+    assert err.startswith("usage: bbquiver poincare ")
+    assert "bbquiver poincare: error: unrecognized arguments: --seed 3" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poincare", "--dim", "2,3", "--theta", "1,0"],
+     "the following arguments are required: --quiver"),
+    (["kronecker", "--l", "2"], "the following arguments are required: --r"),
+    (["poincare", "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["cells", "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+    (["count", "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--field=2.5"],
+     "argument --field: invalid int value: '2.5'"),
+    (["kronecker", "--r", "1", "--l"], "argument --l: expected one argument"),
+    (["count", "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--form", "json"],
+     "unrecognized arguments: --form json"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    err = _usage_error(capsys, argv)
+    assert err.startswith(f"usage: bbquiver {argv[0]} ")
+    assert f"bbquiver {argv[0]}: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv,message", [([], "a command is required"),
+                                          (["bogus"], "unknown command 'bogus'")])
+def test_unknown_or_missing_command_exits_2(capsys, argv, message):
+    err = _usage_error(capsys, argv)
+    assert err.startswith("usage: bbquiver COMMAND ") and f"bbquiver: error: {message}" in err
+
+
+def test_top_level_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("fixed-points", "poincare", "cells", "normal-form", "count", "kronecker"):
+        assert command in out
+
+
+def test_joined_and_separate_values_agree(capsys, k3_file):
+    assert main(["cells", *base_args(k3_file, "--seed", "3")]) == 0
+    separate = capsys.readouterr().out
+    assert main(["cells", f"--quiver={k3_file}", "--dim=2,3", "--theta=1,0", "--seed=3"]) == 0
+    assert capsys.readouterr().out == separate
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys, k3_file):
+    last = _config_hash(capsys, ["count", *base_args(k3_file, "--field", "3")])
+    assert last == _config_hash(capsys, ["count", *base_args(k3_file, "--field", "2",
+                                                             "--field", "3")])
+    assert last != _config_hash(capsys, ["count", *base_args(k3_file, "--field", "2")])
+
+
+def test_a_query_imports_no_argument_parser(k3_file):
+    """The CLI reads argv itself: argparse and the gettext it pulls in cost
+    a fresh interpreter several milliseconds per query."""
+    script = ("import sys, bbquiver.cli as cli; "
+              f"code = cli.main(['count', '--quiver', {k3_file!r}, '--dim', '2,3', "
+              "'--theta', '1,0']); "
+              "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    src = str(Path(bq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "|M(F_2)| = 183" and lines[-1] == "0 []"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -51,12 +52,11 @@ def ref_d1_attractor(label, sign):
 
 
 def ref_poincare(l, r):
-    total = bq.PoincarePolynomial(())
-    for lab in bq.enumerate_type1(l, r):
-        total = total + bq.PoincarePolynomial(((2 * ref_d1_attractor(lab, "plus"), 1),))
+    total = Counter(2 * ref_d1_attractor(lab, "plus") for lab in bq.enumerate_type1(l, r))
     for lab in bq.enumerate_type2(l, r):
-        total = total + bq.kirwan_subspace_poincare(lab.x).shift(bq.d2_attractor(lab))
-    return total
+        shift = 2 * bq.d2_attractor(lab)
+        total.update({d + shift: c for d, c in bq.kirwan_subspace_poincare(lab.x).coefficients})
+    return bq.PoincarePolynomial.from_dict(total)
 
 
 class TestEnumeration:
