@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Quiver
-from .covering import WeightAssignment, support_quiver
+from .covering import WeightAssignment, shape_key, support_quiver
 from .errors import InconsistencyError, ValidationError
 from .fixedpoints import FixedComponent
 from .hn import stable_counts
@@ -108,17 +108,23 @@ def kirwan_subspace_poincare(x: int) -> PoincarePolynomial:
 
 
 def component_poincare(quiver: Quiver, w: WeightAssignment, theta,
-                       component: FixedComponent) -> PoincarePolynomial:
+                       component: FixedComponent, memo: dict | None = None) -> PoincarePolynomial:
     """Poincare polynomial of one fixed-point component.
 
     An isolated component is a point.  Any other component is the moduli
     space of its support quiver under the lifted stability theta-hat, read
-    off its HN counts by `stable_poincare`.
+    off its HN counts by `stable_poincare`, once per `shape_key` of that
+    quiver when the caller passes one `memo` dict for its components.
     """
     if component.isolated and component.dim_component == 0:
         return PoincarePolynomial.one()
     sq = support_quiver(quiver, w, component.beta)
-    return stable_poincare(sq.quiver, sq.dims, sq.lift_stability(theta), component.dim_component)
+    theta_hat, idx = sq.lift_stability(theta), sq.quiver.vertex_index
+    key = shape_key(sq.dims, theta_hat, [(idx(a.source), idx(a.target)) for a in sq.quiver.arrows])
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = stable_poincare(sq.quiver, sq.dims, theta_hat, component.dim_component)
+    return memo[key]
 
 
 def stable_poincare(quiver: Quiver, d, theta, dim: int) -> PoincarePolynomial:

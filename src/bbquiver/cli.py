@@ -88,6 +88,10 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+class _Layout(str):
+    """JSON text already laid out at its place in a report; written as it is."""
+
+
 def _write_json(obj, head: str, tail: str, indent: str, out: list) -> None:
     """Append `head + obj + tail` to `out` in the layout of `_json_text`.
 
@@ -96,6 +100,8 @@ def _write_json(obj, head: str, tail: str, indent: str, out: list) -> None:
     """
     if type(obj) is str:
         out.append(head + _quote(obj) + tail)
+    elif type(obj) is _Layout:
+        out.append(head + obj + tail)
     elif type(obj) is int:
         out.append(head + int.__repr__(obj) + tail)
     elif isinstance(obj, (list, tuple)):
@@ -214,8 +220,9 @@ def cmd_poincare(cfg: RunConfig) -> int:
         # M^st is then not projective, so the BB sum is not its Poincare polynomial
         raise UnsupportedError("poincare needs an acyclic quiver")
     comps = _components(cfg)
+    memo: dict = {}  # shape_key -> polynomial, for this query's components
     poly = betti.assemble_poincare(
-        (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c)) for c in comps)
+        (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c, memo)) for c in comps)
     from .core import euler_form
 
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
@@ -368,30 +375,35 @@ def cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
+# a `kronecker` label row as `_json_text` lays it out, at its depth in the report
+_KIND1_JSON = ('\n    {{\n      "att_minus": {2},\n      "att_plus": {1},\n      "kind": 1,'
+               '\n      "label": {0}\n    }}')
+_KIND2_JSON = ('\n    {{\n      "att_plus": {1},\n      "kind": 2,\n      "label": {0},'
+               '\n      "x": {3}\n    }}')
+
+
 def cmd_kronecker(args: dict) -> int:
-    l, r = args["l"], args["r"]
+    l, r, fmt = args["l"], args["r"], args["format"]
     coeffs: dict = {}
-    rows = [{"label": lab.display(), "kind": 1, "att_plus": plus, "att_minus": minus}
-            if minus is not None else
-            {"label": lab.display(), "kind": 2, "x": lab.x, "att_plus": plus}
-            for lab, plus, minus in kronecker.attractor_rows(l, r, coeffs)]
+    rows = list(kronecker.attractor_rows(l, r, coeffs))
     poly = betti.PoincarePolynomial.from_dict(coeffs)
-    payload = {"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
-               "labels": rows}
-    if args["format"] == "json":
-        print(_json_text(payload))
-    elif args["format"] == "csv":
-        print("label,kind,att_plus,att_minus")
-        for row in rows:
-            print(f"{row['label']},{row['kind']},{row['att_plus']},{row.get('att_minus', '')}")
-        print(f"# P(t) = {poly.text()}")
-    elif args["format"] == "latex":
+    if fmt == "json":
+        # the rows are many and alike, so each is one template instead of a walk
+        labels = ",".join((_KIND1_JSON if x is None else _KIND2_JSON).format(
+            _quote(text), plus, minus, x) for text, plus, minus, x in rows)
+        print(_json_text({"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
+                          "labels": _Layout(f"[{labels}\n  ]")}))
+    elif fmt == "csv":
+        print("\n".join(["label,kind,att_plus,att_minus"]
+                        + [f"{text},1,{plus},{minus}" if x is None else f"{text},2,{plus},"
+                           for text, plus, minus, x in rows]
+                        + [f"# P(t) = {poly.text()}"]))
+    elif fmt == "latex":
         print(poly.latex())
     else:
-        for row in rows:
-            minus = f"  att-={row['att_minus']}" if "att_minus" in row else ""
-            print(f"  {row['label']}  kind={row['kind']}  att+={row['att_plus']}{minus}")
-        print(f"P(t) = {poly.text()}")
+        print("\n".join([f"  {text}  kind=1  att+={plus}  att-={minus}" if x is None else
+                         f"  {text}  kind=2  att+={plus}" for text, plus, minus, x in rows]
+                        + [f"P(t) = {poly.text()}"]))
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .betti import PoincarePolynomial, kirwan_subspace_poincare
 from .core import Quiver
 from .covering import CoveringDimVector, WeightAssignment, canonicalize
-from .errors import ValidationError
+from .errors import InconsistencyError, ValidationError
 
 
 def kronecker_quiver(num_arrows: int) -> Quiver:
@@ -55,20 +55,6 @@ class Label1:
     m_star: tuple[int, ...]
     n: int
     n_star: tuple[int, ...]
-
-    @classmethod
-    def _unchecked(cls, l: int, r: int, m: int, m_star: tuple, n: int, n_star: tuple) -> "Label1":
-        """A label whose fields the enumerator already guarantees valid;
-        skips `__post_init__`."""
-        lab = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(lab, "l", l)
-        setattr_(lab, "r", r)
-        setattr_(lab, "m", m)
-        setattr_(lab, "m_star", m_star)
-        setattr_(lab, "n", n)
-        setattr_(lab, "n_star", n_star)
-        return lab
 
     def __post_init__(self):
         rng = range(1, self.l + 2)
@@ -135,7 +121,7 @@ def enumerate_type1(l: int, r: int) -> list[Label1]:
     for m, n in itertools.combinations(idx, 2):
         for m_star in itertools.combinations([i for i in idx if i != m], r):
             for n_star in itertools.combinations([i for i in idx if i != n], r):
-                out.append(Label1._unchecked(l, r, m, m_star, n, n_star))
+                out.append(Label1(l, r, m, m_star, n, n_star))
     return out
 
 
@@ -219,7 +205,7 @@ def d1_attractor(label: Label1, sign: str = "plus") -> int:
     plus, minus = _d1_dims(label, sides, _pairs(label.l))
     total = plus if sign == "plus" else minus
     if total < 0:
-        raise ValidationError(f"negative attractor dimension for label {label.display()}")
+        raise InconsistencyError(f"negative attractor dimension for label {label.display()}")
     return total
 
 
@@ -271,30 +257,57 @@ def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | 
     return canonicalize(CoveringDimVector.from_dict(1, support))
 
 
-def attractor_rows(l: int, r: int, betti: dict):
-    """One pass over the labels of (l, r), each enumerated once.
+def _count_row(with_b: list, us: tuple, with_a: list, scale: int) -> list:
+    """Entry v is `_sum_comparisons(with_b, us, with_a, (v,))` packed as plus * scale + minus."""
+    return [sum(scale if with_b[u] < right else with_b[u] > right for u in us)
+            for right in with_a]
 
-    Yields (label, att_plus, att_minus) for every type-1 label, then
-    (label, att_plus, None) for every type-2 label, in enumeration order,
-    and adds each label's Betti numbers into `betti` ({degree: count}) on
-    the way: t^(2 att_plus) for a type-1 label, the subspace-star
+
+def attractor_rows(l: int, r: int, betti: dict):
+    """One pass over the labels of (l, r), in enumeration order.
+
+    Yields (text, att_plus, att_minus, None) for every type-1 label, then
+    (text, att_plus, None, x) for every type-2 label, text being the label's
+    `display()`, and adds each label's Betti numbers into `betti`
+    ({degree: count}): t^(2 att_plus) for a type-1 label, the subspace-star
     polynomial shifted by att_plus for a type-2 label.
+
+    No type-1 label is built: per pair (m, n), a row per star of either side
+    holds the cross-family counts of `_d1_dims` at each index v, so a label
+    costs 2r reads.  Each is checked for att_+, att_- >= 0 summing to dim M.
     """
     _check_lr(l, r)
-    pairs = _pairs(l)
-    sides = {(k, star): _side(l, k, star) for k in range(1, l + 2)
-             for star in itertools.combinations([i for i in range(1, l + 2) if i != k], r)}
-    for lab in enumerate_type1(l, r):
-        plus, minus = _d1_dims(lab, sides, pairs)
-        if plus < 0 or minus < 0:
-            raise ValidationError(f"negative attractor dimension for label {lab.display()}")
-        betti[2 * plus] = betti.get(2 * plus, 0) + 1
-        yield lab, plus, minus
+    idx = range(1, l + 2)
+    pairs, scale = _pairs(l), (l + 1) ** 2  # scale exceeds 2r(l - r), every summed count
+    dim = (2 * (l - r) + 1) * (2 * r + 1) - 3
+    hist = [0] * (dim + 1)
+    m_text, n_text = (("{0}{1}", "{1}{0}") if (l, r) == (2, 1)  # the paper's four digits
+                      else ("m={1};m*=({0});", "n={1};n*=({0})"))
+    sides = {k: [(star, *_side(l, k, star), ",".join(map(str, star)))
+                 for star in itertools.combinations([i for i in idx if i != k], r)] for k in idx}
+    for m, n in itertools.combinations(idx, 2):
+        with_m, with_n = pairs[m], pairs[n]
+        n_rows = [(ns, pn - 1, qn - 1, n_text.format(digits, n),
+                   _count_row(with_m, nc, with_n, scale).__getitem__)
+                  for ns, nc, pn, qn, digits in sides[n]]
+        for ms, mc, pm, qm, digits in sides[m]:
+            left, in_row6 = m_text.format(digits, m), _count_row(with_n, mc, with_m, scale).__getitem__
+            for ns, pn, qn, right, in_row8 in n_rows:
+                plus, minus = divmod(sum(map(in_row6, ns)) + sum(map(in_row8, ms)), scale)
+                plus, minus = plus + pm + pn, minus + qm + qn
+                if plus + minus != dim or not 0 <= plus <= dim:
+                    raise InconsistencyError(f"label {left + right} needs att+, att- >= 0 summing "
+                                             f"to dim M = {dim}: att+ = {plus}, att- = {minus}")
+                hist[plus] += 1
+                yield left + right, plus, minus, None
+    for plus, count in enumerate(hist):
+        if count:
+            betti[2 * plus] = betti.get(2 * plus, 0) + count
     for lab in enumerate_type2(l, r):
-        dim = d2_attractor(lab)
+        att = d2_attractor(lab)
         for deg, c in kirwan_subspace_poincare(lab.x).coefficients:
-            betti[deg + 2 * dim] = betti.get(deg + 2 * dim, 0) + c
-        yield lab, dim, None
+            betti[deg + 2 * att] = betti.get(deg + 2 * att, 0) + c
+        yield lab.display(), att, None, lab.x
 
 
 def kronecker_poincare(l: int, r: int) -> PoincarePolynomial:

@@ -387,6 +387,23 @@ def test_dropped_components_fail_the_hn_check(capsys, monkeypatch, k3_file):
     assert "t^2 + 3t^4 + 3t^6 + 3t^8 + t^10" in err["message"] and "HN" in err["message"]
 
 
+def test_poincare_counts_each_component_shape_once(capsys, monkeypatch, tmp_path):
+    """K6 (2,5) has six 2-dimensional components, each on a five-leaf star
+    support: one HN count serves all six, beside the whole-space count."""
+    from bbquiver import betti
+
+    real, dims = betti.stable_poincare, []
+    monkeypatch.setattr(betti, "stable_poincare",
+                        lambda quiver, d, theta, dim: dims.append(dim) or real(quiver, d, theta, dim))
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(6).to_dict()))
+    assert main(["poincare", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0",
+                 "--format", "json"]) == 0
+    closed = {str(d): c for d, c in bq.kronecker_poincare(5, 2).coefficients}
+    assert json.loads(capsys.readouterr().out)["poincare"] == closed
+    assert dims == [2, 32]
+
+
 def test_balance_failure_exits_4(capsys, monkeypatch, k3_file):
     _bump_att_plus(monkeypatch)
     err = _exit_4(capsys, ["fixed-points", *base_args(k3_file)])

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbquiver.cli import _json_text
+from bbquiver import kronecker
+from bbquiver.cli import _json_text, main
 
 
 def stdlib(obj) -> str:
@@ -95,3 +96,18 @@ def test_refuses_what_the_stdlib_refuses(obj):
     with pytest.raises(TypeError) as caught:
         _json_text(obj)
     assert str(caught.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("l,r", [(1, 0), (2, 1), (3, 3), (4, 2)])
+def test_kronecker_rows_are_laid_out_as_the_stdlib_does(capsys, l, r):
+    """`kronecker --format json` writes each label row from a template; the
+    stdlib, given the rows as objects, writes the same text."""
+    rows = [{"label": lab.display(), "kind": 1, "att_plus": kronecker.d1_attractor(lab, "plus"),
+             "att_minus": kronecker.d1_attractor(lab, "minus")}
+            for lab in kronecker.enumerate_type1(l, r)]
+    rows += [{"label": lab.display(), "kind": 2, "x": lab.x, "att_plus": kronecker.d2_attractor(lab)}
+             for lab in kronecker.enumerate_type2(l, r)]
+    poly = kronecker.kronecker_poincare(l, r)
+    assert main(["kronecker", "--l", str(l), "--r", str(r), "--format", "json"]) == 0
+    assert capsys.readouterr().out == stdlib({"l": l, "r": r, "poincare": poly.as_dict(),
+                                             "text": poly.text(), "labels": rows}) + "\n"

@@ -1,11 +1,13 @@
+import json
 import math
 from collections import Counter
 
 import pytest
 
 import bbquiver as bq
-from bbquiver import kronecker
-from bbquiver.errors import ValidationError
+from bbquiver import betti, kronecker
+from bbquiver.cli import main
+from bbquiver.errors import InconsistencyError, ValidationError
 from chart_oracle import sample_point
 from lagrange_oracle import coefficient
 from kronecker_oracle import (
@@ -57,6 +59,17 @@ def ref_poincare(l, r):
         shift = 2 * bq.d2_attractor(lab)
         total.update({d + shift: c for d, c in bq.kirwan_subspace_poincare(lab.x).coefficients})
     return bq.PoincarePolynomial.from_dict(total)
+
+
+def _shifted_side(plus: int, minus: int):
+    """`kronecker._side` with its plus and minus counts shifted: a fault that
+    every type-1 attractor of the sweep reads."""
+    side = kronecker._side
+
+    def shifted(l, k, star):
+        comp, p, q = side(l, k, star)
+        return comp, p + plus, q + minus
+    return shifted
 
 
 class TestEnumeration:
@@ -125,14 +138,15 @@ class TestClosedForms:
     def test_one_pass_matches_the_per_label_reference(self, l, r):
         labels1, labels2 = bq.enumerate_type1(l, r), bq.enumerate_type2(l, r)
         rows = list(kronecker.attractor_rows(l, r, {}))
-        assert [lab for lab, _, _ in rows] == labels1 + labels2
-        for lab, plus, minus in rows[:len(labels1)]:
-            assert (plus, minus) == (ref_d1_attractor(lab, "plus"),
-                                     ref_d1_attractor(lab, "minus")), lab.display()
+        assert len(rows) == len(labels1) + len(labels2)
+        for lab, (text, plus, minus, x) in zip(labels1, rows):
+            assert text == lab.display()
+            assert (plus, minus, x) == (ref_d1_attractor(lab, "plus"),
+                                        ref_d1_attractor(lab, "minus"), None), text
             assert bq.d1_attractor(lab, "plus") == plus
             assert bq.d1_attractor(lab, "minus") == minus
-        for lab, plus, minus in rows[len(labels1):]:
-            assert (plus, minus) == (bq.d2_attractor(lab), None)
+        for lab, row in zip(labels2, rows[len(labels1):]):
+            assert row == (lab.display(), bq.d2_attractor(lab), None, lab.x)
 
     def test_enumerated_labels_equal_validated_ones(self):
         for lab in bq.enumerate_type1(3, 1):
@@ -154,13 +168,25 @@ class TestClosedForms:
         assert kronecker._sum_comparisons(pairs[3], (2,), pairs[1], (4,)) == (0, 1)
 
     def test_negative_dimension_raises(self, monkeypatch):
-        lab = normal_form_label(2, 1)
-        monkeypatch.setattr(kronecker, "_d1_dims", lambda label, sides, pairs: (-1, 7))
-        with pytest.raises(ValidationError, match="negative attractor dimension"):
+        lab = normal_form_label(2, 1)  # att_+ = 6, att_- = 0
+        monkeypatch.setattr(kronecker, "_side", _shifted_side(-9, 9))
+        with pytest.raises(InconsistencyError, match="negative attractor dimension"):
             bq.d1_attractor(lab, "plus")
-        assert bq.d1_attractor(lab, "minus") == 7
-        with pytest.raises(ValidationError, match="negative attractor dimension"):
+        assert bq.d1_attractor(lab, "minus") == 18
+        with pytest.raises(InconsistencyError, match=r"att\+ = -"):
             bq.kronecker_poincare(2, 1)
+
+    def test_imbalance_raises(self, monkeypatch):
+        monkeypatch.setattr(kronecker, "_side", _shifted_side(0, 1))
+        with pytest.raises(InconsistencyError, match="summing to dim M = 6"):
+            bq.kronecker_poincare(2, 1)
+
+    @pytest.mark.parametrize("shift", [(-9, 9), (0, 1)], ids=["negative", "imbalance"])
+    def test_failed_invariant_exits_4(self, monkeypatch, capsys, shift):
+        monkeypatch.setattr(kronecker, "_side", _shifted_side(*shift))
+        assert main(["kronecker", "--l", "3", "--r", "1", "--format", "json"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "inconsistency"
 
     def test_sign_is_validated(self):
         with pytest.raises(ValidationError):
@@ -214,6 +240,26 @@ class TestPoincare:
         p = bq.kronecker_poincare(8, r)
         assert p.is_palindromic(dim)
         assert coefficient(p, 0) == 1 and coefficient(p, 2 * dim) == 1
+
+
+class TestClosedFormVsHN:
+    """The closed form against the whole-space HN count, at d = (2, 2r+1)."""
+
+    @staticmethod
+    def _check(l, r):
+        dim = (2 * (l - r) + 1) * (2 * r + 1) - 3
+        hn = betti.stable_poincare(bq.kronecker_quiver(l + 1), (2, 2 * r + 1), (1, 0), dim)
+        assert bq.kronecker_poincare(l, r) == hn
+
+    @pytest.mark.parametrize("l,r", [(l, r) for l in range(1, 8) for r in range(0, l + 1)])
+    def test_up_to_l7(self, l, r):
+        self._check(l, r)
+
+    # the l = 8 row takes about 2 s
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r", range(0, 9))
+    def test_at_l8(self, r):
+        self._check(8, r)
 
 
 class TestClosedFormVsPipeline:
