@@ -130,16 +130,28 @@ def _write_json(obj, head: str, tail: str, indent: str, out: list) -> None:
         out.append(head + json.dumps(obj) + tail)
 
 
-def _json_text(obj) -> str:
-    """The stdlib JSON text of `obj` with sorted keys and an indent of 2, byte for byte.
+def _json_text(obj, indent: str = "\n") -> str:
+    """The stdlib JSON text of `obj` with sorted keys and an indent of 2, byte for byte,
+    at the depth where a line breaks to `indent`.
 
     json's C encoder ignores `indent`, so the stdlib takes its pure-Python
     generator chain, which passes every chunk through one frame per nesting
     level; this writer appends to one list instead.
     """
     out: list = []
-    _write_json(obj, "", "", "\n", out)
+    _write_json(obj, "", "", indent, out)
     return "".join(out)
+
+
+def _beta_json(beta, memo: dict) -> _Layout:
+    """`beta` laid out at its depth in a `fixed-points`, `cells` or `normal-form` row;
+    each distinct covering entry is laid out once per report and kept in `memo`."""
+    for entry in beta.entries:
+        if entry not in memo:
+            (v, chi), m = entry
+            memo[entry] = _json_text({"vertex": v, "char": list(chi), "dim": m}, "\n        ")
+    texts = ",\n        ".join([memo[entry] for entry in beta.entries])
+    return _Layout(f"[\n        {texts}\n      ]")
 
 
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
@@ -161,8 +173,7 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
         cfg.quiver, cfg.weights, cfg.dim, cfg.theta, use_existence_filter=use_filter
     )
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
-    rows = []
-    comps = []
+    rows, comps, memo = [], [], {}  # memo: covering entry -> its JSON text, for this report
     for beta in classes:
         try:
             comps.append(fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta))
@@ -172,11 +183,14 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
             # without the existence filter, candidate classes with no stable
             # lift are expected; report them instead of failing
             comps.append(None)
-            rows.append({"beta": beta.to_jsonable(), "invalid": str(exc)})
+            if cfg.fmt == "json":
+                rows.append({"beta": _beta_json(beta, memo), "invalid": str(exc)})
             continue
         c = comps[-1]
+        if cfg.fmt != "json":  # only the JSON report prints rows and reads the weights
+            continue
         rows.append({
-            "beta": c.beta.to_jsonable(),
+            "beta": _beta_json(c.beta, memo),
             "dim_component": c.dim_component,
             "att_plus": c.att_plus,
             "att_minus": c.att_minus,
@@ -261,8 +275,7 @@ def _cell_table(cfg: RunConfig, beta):
 def cmd_cells(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     comps = _components(cfg)
-    out = []
-    lines = []
+    out, lines, memo = [], [], {}  # memo: covering entry -> its JSON text, for this report
     for c in comps:
         chart, table = _cell_table(cfg, c.beta)
         if chart.total_dim != c.att_plus:
@@ -270,7 +283,7 @@ def cmd_cells(cfg: RunConfig) -> int:
                 f"cell chart at [{_beta_label(c.beta)}] has dimension {chart.total_dim}, "
                 f"attractor has {c.att_plus}"
             )
-        out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
+        out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
         if cfg.fmt != "json":
             lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
             lines.append(table.latex() if cfg.fmt == "latex" else table.text())
@@ -284,10 +297,10 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     comps = _components(cfg)
     hits = [c for c in comps if fixedpoints.generic_normal_form_test(c)]
     lines = [f"{len(hits)} generic-normal-form class(es)"]
-    out = []
+    out, memo = [], {}  # memo: covering entry -> its JSON text, for this report
     for c in hits:
         chart, table = _cell_table(cfg, c.beta)
-        out.append({"beta": c.beta.to_jsonable(), **table.to_jsonable()})
+        out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
         if cfg.fmt != "json":
             lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")
             lines.append(table.text() if cfg.fmt != "latex" else table.latex())

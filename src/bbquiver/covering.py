@@ -180,9 +180,6 @@ class CoveringDimVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_jsonable(self) -> list[dict]:
-        return [{"vertex": v, "char": list(chi), "dim": m} for (v, chi), m in self.entries]
-
 
 def shift(beta: CoveringDimVector, chi) -> CoveringDimVector:
     """s_chi(beta), whose value at (i, xi) is beta at (i, chi + xi)."""

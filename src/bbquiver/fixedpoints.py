@@ -16,10 +16,12 @@ through a one-parameter subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Quiver
 from .covering import (
     Character,
+    CharCodec,
     CoveringDimVector,
     WeightAssignment,
     _as_char,
@@ -49,15 +51,17 @@ def _checked(val: int, chi: Character) -> int:
 
 
 def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector):
-    """(weight table, plus side, minus side, zero-weight dimension) in one pass.
+    """(codes, codec, plus side, minus side, zero-weight dimension) in one pass.
 
     An arrow-linked pair of support entries (s(a), xi), (t(a), eta) adds to
     the character xi + w_a - eta, a same-vertex pair (v, xi), (v, eta)
     subtracts from xi - eta, and delta(chi, 0) adds to 0; outside these
     characters both sums vanish.  Characters are integer codes, checked in
     sorted order (the tuples' order), raising InconsistencyError at the first
-    negative dimension as `weight_dimension` does.  The sides split by the
-    sign of the code: the side of the subgroup `choose_1psg` would pick.
+    negative dimension as `weight_dimension` does.  `codes` maps each nonzero
+    code of positive dimension to that dimension, in code order.  The sides
+    split by the sign of the code: the side of the subgroup `choose_1psg`
+    would pick.
     """
     codec, (rows,) = _entry_codes(w, beta)
     by_vertex: dict = {}
@@ -76,21 +80,21 @@ def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
             for eta, n in entries:
                 chi = xi - eta
                 acc[chi] = acc.get(chi, 0) - m * n
-    table, sides = {}, [0, 0]
+    codes, sides = {}, [0, 0]
     for chi in sorted(acc):
         val = acc[chi]
         if val < 0:
             _checked(val, codec.decode(chi))
         if val and chi:
-            table[codec.decode(chi)] = val
+            codes[chi] = val
             sides[chi < 0] += val
-    return table, sides[0], sides[1], acc[0]
+    return codes, codec, sides[0], sides[1], acc[0]
 
 
 def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
     """All nonzero characters with positive weight-space dimension, with
     multiplicity, from one pass over pairs of support entries (`_weight_spaces`)."""
-    return _weight_spaces(quiver, w, beta)[0]
+    return analyze_component(quiver, w, beta).weight_table
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,17 @@ class FixedComponent:
     """A fixed-point class with its derived tangent data."""
 
     beta: CoveringDimVector
-    weight_table: dict
+    codes: dict  # nonzero character code -> weight-space dimension (`_weight_spaces`)
+    codec: CharCodec
     dim_component: int
     att_plus: int
     att_minus: int
     isolated: bool
+
+    @cached_property
+    def weight_table(self) -> dict:
+        """Nonzero character -> weight-space dimension where positive, decoded on first read."""
+        return {self.codec.decode(c): m for c, m in self.codes.items()}
 
 
 def attractor_dims(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> tuple[int, int, int]:
@@ -143,7 +153,7 @@ def attractor_dims(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     """
     if w.rank != 1:
         raise UnsupportedError("attractor sides need a rank-1 action; compose with choose_1psg first")
-    return _weight_spaces(quiver, w, beta)[1:]
+    return _weight_spaces(quiver, w, beta)[2:]
 
 
 def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
@@ -155,13 +165,15 @@ def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVect
     `choose_1psg` picks from the component's own weights, which puts a
     character on the side of its first nonzero coordinate.
     """
-    table, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
+    codes, codec, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
     if w.rank > 1 and lam is not None:
-        att_plus = sum(v for c, v in table.items() if lam.pair(c) > 0)
-        att_minus = sum(v for c, v in table.items() if lam.pair(c) < 0)
-        if att_plus + att_minus != sum(table.values()):
+        pairs = [(lam.pair(codec.decode(c)), v) for c, v in codes.items()]
+        att_plus = sum(v for p, v in pairs if p > 0)
+        att_minus = sum(v for p, v in pairs if p < 0)
+        if att_plus + att_minus != sum(codes.values()):
             raise InconsistencyError("one-parameter subgroup does not separate the weight set")
-    return FixedComponent(beta, table, dim_component, att_plus, att_minus, dim_component == 0)
+    return FixedComponent(beta, codes, codec, dim_component, att_plus, att_minus,
+                          dim_component == 0)
 
 
 def generic_normal_form_test(c: FixedComponent) -> bool:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbquiver as bq
 from bbquiver import kronecker
 from bbquiver.cli import _json_text, main
 
@@ -111,3 +112,68 @@ def test_kronecker_rows_are_laid_out_as_the_stdlib_does(capsys, l, r):
     assert main(["kronecker", "--l", str(l), "--r", str(r), "--format", "json"]) == 0
     assert capsys.readouterr().out == stdlib({"l": l, "r": r, "poincare": poly.as_dict(),
                                              "text": poly.text(), "labels": rows}) + "\n"
+
+
+def star(leaves):
+    return bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, leaves + 1))),
+                                 [(f"f{k}", "c", f"p{k}") for k in range(1, leaves + 1)])
+
+
+RANK2 = {"rank": 2, "weights": {"a1": [1, 0], "a2": [0, 1], "a3": [1, 1]}}
+STAR5 = ["--dim", "2,1,1,1,1,1", "--theta", "1,0,0,0,0,0"]
+
+
+def run_report(capsys, tmp_path, quiver, argv, weights=None) -> str:
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver.to_dict()))
+    argv = [argv[0], "--quiver", str(path), *argv[1:], "--format", "json"]
+    if weights is not None:
+        wpath = tmp_path / "weights.json"
+        wpath.write_text(json.dumps(weights))
+        argv += ["--weights", str(wpath)]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def redump(out: str) -> str:
+    return stdlib(json.loads(out)) + "\n"
+
+
+# reports whose rows share covering entries, and one with no rows
+REPEATING = {
+    "fixed-points K4 (2,5) filter off": (bq.kronecker_quiver(4), ["fixed-points", "--dim", "2,5",
+                                         "--theta", "1,0", "--filter", "off"], None),
+    "fixed-points K3 (2,3) rank 2": (bq.kronecker_quiver(3),
+                                     ["fixed-points", "--dim", "2,3", "--theta", "1,0"], RANK2),
+    "cells K4 (2,3)": (bq.kronecker_quiver(4), ["cells", "--dim", "2,3", "--theta", "1,0"], None),
+    "normal-form K4 (2,3)": (bq.kronecker_quiver(4),
+                             ["normal-form", "--dim", "2,3", "--theta", "1,0"], None),
+    "normal-form star5 (no rows)": (star(5), ["normal-form", *STAR5], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATING))
+def test_repeated_covering_entries_are_laid_out_as_the_stdlib_does(capsys, tmp_path, case):
+    """Covering entries repeat across the rows of a report, and each distinct
+    one is laid out once per report; the stdlib, given the parsed report,
+    writes the same text."""
+    out = run_report(capsys, tmp_path, *REPEATING[case])
+    assert out == redump(out)
+    doc = json.loads(out)
+    rows = doc.get("components") or doc.get("cells") or doc["normal_forms"]
+    entries = [json.dumps(e, sort_keys=True) for row in rows for e in row["beta"]]
+    assert len(set(entries)) < len(entries) or len(rows) <= 1
+
+
+def test_a_second_report_lays_out_its_own_entries(capsys, tmp_path):
+    """Two reports in one process, on one quiver under two sets of vertex
+    names: the second report's entries name its own vertices."""
+    argv = ["fixed-points", "--dim", "2,3", "--theta", "1,0"]
+    first = run_report(capsys, tmp_path, bq.kronecker_quiver(3), argv)
+    renamed = bq.Quiver.from_arrows(("u", "v"), [(f"a{k}", "u", "v") for k in (1, 2, 3)])
+    second = run_report(capsys, tmp_path, renamed, argv)
+    assert first == redump(first) and second == redump(second)
+    vertices = {e["vertex"] for row in json.loads(second)["components"] for e in row["beta"]}
+    assert vertices == {"u", "v"}
+    assert second.replace('"u"', '"i"').replace('"v"', '"j"').replace(
+        json.loads(second)["config_hash"], json.loads(first)["config_hash"]) == first
