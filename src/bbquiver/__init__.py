@@ -38,7 +38,6 @@ from .fixedpoints import (
     FixedComponent,
     OneParamSubgroup,
     analyze_component,
-    attractor_dims,
     choose_1psg,
     generic_normal_form_test,
     weight_dimension,

@@ -71,8 +71,8 @@ def _require_coprime(cfg: RunConfig):
         )
 
 
-def _components(cfg: RunConfig):
-    classes = covering.enumerate_compatible(cfg.quiver, cfg.weights, cfg.dim, cfg.theta)
+def _components(cfg: RunConfig, rejected: list | None = None):
+    classes = covering.enumerate_compatible(cfg.quiver, cfg.weights, cfg.dim, cfg.theta, rejected)
     return [fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta) for beta in classes]
 
 
@@ -168,62 +168,45 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
     _require_coprime(cfg)
     from .core import euler_form
 
-    use_filter = cfg.inputs["filter"] == "on"
-    classes = covering.enumerate_compatible(
-        cfg.quiver, cfg.weights, cfg.dim, cfg.theta, use_existence_filter=use_filter
-    )
+    rejected = [] if cfg.inputs["filter"] == "off" else None
+    comps = _components(cfg, rejected)
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
-    rows, comps, memo = [], [], {}  # memo: covering entry -> its JSON text, for this report
-    for beta in classes:
-        try:
-            comps.append(fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta))
-        except InconsistencyError as exc:
-            if use_filter:
-                raise
-            # without the existence filter, candidate classes with no stable
-            # lift are expected; report them instead of failing
-            comps.append(None)
-            if cfg.fmt == "json":
-                rows.append({"beta": _beta_json(beta, memo), "invalid": str(exc)})
-            continue
-        c = comps[-1]
-        if cfg.fmt != "json":  # only the JSON report prints rows and reads the weights
-            continue
-        rows.append({
+    for c in comps:
+        if c.att_plus + c.att_minus + c.dim_component != total:
+            raise InconsistencyError(
+                f"balance fails at [{_beta_label(c.beta)}]: att+ + att- + dim = "
+                f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
+            )
+    # one row per class, in the format that prints it; a rejected class has no stable lift
+    if cfg.fmt == "json":  # only the JSON report reads the weights
+        memo: dict = {}  # covering entry -> its JSON text, for this report
+        row = lambda c: {
             "beta": _beta_json(c.beta, memo),
             "dim_component": c.dim_component,
             "att_plus": c.att_plus,
             "att_minus": c.att_minus,
             "isolated": c.isolated,
             "weights": {str(chi): m for chi, m in sorted(c.weight_table.items())},
-        })
-    for c in comps:
-        if c is not None and c.att_plus + c.att_minus + c.dim_component != total:
-            raise InconsistencyError(
-                f"balance fails at [{_beta_label(c.beta)}]: att+ + att- + dim = "
-                f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
-            )
-    lines = []  # report lines are built only for the formats that print them
+        }
+        rejected_row = lambda beta: {"beta": _beta_json(beta, memo), "invalid": "no stable lift"}
+    elif cfg.fmt == "csv":
+        row = lambda c: (f"\"{_beta_label(c.beta)}\",{c.dim_component},"
+                         f"{c.att_plus},{c.att_minus},{c.isolated}")
+        rejected_row = lambda beta: f"\"{_beta_label(beta)}\",invalid,,,"
+    else:
+        row = lambda c: (f"  [{_beta_label(c.beta)}]  dim={c.dim_component}  "
+                         f"att+={c.att_plus}  att-={c.att_minus}  isolated={c.isolated}")
+        rejected_row = lambda beta: f"  [{_beta_label(beta)}]  no stable lift"
+    rows = [r for _, r in sorted([(c.beta.entries, row(c)) for c in comps]
+                                 + [(beta.entries, rejected_row(beta)) for beta in rejected or ()],
+                                 key=lambda pair: pair[0])]
+    count = len(rows)
+    lines = rows  # `_emit` prints the payload for JSON and the lines otherwise
     if cfg.fmt == "csv":
-        lines = ["beta,dim_component,att_plus,att_minus,isolated"]
-        for beta, c in zip(classes, comps):
-            if c is None:
-                lines.append(f"\"{_beta_label(beta)}\",invalid,,,")
-            else:
-                lines.append(f"\"{_beta_label(c.beta)}\",{c.dim_component},"
-                             f"{c.att_plus},{c.att_minus},{c.isolated}")
+        lines = ["beta,dim_component,att_plus,att_minus,isolated", *rows]
     elif cfg.fmt != "json":
-        lines = [f"{len(classes)} fixed-point classes"]
-        for beta, c in zip(classes, comps):
-            if c is None:
-                lines.append(f"  [{_beta_label(beta)}]  no stable lift")
-            else:
-                lines.append(
-                    f"  [{_beta_label(c.beta)}]  dim={c.dim_component}  "
-                    f"att+={c.att_plus}  att-={c.att_minus}  isolated={c.isolated}"
-                )
-        lines.append("balance invariant: ok")
-    _emit(cfg, {"components": rows, "count": len(classes),
+        lines = [f"{count} fixed-point classes", *rows, "balance invariant: ok"]
+    _emit(cfg, {"components": rows, "count": count,
                 "checks": {"balance": True, "total_tangent_dim": total}}, lines)
     return 0
 
@@ -283,8 +266,9 @@ def cmd_cells(cfg: RunConfig) -> int:
                 f"cell chart at [{_beta_label(c.beta)}] has dimension {chart.total_dim}, "
                 f"attractor has {c.att_plus}"
             )
-        out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
-        if cfg.fmt != "json":
+        if cfg.fmt == "json":
+            out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
+        else:
             lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
             lines.append(table.latex() if cfg.fmt == "latex" else table.text())
     lines.append("chart dimensions match attractors: ok")
@@ -300,8 +284,9 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     out, memo = [], {}  # memo: covering entry -> its JSON text, for this report
     for c in hits:
         chart, table = _cell_table(cfg, c.beta)
-        out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
-        if cfg.fmt != "json":
+        if cfg.fmt == "json":
+            out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
+        else:
             lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")
             lines.append(table.text() if cfg.fmt != "latex" else table.latex())
     _emit(cfg, {"normal_forms": out}, lines)

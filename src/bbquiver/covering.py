@@ -354,20 +354,23 @@ def shape_key(dims, theta, arrows) -> tuple:
 
 
 def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
-                         use_existence_filter: bool = True) -> list[CoveringDimVector]:
-    """All shift classes of covering dimension vectors compatible with d.
+                         rejected: list | None = None) -> list[CoveringDimVector]:
+    """All shift classes of covering dimension vectors compatible with d whose
+    support quiver carries a stable representation.  d must be theta-coprime:
+    the existence test refuses the support quivers of any other d.
 
-    Each emitted vector projects to d and has connected support (a
-    disconnected support carries no stable lift since stable representations
-    are indecomposable).  It is already canonical: supports are grown from
-    character 0 upwards, so their least character is 0.  With the filter on,
-    a fill with 1 - <beta, beta> < 0 is dropped on its integer tuple before a
-    vector is built, and a class is discarded when the stable moduli on its
-    support quiver is empty; `has_stable` is asked once per isomorphism class
-    of labelled support quiver (`shape_key`).  Which fills survive depends
-    only on a support's shape, its base vertices in support-quiver order and
-    the arrows between their positions, so they are found once per shape and
-    turned into vectors for each support of that shape.
+    Each class projects to d and has connected support (a disconnected
+    support carries no stable lift since stable representations are
+    indecomposable).  It is already canonical: supports are grown from
+    character 0 upwards, so their least character is 0.  A fill with
+    1 - <beta, beta> < 0 is dropped on its integer tuple before a vector is
+    built, and a class is dropped when the stable moduli on its support quiver
+    is empty; `has_stable` is asked once per isomorphism class of labelled
+    support quiver (`shape_key`).  When `rejected` is a list, the dropped
+    classes are appended to it, sorted as the result is.  Which fills survive
+    depends only on a support's shape, its base vertices in support-quiver
+    order and the arrows between their positions, so they are found once per
+    shape and turned into vectors for each support of that shape.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -383,36 +386,39 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
                 if len({u for u, _ in sup}) == len(order)}
     arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
                   for v in order}
-    out = []
+    out, dropped = [], []
     verdicts: dict = {}  # shape_key -> has_stable
-    fills: dict = {}     # support shape -> its surviving fills
+    fills: dict = {}     # support shape -> (its surviving fills, its dropped fills)
     for sup in supports:
         cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))  # the support quiver's order
         pos = {cv: k for k, cv in enumerate(cvs)}
         links = tuple((k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
                       for t in [(u, c + wa)] if t in pos)
         bases = tuple(v for v, _ in cvs)
-        kept = fills.get((bases, links))
-        if kept is None:
-            kept = fills[(bases, links)] = []
+        split = fills.get((bases, links))
+        if split is None:
+            split = fills[(bases, links)] = ([], [])
             theta_hat = tuple(theta[vidx(v)] for v in bases)
             parts = [_compositions(d[vidx(v)], bases.count(v)) for v in order]
             for fill in itertools.product(*parts):
                 dims = sum(fill, ())
-                if use_existence_filter:
-                    if sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
-                        continue  # 1 - <beta, beta> < 0
+                # 1 - <beta, beta> >= 0, then a stable point on the support quiver
+                ok = sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) <= 1
+                if ok:
                     key = shape_key(dims, theta_hat, links)
                     if key not in verdicts:  # the support quiver, on vertices 0, 1, ...
                         sub = Quiver.from_arrows(map(str, range(len(dims))), (
                             (str(k), str(i), str(j)) for k, (i, j) in enumerate(links)))
                         verdicts[key] = hn.has_stable(sub, dims, theta_hat)
-                    if not verdicts[key]:
-                        continue
-                kept.append(dims)
-        if kept:
+                    ok = verdicts[key]
+                split[not ok].append(dims)
+        kept, lost = split if rejected is not None else (split[0], ())
+        if kept or lost:
             keys = [(v, codec.decode(c)) for v, c in cvs]
             by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
-            out.extend(CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
-                       for dims in kept)
+            for sink, dims_list in ((out, kept), (dropped, lost)):
+                sink.extend(CoveringDimVector.trusted(
+                    w.rank, tuple((keys[k], dims[k]) for k in by_char)) for dims in dims_list)
+    if rejected is not None:
+        rejected.extend(sorted(dropped, key=lambda b: b.entries))
     return sorted(out, key=lambda b: b.entries)

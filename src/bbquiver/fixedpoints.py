@@ -144,18 +144,6 @@ class FixedComponent:
         return {self.codec.decode(c): m for c, m in self.codes.items()}
 
 
-def attractor_dims(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> tuple[int, int, int]:
-    """(att_plus, att_minus, dim_component) for a rank-one action.
-
-    att_plus sums weight dimensions over positive characters, att_minus over
-    negative ones; the invariant part is the component dimension
-    1 - <beta, beta>.
-    """
-    if w.rank != 1:
-        raise UnsupportedError("attractor sides need a rank-1 action; compose with choose_1psg first")
-    return _weight_spaces(quiver, w, beta)[2:]
-
-
 def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
                       lam: OneParamSubgroup | None = None) -> FixedComponent:
     """Bundle the tangent data of one fixed-point class.

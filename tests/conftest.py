@@ -15,7 +15,7 @@ def w3(k3):
 
 @pytest.fixture(scope="session")
 def k3_classes(k3, w3):
-    return bq.enumerate_compatible(k3, w3, (2, 3), (1, 0), use_existence_filter=True)
+    return bq.enumerate_compatible(k3, w3, (2, 3), (1, 0))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Covering-quiver helpers that only the tests use: the target of one
 covering arrow, the base dimension vector, total and characters of a
 class, connectedness of a class's support in the covering, the zero
-character, the total tangent dimension of a fixed component, and the
+character, the total tangent dimension of a fixed component, every
+candidate class kept or rejected (`candidates`), and the
 fill enumeration one support at a time (`enumerate_per_support`), the
 reference for `enumerate_compatible`, which finds fills once per support
 shape."""
@@ -22,6 +23,7 @@ from bbquiver.covering import (
     _compositions,
     _connected_supports,
     _entry_codes,
+    enumerate_compatible,
     shape_key,
     support_quiver,
 )
@@ -79,6 +81,14 @@ def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -
                 seen.add(nb)
                 todo.append(nb)
     return seen == supp
+
+
+def candidates(quiver: Quiver, w: WeightAssignment, d, theta) -> list[CoveringDimVector]:
+    """Every class `enumerate_compatible` weighs for the theta-coprime d: the
+    ones it keeps and the ones it rejects, in one entries-sorted list."""
+    rejected: list = []
+    kept = enumerate_compatible(quiver, w, d, theta, rejected)
+    return sorted(kept + rejected, key=lambda b: b.entries)
 
 
 def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,

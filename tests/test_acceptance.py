@@ -67,14 +67,14 @@ def test_criterion_2_closed_form_equivalence():
             w = bq.generic_rank1_weights(quiver)
             for lab in bq.enumerate_type1(l, r):
                 beta = bq.label_to_beta(lab, w, quiver)
-                ap, am, _ = bq.attractor_dims(quiver, w, beta)
-                assert ap == bq.d1_attractor(lab, "plus"), (l, r, lab.display())
-                assert am == bq.d1_attractor(lab, "minus"), (l, r, lab.display())
+                c = bq.analyze_component(quiver, w, beta)
+                assert c.att_plus == bq.d1_attractor(lab, "plus"), (l, r, lab.display())
+                assert c.att_minus == bq.d1_attractor(lab, "minus"), (l, r, lab.display())
                 checked += 1
             for lab in bq.enumerate_type2(l, r):
                 beta = bq.label_to_beta(lab, w, quiver)
-                ap, _, _ = bq.attractor_dims(quiver, w, beta)
-                assert ap == bq.d2_attractor(lab), (l, r, lab.display())
+                assert bq.analyze_component(quiver, w, beta).att_plus == bq.d2_attractor(lab), \
+                    (l, r, lab.display())
                 checked += 1
     k3 = bq.kronecker_quiver(3)
     w3 = bq.generic_rank1_weights(k3)

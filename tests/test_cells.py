@@ -157,7 +157,7 @@ class TestGradedPieces:
 
     def test_dimension_count_equals_att_plus(self, k3, w3, k3_classes, k3_lifts):
         for beta, rep in zip(k3_classes, k3_lifts):
-            ap, _, _ = bq.attractor_dims(k3, w3, beta)
+            ap = bq.analyze_component(k3, w3, beta).att_plus
             total = 0
             for k in _degree_candidates(rep):
                 u, rr, _ = graded_pieces(rep, k)
@@ -199,7 +199,7 @@ class TestCellCharts:
 
     def test_charts_match_attractors(self, k3, w3, k3_classes, k3_lifts):
         for beta, rep in zip(k3_classes, k3_lifts):
-            ap, _, _ = bq.attractor_dims(k3, w3, beta)
+            ap = bq.analyze_component(k3, w3, beta).att_plus
             assert bq.choose_complements(rep).total_dim == ap
 
     def test_k4_normal_form_chart(self):

@@ -161,6 +161,37 @@ def test_filter_off_keeps_empty_classes(capsys, k3_file):
     assert payload["count"] > 13
 
 
+@pytest.mark.parametrize("l,d", [(4, "2,3"), (4, "2,5"), (3, "3,4")])
+def test_filter_off_valid_rows_are_the_filter_on_rows(capsys, tmp_path, l, d):
+    """The rows `--filter off` shows as valid are the filter-on report's rows,
+    byte for byte; the rest are the classes the existence filter drops."""
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(l).to_dict()))
+    reports = {}
+    for flag in ("on", "off"):
+        assert main(["fixed-points", "--quiver", str(path), "--dim", d, "--theta", "1,0",
+                     "--filter", flag, "--format", "json"]) == 0
+        reports[flag] = json.loads(capsys.readouterr().out)
+    kept = [row for row in reports["off"]["components"] if "invalid" not in row]
+    assert json.dumps(kept, indent=2) == json.dumps(reports["on"]["components"], indent=2)
+    dropped = [row for row in reports["off"]["components"] if "invalid" in row]
+    assert {row["invalid"] for row in dropped} == {"no stable lift"}
+    assert reports["off"]["count"] == len(kept) + len(dropped) > reports["on"]["count"]
+
+
+def test_filter_off_survivor_without_a_lift_exits_4(capsys, monkeypatch, tmp_path):
+    """A class the existence filter keeps must have nonnegative weight spaces;
+    with the filter fooled into keeping every class, `--filter off` exits 4."""
+    from bbquiver import hn
+
+    monkeypatch.setattr(hn, "has_stable", lambda *args: True)
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(4).to_dict()))
+    err = _exit_4(capsys, ["fixed-points", "--quiver", str(path), "--dim", "2,3", "--theta",
+                           "1,0", "--filter", "off"])
+    assert err["error"] == "inconsistency" and "stable lift" in err["message"]
+
+
 def test_csv_component_report(capsys, k3_file):
     code = main(["attractors", *base_args(k3_file, "--format", "csv")])
     out = capsys.readouterr().out

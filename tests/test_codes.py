@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver.covering import CharCodec, CoveringDimVector, char_sub
-from covering_oracle import char_add, is_connected, zero_character
+from covering_oracle import candidates, char_add, is_connected, zero_character
 
 pytest.importorskip("numpy")  # the Schofield oracle below needs it
 import schofield_oracle
@@ -172,7 +172,7 @@ ENUMERATED = {
 def enumerated(request):
     quiver, w, d, theta = ENUMERATED[request.param]
     w = w or bq.generic_rank1_weights(quiver)
-    return quiver, w, bq.enumerate_compatible(quiver, w, d, theta, use_existence_filter=False)
+    return quiver, w, candidates(quiver, w, d, theta)
 
 
 class TestTrustedOutput:

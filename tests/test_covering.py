@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 import bbquiver as bq
 from bbquiver.covering import CoveringDimVector
-from covering_oracle import char_add, covering_target, is_connected, project, total
+from covering_oracle import candidates, char_add, covering_target, is_connected, project, total
 from bbquiver.errors import ValidationError
 
 from conftest import type1_beta
@@ -134,14 +134,14 @@ class TestEnumerate:
         assert set(k3_classes) == expected
 
     def test_unfiltered_superset(self, k3, w3, k3_classes):
-        raw = bq.enumerate_compatible(k3, w3, (2, 3), (1, 0), use_existence_filter=False)
+        raw = candidates(k3, w3, (2, 3), (1, 0))
         assert set(raw) >= set(k3_classes)
         assert len(raw) > 13
 
     def test_x1_star_rejected(self, k3, w3, k3_classes):
         w1, w2 = w3.of("a1"), w3.of("a2")
         bad = bq.canonicalize(mk_beta(1, {("i", (0,)): 2, ("j", w1): 1, ("j", w2): 2}))
-        raw = bq.enumerate_compatible(k3, w3, (2, 3), (1, 0), use_existence_filter=False)
+        raw = candidates(k3, w3, (2, 3), (1, 0))
         assert bad in set(raw)
         assert bad not in set(k3_classes)
 
@@ -153,7 +153,7 @@ class TestEnumerate:
         from bbquiver.errors import UnsupportedError
 
         with pytest.raises(UnsupportedError):
-            bq.enumerate_compatible(k3, w3, (2, 2), (1, 0), use_existence_filter=True)
+            bq.enumerate_compatible(k3, w3, (2, 2), (1, 0))
 
     def test_emitted_invariants(self, k3, w3, k3_classes):
         for beta in k3_classes:

@@ -3,11 +3,12 @@
 * `weight_support` (one pass over pairs of support entries) against
   `weight_dimension` evaluated over every candidate character.
 * The filtered `enumerate_compatible` (integer-tuple Euler rejection and the
-  isomorphism-keyed `has_stable` cache) against the unfiltered classes kept by
-  `euler_form_covering` and an uncached `has_stable` call per class.
+  isomorphism-keyed `has_stable` cache) against every candidate class, kept
+  or rejected, filtered by `euler_form_covering` and an uncached `has_stable`
+  call per class.
 * `enumerate_compatible`, which finds each support shape's surviving fills
-  once, against the loop that fills every support on its own, with the
-  filter on and off.
+  once, against the loop that fills every support on its own, for the kept
+  classes and for the kept and rejected ones together.
 * `shape_key` against brute-force isomorphism of small labelled trees.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bbquiver as bq
 from bbquiver import hn
 from bbquiver.covering import char_sub, shape_key
-from covering_oracle import char_add, enumerate_per_support, zero_character
+from covering_oracle import candidates, char_add, enumerate_per_support, zero_character
 
 
 def double_chain():
@@ -53,8 +54,13 @@ CASES = {
 
 @functools.lru_cache(maxsize=None)
 def unfiltered(name):
-    quiver, w, d, theta = CASES[name]
-    return bq.enumerate_compatible(quiver, w, d, theta, use_existence_filter=False)
+    return candidates(*CASES[name])
+
+
+def enumerated(quiver, w, d, theta, use_filter):
+    """The kept classes, or with `use_filter` false the kept and rejected ones."""
+    return bq.enumerate_compatible(quiver, w, d, theta) if use_filter else \
+        candidates(quiver, w, d, theta)
 
 
 def outcome(fn, *args):
@@ -161,15 +167,15 @@ class TestShapeCache:
     @given(acyclic_cases(), st.booleans())
     def test_matches_per_support_reference(self, case, use_filter):
         quiver, w, d, theta = case
-        assume(not use_filter or bq.is_coprime(quiver, d, theta))
-        assert bq.enumerate_compatible(quiver, w, d, theta, use_filter) == \
+        assume(bq.is_coprime(quiver, d, theta))
+        assert enumerated(quiver, w, d, theta, use_filter) == \
             enumerate_per_support(quiver, w, d, theta, use_filter)
 
     @pytest.mark.parametrize("name", list(CASES))
     @pytest.mark.parametrize("use_filter", [True, False])
     def test_named_cases(self, name, use_filter):
         quiver, w, d, theta = CASES[name]
-        assert bq.enumerate_compatible(quiver, w, d, theta, use_filter) == \
+        assert enumerated(quiver, w, d, theta, use_filter) == \
             enumerate_per_support(quiver, w, d, theta, use_filter)
 
 

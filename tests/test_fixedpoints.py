@@ -92,20 +92,16 @@ class TestOneParamSubgroup:
 
 class TestAttractorDims:
     def test_type2(self, k3, w3):
-        assert bq.attractor_dims(k3, w3, type2_beta(k3, w3)) == (3, 3, 0)
+        c = bq.analyze_component(k3, w3, type2_beta(k3, w3))
+        assert (c.att_plus, c.att_minus, c.dim_component) == (3, 3, 0)
 
     def test_label_1231_no_cell(self, k3, w3):
-        ap, am, d0 = bq.attractor_dims(k3, w3, type1_beta(k3, w3, "1231"))
-        assert (ap, d0) == (0, 0)
+        c = bq.analyze_component(k3, w3, type1_beta(k3, w3, "1231"))
+        assert (c.att_plus, c.dim_component) == (0, 0)
 
     def test_label_3232_open_cell(self, k3, w3):
-        assert bq.attractor_dims(k3, w3, type1_beta(k3, w3, "3232")) == (6, 0, 0)
-
-    def test_rank2_rejected(self, k3):
-        w2 = bq.WeightAssignment(2, {f"a{k}": (k, 0) for k in (1, 2, 3)})
-        beta = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1})
-        with pytest.raises(UnsupportedError):
-            bq.attractor_dims(k3, w2, beta)
+        c = bq.analyze_component(k3, w3, type1_beta(k3, w3, "3232"))
+        assert (c.att_plus, c.att_minus, c.dim_component) == (6, 0, 0)
 
     def test_balance(self, k3, w3, k3_components):
         for comp in k3_components:
@@ -180,6 +176,6 @@ class TestGenericNormalForm:
             w = bq.WeightAssignment(1, {a.name: (k % 3,) for k, a in enumerate(quiver.arrows, 1)})
         for beta in bq.enumerate_compatible(quiver, w, d, theta):
             reference = (bq.euler_form_covering(quiver, w, beta, beta) == 1
-                         and bq.attractor_dims(quiver, w, beta)[1] == 0)
+                         and bq.analyze_component(quiver, w, beta).att_minus == 0)
             c = bq.analyze_component(quiver, w, beta)
             assert bq.generic_normal_form_test(c) == reference, beta

@@ -269,10 +269,10 @@ class TestClosedFormVsPipeline:
         w = bq.generic_rank1_weights(quiver)
         for lab in bq.enumerate_type1(l, r):
             beta = bq.label_to_beta(lab, w, quiver)
-            ap, am, d0 = bq.attractor_dims(quiver, w, beta)
-            assert d0 == 0
-            assert ap == bq.d1_attractor(lab, "plus"), lab.display()
-            assert am == bq.d1_attractor(lab, "minus"), lab.display()
+            c = bq.analyze_component(quiver, w, beta)
+            assert c.dim_component == 0
+            assert c.att_plus == bq.d1_attractor(lab, "plus"), lab.display()
+            assert c.att_minus == bq.d1_attractor(lab, "minus"), lab.display()
 
     @pytest.mark.parametrize("l,r", [(l, r) for l in range(1, 5) for r in range(0, l + 1)])
     def test_type2_labels(self, l, r):
@@ -280,9 +280,9 @@ class TestClosedFormVsPipeline:
         w = bq.generic_rank1_weights(quiver)
         for lab in bq.enumerate_type2(l, r):
             beta = bq.label_to_beta(lab, w, quiver)
-            ap, am, d0 = bq.attractor_dims(quiver, w, beta)
-            assert d0 == lab.x - 3
-            assert ap == bq.d2_attractor(lab), lab.display()
+            c = bq.analyze_component(quiver, w, beta)
+            assert c.dim_component == lab.x - 3
+            assert c.att_plus == bq.d2_attractor(lab), lab.display()
 
 
 class TestEndToEnd:
