@@ -36,9 +36,7 @@ from .errors import (
 )
 from .fixedpoints import (
     FixedComponent,
-    OneParamSubgroup,
     analyze_component,
-    choose_1psg,
     generic_normal_form_test,
     weight_dimension,
     weight_support,

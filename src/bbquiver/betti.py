@@ -66,29 +66,17 @@ class PoincarePolynomial:
         degrees = set(coeffs) | {2 * dim - d for d in coeffs}
         return all(coeffs.get(d, 0) == coeffs.get(2 * dim - d, 0) for d in degrees)
 
+    def _terms(self, power: str, sep: str) -> str:
+        """The terms joined by " + ": c at degree 0, else c, sep and
+        power.format(d), with a coefficient 1 left out."""
+        return " + ".join(str(c) if d == 0 else (power if c == 1 else f"{c}{sep}{power}").format(d)
+                          for d, c in self.coefficients) or "0"
+
     def text(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for d, c in self.coefficients:
-            if d == 0:
-                parts.append(str(c))
-            else:
-                term = f"t^{d}" if d > 1 else "t"
-                parts.append(term if c == 1 else f"{c}{term}")
-        return " + ".join(parts)
+        return self._terms("t^{}", "")
 
     def latex(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for d, c in self.coefficients:
-            if d == 0:
-                parts.append(str(c))
-            else:
-                term = f"t^{{{d}}}"
-                parts.append(term if c == 1 else f"{c} {term}")
-        return " + ".join(parts)
+        return self._terms("t^{{{}}}", " ")
 
     def __str__(self) -> str:
         return self.text()

@@ -204,8 +204,22 @@ def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
     return pieces
 
 
+RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
+
+
+def _fills(shapes, seed: int):
+    """The blocks of each fill in turn: 0/1 partial identities, then
+    RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
+    yield {(name, n): [[int(r == c) for c in range(cols)] for r in range(rows)]
+           for name, n, rows, cols in shapes}
+    for k in range(RANDOM_LIFTS):
+        rng = random.Random(seed + k)
+        yield {(name, n): [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+               for name, n, rows, cols in shapes}
+
+
 def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
-                    strategy: str = "unit", seed: int = 0, retries: int = 5) -> GradedRep:
+                    seed: int = 0) -> GradedRep:
     """A certified representative of the fixed point of class beta.
 
     beta must already have passed the existence filter.  Certification is
@@ -213,14 +227,11 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     rigidity when beta is a real root: in degree 0, dim Hom - dim Ext^1 is
     the size of the domain minus the size of the codomain, which is
     <beta, beta>, so Hom = 1 forces Ext^1 = 0 when <beta, beta> = 1.  The
-    unit strategy fills each block with a 0/1 partial identity, the random
-    strategy draws small integer entries from the given seed and retries on
-    certification failure.
+    first fill that certifies is returned (`_fills`): the 0/1 unit fill, else
+    a random one.
     """
     if w.rank != 1:
         raise UnsupportedError("fixed representations are built for rank-1 actions")
-    if strategy not in ("unit", "random"):
-        raise ValidationError("strategy must be 'unit' or 'random'")
     dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
     shapes = []
     for (v, chi), cols in beta.entries:
@@ -228,25 +239,12 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
             rows = dims.get((a.target, chi[0] + w.of(a)[0]), 0)
             if rows:
                 shapes.append((a.name, chi[0], rows, cols))
-    attempts = retries if strategy == "random" else 1
-    for attempt in range(max(attempts, 1)):
-        rng = random.Random(seed + attempt)
-        blocks = {}
-        for name, n, rows, cols in shapes:
-            if strategy == "unit":
-                m = [[1 if r == c else 0 for c in range(cols)] for r in range(rows)]
-            else:
-                m = [[rng.randint(-9, 9) for _ in range(cols)] for r in range(rows)]
-            blocks[(name, n)] = m
+    for blocks in _fills(shapes, seed):
         rep = GradedRep(quiver, w, beta, blocks)
         if _hom_ext_of(*rep.pieces[0])[0] == 1:
             return rep
-    if strategy == "unit":
-        raise UnsupportedError(
-            "unit lift failed certification (End too large); retry with strategy='random'"
-        )
     raise InconsistencyError(
-        f"no certified lift found for beta after {attempts} random attempts"
+        f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
     )
 
 

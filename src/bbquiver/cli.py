@@ -245,12 +245,8 @@ def cmd_poincare(cfg: RunConfig) -> int:
 
 
 def _cell_table(cfg: RunConfig, beta):
-    """Chart and cell table at the fixed point of class beta, on a 0/1 unit
-    representative where one certifies, else on a random one."""
-    try:
-        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "unit", seed=cfg.inputs["seed"])
-    except UnsupportedError:
-        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, "random", seed=cfg.inputs["seed"])
+    """Chart and cell table at the fixed point of class beta."""
+    rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, cfg.inputs["seed"])
     chart = cells.choose_complements(rep)
     return chart, cells.emit_cell_table(chart)
 

@@ -1,4 +1,4 @@
-"""Tangent weight spaces, one-parameter subgroups and attractor dimensions.
+"""Tangent weight spaces and attractor dimensions.
 
 The dimension of the chi-weight space of the tangent space at a fixed point
 of class beta is
@@ -8,9 +8,11 @@ of class beta is
         + sum_{a, xi} beta_{s(a), xi} * beta_{t(a), xi + w_a - chi}
         - sum_{i, xi} beta_{i, xi} * beta_{i, xi - chi}.
 
-Everything here is a pure function of (Q, w, beta); rank-one attractor sides
-are read off from the sign of chi, higher rank is reduced to rank one
-through a one-parameter subgroup.
+Everything here is a pure function of (Q, w, beta); attractor sides are
+read off from the sign of the character code, which for rank one is chi and
+for higher rank is the pairing of chi with the one-parameter subgroup
+(B^(n-1), ..., B, 1) of `CharCodec`: the side of chi's first nonzero
+coordinate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .covering import (
     euler_form_covering,
     shift,
 )
-from .errors import InconsistencyError, UnsupportedError, ValidationError
+from .errors import InconsistencyError, UnsupportedError
 
 
 def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector, chi) -> int:
@@ -60,8 +62,7 @@ def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     sorted order (the tuples' order), raising InconsistencyError at the first
     negative dimension as `weight_dimension` does.  `codes` maps each nonzero
     code of positive dimension to that dimension, in code order.  The sides
-    split by the sign of the code: the side of the subgroup `choose_1psg`
-    would pick.
+    split by the sign of the code, the sign of chi's first nonzero coordinate.
     """
     codec, (rows,) = _entry_codes(w, beta)
     by_vertex: dict = {}
@@ -98,35 +99,6 @@ def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
 
 
 @dataclass(frozen=True)
-class OneParamSubgroup:
-    """lambda_i = (R+1)^(n-i), R the max-norm bound of the weight set."""
-
-    exponents: tuple[int, ...]
-    bound: int
-
-    def pair(self, chi) -> int:
-        chi = _as_char(chi, len(self.exponents))
-        return sum(l * c for l, c in zip(self.exponents, chi))
-
-
-def choose_1psg(characters, rank: int) -> OneParamSubgroup:
-    """One-parameter subgroup separating a finite set of nonzero characters.
-
-    Pairs positively with chi exactly when the first nonzero coordinate of
-    chi is positive.
-    """
-    chars = [_as_char(c, rank) for c in characters]
-    zero = (0,) * rank
-    if zero in chars:
-        raise ValidationError("weight set contains 0; no separating subgroup exists")
-    bound = max((max(abs(x) for x in c) for c in chars), default=0)
-    lam = OneParamSubgroup(tuple((bound + 1) ** (rank - i - 1) for i in range(rank)), bound)
-    if any(lam.pair(c) == 0 for c in chars):
-        raise InconsistencyError("one-parameter subgroup does not separate the weight set")
-    return lam
-
-
-@dataclass(frozen=True)
 class FixedComponent:
     """A fixed-point class with its derived tangent data."""
 
@@ -144,22 +116,10 @@ class FixedComponent:
         return {self.codec.decode(c): m for c, m in self.codes.items()}
 
 
-def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
-                      lam: OneParamSubgroup | None = None) -> FixedComponent:
-    """Bundle the tangent data of one fixed-point class.
-
-    For rank > 1 a supplied one-parameter subgroup splits the tangent space
-    into sides; without one the sides are those of the subgroup
-    `choose_1psg` picks from the component's own weights, which puts a
-    character on the side of its first nonzero coordinate.
-    """
+def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> FixedComponent:
+    """Bundle the tangent data of one fixed-point class; a character lies on
+    the side of its first nonzero coordinate (`_weight_spaces`)."""
     codes, codec, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
-    if w.rank > 1 and lam is not None:
-        pairs = [(lam.pair(codec.decode(c)), v) for c, v in codes.items()]
-        att_plus = sum(v for p, v in pairs if p > 0)
-        att_minus = sum(v for p, v in pairs if p < 0)
-        if att_plus + att_minus != sum(codes.values()):
-            raise InconsistencyError("one-parameter subgroup does not separate the weight set")
     return FixedComponent(beta, codes, codec, dim_component, att_plus, att_minus,
                           dim_component == 0)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .core import Quiver, check_vector, is_coprime, slope_scores
+from .core import Quiver, check_vector, slope_scores
 from .errors import InconsistencyError, UnsupportedError
 
 
@@ -104,6 +104,8 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
 def has_stable(quiver: Quiver, d, theta) -> bool:
     """M^{theta-st}(Q, d) != {} for theta-coprime d on an acyclic quiver.
 
+    A d that is not theta-coprime is refused by the count itself (`_plan`).
+
     Asks the count at q = 2.  For coprime d on an acyclic quiver M^st is
     smooth and projective with |M^st(F_q)| = sum_i b_{2i} q^i, and b_0 = 1
     when it is nonempty, so the count at q = 2 is positive exactly when M^st
@@ -113,8 +115,6 @@ def has_stable(quiver: Quiver, d, theta) -> bool:
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
         raise UnsupportedError("d must be nonzero")
-    if not is_coprime(quiver, d, theta):
-        raise UnsupportedError("has_stable requires a theta-coprime dimension vector")
     if not quiver.is_acyclic():
         raise UnsupportedError("the existence test needs an acyclic quiver")
     return stable_counts(quiver, d, theta, (2,))[0][1] > 0

@@ -6,7 +6,7 @@ index comparisons in eight families; one sweep over them gives both
 attractors, since a comparison that goes one way adds to att_+ and one that
 goes the other way adds to att_-.  A comparison between two weight SUMS
 w_p + w_q vs w_u + w_v is decided lexicographically on the sorted index
-pairs (`_pairs`, compared in `_sum_comparisons`), because a smaller index
+pairs (`_pairs`, compared in `_count_row`), because a smaller index
 means a strictly dominant weight.  (Where a plain min() comparison of the
 index pairs would tie, the sorted-pair rule still decides the sum correctly;
 the two rules differ exactly when both sides share their smallest index.
@@ -164,46 +164,32 @@ def _side(l: int, k: int, star: tuple) -> tuple:
     return comp, plus, len(star) + len(comp) * (1 + len(star)) - plus
 
 
-def _sum_comparisons(with_b: list, us: tuple, with_a: list, vs: tuple) -> tuple:
-    """(plus, minus) over u in us, v in vs comparing w_u + w_b with w_a + w_v,
-    where with_b = pairs[b] and with_a = pairs[a]: plus counts the pairs with
-    the left sum larger, minus those with it smaller; equal sums count for
-    neither."""
-    plus = minus = 0
-    for u in us:
-        left = with_b[u]
-        for v in vs:
-            right = with_a[v]
-            if left < right:
-                plus += 1
-            elif right < left:
-                minus += 1
-    return plus, minus
-
-
-def _d1_dims(label: Label1, sides: dict, pairs: list) -> tuple:
-    """(att_plus, att_minus) of a type-1 label in one sweep over the eight
-    comparison families; `sides` maps (k, star) to `_side(l, k, star)`."""
-    m, n, ms, ns = label.m, label.n, label.m_star, label.n_star
-    mc, pm, qm = sides[m, ms]
-    nc, pn, qn = sides[n, ns]
-    p6, q6 = _sum_comparisons(pairs[n], mc, pairs[m], ns)  # w_mu + w_n vs w_m + w_nv
-    p8, q8 = _sum_comparisons(pairs[m], nc, pairs[n], ms)  # w_nu + w_m vs w_n + w_mv
-    return pm + pn + p6 + p8 - 1, qm + qn + q6 + q8 - 1
+def _count_row(with_b: list, us: tuple, with_a: list, scale: int) -> list:
+    """Entry v compares w_u + w_b with w_a + w_v over u in us, where with_b =
+    pairs[b] and with_a = pairs[a], packed as plus * scale + minus: plus
+    counts the u with the left sum larger, minus those with it smaller, and
+    equal sums count for neither."""
+    return [sum(scale if with_b[u] < right else with_b[u] > right for u in us)
+            for right in with_a]
 
 
 def d1_attractor(label: Label1, sign: str = "plus") -> int:
     """Attractor dimension of an isolated (type-1) fixed point.
 
-    Eight comparison counts minus one; `sign`="minus" reverses every
-    comparison and gives the opposite attractor.
+    Eight comparison counts minus one, counted as `attractor_rows` counts
+    them; `sign`="minus" reverses every comparison and gives the opposite
+    attractor.
     """
     if sign not in ("plus", "minus"):
         raise ValidationError("sign must be 'plus' or 'minus'")
-    sides = {(k, star): _side(label.l, k, star)
-             for k, star in ((label.m, label.m_star), (label.n, label.n_star))}
-    plus, minus = _d1_dims(label, sides, _pairs(label.l))
-    total = plus if sign == "plus" else minus
+    l, m, n, ms, ns = label.l, label.m, label.n, label.m_star, label.n_star
+    pairs, scale = _pairs(l), (l + 1) ** 2  # scale exceeds every summed count, as in attractor_rows
+    mc, pm, qm = _side(l, m, ms)
+    nc, pn, qn = _side(l, n, ns)
+    in_row6 = _count_row(pairs[n], mc, pairs[m], scale)  # w_mu + w_n vs w_m + w_nv
+    in_row8 = _count_row(pairs[m], nc, pairs[n], scale)  # w_nu + w_m vs w_n + w_mv
+    plus, minus = divmod(sum(in_row6[v] for v in ns) + sum(in_row8[u] for u in ms), scale)
+    total = plus + pm + pn - 1 if sign == "plus" else minus + qm + qn - 1
     if total < 0:
         raise InconsistencyError(f"negative attractor dimension for label {label.display()}")
     return total
@@ -257,12 +243,6 @@ def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | 
     return canonicalize(CoveringDimVector.from_dict(1, support))
 
 
-def _count_row(with_b: list, us: tuple, with_a: list, scale: int) -> list:
-    """Entry v is `_sum_comparisons(with_b, us, with_a, (v,))` packed as plus * scale + minus."""
-    return [sum(scale if with_b[u] < right else with_b[u] > right for u in us)
-            for right in with_a]
-
-
 def attractor_rows(l: int, r: int, betti: dict):
     """One pass over the labels of (l, r), in enumeration order.
 
@@ -273,8 +253,8 @@ def attractor_rows(l: int, r: int, betti: dict):
     polynomial shifted by att_plus for a type-2 label.
 
     No type-1 label is built: per pair (m, n), a row per star of either side
-    holds the cross-family counts of `_d1_dims` at each index v, so a label
-    costs 2r reads.  Each is checked for att_+, att_- >= 0 summing to dim M.
+    holds the cross-family counts of `d1_attractor` at each index v, so a
+    label costs 2r reads.  Each is checked for att_+, att_- >= 0 summing to dim M.
     """
     _check_lr(l, r)
     idx = range(1, l + 2)

@@ -25,14 +25,7 @@ def k3_components(k3, w3, k3_classes):
 
 @pytest.fixture(scope="session")
 def k3_lifts(k3, w3, k3_classes):
-    lifts = []
-    for beta in k3_classes:
-        try:
-            rep = bq.build_fixed_rep(k3, w3, beta, "unit")
-        except bq.UnsupportedError:
-            rep = bq.build_fixed_rep(k3, w3, beta, "random", seed=0)
-        lifts.append(rep)
-    return lifts
+    return [bq.build_fixed_rep(k3, w3, beta) for beta in k3_classes]
 
 
 def type1_beta(k3, w3, digits):

@@ -139,14 +139,14 @@ def test_criterion_6_cell_charts(k3, w3, k3_classes, k3_lifts):
     zero_minus = [l for l in bq.enumerate_type1(2, 1) if bq.d1_attractor(l, "minus") == 0]
     assert zero_minus == [lab_open]
 
-    rep_open = bq.build_fixed_rep(k3, w3, bq.label_to_beta(lab_open, w3, k3), "unit")
+    rep_open = bq.build_fixed_rep(k3, w3, bq.label_to_beta(lab_open, w3, k3))
     chart_open = bq.choose_complements(rep_open)
     assert chart_open.total_dim == 6
     assert {fc[0] for fc in chart_open.free_coordinates()} == {"a1"}
     assert chart_open.total_dim == (2 * 1 + 1) * (2 * 1 + 1) - 3
 
     lab_empty = bq.Label1(2, 1, 2, (1,), 3, (1,))  # printed label 1231
-    rep_empty = bq.build_fixed_rep(k3, w3, bq.label_to_beta(lab_empty, w3, k3), "unit")
+    rep_empty = bq.build_fixed_rep(k3, w3, bq.label_to_beta(lab_empty, w3, k3))
     assert bq.choose_complements(rep_empty).total_dim == 0
     report(6, f"chart multiset {dims}; open cell 6 in the first arrow; 1231 empty; "
               f"unique minus-zero label {lab_open.display()}")

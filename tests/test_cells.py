@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bbquiver as bq
 from bbquiver import cells
 from bbquiver.covering import CoveringDimVector
-from bbquiver.errors import UnsupportedError, ValidationError
+from bbquiver.errors import ValidationError
 from bbquiver.linalg import rref
 
 from chart_oracle import (
@@ -70,7 +70,7 @@ class TestHomExt:
 class TestBuildFixedRep:
     def test_unit_reproduces_printed_1231_matrices(self, k3, w3):
         beta = type1_beta(k3, w3, "1231")
-        rep = bq.build_fixed_rep(k3, w3, beta, "unit")
+        rep = bq.build_fixed_rep(k3, w3, beta)
         plain = ungraded(rep)
         assert plain.matrix("a1") == ((0, 0), (1, 0), (0, 1))
         assert plain.matrix("a2") == ((1, 0), (0, 0), (0, 0))
@@ -85,21 +85,40 @@ class TestBuildFixedRep:
                 assert (hom, ext) == (1, 0)
 
     def test_unit_fails_on_type2_star(self, k3, w3):
-        support = {("i", (0,)): 2}
-        for k in (1, 2, 3):
-            support[("j", w3.of(f"a{k}"))] = 1
-        beta = bq.canonicalize(CoveringDimVector.from_dict(1, support))
-        with pytest.raises(UnsupportedError):
-            bq.build_fixed_rep(k3, w3, beta, "unit")
-        rep = bq.build_fixed_rep(k3, w3, beta, "random", seed=0)
+        beta = type2_star_beta(w3)
+        unit, _ = uncertified_reps(k3, w3, beta)
+        assert covering_hom_ext(unit, unit)[0] > 1
+        rep = bq.build_fixed_rep(k3, w3, beta)
         hom, _ = covering_hom_ext(rep, rep)
         assert hom == 1
 
     def test_random_is_deterministic(self, k3, w3):
-        beta = type1_beta(k3, w3, "3232")
-        a = bq.build_fixed_rep(k3, w3, beta, "random", seed=4)
-        b = bq.build_fixed_rep(k3, w3, beta, "random", seed=4)
+        beta = type2_star_beta(w3)
+        a = bq.build_fixed_rep(k3, w3, beta, seed=4)
+        b = bq.build_fixed_rep(k3, w3, beta, seed=4)
         assert a.blocks == b.blocks
+
+    @pytest.mark.parametrize("case", ["star5", "K3 type-2 star"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_failed_unit_fill_falls_back_to_a_seeded_random_fill(self, k3, w3, star_quiver,
+                                                                 case, seed):
+        if case == "star5":
+            quiver, w = star_quiver, bq.generic_rank1_weights(star_quiver)
+            (beta,) = bq.enumerate_compatible(quiver, w, (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0))
+        else:
+            quiver, w, beta = k3, w3, type2_star_beta(w3)
+        rep = bq.build_fixed_rep(quiver, w, beta, seed)
+        assert covering_hom_ext(rep, rep)[0] == 1
+        assert any(x not in (0, 1) for blk in rep.blocks.values() for row in blk for x in row)
+        assert bq.build_fixed_rep(quiver, w, beta, seed).blocks == rep.blocks
+
+
+def type2_star_beta(w3):
+    """The K3 (2,3) type-2 class: two units of i at level 0, one j unit behind each arrow."""
+    support = {("i", (0,)): 2}
+    for k in (1, 2, 3):
+        support[("j", w3.of(f"a{k}"))] = 1
+    return bq.canonicalize(CoveringDimVector.from_dict(1, support))
 
 
 def uncertified_reps(quiver, w, beta, seed=0):
@@ -137,10 +156,7 @@ class TestCertificate:
                             lambda M, N, *rest: calls.append((M, N, rest)) or original(M, N, *rest))
         for beta in k3_classes:
             calls.clear()
-            try:
-                rep = bq.build_fixed_rep(k3, w3, beta, "unit")
-            except UnsupportedError:
-                rep = bq.build_fixed_rep(k3, w3, beta, "random", seed=0)
+            rep = bq.build_fixed_rep(k3, w3, beta)
             bq.choose_complements(rep)
             assert all(M is N and rest == () for M, N, rest in calls)
             built = [M for M, _, _ in calls]
@@ -173,13 +189,13 @@ class TestGradedPieces:
 
 class TestCellCharts:
     def test_1231_chart_empty(self, k3, w3):
-        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"), "unit")
+        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"))
         chart = bq.choose_complements(rep)
         assert chart.total_dim == 0
         assert star_count(bq.emit_cell_table(chart)) == 0
 
     def test_3232_chart_all_in_first_arrow(self, k3, w3):
-        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "3232"), "unit")
+        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "3232"))
         chart = bq.choose_complements(rep)
         assert chart.total_dim == 6
         assert {fc[0] for fc in chart.free_coordinates()} == {"a1"}
@@ -208,7 +224,7 @@ class TestCellCharts:
         lab = normal_form_label(3, 1)
         assert bq.d1_attractor(lab, "minus") == 0
         beta = bq.label_to_beta(lab, w, quiver)
-        rep = bq.build_fixed_rep(quiver, w, beta, "unit")
+        rep = bq.build_fixed_rep(quiver, w, beta)
         chart = bq.choose_complements(rep)
         assert chart.total_dim == (2 * 2 + 1) * (2 * 1 + 1) - 3
 
@@ -240,7 +256,7 @@ class TestTwistedFiltration:
             assert graded_isomorphic(gr, rep)
 
     def test_violation_detected(self, k3, w3):
-        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"), "unit")
+        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"))
         filt = standard_filtration(rep)
         plain = ungraded(rep)
         mats = {a: [list(row) for row in plain.matrix(a)] for a in plain.matrices}
@@ -251,7 +267,7 @@ class TestTwistedFiltration:
         assert not ok and gr is None
 
     def test_non_nested_rejected(self, k3, w3):
-        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"), "unit")
+        rep = bq.build_fixed_rep(k3, w3, type1_beta(k3, w3, "1231"))
         plain = ungraded(rep)
         filt = standard_filtration(rep)
         filt["j"] = {0: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1: [[0, 0, 1]]}
@@ -374,10 +390,7 @@ class TestAgainstTheDenseRoute:
         w = bq.generic_rank1_weights(quiver)
         reps = list(k3_lifts)
         for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0))[::6]:
-            try:
-                reps.append(bq.build_fixed_rep(quiver, w, beta, "unit"))
-            except UnsupportedError:
-                reps.append(bq.build_fixed_rep(quiver, w, beta, "random", seed=0))
+            reps.append(bq.build_fixed_rep(quiver, w, beta))
         for rep in reps:
             chart = bq.choose_complements(rep)
             assert [d.degree for d in chart.degrees] == _degree_candidates(rep)

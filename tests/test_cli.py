@@ -154,6 +154,26 @@ def test_normal_form_command(capsys, k3_file):
     assert "dimension 6" in out
 
 
+@pytest.mark.parametrize("command,message", [
+    ("cells", "fixed representations are built for rank-1 actions"),
+    ("normal-form", "the open-cell criterion is a rank-1 statement"),
+])
+def test_chart_commands_refuse_rank2_weights_once(capsys, monkeypatch, tmp_path, k3_file,
+                                                   command, message):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"rank": 2, "weights": {"a1": [1, 0], "a2": [0, 1], "a3": [1, 1]}}))
+    builds = []
+    original = bq.cells.build_fixed_rep
+    monkeypatch.setattr(bq.cells, "build_fixed_rep",
+                        lambda *args, **kw: builds.append(args) or original(*args, **kw))
+    code = main([command, *base_args(k3_file, "--weights", str(wfile))])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "unsupported", "message": message}
+    assert len(builds) == (command == "cells")  # the refusal is raised once, not retried
+
+
 def test_filter_off_keeps_empty_classes(capsys, k3_file):
     code = main(["fixed-points", *base_args(k3_file, "--filter", "off", "--format", "json")])
     assert code == 0

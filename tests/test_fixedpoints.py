@@ -2,7 +2,7 @@ import pytest
 
 import bbquiver as bq
 from bbquiver.covering import CoveringDimVector
-from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationError
+from bbquiver.errors import InconsistencyError, UnsupportedError
 
 from conftest import type1_beta
 
@@ -57,39 +57,6 @@ class TestWeightSupport:
             assert bq.weight_support(k3, w3, moved) == bq.weight_support(k3, w3, beta)
 
 
-class TestOneParamSubgroup:
-    def test_lemma_example(self):
-        lam = bq.choose_1psg([(1, -1), (0, 2)], 2)
-        assert lam.exponents == (3, 1)
-        assert lam.bound == 2
-        assert lam.pair((1, -1)) == 2 > 0
-
-    def test_rank_one(self):
-        lam = bq.choose_1psg([(3,), (-2,)], 1)
-        assert lam.exponents == (1,)
-
-    def test_sign_matches_first_nonzero(self):
-        lam = bq.choose_1psg([(0, 2)], 2)
-        assert lam.pair((0, 2)) == 2 > 0
-
-    def test_sign_rule_exhaustive(self):
-        chars = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
-        lam = bq.choose_1psg(chars, 2)
-        for chi in chars:
-            first = chi[0] if chi[0] != 0 else chi[1]
-            assert (lam.pair(chi) > 0) == (first > 0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            bq.choose_1psg([(0, 0), (1, 0)], 2)
-
-    def test_separation_failure_raises(self, monkeypatch):
-        # an explicit check, so it also holds under python -O
-        monkeypatch.setattr(bq.OneParamSubgroup, "pair", lambda self, chi: 0)
-        with pytest.raises(InconsistencyError):
-            bq.choose_1psg([(1, -1), (0, 2)], 2)
-
-
 class TestAttractorDims:
     def test_type2(self, k3, w3):
         c = bq.analyze_component(k3, w3, type2_beta(k3, w3))
@@ -115,11 +82,6 @@ class TestHigherRankReduction:
         classes = bq.enumerate_compatible(k3, w, (2, 3), (1, 0))
         assert len(classes) == 13
         comps = [bq.analyze_component(k3, w, b) for b in classes]
-        all_chars = set()
-        for c in comps:
-            all_chars.update(c.weight_table)
-        lam = bq.choose_1psg(all_chars, 3)
-        comps = [bq.analyze_component(k3, w, c.beta, lam) for c in comps]
         plus = sorted(c.att_plus for c in comps)
         assert plus == [0, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6]
         for c in comps:
