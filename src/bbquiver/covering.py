@@ -10,6 +10,7 @@ characters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -210,20 +211,6 @@ def _entry_codes(w: WeightAssignment, *classes: CoveringDimVector):
                    for beta in classes]
 
 
-def _adjacency(quiver: Quiver, w: WeightAssignment, codec: CharCodec) -> dict:
-    """Per base vertex, (neighbour vertex, code offset) for every incident arrow.
-
-    The neighbours of (v, c) in the underlying graph of Q(w) are the
-    (u, c + offset) over adj[v].
-    """
-    adj = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        wa = codec.encode(w.of(a))
-        adj[a.source].append((a.target, wa))
-        adj[a.target].append((a.source, -wa))
-    return adj
-
-
 @dataclass(frozen=True)
 class SupportQuiver:
     """Finite full subquiver of Q(w) on the support of some beta."""
@@ -286,38 +273,6 @@ def _compositions(total: int, parts: int):
         yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
-def _connected_supports(adj: dict, cap: dict, seed):
-    """Connected covering-vertex sets containing `seed` and no character below
-    it, each yielded once; `adj` is `_adjacency`, so characters are codes.
-
-    Per base vertex v at most cap[v] covering vertices are used.  The extension
-    recursion (Wernicke's ESU) hands each branch its candidate frontier
-    incrementally: the unexplored later siblings plus the new neighbours of
-    the vertex just added, where `seen` holds every vertex already in the set,
-    banned, or on the frontier.  So each connected set appears exactly once.
-    """
-    results = []
-
-    def fresh(cv, seen):
-        v, c = cv
-        nbs = {(u, c + off) for u, off in adj[v]}
-        return {nb for nb in nbs if nb not in seen and nb[1] >= seed[1]}
-
-    def rec(current: frozenset, frontier: list, seen: set, per_vertex: dict):
-        results.append(current)
-        for k, cv in enumerate(frontier):
-            if per_vertex.get(cv[0], 0) >= cap[cv[0]]:
-                continue
-            new = fresh(cv, seen)
-            pv = dict(per_vertex)
-            pv[cv[0]] = pv.get(cv[0], 0) + 1
-            rec(current | {cv}, frontier[k + 1:] + list(new), seen | new, pv)
-
-    first = fresh(seed, {seed})
-    rec(frozenset([seed]), list(first), first | {seed}, {seed[0]: 1})
-    return results
-
-
 def shape_key(dims, theta, arrows) -> tuple:
     """Isomorphism invariant of a connected quiver with labelled vertices.
 
@@ -367,10 +322,18 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     built, and a class is dropped when the stable moduli on its support quiver
     is empty; `has_stable` is asked once per isomorphism class of labelled
     support quiver (`shape_key`).  When `rejected` is a list, the dropped
-    classes are appended to it, sorted as the result is.  Which fills survive
-    depends only on a support's shape, its base vertices in support-quiver
-    order and the arrows between their positions, so they are found once per
-    shape and turned into vectors for each support of that shape.
+    classes are appended to it, sorted as the result is.
+
+    The supports come from one backtracking walk (Wernicke's ESU), at most
+    d_v covering vertices over each base vertex v.  The walk from the seed
+    (v, 0) bans (u, 0) for every u before v and every character below 0, and
+    hands each branch the unexplored later siblings plus the new neighbours
+    of the vertex just added, so each connected set is reached exactly once.
+    It carries the set's shape: its members in discovery order, the links
+    between their positions (a weight-0 loop links a vertex to itself), and
+    how many of them lie over each base vertex.  Which fills survive depends
+    only on that shape, so they are found once per shape, and vectors are
+    built only for a support whose shape has a fill to report.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -379,46 +342,85 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
 
     vidx = quiver.vertex_index
     codec = w.codec((sum(d) - 1) * w._top)  # the span of a connected support
-    adj = _adjacency(quiver, w, codec)
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
     cap = dict(zip(quiver.vertices, d))
-    supports = {sup for v in order for sup in _connected_supports(adj, cap, (v, 0))
-                if len({u for u, _ in sup}) == len(order)}
-    arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
-                  for v in order}
+    ins, outs = ({v: [] for v in order} for _ in range(2))  # (other end, code offset)
+    for a in quiver.arrows:
+        if cap[a.source] and cap[a.target]:
+            wa = codec.encode(w.of(a))
+            ins[a.target].append((a.source, -wa))
+            outs[a.source].append((a.target, wa))
+    adj = {v: list(dict.fromkeys(ins[v] + outs[v])) for v in order}
+    # the walk's set in discovery order: (code, vertex, position) per member, its base
+    # vertices, the position of each member and the links between positions
+    placed, bases, pos, links = [], [], {}, []
+    decode = functools.lru_cache(maxsize=None)(codec.decode)
+    count = dict.fromkeys(order, 0)
+    covered = 0  # base vertices with a member over them
     out, dropped = [], []
     verdicts: dict = {}  # shape_key -> has_stable
-    fills: dict = {}     # support shape -> (its surviving fills, its dropped fills)
-    for sup in supports:
-        cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))  # the support quiver's order
-        pos = {cv: k for k, cv in enumerate(cvs)}
-        links = tuple((k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
-                      for t in [(u, c + wa)] if t in pos)
-        bases = tuple(v for v, _ in cvs)
-        split = fills.get((bases, links))
-        if split is None:
-            split = fills[(bases, links)] = ([], [])
-            theta_hat = tuple(theta[vidx(v)] for v in bases)
-            parts = [_compositions(d[vidx(v)], bases.count(v)) for v in order]
-            for fill in itertools.product(*parts):
-                dims = sum(fill, ())
-                # 1 - <beta, beta> >= 0, then a stable point on the support quiver
-                ok = sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) <= 1
-                if ok:
-                    key = shape_key(dims, theta_hat, links)
-                    if key not in verdicts:  # the support quiver, on vertices 0, 1, ...
-                        sub = Quiver.from_arrows(map(str, range(len(dims))), (
-                            (str(k), str(i), str(j)) for k, (i, j) in enumerate(links)))
-                        verdicts[key] = hn.has_stable(sub, dims, theta_hat)
-                    ok = verdicts[key]
-                split[not ok].append(dims)
-        kept, lost = split if rejected is not None else (split[0], ())
-        if kept or lost:
-            keys = [(v, codec.decode(c)) for v, c in cvs]
-            by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
-            for sink, dims_list in ((out, kept), (dropped, lost)):
-                sink.extend(CoveringDimVector.trusted(
-                    w.rank, tuple((keys[k], dims[k]) for k in by_char)) for dims in dims_list)
+    fills: dict = {}     # (bases, links) -> (its surviving fills, its dropped fills)
+
+    def shape_fills(vertices, arrows):  # a memo key: base vertices and links by position
+        split = ([], [])
+        theta_hat = tuple(theta[vidx(v)] for v in vertices)
+        # a fill is one composition per base vertex, scattered into that vertex's positions
+        slots = [k for v in order for k, u in enumerate(vertices) if u == v]
+        scatter = sorted(range(len(slots)), key=slots.__getitem__)
+        parts = [_compositions(d[vidx(v)], vertices.count(v)) for v in order]
+        for fill in itertools.product(*parts):
+            dims = tuple(map(sum(fill, ()).__getitem__, scatter))
+            # 1 - <beta, beta> >= 0, then a stable point on the support quiver
+            ok = sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in arrows) <= 1
+            if ok:
+                key = shape_key(dims, theta_hat, arrows)
+                if key not in verdicts:  # the support quiver, on vertices 0, 1, ...
+                    sub = Quiver.from_arrows(map(str, range(len(dims))), (
+                        (str(k), str(i), str(j)) for k, (i, j) in enumerate(arrows)))
+                    verdicts[key] = hn.has_stable(sub, dims, theta_hat)
+                ok = verdicts[key]
+            split[not ok].append(dims)
+        return split
+
+    def grow(cv, rest, seen):
+        nonlocal covered
+        v, c = cv
+        new = [nb for u, off in adj[v] if c + off >= 0 and (nb := (u, c + off)) not in seen]
+        seen.update(new)
+        n, mark = len(placed), len(links)
+        # arrows in, then out once cv has its position: a weight-0 loop gives one link (n, n)
+        links.extend([(pos[s], n) for u, off in ins[v] if (s := (u, c + off)) in pos])
+        pos[cv] = n
+        links.extend([(n, pos[t]) for u, off in outs[v] if (t := (u, c + off)) in pos])
+        placed.append((c, v, n))
+        bases.append(v)
+        covered += not count[v]
+        count[v] += 1
+        if covered == len(order):
+            key = (tuple(bases), tuple(links))
+            split = fills.get(key)
+            if split is None:
+                split = fills[key] = shape_fills(*key)
+            kept, lost = split if rejected is not None else (split[0], ())
+            if kept or lost:  # the entries sorted by (code, vertex), as a vector stores them
+                ranked = sorted(placed)
+                cells, by_char = [(u, decode(x)) for x, u, _ in ranked], [k for *_, k in ranked]
+                for sink, dims_list in ((out, kept), (dropped, lost)):
+                    sink.extend(CoveringDimVector.trusted(w.rank, tuple(
+                        zip(cells, map(dims.__getitem__, by_char)))) for dims in dims_list)
+        frontier = rest + new
+        for k, nb in enumerate(frontier):
+            if count[nb[0]] < cap[nb[0]]:
+                grow(nb, frontier[k + 1:], seen)
+        count[v] -= 1
+        covered -= not count[v]
+        bases.pop()
+        placed.pop()
+        del pos[cv], links[mark:]
+        seen.difference_update(new)
+
+    for i, v in enumerate(order):
+        grow((v, 0), [], {(u, 0) for u in order[:i + 1]})
     if rejected is not None:
         rejected.extend(sorted(dropped, key=lambda b: b.entries))
     return sorted(out, key=lambda b: b.entries)

@@ -2,10 +2,14 @@
 covering arrow, the base dimension vector, total and characters of a
 class, connectedness of a class's support in the covering, the zero
 character, the total tangent dimension of a fixed component, every
-candidate class kept or rejected (`candidates`), and the
-fill enumeration one support at a time (`enumerate_per_support`), the
-reference for `enumerate_compatible`, which finds fills once per support
-shape."""
+candidate class kept or rejected (`candidates`), and the reference route
+for `enumerate_compatible` (`enumerate_per_support`).
+
+The reference collects every connected support as a frozenset from one
+walk per seed (`_connected_supports`), de-duplicates them in a set, and
+fills each support on its own, in support-quiver order, where
+`enumerate_compatible` walks once, carries each support's shape in
+discovery order and finds the fills once per shape."""
 
 from __future__ import annotations
 
@@ -16,12 +20,11 @@ from bbquiver import hn
 from bbquiver.core import Arrow, Quiver, check_vector
 from bbquiver.covering import (
     Character,
+    CharCodec,
     CoveringDimVector,
     WeightAssignment,
-    _adjacency,
     _as_char,
     _compositions,
-    _connected_supports,
     _entry_codes,
     enumerate_compatible,
     shape_key,
@@ -63,6 +66,52 @@ def characters(beta: CoveringDimVector) -> list[Character]:
 
 def total_tangent_dim(comp: FixedComponent) -> int:
     return comp.att_plus + comp.att_minus + comp.dim_component
+
+
+def _adjacency(quiver: Quiver, w: WeightAssignment, codec: CharCodec) -> dict:
+    """Per base vertex, (neighbour vertex, code offset) for every incident arrow.
+
+    The neighbours of (v, c) in the underlying graph of Q(w) are the
+    (u, c + offset) over adj[v].
+    """
+    adj = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        wa = codec.encode(w.of(a))
+        adj[a.source].append((a.target, wa))
+        adj[a.target].append((a.source, -wa))
+    return adj
+
+
+def _connected_supports(adj: dict, cap: dict, seed):
+    """Connected covering-vertex sets containing `seed` and no character below
+    it, each yielded once; `adj` is `_adjacency`, so characters are codes.
+
+    Per base vertex v at most cap[v] covering vertices are used.  The extension
+    recursion (Wernicke's ESU) hands each branch its candidate frontier
+    incrementally: the unexplored later siblings plus the new neighbours of
+    the vertex just added, where `seen` holds every vertex already in the set,
+    banned, or on the frontier.  So each connected set appears exactly once.
+    """
+    results = []
+
+    def fresh(cv, seen):
+        v, c = cv
+        nbs = {(u, c + off) for u, off in adj[v]}
+        return {nb for nb in nbs if nb not in seen and nb[1] >= seed[1]}
+
+    def rec(current: frozenset, frontier: list, seen: set, per_vertex: dict):
+        results.append(current)
+        for k, cv in enumerate(frontier):
+            if per_vertex.get(cv[0], 0) >= cap[cv[0]]:
+                continue
+            new = fresh(cv, seen)
+            pv = dict(per_vertex)
+            pv[cv[0]] = pv.get(cv[0], 0) + 1
+            rec(current | {cv}, frontier[k + 1:] + list(new), seen | new, pv)
+
+    first = fresh(seed, {seed})
+    rec(frozenset([seed]), list(first), first | {seed}, {seed[0]: 1})
+    return results
 
 
 def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:

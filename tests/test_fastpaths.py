@@ -8,7 +8,8 @@
   call per class.
 * `enumerate_compatible`, which finds each support shape's surviving fills
   once, against the loop that fills every support on its own, for the kept
-  classes and for the kept and rejected ones together.
+  classes and for the kept and rejected ones together, and on quivers with
+  loops and 2-cycles, where both routes must refuse a cyclic support quiver.
 * `shape_key` against brute-force isomorphism of small labelled trees.
 """
 
@@ -52,6 +53,31 @@ CASES = {
 }
 
 
+def looped_k2(loop_at, loop_weight):
+    """K2 (weights 13 and 1) with a loop of weight `loop_weight` at one vertex."""
+    quiver = bq.Quiver.from_arrows(("x", "y"), [("a1", "x", "y"), ("a2", "x", "y"),
+                                                ("l", loop_at, loop_at)])
+    return quiver, bq.WeightAssignment(1, {"a1": 13, "a2": 1, "l": loop_weight})
+
+
+def two_cycle(back):
+    """x => y with a third arrow y -> x of weight `back`; -1 closes a covering cycle."""
+    return bq.Quiver.from_arrows(("x", "y"), [("a", "x", "y"), ("c", "x", "y"),
+                                              ("b", "y", "x")]), \
+        bq.WeightAssignment(1, {"a": 1, "c": 3, "b": back})
+
+
+# Quivers with loops and cycles, and whether their classes reach a cyclic
+# support quiver, which the existence test refuses.
+CYCLIC_CASES = {
+    "K2 + weight-0 loop, d = (1,2)": (*looped_k2("x", 0), (1, 2), (1, 0), True),
+    "K2 + weight-0 loop at y, d = (1,2)": (*looped_k2("y", 0), (1, 2), (1, 0), True),
+    "K2 + weight-1 loop, d = (1,2)": (*looped_k2("y", 1), (1, 2), (1, 0), False),
+    "2-cycle, cancelling weights, d = (2,1)": (*two_cycle(-1), (2, 1), (1, 0), True),
+    "2-cycle, d = (2,1)": (*two_cycle(2), (2, 1), (1, 0), False),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def unfiltered(name):
     return candidates(*CASES[name])
@@ -66,8 +92,8 @@ def enumerated(quiver, w, d, theta, use_filter):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except bq.InconsistencyError as exc:
-        return ("raised", str(exc))
+    except (bq.InconsistencyError, bq.UnsupportedError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
 
 
 def reference_weight_support(quiver, w, beta):
@@ -160,6 +186,22 @@ def acyclic_cases(draw):
     return quiver, w, d, theta
 
 
+@st.composite
+def cyclic_cases(draw):
+    """A quiver on up to 3 vertices with up to two arrows i -> j for each
+    ordered pair, so loops and 2-cycles, a dimension vector, a theta, and
+    rank-1 weights in -1..1, so weight-0 loops and 2-cycles whose weights
+    cancel close cycles in the covering."""
+    n = draw(st.integers(1, 3))
+    arrows = [(f"a{i}{j}{m}", f"v{i}", f"v{j}") for i in range(n) for j in range(n)
+              for m in range(draw(st.integers(0, 2 if i < j else 1)))]
+    quiver = bq.Quiver.from_arrows(tuple(f"v{k}" for k in range(n)), arrows)
+    w = bq.WeightAssignment(1, {a[0]: draw(st.integers(-1, 1)) for a in arrows})
+    d = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)))
+    theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return quiver, w, d, theta
+
+
 class TestShapeCache:
     """Fills found once per support shape against the loop over supports."""
 
@@ -177,6 +219,25 @@ class TestShapeCache:
         quiver, w, d, theta = CASES[name]
         assert enumerated(quiver, w, d, theta, use_filter) == \
             enumerate_per_support(quiver, w, d, theta, use_filter)
+
+    @settings(max_examples=120, deadline=None)
+    @given(cyclic_cases())
+    def test_loops_and_cycles_match_per_support_reference(self, case):
+        quiver, w, d, theta = case
+        assume(bq.is_coprime(quiver, d, theta))
+        assert outcome(bq.enumerate_compatible, quiver, w, d, theta) == \
+            outcome(enumerate_per_support, quiver, w, d, theta)
+
+    @pytest.mark.parametrize("name", list(CYCLIC_CASES))
+    def test_named_loop_and_cycle_cases(self, name):
+        *case, cyclic = CYCLIC_CASES[name]
+        mine = outcome(bq.enumerate_compatible, *case)
+        assert mine == outcome(enumerate_per_support, *case)
+        assert (mine[0] == "raised") == cyclic
+        if cyclic:
+            assert mine[1] == "UnsupportedError"
+        else:
+            assert mine
 
 
 def isomorphic(a, b):
