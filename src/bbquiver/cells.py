@@ -1,10 +1,12 @@
 """Concrete fixed representations and explicit attractor cell charts.
 
-A rank-one fixed point is realized as a graded representation: vertex
-spaces split into integer levels, arrow maps respect levels shifted by the
-arrow weight.  Around such a point M the attractor is parametrized by
-{M} + sum over degrees k > 0 of a complement of the bracket image
-[u_k, M] inside
+A fixed point is realized as a graded representation: vertex spaces split
+into integer levels, arrow maps respect levels shifted by the arrow weight.
+The weights are rank one; a rank-n action is charted for the one-parameter
+subgroup that `covering.reduce_to_rank_one` pairs it with, so a level is the
+code of a character and the charts are those of that subgroup's attractors.
+Around such a point M the attractor is parametrized by {M} + sum over
+degrees k > 0 of a complement of the bracket image [u_k, M] inside
 
     R_k = sum_{a: i->j} sum_n Hom(V_{i,n}, V_{j, n + w_a - k}),
     u_k = sum_i sum_n Hom(V_{i,n}, V_{i, n-k}),
@@ -38,7 +40,7 @@ from functools import cached_property
 
 from .core import Quiver
 from .covering import CoveringDimVector, WeightAssignment
-from .errors import InconsistencyError, UnsupportedError, ValidationError
+from .errors import InconsistencyError, ValidationError
 from .linalg import leading_columns
 
 
@@ -108,7 +110,7 @@ def _basis(blocks) -> list:
 
 @dataclass(frozen=True)
 class GradedRep:
-    """Level-graded representation realizing a rank-one covering class.
+    """Level-graded representation realizing a covering class under rank-1 weights.
 
     `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a}; only
     blocks with both endpoint levels populated are stored.
@@ -126,8 +128,6 @@ class GradedRep:
     _w: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weights.rank != 1 or self.beta.rank != 1:
-            raise UnsupportedError("graded representations live under rank-1 actions")
         dims: dict = {}
         levels: dict = {}
         for (v, (n,)), m in self.beta.entries:  # sorted by level
@@ -144,7 +144,7 @@ class GradedRep:
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_w", {name: chi[0] for name, chi in self.weights.weights.items()})
+        object.__setattr__(self, "_w", {a.name: self.weights.of(a) for a in self.quiver.arrows})
         fixed = {}
         for (name, n), m in self.blocks.items():
             a = self.quiver.arrow(name)
@@ -156,8 +156,7 @@ class GradedRep:
         object.__setattr__(self, "blocks", fixed)
 
     def weight(self, arrow_name: str) -> int:
-        w = self._w.get(arrow_name)
-        return self.weights.of(arrow_name)[0] if w is None else w
+        return self._w[arrow_name]
 
     def dim(self, v: str, n: int) -> int:
         return self._dims.get((v, n), 0)
@@ -230,15 +229,13 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     first fill that certifies is returned (`_fills`): the 0/1 unit fill, else
     a random one.
     """
-    if w.rank != 1:
-        raise UnsupportedError("fixed representations are built for rank-1 actions")
-    dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
+    dims = {(v, n): m for (v, (n,)), m in beta.entries}
     shapes = []
-    for (v, chi), cols in beta.entries:
+    for (v, (n,)), cols in beta.entries:
         for a in quiver.arrows_from(v):
-            rows = dims.get((a.target, chi[0] + w.of(a)[0]), 0)
+            rows = dims.get((a.target, n + w.of(a)), 0)
             if rows:
-                shapes.append((a.name, chi[0], rows, cols))
+                shapes.append((a.name, n, rows, cols))
     for blocks in _fills(shapes, seed):
         rep = GradedRep(quiver, w, beta, blocks)
         if _hom_ext_of(*rep.pieces[0])[0] == 1:

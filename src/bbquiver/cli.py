@@ -27,7 +27,8 @@ class RunConfig:
     quiver: Quiver
     dim: tuple[int, ...]
     theta: tuple[int, ...]
-    weights: WeightAssignment | None  # None for a command that takes no weights
+    weights: WeightAssignment | None  # rank 1; None for a command that takes no weights
+    codec: covering.CharCodec | None  # decodes the weights' characters for the report
     fmt: str
     # every input the command reads, as the config hash covers it: the three
     # above, the weights where it takes them, and its filter, seed or field
@@ -50,7 +51,7 @@ def _load_config(args: dict) -> RunConfig:
     dim = _int_list(args["dim"], "--dim")
     theta = _int_list(args["theta"], "--theta")
     inputs = {"quiver": quiver.to_dict(), "dim": list(dim), "theta": list(theta)}
-    w = None
+    w = codec = None
     if "weights" in args:
         if args["weights"]:
             w = WeightAssignment.from_json(Path(args["weights"]).read_text())
@@ -60,8 +61,9 @@ def _load_config(args: dict) -> RunConfig:
         else:
             w = generic_rank1_weights(quiver)
         inputs["weights"] = w.to_dict()
+        w, codec = covering.reduce_to_rank_one(w, dim)
     inputs.update((key, args[key]) for key in ("filter", "field", "seed") if key in args)
-    return RunConfig(quiver, dim, theta, w, args["format"], inputs)
+    return RunConfig(quiver, dim, theta, w, codec, args["format"], inputs)
 
 
 def _require_coprime(cfg: RunConfig):
@@ -76,8 +78,9 @@ def _components(cfg: RunConfig, rejected: list | None = None):
     return [fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta) for beta in classes]
 
 
-def _beta_label(beta) -> str:
-    return " ".join(f"{v}@{','.join(map(str, chi))}:{m}" for (v, chi), m in beta.entries)
+def _beta_label(beta, codec) -> str:
+    return " ".join(f"{v}@{','.join(map(str, codec.decode(c)))}:{m}"
+                    for (v, (c,)), m in beta.entries)
 
 
 def _json_key(key) -> str:
@@ -143,13 +146,15 @@ def _json_text(obj, indent: str = "\n") -> str:
     return "".join(out)
 
 
-def _beta_json(beta, memo: dict) -> _Layout:
-    """`beta` laid out at its depth in a `fixed-points`, `cells` or `normal-form` row;
-    each distinct covering entry is laid out once per report and kept in `memo`."""
+def _beta_json(beta, codec, memo: dict) -> _Layout:
+    """`beta` laid out at its depth in a `fixed-points`, `cells` or `normal-form` row,
+    its characters decoded; each distinct covering entry is laid out once per
+    report and kept in `memo`."""
     for entry in beta.entries:
         if entry not in memo:
-            (v, chi), m = entry
-            memo[entry] = _json_text({"vertex": v, "char": list(chi), "dim": m}, "\n        ")
+            (v, (c,)), m = entry
+            memo[entry] = _json_text({"vertex": v, "char": list(codec.decode(c)), "dim": m},
+                                     "\n        ")
     texts = ",\n        ".join([memo[entry] for entry in beta.entries])
     return _Layout(f"[\n        {texts}\n      ]")
 
@@ -171,32 +176,34 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
     rejected = [] if cfg.inputs["filter"] == "off" else None
     comps = _components(cfg, rejected)
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
+    codec = cfg.codec
     for c in comps:
         if c.att_plus + c.att_minus + c.dim_component != total:
             raise InconsistencyError(
-                f"balance fails at [{_beta_label(c.beta)}]: att+ + att- + dim = "
+                f"balance fails at [{_beta_label(c.beta, codec)}]: att+ + att- + dim = "
                 f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
             )
     # one row per class, in the format that prints it; a rejected class has no stable lift
     if cfg.fmt == "json":  # only the JSON report reads the weights
         memo: dict = {}  # covering entry -> its JSON text, for this report
         row = lambda c: {
-            "beta": _beta_json(c.beta, memo),
+            "beta": _beta_json(c.beta, codec, memo),
             "dim_component": c.dim_component,
             "att_plus": c.att_plus,
             "att_minus": c.att_minus,
             "isolated": c.isolated,
-            "weights": {str(chi): m for chi, m in sorted(c.weight_table.items())},
+            "weights": {str(codec.decode(chi)): m for chi, m in c.weight_table.items()},
         }
-        rejected_row = lambda beta: {"beta": _beta_json(beta, memo), "invalid": "no stable lift"}
+        rejected_row = lambda beta: {"beta": _beta_json(beta, codec, memo),
+                                     "invalid": "no stable lift"}
     elif cfg.fmt == "csv":
-        row = lambda c: (f"\"{_beta_label(c.beta)}\",{c.dim_component},"
+        row = lambda c: (f"\"{_beta_label(c.beta, codec)}\",{c.dim_component},"
                          f"{c.att_plus},{c.att_minus},{c.isolated}")
-        rejected_row = lambda beta: f"\"{_beta_label(beta)}\",invalid,,,"
+        rejected_row = lambda beta: f"\"{_beta_label(beta, codec)}\",invalid,,,"
     else:
-        row = lambda c: (f"  [{_beta_label(c.beta)}]  dim={c.dim_component}  "
+        row = lambda c: (f"  [{_beta_label(c.beta, codec)}]  dim={c.dim_component}  "
                          f"att+={c.att_plus}  att-={c.att_minus}  isolated={c.isolated}")
-        rejected_row = lambda beta: f"  [{_beta_label(beta)}]  no stable lift"
+        rejected_row = lambda beta: f"  [{_beta_label(beta, codec)}]  no stable lift"
     rows = [r for _, r in sorted([(c.beta.entries, row(c)) for c in comps]
                                  + [(beta.entries, rejected_row(beta)) for beta in rejected or ()],
                                  key=lambda pair: pair[0])]
@@ -259,13 +266,14 @@ def cmd_cells(cfg: RunConfig) -> int:
         chart, table = _cell_table(cfg, c.beta)
         if chart.total_dim != c.att_plus:
             raise InconsistencyError(
-                f"cell chart at [{_beta_label(c.beta)}] has dimension {chart.total_dim}, "
-                f"attractor has {c.att_plus}"
+                f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has dimension "
+                f"{chart.total_dim}, attractor has {c.att_plus}"
             )
         if cfg.fmt == "json":
-            out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
+            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), **table.to_jsonable()})
         else:
-            lines.append(f"component [{_beta_label(c.beta)}]: cell dimension {chart.total_dim}")
+            lines.append(f"component [{_beta_label(c.beta, cfg.codec)}]: "
+                         f"cell dimension {chart.total_dim}")
             lines.append(table.latex() if cfg.fmt == "latex" else table.text())
     lines.append("chart dimensions match attractors: ok")
     _emit(cfg, {"cells": out, "checks": {"charts_match_attractors": True}}, lines)
@@ -281,9 +289,10 @@ def cmd_normal_form(cfg: RunConfig) -> int:
     for c in hits:
         chart, table = _cell_table(cfg, c.beta)
         if cfg.fmt == "json":
-            out.append({"beta": _beta_json(c.beta, memo), **table.to_jsonable()})
+            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), **table.to_jsonable()})
         else:
-            lines.append(f"open cell of dimension {chart.total_dim} at [{_beta_label(c.beta)}]")
+            lines.append(f"open cell of dimension {chart.total_dim} at "
+                         f"[{_beta_label(c.beta, cfg.codec)}]")
             lines.append(table.text() if cfg.fmt != "latex" else table.latex())
     _emit(cfg, {"normal_forms": out}, lines)
     return 0

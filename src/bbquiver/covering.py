@@ -6,11 +6,15 @@ quiver has vertices Q_0 x Z^n and arrows Q_1 x Z^n with
 vectors of the covering are the combinatorial shadows of torus-fixed
 points; they are considered up to simultaneous translation (shift) of all
 characters.
+
+A rank-n action enters through `reduce_to_rank_one`, which replaces each
+weight by its pairing with the one-parameter subgroup of `CharCodec`.  Every
+kernel reads rank-1 weights (`WeightAssignment.of`), so below the input a
+character is one integer; a covering vector stores it as the 1-tuple (c,).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -48,12 +52,11 @@ class CharCodec:
     def __init__(self, rank: int, bound: int):
         self.rank, self.bound = rank, bound
 
-    def encode(self, chi, origin=None) -> int:
-        """The code of chi - origin (of chi when origin is None)."""
+    def encode(self, chi) -> int:
         code, b = 0, self.bound
-        for x in chi if origin is None else map(operator.sub, chi, origin):
+        for x in chi:
             if not -b <= x <= b:
-                raise UnsupportedError(f"character {tuple(chi)} is more than {b} from {origin or 0}")
+                raise UnsupportedError(f"character {tuple(chi)} has a coordinate beyond {b}")
             code = code * (6 * b + 1) + x
         return code
 
@@ -73,7 +76,6 @@ class WeightAssignment:
 
     rank: int
     weights: dict = field(hash=False)
-    _top: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -82,20 +84,17 @@ class WeightAssignment:
         for name, w in self.weights.items():
             fixed[name] = _as_char(w, self.rank)
         object.__setattr__(self, "weights", fixed)
-        top = max((abs(x) for w in fixed.values() for x in w), default=0)
-        object.__setattr__(self, "_top", max(top, 1))
 
-    def of(self, arrow: Arrow | str) -> Character:
+    def of(self, arrow: Arrow | str) -> int:
+        """The weight of an arrow under a rank-1 action, the only weight a kernel
+        reads; rank-n weights go through `reduce_to_rank_one` first."""
+        if self.rank != 1:
+            raise UnsupportedError(f"kernels take rank-1 weights, not rank {self.rank}")
         name = arrow.name if isinstance(arrow, Arrow) else arrow
         try:
-            return self.weights[name]
+            return self.weights[name][0]
         except KeyError:
             raise ValidationError(f"no weight assigned to arrow {name!r}") from None
-
-    def codec(self, span: int) -> CharCodec:
-        """Codes for characters within `span` of an origin and for the weights:
-        bound span + M, where M = `_top` is the largest weight coordinate (at least 1)."""
-        return CharCodec(self.rank, span + self._top)
 
     def to_dict(self) -> dict:
         return {"rank": self.rank, "weights": {k: list(v) for k, v in self.weights.items()}}
@@ -120,6 +119,21 @@ class WeightAssignment:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def reduce_to_rank_one(w: WeightAssignment, d) -> tuple[WeightAssignment, CharCodec]:
+    """The rank-1 weights code(w_a) under `CharCodec(rank, |d| max|w_a|)`, with that codec.
+
+    A connected support of total |d| spans at most (|d| - 1) max|w_a| in every
+    coordinate, so its characters, and each weight-space character
+    xi + w_a - eta, lie within the bound.  There the codes add, stay distinct
+    and order as the tuples do: the rank-1 covering quiver carries the same
+    classes, with the same tangent weights, as the rank-n one, each
+    character replaced by its code.  The codec decodes them for reports.
+    """
+    top = max((abs(x) for chi in w.weights.values() for x in chi), default=0)
+    codec = CharCodec(w.rank, max(sum(map(abs, d)), 1) * max(top, 1))
+    return WeightAssignment(1, {a: (codec.encode(chi),) for a, chi in w.weights.items()}), codec
 
 
 def generic_rank1_weights(quiver: Quiver) -> WeightAssignment:
@@ -196,21 +210,6 @@ def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     return shift(beta, beta.entries[0][0][1])
 
 
-def _entry_codes(w: WeightAssignment, *classes: CoveringDimVector):
-    """The codec for some classes and their entries as ((vertex, code), count).
-
-    Characters are coded relative to the least one of the first nonzero class,
-    under `w.codec` of the largest coordinate distance of an entry from it.  So
-    an entry plus or minus a weight, or a difference of two entries plus a
-    weight, stays within the code range, whatever the classes' width.
-    """
-    origin = next((beta.entries[0][0][1] for beta in classes if beta.entries), None)
-    codec = w.codec(max((abs(x - o) for beta in classes for (_, xi), _ in beta.entries
-                         for x, o in zip(xi, origin)), default=0))
-    return codec, [[((v, codec.encode(xi, origin)), m) for (v, xi), m in beta.entries]
-                   for beta in classes]
-
-
 @dataclass(frozen=True)
 class SupportQuiver:
     """Finite full subquiver of Q(w) on the support of some beta."""
@@ -218,7 +217,6 @@ class SupportQuiver:
     quiver: Quiver
     dims: tuple[int, ...]
     covering_vertices: tuple  # (vertex, character) per support quiver vertex
-    covering_arrows: tuple    # (arrow name of Q, character) per support quiver arrow
     base: Quiver
 
     def lift_stability(self, theta) -> tuple[int, ...]:
@@ -227,43 +225,32 @@ class SupportQuiver:
         return tuple(theta[self.base.vertex_index(v)] for v, _ in self.covering_vertices)
 
 
-def _cv_name(v: str, chi: Character) -> str:
-    return f"{v}@{','.join(str(c) for c in chi)}"
-
-
 def support_quiver(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> SupportQuiver:
     """The finite subquiver of Q(w) carrying beta, with beta as dimension vector."""
     if beta.is_zero():
         raise ValidationError("support quiver of the zero vector")
-    codec, (rows,) = _entry_codes(w, beta)
-    supp = dict(rows)
-    char = {cv: xi for (cv, _), ((_, xi), _) in zip(rows, beta.entries)}
+    supp = {(v, c): m for (v, (c,)), m in beta.entries}
     keys = sorted(supp, key=lambda cv: (quiver.vertex_index(cv[0]), cv[1]))
-    names = {cv: _cv_name(cv[0], char[cv]) for cv in keys}
+    names = {cv: f"{cv[0]}@{cv[1]}" for cv in keys}
     arrows = []
-    cov_arrows = []
     for v, c in keys:
         for a in quiver.arrows_from(v):
-            tgt = (a.target, c + codec.encode(w.of(a)))
+            tgt = (a.target, c + w.of(a))
             if tgt in supp:
-                arrows.append(Arrow(_cv_name(a.name, char[(v, c)]), names[(v, c)], names[tgt]))
-                cov_arrows.append((a.name, char[(v, c)]))
-    sub = Quiver(tuple(names[cv] for cv in keys), tuple(arrows))
-    dims = tuple(supp[cv] for cv in keys)
-    return SupportQuiver(sub, dims, tuple((cv[0], char[cv]) for cv in keys), tuple(cov_arrows),
-                         quiver)
+                arrows.append(Arrow(f"{a.name}@{c}", names[(v, c)], names[tgt]))
+    sub = Quiver(tuple(names.values()), tuple(arrows))
+    return SupportQuiver(sub, tuple(supp[cv] for cv in keys), tuple(keys), quiver)
 
 
 def euler_form_covering(quiver: Quiver, w: WeightAssignment,
                         beta: CoveringDimVector, gamma: CoveringDimVector) -> int:
     """<beta, gamma> for the covering quiver, via the finite supports."""
-    codec, (rows, gamma_rows) = _entry_codes(w, beta, gamma)
-    gsup = dict(gamma_rows)
+    gsup = {(v, c): m for (v, (c,)), m in gamma.entries}
     total = 0
-    for (v, c), m in rows:
+    for (v, (c,)), m in beta.entries:
         total += m * gsup.get((v, c), 0)
         for a in quiver.arrows_from(v):
-            total -= m * gsup.get((a.target, c + codec.encode(w.of(a))), 0)
+            total -= m * gsup.get((a.target, c + w.of(a)), 0)
     return total
 
 
@@ -341,20 +328,19 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
         raise ValidationError("d must be nonzero")
 
     vidx = quiver.vertex_index
-    codec = w.codec((sum(d) - 1) * w._top)  # the span of a connected support
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
     cap = dict(zip(quiver.vertices, d))
-    ins, outs = ({v: [] for v in order} for _ in range(2))  # (other end, code offset)
+    ins, outs = ({v: [] for v in order} for _ in range(2))  # (other end, character offset)
     for a in quiver.arrows:
         if cap[a.source] and cap[a.target]:
-            wa = codec.encode(w.of(a))
+            wa = w.of(a)
             ins[a.target].append((a.source, -wa))
             outs[a.source].append((a.target, wa))
     adj = {v: list(dict.fromkeys(ins[v] + outs[v])) for v in order}
-    # the walk's set in discovery order: (code, vertex, position) per member, its base
-    # vertices, the position of each member and the links between positions
+    # the walk's set in discovery order: (character, vertex, position) per member, its
+    # base vertices, the position of each member and the links between positions
     placed, bases, pos, links = [], [], {}, []
-    decode = functools.lru_cache(maxsize=None)(codec.decode)
+    chars: dict = {}  # character -> its 1-tuple, one shared tuple per character
     count = dict.fromkeys(order, 0)
     covered = 0  # base vertices with a member over them
     out, dropped = [], []
@@ -402,11 +388,12 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
             if split is None:
                 split = fills[key] = shape_fills(*key)
             kept, lost = split if rejected is not None else (split[0], ())
-            if kept or lost:  # the entries sorted by (code, vertex), as a vector stores them
+            if kept or lost:  # the entries sorted by (character, vertex), as a vector stores them
                 ranked = sorted(placed)
-                cells, by_char = [(u, decode(x)) for x, u, _ in ranked], [k for *_, k in ranked]
+                cells = [(u, chars.get(x) or chars.setdefault(x, (x,))) for x, u, _ in ranked]
+                by_char = [k for *_, k in ranked]
                 for sink, dims_list in ((out, kept), (dropped, lost)):
-                    sink.extend(CoveringDimVector.trusted(w.rank, tuple(
+                    sink.extend(CoveringDimVector.trusted(1, tuple(
                         zip(cells, map(dims.__getitem__, by_char)))) for dims in dims_list)
         frontier = rest + new
         for k, nb in enumerate(frontier):

@@ -8,30 +8,21 @@ of class beta is
         + sum_{a, xi} beta_{s(a), xi} * beta_{t(a), xi + w_a - chi}
         - sum_{i, xi} beta_{i, xi} * beta_{i, xi - chi}.
 
-Everything here is a pure function of (Q, w, beta); attractor sides are
-read off from the sign of the character code, which for rank one is chi and
-for higher rank is the pairing of chi with the one-parameter subgroup
-(B^(n-1), ..., B, 1) of `CharCodec`: the side of chi's first nonzero
+Everything here is a pure function of (Q, w, beta) under rank-1 weights, and
+a character chi is one integer; attractor sides are read off its sign.  A
+rank-n action arrives through `covering.reduce_to_rank_one`: chi is then the
+pairing of a rank-n character with the one-parameter subgroup of
+`CharCodec`, whose sign is the side of the character's first nonzero
 coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Quiver
-from .covering import (
-    Character,
-    CharCodec,
-    CoveringDimVector,
-    WeightAssignment,
-    _as_char,
-    _entry_codes,
-    euler_form_covering,
-    shift,
-)
-from .errors import InconsistencyError, UnsupportedError
+from .covering import CoveringDimVector, WeightAssignment, _as_char, euler_form_covering, shift
+from .errors import InconsistencyError
 
 
 def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector, chi) -> int:
@@ -40,12 +31,12 @@ def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVecto
     Raises InconsistencyError on a negative value, which proves beta is not
     the class of an actual stable fixed point.
     """
-    chi = _as_char(chi, w.rank)
-    moved = shift(beta, tuple(-x for x in chi))
-    return _checked((0 if any(chi) else 1) - euler_form_covering(quiver, w, beta, moved), chi)
+    (chi,) = _as_char(chi, 1)
+    moved = shift(beta, (-chi,))
+    return _checked((0 if chi else 1) - euler_form_covering(quiver, w, beta, moved), chi)
 
 
-def _checked(val: int, chi: Character) -> int:
+def _checked(val: int, chi: int) -> int:
     if val < 0:
         raise InconsistencyError(f"negative weight-space dimension {val} at chi={chi}; "
                                  "beta does not admit a stable lift")
@@ -53,24 +44,23 @@ def _checked(val: int, chi: Character) -> int:
 
 
 def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector):
-    """(codes, codec, plus side, minus side, zero-weight dimension) in one pass.
+    """(weight table, plus side, minus side, zero-weight dimension) in one pass.
 
     An arrow-linked pair of support entries (s(a), xi), (t(a), eta) adds to
     the character xi + w_a - eta, a same-vertex pair (v, xi), (v, eta)
     subtracts from xi - eta, and delta(chi, 0) adds to 0; outside these
-    characters both sums vanish.  Characters are integer codes, checked in
-    sorted order (the tuples' order), raising InconsistencyError at the first
-    negative dimension as `weight_dimension` does.  `codes` maps each nonzero
-    code of positive dimension to that dimension, in code order.  The sides
-    split by the sign of the code, the sign of chi's first nonzero coordinate.
+    characters both sums vanish.  Characters are checked in sorted order,
+    raising InconsistencyError at the first negative dimension as
+    `weight_dimension` does.  The table maps each nonzero character of
+    positive dimension to that dimension, in character order.  The sides
+    split by the sign of the character.
     """
-    codec, (rows,) = _entry_codes(w, beta)
     by_vertex: dict = {}
-    for (v, c), m in rows:
+    for (v, (c,)), m in beta.entries:
         by_vertex.setdefault(v, []).append((c, m))
     acc = {0: 1}
     for a in quiver.arrows:
-        wa = codec.encode(w.of(a))
+        wa = w.of(a)
         targets = by_vertex.get(a.target, ())
         for xi, m in by_vertex.get(a.source, ()):
             for eta, n in targets:
@@ -81,15 +71,15 @@ def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
             for eta, n in entries:
                 chi = xi - eta
                 acc[chi] = acc.get(chi, 0) - m * n
-    codes, sides = {}, [0, 0]
+    table, sides = {}, [0, 0]
     for chi in sorted(acc):
         val = acc[chi]
         if val < 0:
-            _checked(val, codec.decode(chi))
+            _checked(val, chi)
         if val and chi:
-            codes[chi] = val
+            table[chi] = val
             sides[chi < 0] += val
-    return codes, codec, sides[0], sides[1], acc[0]
+    return table, sides[0], sides[1], acc[0]
 
 
 def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
@@ -103,25 +93,18 @@ class FixedComponent:
     """A fixed-point class with its derived tangent data."""
 
     beta: CoveringDimVector
-    codes: dict  # nonzero character code -> weight-space dimension (`_weight_spaces`)
-    codec: CharCodec
+    weight_table: dict  # nonzero character -> weight-space dimension where positive
     dim_component: int
     att_plus: int
     att_minus: int
     isolated: bool
 
-    @cached_property
-    def weight_table(self) -> dict:
-        """Nonzero character -> weight-space dimension where positive, decoded on first read."""
-        return {self.codec.decode(c): m for c, m in self.codes.items()}
-
 
 def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> FixedComponent:
     """Bundle the tangent data of one fixed-point class; a character lies on
-    the side of its first nonzero coordinate (`_weight_spaces`)."""
-    codes, codec, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
-    return FixedComponent(beta, codes, codec, dim_component, att_plus, att_minus,
-                          dim_component == 0)
+    the side of its sign (`_weight_spaces`)."""
+    table, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
+    return FixedComponent(beta, table, dim_component, att_plus, att_minus, dim_component == 0)
 
 
 def generic_normal_form_test(c: FixedComponent) -> bool:
@@ -132,6 +115,4 @@ def generic_normal_form_test(c: FixedComponent) -> bool:
     zero weight space has dimension 1 - <beta, beta>, so beta is a real root
     exactly when the component is isolated.
     """
-    if c.beta.rank != 1:
-        raise UnsupportedError("the open-cell criterion is a rank-1 statement")
     return c.isolated and c.att_minus == 0

@@ -212,10 +212,8 @@ def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | 
     Arrow k of the quiver carries weight w_k; the label indices refer to the
     declared arrow order (1-based).
     """
-    if w.rank != 1:
-        raise ValidationError("labels live under rank-1 weight regimes")
     quiver = quiver or kronecker_quiver(label.l + 1)
-    wt = [w.of(a)[0] for a in quiver.arrows]
+    wt = [w.of(a) for a in quiver.arrows]
 
     def wk(k: int) -> int:
         return wt[k - 1]

@@ -29,7 +29,7 @@ from bbquiver.cells import (
 from bbquiver.core import Quiver, check_vector
 from bbquiver.covering import CoveringDimVector, WeightAssignment
 from bbquiver.covering import shift as shift_covering
-from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationError
+from bbquiver.errors import InconsistencyError, ValidationError
 from bbquiver.linalg import leading_columns, rref
 from covering_oracle import project
 
@@ -266,8 +266,6 @@ def twisted_filtration_check(N: Representation, filtration: dict, w: WeightAssig
     filtration is a per-vertex map {level: spanning rows}; it must be nested
     and exhaust the vertex space at its top level.
     """
-    if w.rank != 1:
-        raise UnsupportedError("twisted filtrations are a rank-1 notion")
     Q = N.quiver
     for v in Q.vertices:
         if N.dim(v) == 0:
@@ -286,7 +284,7 @@ def twisted_filtration_check(N: Representation, filtration: dict, w: WeightAssig
     for a in Q.arrows:
         if N.dim(a.source) == 0:
             continue
-        wa = w.of(a)[0]
+        wa = w.of(a)
         fs = filtration[a.source]
         ft = filtration[a.target] if N.dim(a.target) else {}
         mat = N.matrix(a.name)
@@ -340,7 +338,7 @@ def _associated_graded(N: Representation, filtration: dict, w: WeightAssignment)
     beta = CoveringDimVector.from_dict(1, level_dims)
     blocks = {}
     for a in Q.arrows:
-        wa = w.of(a)[0]
+        wa = w.of(a)
         if N.dim(a.source) == 0 or N.dim(a.target) == 0:
             continue
         mat = N.matrix(a.name)

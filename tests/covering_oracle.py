@@ -2,12 +2,15 @@
 covering arrow, the base dimension vector, total and characters of a
 class, connectedness of a class's support in the covering, the zero
 character, the total tangent dimension of a fixed component, every
-candidate class kept or rejected (`candidates`), and the reference route
-for `enumerate_compatible` (`enumerate_per_support`).
+candidate class kept or rejected (`candidates`), the program's route for
+weights of any rank (`reduced`, `decoded`), and the reference route for
+`enumerate_compatible` (`enumerate_per_support`).
 
-The reference collects every connected support as a frozenset from one
-walk per seed (`_connected_supports`), de-duplicates them in a set, and
-fills each support on its own, in support-quiver order, where
+The helpers and the reference work on tuple characters of any rank with
+tuple arithmetic, reading the weights as given; they never code a
+character.  The reference collects every connected support as a frozenset
+from one walk per seed (`_connected_supports`), de-duplicates them in a
+set, and fills each support on its own, in support-quiver order, where
 `enumerate_compatible` walks once, carries each support's shape in
 discovery order and finds the fills once per shape."""
 
@@ -25,10 +28,9 @@ from bbquiver.covering import (
     WeightAssignment,
     _as_char,
     _compositions,
-    _entry_codes,
     enumerate_compatible,
+    reduce_to_rank_one,
     shape_key,
-    support_quiver,
 )
 from bbquiver.fixedpoints import FixedComponent
 
@@ -45,7 +47,7 @@ def covering_target(quiver: Quiver, w: WeightAssignment, arrow: Arrow | str, chi
     """Target of the covering arrow (a, chi), namely (t(a), chi + w_a)."""
     a = quiver.arrow(arrow) if isinstance(arrow, str) else arrow
     chi = _as_char(chi, w.rank)
-    return (a.target, char_add(chi, w.of(a)))
+    return (a.target, char_add(chi, w.weights[a.name]))
 
 
 def project(beta: CoveringDimVector, quiver: Quiver) -> tuple[int, ...]:
@@ -68,23 +70,23 @@ def total_tangent_dim(comp: FixedComponent) -> int:
     return comp.att_plus + comp.att_minus + comp.dim_component
 
 
-def _adjacency(quiver: Quiver, w: WeightAssignment, codec: CharCodec) -> dict:
-    """Per base vertex, (neighbour vertex, code offset) for every incident arrow.
+def _adjacency(quiver: Quiver, w: WeightAssignment) -> dict:
+    """Per base vertex, (neighbour vertex, character offset) for every incident arrow.
 
-    The neighbours of (v, c) in the underlying graph of Q(w) are the
-    (u, c + offset) over adj[v].
+    The neighbours of (v, chi) in the underlying graph of Q(w) are the
+    (u, chi + offset) over adj[v].
     """
     adj = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
-        wa = codec.encode(w.of(a))
+        wa = w.weights[a.name]
         adj[a.source].append((a.target, wa))
-        adj[a.target].append((a.source, -wa))
+        adj[a.target].append((a.source, tuple(-x for x in wa)))
     return adj
 
 
 def _connected_supports(adj: dict, cap: dict, seed):
     """Connected covering-vertex sets containing `seed` and no character below
-    it, each yielded once; `adj` is `_adjacency`, so characters are codes.
+    it (lexicographically), each yielded once; `adj` is `_adjacency`.
 
     Per base vertex v at most cap[v] covering vertices are used.  The extension
     recursion (Wernicke's ESU) hands each branch its candidate frontier
@@ -96,7 +98,7 @@ def _connected_supports(adj: dict, cap: dict, seed):
 
     def fresh(cv, seen):
         v, c = cv
-        nbs = {(u, c + off) for u, off in adj[v]}
+        nbs = {(u, char_add(c, off)) for u, off in adj[v]}
         return {nb for nb in nbs if nb not in seen and nb[1] >= seed[1]}
 
     def rec(current: frozenset, frontier: list, seen: set, per_vertex: dict):
@@ -115,21 +117,33 @@ def _connected_supports(adj: dict, cap: dict, seed):
 
 
 def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
-    codec, (rows,) = _entry_codes(w, beta)
-    supp = {cv for cv, _ in rows}
+    supp = {cv for cv, _ in beta.entries}
     if not supp:
         return True
-    adj = _adjacency(quiver, w, codec)
+    adj = _adjacency(quiver, w)
     todo = [next(iter(supp))]
     seen = {todo[0]}
     while todo:
         v, c = todo.pop()
         for u, off in adj[v]:
-            nb = (u, c + off)
+            nb = (u, char_add(c, off))
             if nb in supp and nb not in seen:
                 seen.add(nb)
                 todo.append(nb)
     return seen == supp
+
+
+def reduced(quiver: Quiver, w: WeightAssignment, d, theta):
+    """(quiver, rank-1 weights, d, theta, codec): the case as the CLI hands it on,
+    through `reduce_to_rank_one`."""
+    w1, codec = reduce_to_rank_one(w, d)
+    return quiver, w1, d, theta, codec
+
+
+def decoded(codec: CharCodec, beta: CoveringDimVector) -> CoveringDimVector:
+    """A class under reduced weights with its characters decoded to rank `codec.rank`."""
+    return CoveringDimVector(codec.rank, tuple(((v, codec.decode(c)), m)
+                                               for (v, (c,)), m in beta.entries))
 
 
 def candidates(quiver: Quiver, w: WeightAssignment, d, theta) -> list[CoveringDimVector]:
@@ -142,19 +156,21 @@ def candidates(quiver: Quiver, w: WeightAssignment, d, theta) -> list[CoveringDi
 
 def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
                           use_existence_filter: bool = True) -> list[CoveringDimVector]:
-    """`enumerate_compatible` with every support's fills generated, bounded
-    and turned into vectors on their own, and has_stable asked on the
-    support quiver of the first class of each `shape_key`."""
+    """`enumerate_compatible` on weights of any rank, with every support's
+    fills generated, bounded and turned into vectors on their own, and
+    has_stable asked on the support quiver of the first class of each
+    `shape_key`.  Supports are grown from the zero character, so each class
+    comes out canonical: its lexicographically least character is 0."""
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
     vidx = quiver.vertex_index
-    codec = w.codec((sum(d) - 1) * w._top)
-    adj = _adjacency(quiver, w, codec)
+    zero = zero_character(w)
+    adj = _adjacency(quiver, w)
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
     cap = dict(zip(quiver.vertices, d))
-    supports = {sup for v in order for sup in _connected_supports(adj, cap, (v, 0))
+    supports = {sup for v in order for sup in _connected_supports(adj, cap, (v, zero))
                 if len({u for u, _ in sup}) == len(order)}
-    arrows_out = {v: [(a.target, codec.encode(w.of(a))) for a in quiver.arrows_from(v)]
+    arrows_out = {v: [(a.target, w.weights[a.name]) for a in quiver.arrows_from(v)]
                   for v in order}
     out = []
     verdicts: dict = {}
@@ -162,9 +178,8 @@ def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
         cvs = sorted(sup, key=lambda cv: (vidx(cv[0]), cv[1]))
         pos = {cv: k for k, cv in enumerate(cvs)}
         links = [(k, pos[t]) for k, (v, c) in enumerate(cvs) for u, wa in arrows_out[v]
-                 for t in [(u, c + wa)] if t in pos]
+                 for t in [(u, char_add(c, wa))] if t in pos]
         theta_hat = tuple(theta[vidx(v)] for v, _ in cvs)
-        keys = [(v, codec.decode(c)) for v, c in cvs]
         by_char = sorted(range(len(cvs)), key=lambda k: (cvs[k][1], cvs[k][0]))
         parts = [_compositions(d[vidx(v)], sum(u == v for u, _ in cvs)) for v in order]
         for fill in itertools.product(*parts):
@@ -172,12 +187,13 @@ def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
             if use_existence_filter and \
                     sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
                 continue
-            beta = CoveringDimVector.trusted(w.rank, tuple((keys[k], dims[k]) for k in by_char))
+            beta = CoveringDimVector.trusted(w.rank, tuple((cvs[k], dims[k]) for k in by_char))
             if use_existence_filter:
                 key = shape_key(dims, theta_hat, links)
                 if key not in verdicts:
-                    sq = support_quiver(quiver, w, beta)
-                    verdicts[key] = hn.has_stable(sq.quiver, sq.dims, theta_hat)
+                    sub = Quiver.from_arrows(map(str, range(len(cvs))), (
+                        (str(k), str(i), str(j)) for k, (i, j) in enumerate(links)))
+                    verdicts[key] = hn.has_stable(sub, dims, theta_hat)
                 if not verdicts[key]:
                     continue
             out.append(beta)

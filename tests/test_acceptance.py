@@ -157,7 +157,7 @@ def test_criterion_7_ext_equivalence(k3, w3, k3_classes, k3_lifts):
     checked = 0
     for beta, rep in zip(k3_classes, k3_lifts):
         table = bq.weight_support(k3, w3, beta)
-        chis = {c for (c,) in table}  # every realized tangent weight
+        chis = set(table)  # every realized tangent weight
         while len(chis) < 20:
             chis.add(rng.randint(-650, 650))
         for c in chis:

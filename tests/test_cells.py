@@ -59,7 +59,7 @@ class TestHomExt:
         rng = random.Random(3)
         for beta, rep in zip(k3_classes, k3_lifts):
             table = bq.weight_support(k3, w3, beta)
-            chis = {c for (c,) in table} | {rng.randint(-600, 600) for _ in range(6)}
+            chis = set(table) | {rng.randint(-600, 600) for _ in range(6)}
             for c in chis:
                 if c == 0:
                     continue
@@ -125,7 +125,7 @@ def uncertified_reps(quiver, w, beta, seed=0):
     """The representatives of class beta with 0/1 partial identity blocks and
     with random blocks in -9..9, as `build_fixed_rep` fills them, uncertified."""
     dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
-    shapes = [(a.name, n, dims.get((a.target, n + w.of(a)[0]), 0), cols)
+    shapes = [(a.name, n, dims.get((a.target, n + w.of(a)), 0), cols)
               for (v, n), cols in dims.items() for a in quiver.arrows_from(v)]
     rng = random.Random(seed)
     unit = {(a, n): [[int(r == c) for c in range(cols)] for r in range(rows)]
@@ -360,7 +360,7 @@ def graded_reps(draw):
     blocks = {}
     for a in LOOPED.arrows:
         for n in range(-2, 4):
-            rows = beta.get(a.target, (n + w.of(a)[0],))
+            rows = beta.get(a.target, (n + w.of(a),))
             cols = beta.get(a.source, (n,))
             if rows and cols:
                 blocks[(a.name, n)] = [[draw(entry) for _ in range(cols)] for _ in range(rows)]

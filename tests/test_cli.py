@@ -10,6 +10,7 @@ import pytest
 
 import bbquiver as bq
 from bbquiver.cli import _iroot, _is_prime_power, main
+from bbquiver.covering import reduce_to_rank_one
 
 
 @pytest.fixture()
@@ -154,24 +155,39 @@ def test_normal_form_command(capsys, k3_file):
     assert "dimension 6" in out
 
 
-@pytest.mark.parametrize("command,message", [
-    ("cells", "fixed representations are built for rank-1 actions"),
-    ("normal-form", "the open-cell criterion is a rank-1 statement"),
-])
-def test_chart_commands_refuse_rank2_weights_once(capsys, monkeypatch, tmp_path, k3_file,
-                                                   command, message):
+def test_rank2_cells_chart_the_code_sign_subgroup(capsys, tmp_path, k3_file):
+    """`cells` answers rank-2 weights with the charts of their code-sign
+    subgroup: one chart per class, of dimension att+, with the patterns that
+    the encoded rank-1 weights give."""
+    rank2 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1), "a3": (1, 1)})
+    encoded, _ = reduce_to_rank_one(rank2, (2, 3))
+    reports = {}
+    for name, w in (("rank2", rank2), ("encoded", encoded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(w.to_dict()))
+        for command in ("cells", "fixed-points"):
+            assert main([command, *base_args(k3_file, "--weights", str(path),
+                                             "--format", "json")]) == 0
+            reports[name, command] = json.loads(capsys.readouterr().out)
+    charts = reports["rank2", "cells"]["cells"]
+    assert len(charts) == 13
+    att_plus = {json.dumps(row["beta"]): row["att_plus"]
+                for row in reports["rank2", "fixed-points"]["components"]}
+    assert {json.dumps(c["beta"]): c["dimension"] for c in charts} == att_plus
+    assert all(len(entry["char"]) == 2 for c in charts for entry in c["beta"])
+    assert [c["patterns"] for c in charts] == \
+        [c["patterns"] for c in reports["encoded", "cells"]["cells"]]
+
+
+def test_rank3_weist_weights_have_one_open_cell(capsys, tmp_path, k3_file):
+    """`normal-form` charts a rank-3 action for its code-sign subgroup."""
     wfile = tmp_path / "w.json"
-    wfile.write_text(json.dumps({"rank": 2, "weights": {"a1": [1, 0], "a2": [0, 1], "a3": [1, 1]}}))
-    builds = []
-    original = bq.cells.build_fixed_rep
-    monkeypatch.setattr(bq.cells, "build_fixed_rep",
-                        lambda *args, **kw: builds.append(args) or original(*args, **kw))
-    code = main([command, *base_args(k3_file, "--weights", str(wfile))])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert json.loads(line) == {"error": "unsupported", "message": message}
-    assert len(builds) == (command == "cells")  # the refusal is raised once, not retried
+    wfile.write_text(json.dumps(
+        {"rank": 3, "weights": {"a1": [1, 0, 0], "a2": [0, 1, 0], "a3": [0, 0, 1]}}))
+    assert main(["normal-form", *base_args(k3_file, "--weights", str(wfile),
+                                           "--format", "json")]) == 0
+    (cell,) = json.loads(capsys.readouterr().out)["normal_forms"]
+    assert cell["dimension"] == 6
 
 
 def test_filter_off_keeps_empty_classes(capsys, k3_file):

@@ -2,8 +2,11 @@
 
 * `CharCodec` against tuple arithmetic: round trip, addition and
   lexicographic order, for ranks 1-3 within the bound, and refusal outside it.
-* Kernels give the values of tuple arithmetic on classes of any width, the
-  code bound being sized from the classes passed.
+* Kernels give the values of tuple arithmetic on rank-n weights reduced by
+  `reduce_to_rank_one`, the code bound being sized from d and the weights.
+* Every kernel refuses rank-n weights that did not pass `reduce_to_rank_one`,
+  which leaves rank-1 weights as they are and codes rank-n ones as their
+  pairing with the one-parameter subgroup.
 * The trusted constructor against the validating one, on enumerator output.
 * The code-sign sides of `analyze_component` against the first nonzero
   coordinate of each character in `weight_table`.
@@ -17,8 +20,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver.covering import CharCodec, CoveringDimVector, char_sub
-from covering_oracle import candidates, char_add, is_connected, zero_character
+from bbquiver.covering import CharCodec, CoveringDimVector, char_sub, reduce_to_rank_one
+from covering_oracle import candidates, char_add, is_connected, reduced, zero_character
 
 pytest.importorskip("numpy")  # the Schofield oracle below needs it
 import schofield_oracle
@@ -65,9 +68,9 @@ class TestCharCodec:
         base = 6 * codec.bound + 1
         lam = [base ** (codec.rank - 1 - i) for i in range(codec.rank)]
         assert codec.encode(chi) == sum(l * c for l, c in zip(lam, chi))
-        if codec.bound:
+        if codec.bound:  # a character measured from an origin codes as the difference
             half = CharCodec(codec.rank, 2 * codec.bound)
-            assert half.encode(chi, origin) == half.encode(char_sub(chi, origin))
+            assert half.encode(char_sub(chi, origin)) == half.encode(chi) - half.encode(origin)
 
     def test_rank_one_code_is_the_coordinate(self):
         codec = CharCodec(1, 7)
@@ -90,32 +93,39 @@ RANK2 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1)})
 
 
 class TestWideClasses:
-    """Classes of any width get the values of tuple arithmetic: the code bound
-    is sized from the classes' own spread.  `wide` has total 2, so a bound
-    sized from the total alone would have let (0, 13) share the code of (1, 0)."""
-
-    wide = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (0, 13)): 1})
+    """Rank-n weights reach the kernels only through `reduce_to_rank_one`, whose
+    code bound is sized from d and the largest weight coordinate; there the
+    kernels give the values of tuple arithmetic.  On rank-1 weights a class of
+    any width, or a character of any size, is plain integer arithmetic."""
 
     def test_kernels_give_the_tuple_values(self):
-        k2 = bq.kronecker_quiver(2)
+        """`wide` has total 2; reduced for d = (7, 7) its bound 14 covers
+        (0, 13), which then keeps a code of its own, apart from (1, 0)'s."""
+        k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (7, 7), (1, 0))
+        wide = CoveringDimVector.from_dict(1, {("i", codec.encode((0, 0))): 1,
+                                               ("j", codec.encode((0, 13))): 1})
+        assert codec.encode((0, 13)) != codec.encode((1, 0))
         for fn in (bq.weight_support, bq.analyze_component):
             with pytest.raises(bq.InconsistencyError):  # zero weight: 1 - 2 < 0
-                fn(k2, RANK2, self.wide)
-        sq = bq.support_quiver(k2, RANK2, self.wide)
+                fn(k2, w, wide)
+        sq = bq.support_quiver(k2, w, wide)
         assert sq.quiver.arrows == () and sq.dims == (1, 1)
-        assert sq.covering_vertices == (("i", (0, 0)), ("j", (0, 13)))
-        assert bq.euler_form_covering(k2, RANK2, self.wide, self.wide) == 2
-        assert bq.weight_dimension(k2, RANK2, self.wide, (1, 0)) == 0
-        assert bq.weight_dimension(k2, RANK2, self.wide, (0, -13)) == 0
+        assert [(v, codec.decode(c)) for v, c in sq.covering_vertices] == \
+            [("i", (0, 0)), ("j", (0, 13))]
+        assert bq.euler_form_covering(k2, w, wide, wide) == 2
+        assert bq.weight_dimension(k2, w, wide, (codec.encode((1, 0)),)) == 0
+        assert bq.weight_dimension(k2, w, wide, (codec.encode((0, -13)),)) == 0
 
     def test_is_connected_says_no(self):
-        assert not is_connected(bq.kronecker_quiver(2), RANK2, self.wide)
+        wide = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (0, 13)): 1})
+        assert not is_connected(bq.kronecker_quiver(2), RANK2, wide)
 
     def test_far_characters_have_zero_weight_space(self):
-        k2 = bq.kronecker_quiver(2)
-        beta = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (1, 0)): 1})
-        assert bq.weight_dimension(k2, RANK2, beta, (1000, -500)) == 0
-        assert bq.euler_form_covering(k2, RANK2, beta, bq.shift(beta, (-1000, 500))) == 0
+        k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
+        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", codec.encode((1, 0))): 1})
+        far = -1000 * (6 * codec.bound + 1) + 500  # the pairing of (-1000, 500), past the bound
+        assert bq.weight_dimension(k2, w, beta, (-far,)) == 0
+        assert bq.euler_form_covering(k2, w, beta, bq.shift(beta, (far,))) == 0
         rank1 = bq.WeightAssignment(1, {"a1": 1, "a2": 2})
         beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", 1): 1})
         assert bq.weight_dimension(k2, rank1, beta, (10 ** 6,)) == 0
@@ -131,26 +141,69 @@ class TestWideClasses:
     def test_euler_form_matches_tuple_arithmetic(self, drawn):
         rank, (w1, w2), beta, gamma = drawn
         k2 = bq.kronecker_quiver(2)
-        w = bq.WeightAssignment(rank, {"a1": w1, "a2": w2})
+        # d = (20, 20) sizes the bound to at least 40, which covers the drawn characters
+        w, codec = reduce_to_rank_one(bq.WeightAssignment(rank, {"a1": w1, "a2": w2}), (20, 20))
         expected = sum(m * gamma.get(cv, 0) for cv, m in beta.items()) - sum(
             m * gamma.get(("j", char_add(xi, wa)), 0)
             for (v, xi), m in beta.items() if v == "i" for wa in (w1, w2))
-        assert bq.euler_form_covering(k2, w, CoveringDimVector.from_dict(rank, beta),
-                                      CoveringDimVector.from_dict(rank, gamma)) == expected
+
+        def coded(support):
+            return CoveringDimVector.from_dict(1, {(v, codec.encode(xi)): m
+                                                   for (v, xi), m in support.items()})
+
+        assert bq.euler_form_covering(k2, w, coded(beta), coded(gamma)) == expected
 
     def test_shifted_classes_are_coded_from_their_least_character(self):
-        k2 = bq.kronecker_quiver(2)
-        beta = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (1, 0)): 1})
-        far = bq.shift(beta, (-1000, 500))
-        assert bq.weight_support(k2, RANK2, far) == bq.weight_support(k2, RANK2, beta)
-        assert bq.euler_form_covering(k2, RANK2, far, far) == 1
+        """A class far from 0 under the reduced weights has the tangent data of
+        the class at 0: the kernels take differences of characters only."""
+        k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
+        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", codec.encode((1, 0))): 1})
+        far = bq.shift(beta, (-1000 * (6 * codec.bound + 1) + 500,))
+        assert bq.weight_support(k2, w, far) == bq.weight_support(k2, w, beta)
+        assert bq.euler_form_covering(k2, w, far, far) == 1
 
     def test_the_zero_class_still_has_a_codec(self):
-        k2, zero = bq.kronecker_quiver(2), CoveringDimVector(2, ())
-        comp = bq.analyze_component(k2, RANK2, zero)
+        k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
+        comp = bq.analyze_component(k2, w, CoveringDimVector(1, ()))
         assert (comp.weight_table, comp.att_plus, comp.att_minus, comp.dim_component) == \
             ({}, 0, 0, 1)
-        assert is_connected(k2, RANK2, zero)
+        assert codec.rank == 2
+        assert is_connected(k2, RANK2, CoveringDimVector(2, ()))
+
+
+RANK2_K3 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1), "a3": (1, 1)})
+KERNELS = {  # each kernel on K3 (2,3), given the weights and a class
+    "enumerate_compatible": lambda k3, w, beta: bq.enumerate_compatible(k3, w, (2, 3), (1, 0)),
+    "analyze_component": lambda k3, w, beta: bq.analyze_component(k3, w, beta),
+    "weight_dimension": lambda k3, w, beta: bq.weight_dimension(k3, w, beta, (1,)),
+    "support_quiver": lambda k3, w, beta: bq.support_quiver(k3, w, beta),
+    "euler_form_covering": lambda k3, w, beta: bq.euler_form_covering(k3, w, beta, beta),
+    "build_fixed_rep": lambda k3, w, beta: bq.build_fixed_rep(k3, w, beta),
+    "label_to_beta": lambda k3, w, beta: bq.label_to_beta(bq.Label1(2, 1, 2, (3,), 3, (2,)), w, k3),
+}
+
+
+class TestReduction:
+    """Rank-n weights reach a kernel only through `reduce_to_rank_one`."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_every_kernel_refuses_rank_n_weights(self, k3, name):
+        w, _ = reduce_to_rank_one(RANK2_K3, (2, 3))
+        beta = bq.enumerate_compatible(k3, w, (2, 3), (1, 0))[-1]
+        with pytest.raises(bq.UnsupportedError, match="rank-1 weights, not rank 2"):
+            KERNELS[name](k3, RANK2_K3, beta)
+        KERNELS[name](k3, w, beta)
+
+    def test_rank_one_weights_pass_unchanged(self, k3, w3):
+        w, codec = reduce_to_rank_one(w3, (2, 3))
+        assert w == w3 and codec.rank == 1
+        assert [codec.decode(w.of(a)) for a in k3.arrows] == [w3.weights[a.name] for a in k3.arrows]
+
+    def test_codes_are_the_pairing_with_the_subgroup(self):
+        w, codec = reduce_to_rank_one(RANK2_K3, (2, 3))
+        base = 6 * codec.bound + 1
+        assert codec.bound == 5
+        assert {a: w.of(a) for a in w.weights} == {"a1": base, "a2": 1, "a3": base + 1}
 
 
 def neg_weights():
@@ -171,14 +224,15 @@ ENUMERATED = {
 
 @pytest.fixture(scope="module", params=sorted(ENUMERATED))
 def enumerated(request):
+    """The case's classes through `reduce_to_rank_one`, with its codec."""
     quiver, w, d, theta = ENUMERATED[request.param]
-    w = w or bq.generic_rank1_weights(quiver)
-    return quiver, w, candidates(quiver, w, d, theta)
+    quiver, w, d, theta, codec = reduced(quiver, w or bq.generic_rank1_weights(quiver), d, theta)
+    return quiver, w, codec, candidates(quiver, w, d, theta)
 
 
 class TestTrustedOutput:
     def test_matches_the_validating_constructor(self, enumerated):
-        _, w, classes = enumerated
+        _, w, _, classes = enumerated
         assert classes
         for beta in classes:
             rebuilt = CoveringDimVector(w.rank, tuple(reversed(beta.entries)))
@@ -187,21 +241,21 @@ class TestTrustedOutput:
             assert all(type(x) is int for (_, chi), _ in beta.entries for x in chi)
 
     def test_code_sides_are_the_choose_1psg_sides(self, enumerated):
-        quiver, w, classes = enumerated
+        quiver, w, codec, classes = enumerated
         seen = 0
         for beta in classes:
             try:
                 comp = bq.analyze_component(quiver, w, beta)
             except bq.InconsistencyError:
                 continue
-            if w.rank > 1 and comp.weight_table:
+            if codec.rank > 1 and comp.weight_table:
                 sides = [0, 0]
                 for chi, m in comp.weight_table.items():
-                    sides[next(x for x in chi if x) < 0] += m
+                    sides[next(x for x in codec.decode(chi) if x) < 0] += m
                 assert sides == [comp.att_plus, comp.att_minus]
                 seen += 1
             assert comp.dim_component == bq.weight_dimension(quiver, w, beta, zero_character(w))
-        assert seen or w.rank == 1
+        assert seen or codec.rank == 1
 
 
 @st.composite

@@ -31,8 +31,7 @@ def chars(rank):
 
 class TestCoveringTarget:
     def test_rank1_direct(self, k3, w3):
-        w2 = w3.of("a2")
-        assert covering_target(k3, w3, "a2", (0,)) == ("j", w2)
+        assert covering_target(k3, w3, "a2", (0,)) == ("j", (w3.of("a2"),))
 
     def test_zero_weight(self):
         q = bq.Quiver.from_arrows(("x", "y"), [("a", "x", "y")])

@@ -10,6 +10,10 @@
   once, against the loop that fills every support on its own, for the kept
   classes and for the kept and rejected ones together, and on quivers with
   loops and 2-cycles, where both routes must refuse a cyclic support quiver.
+  Rank-n weights go through `reduce_to_rank_one` as the CLI's do, and the
+  classes are decoded before they meet the tuple-native reference; at
+  signed weights up to the code bound, their tangent data also meets a
+  tuple-arithmetic Euler form.
 * `shape_key` against brute-force isomorphism of small labelled trees.
 """
 
@@ -17,12 +21,12 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver import hn
 from bbquiver.covering import char_sub, shape_key
-from covering_oracle import candidates, char_add, enumerate_per_support, zero_character
+from covering_oracle import candidates, char_add, decoded, enumerate_per_support, reduced
 
 
 def double_chain():
@@ -79,14 +83,23 @@ CYCLIC_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
+def reduced_case(name):
+    """(quiver, rank-1 weights, d, theta, codec): the named case through `reduce_to_rank_one`."""
+    return reduced(*CASES[name])
+
+
+@functools.lru_cache(maxsize=None)
 def unfiltered(name):
-    return candidates(*CASES[name])
+    return candidates(*reduced_case(name)[:4])
 
 
 def enumerated(quiver, w, d, theta, use_filter):
-    """The kept classes, or with `use_filter` false the kept and rejected ones."""
-    return bq.enumerate_compatible(quiver, w, d, theta) if use_filter else \
-        candidates(quiver, w, d, theta)
+    """The kept classes, or with `use_filter` false the kept and rejected ones,
+    for weights of any rank, as the CLI finds them: through
+    `reduce_to_rank_one`, with the characters decoded."""
+    *case, codec = reduced(quiver, w, d, theta)
+    found = bq.enumerate_compatible(*case) if use_filter else candidates(*case)
+    return [decoded(codec, beta) for beta in found]
 
 
 def outcome(fn, *args):
@@ -100,26 +113,51 @@ def reference_weight_support(quiver, w, beta):
     """weight_dimension over every difference of arrow-linked or same-vertex
     support characters, in sorted order, keeping the nonzero positive ones."""
     cands = set()
-    for (v, xi), _ in beta.entries:
-        for (u, eta), _ in beta.entries:
+    for (v, (xi,)), _ in beta.entries:
+        for (u, (eta,)), _ in beta.entries:
             if u == v:
-                cands.add(char_sub(xi, eta))
+                cands.add(xi - eta)
             for a in quiver.arrows_from(v):
                 if a.target == u:
-                    cands.add(char_sub(char_add(xi, w.of(a)), eta))
+                    cands.add(xi + w.of(a) - eta)
     table = {}
     for chi in sorted(cands):
-        val = bq.weight_dimension(quiver, w, beta, chi)
-        if chi != zero_character(w) and val > 0:
+        val = bq.weight_dimension(quiver, w, beta, (chi,))
+        if chi and val > 0:
             table[chi] = val
     return table
+
+
+def tuple_weight_table(quiver, w, beta):
+    """(nonzero character -> weight-space dimension, zero-weight dimension) of
+    a class under weights of any rank, by tuple arithmetic: the dimension at
+    chi is delta(chi, 0) - <beta, s_{-chi}(beta)>, with the Euler form written
+    out as in test_codes' `test_euler_form_matches_tuple_arithmetic`."""
+    supp = dict(beta.entries)
+
+    def euler(gamma):  # <beta, gamma>
+        return sum(m * gamma.get(cv, 0) for cv, m in supp.items()) - sum(
+            m * gamma.get((a.target, char_add(xi, w.weights[a.name])), 0)
+            for (v, xi), m in supp.items() for a in quiver.arrows_from(v))
+
+    cands = {char_sub(xi, eta) for _, xi in supp for _, eta in supp} | {
+        char_sub(char_add(xi, w.weights[a.name]), eta)
+        for v, xi in supp for a in quiver.arrows_from(v) for _, eta in supp}
+    zero = (0,) * w.rank
+    table = {}
+    for chi in sorted(cands - {zero}):
+        # s_{-chi}(beta) at (i, xi) is beta at (i, xi - chi)
+        val = -euler({(v, char_add(xi, chi)): m for (v, xi), m in supp.items()})
+        if val:
+            table[chi] = val
+    return table, 1 - euler(supp)
 
 
 class TestWeightSupport:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["K3 (2,3)", "K4 (2,5)", "K2 (1,2) rank 2"]), st.data())
     def test_matches_weight_dimension(self, name, data):
-        quiver, w = CASES[name][:2]
+        quiver, w = reduced_case(name)[:2]
         classes = unfiltered(name)
         beta = classes[data.draw(st.integers(0, len(classes) - 1))]
         beta = bq.shift(beta, data.draw(st.tuples(*[st.integers(-9, 9)] * w.rank)))
@@ -127,7 +165,7 @@ class TestWeightSupport:
             outcome(reference_weight_support, quiver, w, beta)
 
     def test_both_outcomes_occur(self):
-        quiver, w = CASES["K4 (2,5)"][:2]
+        quiver, w = reduced_case("K4 (2,5)")[:2]
         results = [outcome(bq.weight_support, quiver, w, b) for b in unfiltered("K4 (2,5)")]
         assert any(isinstance(r, dict) for r in results)
         assert any(isinstance(r, tuple) for r in results)
@@ -187,6 +225,33 @@ def acyclic_cases(draw):
 
 
 @st.composite
+def signed_rank_n_cases(draw):
+    """A quiver on up to 3 vertices with up to two arrows i -> j for each
+    i < j, a dimension vector, a theta, and rank-2 or rank-3 weights with
+    signed coordinates in -3..3.  A support then spans up to the code bound
+    |d| max|w_a| that `reduce_to_rank_one` sizes, in every coordinate."""
+    n = draw(st.integers(1, 3))
+    arrows = [(f"a{i}{j}{m}", f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+              for m in range(draw(st.integers(0, 2)))]
+    quiver = bq.Quiver.from_arrows(tuple(f"v{k}" for k in range(n)), arrows)
+    rank = draw(st.integers(2, 3))
+    w = bq.WeightAssignment(rank, {a[0]: tuple(draw(st.integers(-3, 3)) for _ in range(rank))
+                                   for a in arrows})
+    d = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)))
+    theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return quiver, w, d, theta
+
+
+# a support of total 5 spanning 4 in one coordinate: a code bound sized from the
+# weights alone, not from |d|, lets two of its characters share a code
+AT_THE_BOUND = (bq.Quiver.from_arrows(("v0", "v1", "v2"), [("a010", "v0", "v1"),
+                                                         ("a020", "v0", "v2"),
+                                                         ("a021", "v0", "v2")]),
+                bq.WeightAssignment(3, {"a010": (0, 1, 0), "a020": (0, -1, 0),
+                                        "a021": (0, 1, 0)}), (2, 1, 2), (1, 0, 0))
+
+
+@st.composite
 def cyclic_cases(draw):
     """A quiver on up to 3 vertices with up to two arrows i -> j for each
     ordered pair, so loops and 2-cycles, a dimension vector, a theta, and
@@ -212,6 +277,28 @@ class TestShapeCache:
         assume(bq.is_coprime(quiver, d, theta))
         assert enumerated(quiver, w, d, theta, use_filter) == \
             enumerate_per_support(quiver, w, d, theta, use_filter)
+
+    @settings(max_examples=120, deadline=None)
+    @given(signed_rank_n_cases())
+    @example(AT_THE_BOUND)
+    def test_signed_rank_n_weights_at_the_bound(self, case):
+        quiver, w, d, theta = case
+        assume(bq.is_coprime(quiver, d, theta))
+        _, w1, _, _, codec = reduced(quiver, w, d, theta)
+        classes = bq.enumerate_compatible(quiver, w1, d, theta)
+        betas = [decoded(codec, beta) for beta in classes]
+        assert betas == enumerate_per_support(quiver, w, d, theta)
+        mine, tuples = [], []
+        for beta, rank_n in zip(classes, betas):
+            comp = bq.analyze_component(quiver, w1, beta)
+            table, zero = tuple_weight_table(quiver, w, rank_n)
+            assert {codec.decode(chi): m for chi, m in comp.weight_table.items()} == table
+            mine.append((comp.att_plus, comp.att_minus, comp.dim_component))
+            sides = [0, 0]
+            for chi, m in table.items():
+                sides[next(x for x in chi if x) < 0] += m
+            tuples.append((*sides, zero))
+        assert sorted(mine) == sorted(tuples)
 
     @pytest.mark.parametrize("name", list(CASES))
     @pytest.mark.parametrize("use_filter", [True, False])

@@ -1,7 +1,7 @@
 import pytest
 
 import bbquiver as bq
-from bbquiver.covering import CoveringDimVector
+from bbquiver.covering import CoveringDimVector, reduce_to_rank_one
 from bbquiver.errors import InconsistencyError, UnsupportedError
 
 from conftest import type1_beta
@@ -27,7 +27,7 @@ class TestWeightDimension:
     def test_type2_plus_side(self, k3, w3):
         beta = type2_beta(k3, w3)
         table = bq.weight_support(k3, w3, beta)
-        assert sum(v for (c,), v in table.items() if c > 0) == 3
+        assert sum(v for c, v in table.items() if c > 0) == 3
 
     def test_total_is_moduli_dimension(self, k3, w3, k3_classes):
         for beta in k3_classes:
@@ -79,6 +79,7 @@ class TestHigherRankReduction:
     def test_weist_action_matches_generic_rank1(self, k3):
         # one torus factor per arrow, acting by its own coordinate
         w = bq.WeightAssignment(3, {"a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1)})
+        w, _ = reduce_to_rank_one(w, (2, 3))
         classes = bq.enumerate_compatible(k3, w, (2, 3), (1, 0))
         assert len(classes) == 13
         comps = [bq.analyze_component(k3, w, b) for b in classes]
@@ -113,10 +114,13 @@ class TestGenericNormalForm:
         assert not bq.generic_normal_form_test(bq.analyze_component(star5, w, beta))
 
     def test_rank2_rejected(self, k3):
+        """Rank-n weights that did not pass `reduce_to_rank_one` are refused
+        before a component is built, so the rank-1 criterion never sees them."""
         w = bq.WeightAssignment(3, {"a1": (1, 0, 0), "a2": (0, 1, 0), "a3": (0, 0, 1)})
-        c = bq.analyze_component(k3, w, bq.enumerate_compatible(k3, w, (2, 3), (1, 0))[0])
-        with pytest.raises(UnsupportedError):
-            bq.generic_normal_form_test(c)
+        reduced, _ = reduce_to_rank_one(w, (2, 3))
+        beta = bq.enumerate_compatible(k3, reduced, (2, 3), (1, 0))[0]
+        with pytest.raises(UnsupportedError, match="rank-1 weights, not rank 3"):
+            bq.analyze_component(k3, w, beta)
 
     @pytest.mark.parametrize("case", ["K3 (2,3)", "K4 (2,3)", "K4 (2,5)", "K3 (3,4)",
                                       "star5", "star7"])

@@ -7,7 +7,7 @@ import pytest
 
 import bbquiver as bq
 from bbquiver.covering import CoveringDimVector, canonicalize
-from covering_oracle import candidates, is_connected, project, total_tangent_dim
+from covering_oracle import candidates, decoded, is_connected, project, reduced, total_tangent_dim
 
 pytest.importorskip("numpy")  # the brute-force F_q oracle below needs it
 from bbquiver.existence import brute_force_stable_count
@@ -60,7 +60,8 @@ class TestEnumerationOracle:
     def test_two_vertex_rank2(self):
         quiver = bq.kronecker_quiver(2)
         w = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1)})
-        mine = set(candidates(quiver, w, (1, 2), (1, 0)))
+        *case, codec = reduced(quiver, w, (1, 2), (1, 0))
+        mine = {decoded(codec, beta) for beta in candidates(*case)}
         assert mine == window_enumerate(quiver, w, (1, 2), 2)
 
     def test_chain(self):
