@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .core import Quiver
+from .core import Quiver, Record
 from .covering import WeightAssignment, shape_key, support_quiver
 from .errors import InconsistencyError, ValidationError
 from .fixedpoints import FixedComponent
 from .hn import stable_counts
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Record):
     """Integer polynomial in t with only even-degree terms."""
 
-    coefficients: tuple  # tuple of (degree, coefficient), sorted, coefficient > 0
+    __slots__ = _fields = ("coefficients",)  # (degree, coefficient) pairs, sorted, coefficient > 0
+
+    def __init__(self, coefficients: tuple):
+        self.coefficients = coefficients
+        self.__post_init__()  # looked up on the class, where perfbench's tracer counts it
 
     def __post_init__(self):
         merged: dict = {}
@@ -40,7 +42,7 @@ class PoincarePolynomial:
             if c < 0:
                 raise ValidationError(f"negative coefficient {c} at degree {deg}")
             fixed.append((deg, c))
-        object.__setattr__(self, "coefficients", tuple(fixed))
+        self.coefficients = tuple(fixed)
 
     @classmethod
     def from_dict(cls, coeffs: dict) -> "PoincarePolynomial":

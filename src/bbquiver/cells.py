@@ -34,7 +34,6 @@ route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -108,29 +107,22 @@ def _basis(blocks) -> list:
             for r in range(block[1]) for c in range(block[2])]
 
 
-@dataclass(frozen=True)
 class GradedRep:
     """Level-graded representation realizing a covering class under rank-1 weights.
 
     `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a}; only
-    blocks with both endpoint levels populated are stored.
+    blocks with both endpoint levels populated are stored.  No `__slots__`:
+    `pieces` caches in the instance dict.
     """
 
-    quiver: Quiver
-    weights: WeightAssignment
-    beta: CoveringDimVector
-    blocks: dict
-    # the index: {(vertex, level): dim}, sorted levels and level offsets per
-    # vertex, and {arrow: weight}
-    _dims: dict = field(init=False, repr=False, compare=False)
-    _levels: dict = field(init=False, repr=False, compare=False)
-    _offsets: dict = field(init=False, repr=False, compare=False)
-    _w: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, quiver: Quiver, weights: WeightAssignment, beta: CoveringDimVector,
+                 blocks: dict):
+        self.quiver, self.weights, self.beta = quiver, weights, beta
+        # the index: {(vertex, level): dim}, sorted levels and level offsets per
+        # vertex, and {arrow: weight}
         dims: dict = {}
         levels: dict = {}
-        for (v, (n,)), m in self.beta.entries:  # sorted by level
+        for (v, (n,)), m in beta.entries:  # sorted by level
             if (v, n) not in dims:
                 dims[(v, n)] = m
                 levels.setdefault(v, []).append(n)
@@ -141,19 +133,17 @@ class GradedRep:
                 off[n] = acc
                 acc += dims[(v, n)]
             offsets[v] = off
-        object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_w", {a.name: self.weights.of(a) for a in self.quiver.arrows})
+        self._dims, self._levels, self._offsets = dims, levels, offsets
+        self._w = {a.name: weights.of(a) for a in quiver.arrows}
         fixed = {}
-        for (name, n), m in self.blocks.items():
-            a = self.quiver.arrow(name)
+        for (name, n), m in blocks.items():
+            a = quiver.arrow(name)
             rows = self.dim(a.target, n + self.weight(name))
             cols = self.dim(a.source, n)
             if rows == 0 or cols == 0:
                 continue
             fixed[(name, int(n))] = _freeze_matrix(m, rows, cols, f"block ({name}, {n})")
-        object.__setattr__(self, "blocks", fixed)
+        self.blocks = fixed
 
     def weight(self, arrow_name: str) -> int:
         return self._w[arrow_name]
@@ -245,18 +235,22 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     )
 
 
-@dataclass(frozen=True)
 class DegreeData:
-    degree: int
-    free: tuple  # (arrow, source level, row, col) of each coordinate of the complement
+    __slots__ = ("degree", "free")
+
+    def __init__(self, degree: int, free: tuple):
+        # free: (arrow, source level, row, col) of each coordinate of the complement
+        self.degree, self.free = degree, free
 
 
-@dataclass(frozen=True)
 class CellChart:
     """Coordinates of the plus-attractor cell around a fixed representation."""
 
-    base: GradedRep
-    degrees: tuple  # DegreeData per positive degree with nonzero spaces
+    __slots__ = ("base", "degrees")
+
+    def __init__(self, base: GradedRep, degrees: tuple):
+        # degrees: DegreeData per positive degree with nonzero spaces
+        self.base, self.degrees = base, degrees
 
     @property
     def total_dim(self) -> int:
@@ -313,10 +307,11 @@ def emit_cell_table(chart: CellChart) -> "CellTable":
     return CellTable(chart, tables)
 
 
-@dataclass(frozen=True)
 class CellTable:
-    chart: CellChart
-    patterns: dict
+    __slots__ = ("chart", "patterns")
+
+    def __init__(self, chart: CellChart, patterns: dict):
+        self.chart, self.patterns = chart, patterns
 
     def text(self) -> str:
         parts = []

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -22,17 +21,18 @@ from .covering import WeightAssignment, generic_rank1_weights
 from .errors import InconsistencyError, UnsupportedError, ValidationError
 
 
-@dataclass
 class RunConfig:
-    quiver: Quiver
-    dim: tuple[int, ...]
-    theta: tuple[int, ...]
-    weights: WeightAssignment | None  # rank 1; None for a command that takes no weights
-    codec: covering.CharCodec | None  # decodes the weights' characters for the report
-    fmt: str
-    # every input the command reads, as the config hash covers it: the three
-    # above, the weights where it takes them, and its filter, seed or field
-    inputs: dict
+    """One query's inputs.  `weights` are rank 1 (None for a command that takes
+    none), and `codec` decodes their characters for the report.  `inputs` is
+    every input the command reads, as the config hash covers it."""
+
+    __slots__ = ("quiver", "dim", "theta", "weights", "codec", "fmt", "inputs")
+
+    def __init__(self, quiver: Quiver, dim: tuple[int, ...], theta: tuple[int, ...],
+                 weights: WeightAssignment | None, codec: covering.CharCodec | None, fmt: str,
+                 inputs: dict):
+        self.quiver, self.dim, self.theta, self.fmt = quiver, dim, theta, fmt
+        self.weights, self.codec, self.inputs = weights, codec, inputs
 
     def digest(self) -> str:
         blob = json.dumps(self.inputs, sort_keys=True).encode()

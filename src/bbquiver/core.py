@@ -2,51 +2,77 @@
 
 A quiver is a finite directed multigraph.  Dimension vectors and stability
 conditions are integer tuples aligned with the declared vertex order; all
-arithmetic is exact (ints and Fractions, never floats).
+arithmetic is exact (ints and Fractions, never floats).  The package's
+records are plain classes with `__slots__`, and those compared or hashed
+take `Record`'s equality, hash and repr, so a fresh interpreter imports no
+record generator and compiles no generated code.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+
+class Record:
+    """Base of the value records: equality, hash and repr over `_fields`.
+
+    Records of one class are equal when their field tuples are, and hash as
+    that tuple does.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Arrow(Record):
+    __slots__ = _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        self.name, self.source, self.target = name, source, target
+
+
+class Quiver(Record):
     """Finite quiver with string-named vertices and arrows.
 
     Vertex and arrow order is significant: it fixes the coordinate order of
-    dimension vectors and every downstream canonicalization.
+    dimension vectors and every downstream canonicalization.  The vertex
+    index and the arrows out of each vertex are derived, outside `_fields`.
     """
 
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    _vindex: dict = field(init=False, repr=False, compare=False, hash=False)
-    _out: dict = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("vertices", "arrows")
+    __slots__ = (*_fields, "_vindex", "_out")
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        self.vertices, self.arrows = vertices, arrows
+        if len(set(vertices)) != len(vertices):
             raise ValidationError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
+        names = [a.name for a in arrows]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate arrow names")
-        vset = set(self.vertices)
-        for a in self.arrows:
+        vset = set(vertices)
+        for a in arrows:
             if a.source not in vset or a.target not in vset:
                 raise ValidationError(f"arrow {a.name}: endpoint not a declared vertex")
-        object.__setattr__(self, "_vindex", {v: k for k, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_out", {v: tuple(a for a in self.arrows if a.source == v)
-                                          for v in self.vertices})
+        self._vindex = {v: k for k, v in enumerate(vertices)}
+        self._out = {v: tuple(a for a in arrows if a.source == v) for v in vertices}
 
     @classmethod
     def from_arrows(cls, vertices, arrows):

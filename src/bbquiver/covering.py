@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
 
 from . import hn
-from .core import Arrow, Quiver, check_vector
+from .core import Arrow, Quiver, Record, check_vector
 from .errors import UnsupportedError, ValidationError
 
 Character = tuple[int, ...]
@@ -70,20 +69,19 @@ class CharCodec:
         return (top, *low)
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class WeightAssignment(Record):
     """Rank-n torus weights: one integer n-tuple per arrow."""
 
-    rank: int
-    weights: dict = field(hash=False)
+    __slots__ = _fields = ("rank", "weights")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, weights: dict):
+        if rank < 1:
             raise ValidationError("torus rank must be positive")
-        fixed = {}
-        for name, w in self.weights.items():
-            fixed[name] = _as_char(w, self.rank)
-        object.__setattr__(self, "weights", fixed)
+        self.rank = rank
+        self.weights = {name: _as_char(w, rank) for name, w in weights.items()}
+
+    def __hash__(self):  # the weights are compared, not hashed
+        return hash((self.rank,))
 
     def of(self, arrow: Arrow | str) -> int:
         """The weight of an arrow under a rank-1 action, the only weight a kernel
@@ -150,35 +148,32 @@ def generic_rank1_weights(quiver: Quiver) -> WeightAssignment:
     return WeightAssignment(1, {a.name: (base ** (n - k - 1),) for k, a in enumerate(quiver.arrows)})
 
 
-@dataclass(frozen=True)
-class CoveringDimVector:
+class CoveringDimVector(Record):
     """Finitely supported dimension vector of the covering quiver.
 
     Entries are stored as a sorted tuple of ((vertex, character), count)
     with all counts positive, so equal vectors compare and hash equal.
     """
 
-    rank: int
-    entries: tuple
+    __slots__ = _fields = ("rank", "entries")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, entries: tuple):
         fixed = []
-        for (v, chi), m in self.entries:
+        for (v, chi), m in entries:
             m = int(m)
             if m < 0:
                 raise ValidationError("negative covering multiplicity")
             if m == 0:
                 continue
-            fixed.append(((v, _as_char(chi, self.rank)), m))
+            fixed.append(((v, _as_char(chi, rank)), m))
         fixed.sort(key=lambda item: (item[0][1], item[0][0]))
-        object.__setattr__(self, "entries", tuple(fixed))
+        self.rank, self.entries = rank, tuple(fixed)
 
     @classmethod
     def trusted(cls, rank: int, entries: tuple) -> "CoveringDimVector":
         """Wrap entries already in stored form, skipping the constructor's checks."""
         beta = object.__new__(cls)
-        object.__setattr__(beta, "rank", rank)
-        object.__setattr__(beta, "entries", entries)
+        beta.rank, beta.entries = rank, entries
         return beta
 
     @classmethod
@@ -210,14 +205,16 @@ def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     return shift(beta, beta.entries[0][0][1])
 
 
-@dataclass(frozen=True)
 class SupportQuiver:
-    """Finite full subquiver of Q(w) on the support of some beta."""
+    """Finite full subquiver of Q(w) on the support of some beta, with its
+    dimension vector and the (vertex, character) of each of its vertices."""
 
-    quiver: Quiver
-    dims: tuple[int, ...]
-    covering_vertices: tuple  # (vertex, character) per support quiver vertex
-    base: Quiver
+    __slots__ = ("quiver", "dims", "covering_vertices", "base")
+
+    def __init__(self, quiver: Quiver, dims: tuple[int, ...], covering_vertices: tuple,
+                 base: Quiver):
+        self.quiver, self.dims, self.base = quiver, dims, base
+        self.covering_vertices = covering_vertices
 
     def lift_stability(self, theta) -> tuple[int, ...]:
         """theta-hat: the base weight of the underlying Q-vertex, per vertex."""

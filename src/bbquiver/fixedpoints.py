@@ -18,8 +18,6 @@ coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Quiver
 from .covering import CoveringDimVector, WeightAssignment, _as_char, euler_form_covering, shift
 from .errors import InconsistencyError
@@ -88,16 +86,16 @@ def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     return analyze_component(quiver, w, beta).weight_table
 
 
-@dataclass(frozen=True)
 class FixedComponent:
-    """A fixed-point class with its derived tangent data."""
+    """A fixed-point class with its derived tangent data; `weight_table` maps
+    each nonzero character to its weight-space dimension where positive."""
 
-    beta: CoveringDimVector
-    weight_table: dict  # nonzero character -> weight-space dimension where positive
-    dim_component: int
-    att_plus: int
-    att_minus: int
-    isolated: bool
+    __slots__ = ("beta", "weight_table", "dim_component", "att_plus", "att_minus", "isolated")
+
+    def __init__(self, beta: CoveringDimVector, weight_table: dict, dim_component: int,
+                 att_plus: int, att_minus: int, isolated: bool):
+        self.beta, self.weight_table, self.dim_component = beta, weight_table, dim_component
+        self.att_plus, self.att_minus, self.isolated = att_plus, att_minus, isolated
 
 
 def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> FixedComponent:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .betti import PoincarePolynomial, kirwan_subspace_poincare
-from .core import Quiver
+from .core import Quiver, Record
 from .covering import CoveringDimVector, WeightAssignment, canonicalize
 from .errors import InconsistencyError, ValidationError
 
@@ -41,28 +40,24 @@ def _check_lr(l: int, r: int):
         raise ValidationError(f"empty moduli: l = {l} < r = {r}")
 
 
-@dataclass(frozen=True)
-class Label1:
+class Label1(Record):
     """Isolated fixed points: star pairs (m, m_*) and (n, n_*).
 
     m_star avoids m, n_star avoids n, both strictly increasing, m < n.
     The complements in 1..l+1 (of size l - r each) are implicit.
     """
 
-    l: int
-    r: int
-    m: int
-    m_star: tuple[int, ...]
-    n: int
-    n_star: tuple[int, ...]
+    __slots__ = _fields = ("l", "r", "m", "m_star", "n", "n_star")
 
-    def __post_init__(self):
-        rng = range(1, self.l + 2)
-        if not (self.m in rng and self.n in rng and self.m < self.n):
+    def __init__(self, l: int, r: int, m: int, m_star: tuple[int, ...], n: int,
+                 n_star: tuple[int, ...]):
+        self.l, self.r, self.m, self.m_star, self.n, self.n_star = l, r, m, m_star, n, n_star
+        rng = range(1, l + 2)
+        if not (m in rng and n in rng and m < n):
             raise ValidationError("need 1 <= m < n <= l+1")
-        for name, star, avoid in (("m_star", self.m_star, self.m), ("n_star", self.n_star, self.n)):
-            if len(star) != self.r or list(star) != sorted(set(star)):
-                raise ValidationError(f"{name} must be a strictly increasing {self.r}-tuple")
+        for name, star, avoid in (("m_star", m_star, m), ("n_star", n_star, n)):
+            if len(star) != r or list(star) != sorted(set(star)):
+                raise ValidationError(f"{name} must be a strictly increasing {r}-tuple")
             if avoid in star or any(x not in rng for x in star):
                 raise ValidationError(f"{name} out of range or hitting its excluded index")
 
@@ -74,29 +69,25 @@ class Label1:
         return f"m={self.m};m*=({ms});n={self.n};n*=({ns})"
 
 
-@dataclass(frozen=True)
-class Label2:
+class Label2(Record):
     """Positive-dimensional candidates: a weight-2 source over x single and
     y double sinks, x + 2y = 2r + 1."""
 
-    l: int
-    r: int
-    y: int
-    m_star: tuple[int, ...]
-    n_star: tuple[int, ...]
+    __slots__ = _fields = ("l", "r", "y", "m_star", "n_star")
 
-    def __post_init__(self):
-        rng = range(1, self.l + 2)
+    def __init__(self, l: int, r: int, y: int, m_star: tuple[int, ...], n_star: tuple[int, ...]):
+        self.l, self.r, self.y, self.m_star, self.n_star = l, r, y, m_star, n_star
+        rng = range(1, l + 2)
         x = self.x
         if x % 2 == 0 or x < 3:
             raise ValidationError("x = 2(r - y) + 1 must be odd and at least 3")
-        if len(self.m_star) != x or list(self.m_star) != sorted(set(self.m_star)):
+        if len(m_star) != x or list(m_star) != sorted(set(m_star)):
             raise ValidationError(f"m_star must be a strictly increasing {x}-tuple")
-        if len(self.n_star) != self.y or list(self.n_star) != sorted(set(self.n_star)):
-            raise ValidationError(f"n_star must be a strictly increasing {self.y}-tuple")
-        if set(self.m_star) & set(self.n_star):
+        if len(n_star) != y or list(n_star) != sorted(set(n_star)):
+            raise ValidationError(f"n_star must be a strictly increasing {y}-tuple")
+        if set(m_star) & set(n_star):
             raise ValidationError("m_star and n_star must be disjoint")
-        if any(i not in rng for i in self.m_star + self.n_star):
+        if any(i not in rng for i in m_star + n_star):
             raise ValidationError("indices out of range")
 
     @property

@@ -418,15 +418,14 @@ def _exit_4(capsys, argv):
 
 
 def _bump_att_plus(monkeypatch):
-    from dataclasses import replace
-
     from bbquiver import fixedpoints
 
     real = fixedpoints.analyze_component
 
     def bumped(*args):
         c = real(*args)
-        return replace(c, att_plus=c.att_plus + 1)
+        return bq.FixedComponent(c.beta, c.weight_table, c.dim_component, c.att_plus + 1,
+                                 c.att_minus, c.isolated)
 
     monkeypatch.setattr(fixedpoints, "analyze_component", bumped)
 
@@ -593,3 +592,22 @@ def test_a_query_imports_no_argument_parser(k3_file):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "|M(F_2)| = 183" and lines[-1] == "0 []"
+
+
+def test_queries_import_no_dataclasses(k3_file):
+    """The records are plain classes: `dataclasses`, and the `inspect` it
+    pulls in, would cost every fresh interpreter their import and the code
+    generated for each record."""
+    args = repr(base_args(k3_file))
+    script = ("import sys; before = set(sys.modules); import bbquiver.cli as cli; "
+              f"codes = [cli.main([c, *{args}]) for c in "
+              "('count', 'poincare', 'fixed-points', 'cells', 'normal-form')]; "
+              "codes.append(cli.main(['kronecker', '--l', '3', '--r', '1'])); "
+              "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    src = str(Path(bq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
