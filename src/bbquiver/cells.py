@@ -15,26 +15,26 @@ with the bracket sending x to (x_j M_{a,n} - M_{a,n-k} x_i).  Complements
 are chosen as coordinate complements by echelon pivoting in a fixed basis
 order, so a chart is literally a star-pattern over the matrix entries;
 which entries carry the stars is implementation-canonical, only their
-number is intrinsic.
+number is intrinsic.  Where u_k = 0 the complement is all of R_k.
 
 The bracket in degree k is the degree-k piece of the covering Hom map from
 M to itself (degree 0 resolves Hom and Ext^1), so one pass over pairs of
 levels (`_graded_blocks`) lays out the blocks of every degree, one routine
 (`_hom_rows`) assembles any such map block by block as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots.
-A GradedRep indexes its level dimensions, sorted levels, level offsets and
-arrow weights once, at construction, and makes that pass over itself once,
-on first use (`pieces`): certification reads degree 0 and the chart the
-degrees k > 0.  Blocks with integer entries stay int.  The CLI runs only
-this pipeline; plain representations, dense bracket matrices and the
-twisted-filtration check of attractor membership are the tests' second
+A GradedRep indexes its level dimensions, sorted levels, level offsets,
+vertex totals and arrows once, at construction, and makes that pass over
+itself once, on first use (`pieces`): certification reads degree 0 and the
+chart the degrees k > 0.  Blocks with integer entries stay int.  The CLI
+runs only this pipeline; plain representations, dense bracket matrices and
+the twisted-filtration check of attractor membership are the tests' second
 route.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from fractions import Fraction
 from functools import cached_property
 
 from .core import Quiver
@@ -47,7 +47,11 @@ def _freeze_matrix(m, rows, cols, what="matrix"):
     """The matrix as a tuple of rows; integer entries stay int, others become Fraction."""
     if rows and cols and (len(m) != rows or any(len(r) != cols for r in m)):
         raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
-    return tuple(tuple(x if type(x) is int else Fraction(x) for x in row) for row in m)
+    if not set(map(type, itertools.chain(*m))) <= {int}:
+        from fractions import Fraction
+
+        m = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+    return tuple(map(tuple, m))
 
 
 def _hom_rows(dom, cod) -> list:
@@ -118,28 +122,22 @@ class GradedRep:
     def __init__(self, quiver: Quiver, weights: WeightAssignment, beta: CoveringDimVector,
                  blocks: dict):
         self.quiver, self.weights, self.beta = quiver, weights, beta
-        # the index: {(vertex, level): dim}, sorted levels and level offsets per
-        # vertex, and {arrow: weight}
-        dims: dict = {}
-        levels: dict = {}
+        # the index: {(v, n): dim}, and per v its sorted levels, level offsets and total dim
+        dims, levels, offsets, totals = {}, {}, {}, {}
         for (v, (n,)), m in beta.entries:  # sorted by level
             if (v, n) not in dims:
                 dims[(v, n)] = m
                 levels.setdefault(v, []).append(n)
-        offsets = {}
-        for v, lv in levels.items():
-            acc, off = 0, {}
-            for n in lv:
-                off[n] = acc
-                acc += dims[(v, n)]
-            offsets[v] = off
-        self._dims, self._levels, self._offsets = dims, levels, offsets
+                offsets.setdefault(v, {})[n] = totals.get(v, 0)
+                totals[v] = totals.get(v, 0) + m
+        self._dims, self._levels, self._offsets, self._totals = dims, levels, offsets, totals
         self._w = {a.name: weights.of(a) for a in quiver.arrows}
+        self._arrows = arrows = {a.name: a for a in quiver.arrows}
         fixed = {}
         for (name, n), m in blocks.items():
-            a = quiver.arrow(name)
-            rows = self.dim(a.target, n + self.weight(name))
-            cols = self.dim(a.source, n)
+            a = arrows.get(name) or quiver.arrow(name)  # the scan names an unknown arrow
+            rows = dims.get((a.target, n + self._w[name]), 0)
+            cols = dims.get((a.source, n), 0)
             if rows == 0 or cols == 0:
                 continue
             fixed[(name, int(n))] = _freeze_matrix(m, rows, cols, f"block ({name}, {n})")
@@ -169,28 +167,30 @@ def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
     block layout of `_hom_rows`, keyed by (v, n) and (arrow, n) in
     declaration order, then ascending n.
     """
-    m_dims, m_levels = M._dims, M._levels
-    n_dims, n_levels = N._dims, N._levels
-
-    def partners(v, top):
-        """(level m of N at v, degree top - m) for each block to emit."""
-        return [(m, top - m) for m in n_levels.get(v, ()) if m <= top]
-
-    pieces: dict = {}
+    m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
+    out: dict = {}
+    # top level t meets N's sorted levels m <= t in degree t - m; each walk stops at the first m > t
     for v in M.quiver.vertices:
+        below = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
         for n in m_levels.get(v, ()):
-            for m, k in partners(v, n):
-                block = ((v, n), n_dims[(v, m)], m_dims[(v, n)])
-                pieces.setdefault(k, ([], []))[0].append(block)
+            key, cols = (v, n), m_dims[(v, n)]
+            for m, rows in below:
+                if m > n:
+                    break
+                (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
     for a in M.quiver.arrows:
-        wa = M.weight(a.name)
+        name, target, wa = a.name, a.target, M._w[a.name]
+        below = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
+                 for m in n_levels.get(target, ())]
         for n in m_levels.get(a.source, ()):
-            f = M.blocks.get((a.name, n))
-            for m, k in partners(a.target, n + wa):
-                block = ((a.name, n), n_dims[(a.target, m)], m_dims[(a.source, n)],
-                         (a.source, n), (a.target, n + wa), f, N.blocks.get((a.name, n - k)))
-                pieces.setdefault(k, ([], []))[1].append(block)
-    return pieces
+            top, key, src = n + wa, (name, n), (a.source, n)
+            cols, tgt, f = m_dims[src], (target, top), M.blocks.get(key)
+            for m, rows, g in below:
+                if m > top:
+                    break
+                (out.get(top - m) or out.setdefault(top - m, ([], [])))[1].append(
+                    (key, rows, cols, src, tgt, f, g))
+    return out
 
 
 RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
@@ -220,10 +220,11 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     a random one.
     """
     dims = {(v, n): m for (v, (n,)), m in beta.entries}
+    weight = {a.name: w.of(a) for a in quiver.arrows}
     shapes = []
     for (v, (n,)), cols in beta.entries:
         for a in quiver.arrows_from(v):
-            rows = dims.get((a.target, n + w.of(a)), 0)
+            rows = dims.get((a.target, n + weight[a.name]), 0)
             if rows:
                 shapes.append((a.name, n, rows, cols))
     for blocks in _fills(shapes, seed):
@@ -272,13 +273,15 @@ def choose_complements(rep: GradedRep) -> CellChart:
     for k, (dom, cod) in sorted(rep.pieces.items()):
         if k == 0:
             continue  # the certificate
-        pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else set()
-        if len(pivots) != _size(dom):
-            raise InconsistencyError(
-                f"bracket with the fixed representation is not injective in degree {k}"
-            )
-        degrees.append(DegreeData(k, tuple(x for i, x in enumerate(_basis(cod))
-                                           if i not in pivots)))
+        free = _basis(cod)
+        if dom:  # else u_k = 0 and the complement is all of R_k
+            pivots = set(leading_columns(_hom_rows(dom, cod)))
+            if len(pivots) != _size(dom):
+                raise InconsistencyError(
+                    f"bracket with the fixed representation is not injective in degree {k}"
+                )
+            free = [x for i, x in enumerate(free) if i not in pivots]
+        degrees.append(DegreeData(k, tuple(free)))
     return CellChart(rep, tuple(degrees))
 
 
@@ -286,23 +289,19 @@ def emit_cell_table(chart: CellChart) -> "CellTable":
     """Symbol matrices per arrow: fixed entries of M on their level diagonal,
     structural zeros above, and '*' on the chosen free coordinates below."""
     base = chart.base
-    dims, levels, offsets = base._dims, base._levels, base._offsets
-    tables = {}
-    for a in base.quiver.arrows:
-        rows = sum(dims[(a.target, m)] for m in levels.get(a.target, ()))
-        cols = sum(dims[(a.source, n)] for n in levels.get(a.source, ()))
-        tables[a.name] = [["0"] * cols for _ in range(rows)]
-    arrows = {a.name: a for a in base.quiver.arrows}
+    offsets, weights, totals, arrows = base._offsets, base._w, base._totals, base._arrows
+    tables = {a.name: [["0"] * totals.get(a.source, 0) for _ in range(totals.get(a.target, 0))]
+              for a in base.quiver.arrows}
     for (name, n), blk in base.blocks.items():
         a = arrows[name]
-        t0 = offsets[a.target][n + base.weight(name)]
+        t0 = offsets[a.target][n + weights[name]]
         s0 = offsets[a.source][n]
         grid = tables[name]
         for r, row in enumerate(blk):
-            grid[t0 + r][s0:s0 + len(row)] = [str(x) for x in row]
+            grid[t0 + r][s0:s0 + len(row)] = map(str, row)
     for name, n, r, c, k in chart.free_coordinates():
         a = arrows[name]
-        row = offsets[a.target][n + base.weight(name) - k] + r
+        row = offsets[a.target][n + weights[name] - k] + r
         tables[name][row][offsets[a.source][n] + c] = "*"
     return CellTable(chart, tables)
 
@@ -329,10 +328,3 @@ class CellTable:
             body = r" \\ ".join(" & ".join(x.replace("*", r"\ast") for x in row) for row in grid)
             mats.append(r"\begin{pmatrix} " + body + r" \end{pmatrix}")
         return r",\; ".join(mats)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dimension": self.chart.total_dim,
-            "patterns": {name: [list(row) for row in grid]
-                         for name, grid in self.patterns.items()},
-        }

@@ -159,6 +159,19 @@ def _beta_json(beta, codec, memo: dict) -> _Layout:
     return _Layout(f"[\n        {texts}\n      ]")
 
 
+def _patterns_json(patterns: dict, memo: dict) -> dict:
+    """A cell table's grids, each laid out at its depth in a `cells` or `normal-form`
+    row; each distinct grid is laid out once per report and kept in `memo`."""
+    out = {}
+    for name, grid in patterns.items():
+        key = tuple(map(tuple, grid))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _Layout(_json_text(key, "\n        "))
+        out[name] = text
+    return out
+
+
 def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     payload = {"config_hash": cfg.digest(), **payload}
     if cfg.fmt == "json":
@@ -251,30 +264,42 @@ def cmd_poincare(cfg: RunConfig) -> int:
     return 0
 
 
-def _cell_table(cfg: RunConfig, beta):
-    """Chart and cell table at the fixed point of class beta."""
-    rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, beta, cfg.inputs["seed"])
+def _cell_table(cfg: RunConfig, c):
+    """Chart and cell table at the fixed point of component c, checked against its tangent
+    weights: degree k > 0 has dim T_k free coordinates, and the chart has att+ of them."""
+    rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
     chart = cells.choose_complements(rep)
+    free = {d.degree: len(d.free) for d in chart.degrees if d.free}
+    weights = {k: m for k, m in c.weight_table.items() if k > 0}
+    if free != weights:
+        k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
+        raise InconsistencyError(
+            f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has {free.get(k, 0)} free "
+            f"coordinates in degree {','.join(map(str, cfg.codec.decode(k)))}, the weight "
+            f"space has dimension {weights.get(k, 0)}")
+    if chart.total_dim != c.att_plus:
+        raise InconsistencyError(f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has dimension "
+                                 f"{chart.total_dim}, attractor has {c.att_plus}")
     return chart, cells.emit_cell_table(chart)
+
+
+def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
+    """The JSON rows, or the text lines headed by `caption`, of the charts at `comps`."""
+    out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
+    for c in comps:
+        chart, table = _cell_table(cfg, c)
+        if cfg.fmt == "json":
+            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": chart.total_dim,
+                        "patterns": _patterns_json(table.patterns, row_memo)})
+        else:
+            lines.append(caption.format(dim=chart.total_dim, beta=_beta_label(c.beta, cfg.codec)))
+            lines.append(table.latex() if cfg.fmt == "latex" else table.text())
+    return out, lines
 
 
 def cmd_cells(cfg: RunConfig) -> int:
     _require_coprime(cfg)
-    comps = _components(cfg)
-    out, lines, memo = [], [], {}  # memo: covering entry -> its JSON text, for this report
-    for c in comps:
-        chart, table = _cell_table(cfg, c.beta)
-        if chart.total_dim != c.att_plus:
-            raise InconsistencyError(
-                f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has dimension "
-                f"{chart.total_dim}, attractor has {c.att_plus}"
-            )
-        if cfg.fmt == "json":
-            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), **table.to_jsonable()})
-        else:
-            lines.append(f"component [{_beta_label(c.beta, cfg.codec)}]: "
-                         f"cell dimension {chart.total_dim}")
-            lines.append(table.latex() if cfg.fmt == "latex" else table.text())
+    out, lines = _chart_rows(cfg, _components(cfg), "component [{beta}]: cell dimension {dim}")
     lines.append("chart dimensions match attractors: ok")
     _emit(cfg, {"cells": out, "checks": {"charts_match_attractors": True}}, lines)
     return 0
@@ -282,19 +307,9 @@ def cmd_cells(cfg: RunConfig) -> int:
 
 def cmd_normal_form(cfg: RunConfig) -> int:
     _require_coprime(cfg)
-    comps = _components(cfg)
-    hits = [c for c in comps if fixedpoints.generic_normal_form_test(c)]
-    lines = [f"{len(hits)} generic-normal-form class(es)"]
-    out, memo = [], {}  # memo: covering entry -> its JSON text, for this report
-    for c in hits:
-        chart, table = _cell_table(cfg, c.beta)
-        if cfg.fmt == "json":
-            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), **table.to_jsonable()})
-        else:
-            lines.append(f"open cell of dimension {chart.total_dim} at "
-                         f"[{_beta_label(c.beta, cfg.codec)}]")
-            lines.append(table.text() if cfg.fmt != "latex" else table.latex())
-    _emit(cfg, {"normal_forms": out}, lines)
+    hits = [c for c in _components(cfg) if fixedpoints.generic_normal_form_test(c)]
+    out, lines = _chart_rows(cfg, hits, "open cell of dimension {dim} at [{beta}]")
+    _emit(cfg, {"normal_forms": out}, [f"{len(hits)} generic-normal-form class(es)", *lines])
     return 0
 
 

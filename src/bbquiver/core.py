@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -166,6 +165,8 @@ def slope(theta, d) -> Fraction:
     if total == 0:
         raise ValidationError("slope undefined for the zero dimension vector")
     num = sum(t * x for t, x in zip(theta, d))
+    from fractions import Fraction  # imported here: no query makes a Fraction
+
     return Fraction(num, total)
 
 

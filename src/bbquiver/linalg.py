@@ -12,12 +12,13 @@ Fraction arithmetic on lists of rows, is the tests' reference for the kernel.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def rref(m):
     """Reduced row echelon form; returns (rref_matrix, pivot_column_indices)."""
+    from fractions import Fraction
+
     m = [[Fraction(x) for x in row] for row in m]  # int rows would divide into floats
     if not m:
         return m, []

@@ -482,6 +482,39 @@ def test_chart_dimension_failure_exits_4(capsys, monkeypatch, k3_file):
     assert err["error"] == "inconsistency" and "cell chart" in err["message"]
 
 
+def _move_a_free_coordinate(monkeypatch) -> list:
+    """Patch `cells.choose_complements` to move the first free coordinate of
+    each chart to a degree above all of the chart's degrees, which keeps the
+    chart's dimension.  Returns the degrees the coordinates left."""
+    from bbquiver import cells
+
+    real, left = cells.choose_complements, []
+
+    def moved(rep):
+        chart = real(rep)
+        degrees = list(chart.degrees)
+        for i, d in enumerate(degrees):
+            if d.free:
+                left.append(d.degree)
+                degrees[i] = cells.DegreeData(d.degree, d.free[1:])
+                degrees.append(cells.DegreeData(degrees[-1].degree + 1, d.free[:1]))
+                break
+        return cells.CellChart(chart.base, tuple(degrees))
+
+    monkeypatch.setattr(cells, "choose_complements", moved)
+    return left
+
+
+@pytest.mark.parametrize("command", ["cells", "normal-form"])
+def test_chart_degree_failure_exits_4(capsys, monkeypatch, k3_file, command):
+    """Free coordinates in the wrong degree fail the per-degree chart check,
+    in `normal-form` as in `cells`, though the chart's dimension is att+."""
+    left = _move_a_free_coordinate(monkeypatch)
+    err = _exit_4(capsys, [command, *base_args(k3_file)])
+    assert err["error"] == "inconsistency" and "cell chart" in err["message"]
+    assert f"free coordinates in degree {left[0]}," in err["message"]
+
+
 @pytest.mark.parametrize("flag,value", [("--theta", "-1,0"), ("--theta", "-1,1"),
                                         ("--dim", "-2,3"), ("--dim", "-2,x")])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -594,20 +627,33 @@ def test_a_query_imports_no_argument_parser(k3_file):
     assert lines[0] == "|M(F_2)| = 183" and lines[-1] == "0 []"
 
 
-def test_queries_import_no_dataclasses(k3_file):
-    """The records are plain classes: `dataclasses`, and the `inspect` it
-    pulls in, would cost every fresh interpreter their import and the code
-    generated for each record."""
+def _loaded_by_queries(k3_file, names) -> str:
+    """Run every command in one fresh interpreter; their exit codes, then which
+    of `names` they loaded."""
     args = repr(base_args(k3_file))
     script = ("import sys; before = set(sys.modules); import bbquiver.cli as cli; "
               f"codes = [cli.main([c, *{args}]) for c in "
               "('count', 'poincare', 'fixed-points', 'cells', 'normal-form')]; "
               "codes.append(cli.main(['kronecker', '--l', '3', '--r', '1'])); "
-              "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+              f"print(codes, sorted({set(names)!r} & set(sys.modules) - before))")
     src = str(Path(bq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_queries_import_no_dataclasses(k3_file):
+    """The records are plain classes: `dataclasses`, and the `inspect` it
+    pulls in, would cost every fresh interpreter their import and the code
+    generated for each record."""
+    assert _loaded_by_queries(k3_file, ("dataclasses", "inspect")) == "[0, 0, 0, 0, 0, 0] []"
+
+
+def test_queries_import_no_fractions(k3_file):
+    """No query makes a Fraction: `fractions`, with the `decimal` and
+    `numbers` it imports, is loaded only where one is made."""
+    assert (_loaded_by_queries(k3_file, ("fractions", "decimal", "numbers"))
+            == "[0, 0, 0, 0, 0, 0] []")

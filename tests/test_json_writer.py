@@ -177,3 +177,34 @@ def test_a_second_report_lays_out_its_own_entries(capsys, tmp_path):
     assert vertices == {"u", "v"}
     assert second.replace('"u"', '"i"').replace('"v"', '"j"').replace(
         json.loads(second)["config_hash"], json.loads(first)["config_hash"]) == first
+
+
+K3_PENDANT = bq.Quiver.from_arrows(("i", "j", "x"), [("a1", "i", "j"), ("a2", "i", "j"),
+                                                    ("a3", "i", "j"), ("b", "j", "x")])
+# chart reports: many rows alike, random fills with negative entries, and an
+# arrow into a zero space, whose grid is empty
+CHARTS = {
+    "K4 (2,5)": (bq.kronecker_quiver(4), ["--dim", "2,5", "--theta", "1,0"]),
+    "star5": (star(5), STAR5),
+    "K3 with a pendant arrow": (K3_PENDANT, ["--dim", "2,3,0", "--theta", "1,0,0"]),
+}
+
+
+@pytest.mark.parametrize("command", ["cells", "normal-form"])
+@pytest.mark.parametrize("case", sorted(CHARTS))
+def test_chart_reports_are_laid_out_as_the_stdlib_does(capsys, tmp_path, case, command):
+    """Each distinct pattern grid is laid out once per report; the stdlib,
+    given the parsed report, writes the same text."""
+    quiver, argv = CHARTS[case]
+    out = run_report(capsys, tmp_path, quiver, [command, *argv])
+    assert out == redump(out)
+
+
+def test_chart_cases_hold_negative_entries_and_empty_grids(capsys, tmp_path):
+    quiver, argv = CHARTS["star5"]
+    rows = json.loads(run_report(capsys, tmp_path, quiver, ["cells", *argv]))["cells"]
+    assert any(x.startswith("-") for row in rows for grid in row["patterns"].values()
+               for line in grid for x in line)
+    quiver, argv = CHARTS["K3 with a pendant arrow"]
+    rows = json.loads(run_report(capsys, tmp_path, quiver, ["cells", *argv]))["cells"]
+    assert rows and all(row["patterns"]["b"] == [] for row in rows)
