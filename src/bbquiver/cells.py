@@ -143,12 +143,6 @@ class GradedRep:
             fixed[(name, int(n))] = _freeze_matrix(m, rows, cols, f"block ({name}, {n})")
         self.blocks = fixed
 
-    def weight(self, arrow_name: str) -> int:
-        return self._w[arrow_name]
-
-    def dim(self, v: str, n: int) -> int:
-        return self._dims.get((v, n), 0)
-
     @cached_property
     def pieces(self) -> dict:
         """`_graded_blocks(self, self)`, built once: degree 0 certifies the

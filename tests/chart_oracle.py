@@ -134,14 +134,23 @@ def levels(rep: GradedRep, v: str) -> list[int]:
     return list(rep._levels.get(v, ()))
 
 
+def level_dim(rep: GradedRep, v: str, n: int) -> int:
+    """dim V_{v,n}, 0 where the level is empty."""
+    return rep._dims.get((v, n), 0)
+
+
+def arrow_weight(rep: GradedRep, arrow_name: str) -> int:
+    return rep._w[arrow_name]
+
+
 def block(rep: GradedRep, arrow_name: str, n: int):
     """The block of the arrow at source level n, zero where none is stored."""
     got = rep.blocks.get((arrow_name, n))
     if got is not None:
         return got
     a = rep.quiver.arrow(arrow_name)
-    rows = rep.dim(a.target, n + rep.weight(arrow_name))
-    cols = rep.dim(a.source, n)
+    rows = level_dim(rep, a.target, n + arrow_weight(rep, arrow_name))
+    cols = level_dim(rep, a.source, n)
     return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
 
 
@@ -169,7 +178,7 @@ def ungraded(rep: GradedRep) -> Representation:
             for a in rep.quiver.arrows}
     for (name, n), blk in rep.blocks.items():
         a = rep.quiver.arrow(name)
-        t0 = rep._offsets[a.target][n + rep.weight(name)]
+        t0 = rep._offsets[a.target][n + arrow_weight(rep, name)]
         s0 = rep._offsets[a.source][n]
         m = mats[name]
         for r, row in enumerate(blk):
@@ -214,7 +223,7 @@ def sample_point(chart: CellChart, values) -> Representation:
     mats = {a: [list(row) for row in flat.matrix(a)] for a in flat.matrices}
     for (a, n, r, c, k), val in zip(coords, values):
         arrow = base.quiver.arrow(a)
-        wa = base.weight(a)
+        wa = arrow_weight(base, a)
         t_off = level_offsets(base, arrow.target)
         s_off = level_offsets(base, arrow.source)
         mats[a][t_off[n + wa - k] + r][s_off[n] + c] += val
@@ -233,10 +242,10 @@ def standard_filtration(rep: GradedRep) -> dict:
         if not lv:
             continue
         offs = level_offsets(rep, v)
-        total = sum(rep.dim(v, n) for n in lv)
+        total = sum(level_dim(rep, v, n) for n in lv)
         by_level = {}
         for n in lv:
-            top = offs[n] + rep.dim(v, n)
+            top = offs[n] + level_dim(rep, v, n)
             rows = []
             for k in range(top):
                 row = [Fraction(0)] * total

@@ -13,11 +13,13 @@ from bbquiver.linalg import rref
 from chart_oracle import (
     Representation,
     _degree_candidates,
+    arrow_weight,
     block,
     covering_hom_ext,
     graded_isomorphic,
     graded_pieces,
     hom_ext,
+    level_dim,
     levels,
     rank,
     sample_point,
@@ -303,24 +305,24 @@ def dense_bracket(rep, k):
     the defining formula x -> (x_t M_{a,n} - M_{a,n-k} x_s)."""
     quiver = rep.quiver
     u_basis = [(v, n, r, c) for v in quiver.vertices for n in levels(rep, v)
-               for r in range(rep.dim(v, n - k)) for c in range(rep.dim(v, n))]
+               for r in range(level_dim(rep, v, n - k)) for c in range(level_dim(rep, v, n))]
     r_basis = [(a.name, n, r, c) for a in quiver.arrows for n in levels(rep, a.source)
-               for r in range(rep.dim(a.target, n + rep.weight(a.name) - k))
-               for c in range(rep.dim(a.source, n))]
+               for r in range(level_dim(rep, a.target, n + arrow_weight(rep, a.name) - k))
+               for c in range(level_dim(rep, a.source, n))]
     index = {key: i for i, key in enumerate(r_basis)}
     ad = zeros(len(r_basis), len(u_basis))
     for col, (v, n0, r, c) in enumerate(u_basis):
         for a in quiver.arrows:
-            wa = rep.weight(a.name)
+            wa = arrow_weight(rep, a.name)
             if a.target == v:
                 blk = block(rep, a.name, n0 - wa)
-                for cp in range(rep.dim(a.source, n0 - wa)):
+                for cp in range(level_dim(rep, a.source, n0 - wa)):
                     key = (a.name, n0 - wa, r, cp)
                     if key in index:
                         ad[index[key]][col] += blk[c][cp]
             if a.source == v:
                 blk = block(rep, a.name, n0 - k)
-                for rp in range(rep.dim(a.target, n0 + wa - k)):
+                for rp in range(level_dim(rep, a.target, n0 + wa - k)):
                     key = (a.name, n0, rp, c)
                     if key in index:
                         ad[index[key]][col] -= blk[rp][r]

@@ -1,13 +1,15 @@
 """The Harder-Narasimhan count against independent routes: brute-force F_q
-counts, Kirwan's subspace-star formula and the Kronecker closed form; and the
-base-q digit reader that turns two counts into a Poincare polynomial, against
-Lagrange interpolation of dim + 2 counts."""
+counts, Kirwan's subspace-star formula, the Kronecker closed form and the
+per-pair recursion of `hn_oracle`; `has_stable`'s King criterion on thin d
+against the count; and the base-q digit reader that turns two counts into a
+Poincare polynomial, against Lagrange interpolation of dim + 2 counts."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver import betti
+import hn_oracle
+from bbquiver import betti, hn
 from bbquiver.betti import PoincarePolynomial, interpolate_from_counts, stable_poincare
 from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationError
 from bbquiver.hn import stable_counts
@@ -60,6 +62,101 @@ def test_whole_space_matches_closed_form(l, r):
 def test_non_coprime_refused():
     with pytest.raises(UnsupportedError):
         stable_counts(bq.kronecker_quiver(3), (2, 2), (1, 0), (2,))
+
+
+@pytest.mark.parametrize("d,theta,qs", [
+    ((2, 3), (1, 0), (1,)),
+    ((2, 3), (1, 0), (0,)),
+    ((2, 3), (1, 0), (-2,)),
+    ((2, 3), (1, 0), (2.5,)),
+    ((2, 3), (1, 0), (2, 1)),
+    ((2, 3, 1), (1, 0), (2,)),
+    ((-1, 3), (1, 0), (2,)),
+    ((0, 0), (1, 0), (2,)),
+    ((2, 3), (1, 0, 0), (2,)),
+], ids=["q=1", "q=0", "q=-2", "q=2.5", "q=1 after 2", "three entries", "negative d", "zero d",
+        "three theta entries"])
+def test_malformed_input_refused(k3, d, theta, qs):
+    with pytest.raises(ValidationError):
+        stable_counts(k3, d, theta, qs)
+
+
+@st.composite
+def dag_instances(draw, max_vertices, dims):
+    """A quiver on up to max_vertices vertices whose arrows, parallel ones
+    included, run forward in a drawn vertex order; d drawn from dims and
+    theta in [-5, 5]."""
+    n = draw(st.integers(1, max_vertices))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    quiver = bq.Quiver.from_arrows(tuple(f"v{i}" for i in range(n)),
+                                   [(f"a{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(arrows)])
+    d = tuple(draw(st.lists(dims, min_size=n, max_size=n).filter(any)))
+    theta = tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    return quiver, d, theta
+
+
+def outcome(count, *args):
+    """count(*args), or the text of the UnsupportedError it raises."""
+    try:
+        return count(*args)
+    except UnsupportedError as exc:
+        return f"UnsupportedError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(dag_instances(6, st.integers(0, 2)))
+def test_counts_match_the_per_pair_reference(instance):
+    """The packed pairing gives the reference recursion's counts at q = 2, 3
+    and 2^(a+2), and the same refusal of a d that is not theta-coprime."""
+    quiver, d, theta = instance
+    idx = quiver.vertex_index
+    a = sum(d[idx(x.source)] * d[idx(x.target)] for x in quiver.arrows)
+    qs = (2, 3, 2 ** (a + 2))
+    assert outcome(stable_counts, quiver, d, theta, qs) == \
+        outcome(hn_oracle.stable_counts, quiver, d, theta, qs)
+
+
+def _stable_by_count(quiver, d, theta):
+    return stable_counts(quiver, d, theta, (2,))[0][1] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag_instances(8, st.integers(0, 1)))
+def test_thin_verdict_matches_the_count(instance):
+    """King's criterion on a thin d, zero-dimension vertices with arrows
+    included, answers as the count at q = 2 does, and refuses a d that is
+    not theta-coprime with the count's own error text."""
+    quiver, d, theta = instance
+    assert outcome(bq.has_stable, quiver, d, theta) == outcome(_stable_by_count, quiver, d, theta)
+
+
+@pytest.mark.parametrize("quiver,d,theta,stable", [
+    (star(5), (0, 1, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), False),  # two leaves, no centre
+    (bq.kronecker_quiver(3), (1, 1), (1, 0), True),
+    (bq.kronecker_quiver(3), (1, 1), (0, 1), False),  # the sink destabilizes
+    (CHAIN, (1, 1, 1), (3, 1, 0), True),
+    (CHAIN, (1, 0, 1), (2, 1, 0), False),  # no arrow joins u and x
+], ids=["star leaves", "K3 (1,1)", "K3 (1,1) sink", "chain (1,1,1)", "chain gap"])
+def test_thin_verdict_makes_no_count(monkeypatch, quiver, d, theta, stable):
+    def refuse(*args):
+        raise AssertionError("stable_counts called on a thin d")
+
+    monkeypatch.setattr(hn, "stable_counts", refuse)
+    assert bq.has_stable(quiver, d, theta) is stable
+
+
+def test_other_verdicts_make_one_count_at_2(monkeypatch):
+    calls = []
+
+    def spy(quiver, d, theta, qs):
+        calls.append(tuple(qs))
+        return stable_counts(quiver, d, theta, qs)
+
+    monkeypatch.setattr(hn, "stable_counts", spy)
+    assert bq.has_stable(bq.kronecker_quiver(3), (2, 3), (1, 0))
+    assert calls == [(2,)]
 
 
 @pytest.mark.parametrize("quiver,d,theta,weights", [
