@@ -12,7 +12,7 @@ import functools
 import math
 
 from .core import Quiver, Record
-from .covering import WeightAssignment, shape_key, support_quiver
+from .covering import shape_key, support_quiver
 from .errors import InconsistencyError, ValidationError
 from .fixedpoints import FixedComponent
 from .hn import stable_counts
@@ -97,7 +97,7 @@ def kirwan_subspace_poincare(x: int) -> PoincarePolynomial:
     return PoincarePolynomial.from_dict(coeffs)
 
 
-def component_poincare(quiver: Quiver, w: WeightAssignment, theta,
+def component_poincare(quiver: Quiver, w: dict, theta,
                        component: FixedComponent, memo: dict | None = None) -> PoincarePolynomial:
     """Poincare polynomial of one fixed-point component.
 

@@ -2,9 +2,10 @@
 
 A fixed point is realized as a graded representation: vertex spaces split
 into integer levels, arrow maps respect levels shifted by the arrow weight.
-The weights are rank one; a rank-n action is charted for the one-parameter
-subgroup that `covering.reduce_to_rank_one` pairs it with, so a level is the
-code of a character and the charts are those of that subgroup's attractors.
+The weights are rank one, a plain {arrow name: int} map; a rank-n action is
+charted for the one-parameter subgroup that `covering.reduce_to_rank_one`
+pairs it with, so a level is the code of a character and the charts are
+those of that subgroup's attractors.
 Around such a point M the attractor is parametrized by {M} + sum over
 degrees k > 0 of a complement of the bracket image [u_k, M] inside
 
@@ -38,7 +39,7 @@ import random
 from functools import cached_property
 
 from .core import Quiver
-from .covering import CoveringDimVector, WeightAssignment
+from .covering import CoveringDimVector
 from .errors import InconsistencyError, ValidationError
 from .linalg import leading_columns
 
@@ -112,14 +113,14 @@ def _basis(blocks) -> list:
 
 
 class GradedRep:
-    """Level-graded representation realizing a covering class under rank-1 weights.
+    """Level-graded representation realizing a covering class under weights {arrow: int}.
 
     `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a}; only
     blocks with both endpoint levels populated are stored.  No `__slots__`:
     `pieces` caches in the instance dict.
     """
 
-    def __init__(self, quiver: Quiver, weights: WeightAssignment, beta: CoveringDimVector,
+    def __init__(self, quiver: Quiver, weights: dict, beta: CoveringDimVector,
                  blocks: dict):
         self.quiver, self.weights, self.beta = quiver, weights, beta
         # the index: {(v, n): dim}, and per v its sorted levels, level offsets and total dim
@@ -131,12 +132,11 @@ class GradedRep:
                 offsets.setdefault(v, {})[n] = totals.get(v, 0)
                 totals[v] = totals.get(v, 0) + m
         self._dims, self._levels, self._offsets, self._totals = dims, levels, offsets, totals
-        self._w = {a.name: weights.of(a) for a in quiver.arrows}
         self._arrows = arrows = {a.name: a for a in quiver.arrows}
         fixed = {}
         for (name, n), m in blocks.items():
             a = arrows.get(name) or quiver.arrow(name)  # the scan names an unknown arrow
-            rows = dims.get((a.target, n + self._w[name]), 0)
+            rows = dims.get((a.target, n + weights[name]), 0)
             cols = dims.get((a.source, n), 0)
             if rows == 0 or cols == 0:
                 continue
@@ -173,7 +173,7 @@ def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
                     break
                 (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
     for a in M.quiver.arrows:
-        name, target, wa = a.name, a.target, M._w[a.name]
+        name, target, wa = a.name, a.target, M.weights[a.name]
         below = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
                  for m in n_levels.get(target, ())]
         for n in m_levels.get(a.source, ()):
@@ -201,7 +201,7 @@ def _fills(shapes, seed: int):
                for name, n, rows, cols in shapes}
 
 
-def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector,
+def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
                     seed: int = 0) -> GradedRep:
     """A certified representative of the fixed point of class beta.
 
@@ -214,11 +214,10 @@ def build_fixed_rep(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector
     a random one.
     """
     dims = {(v, n): m for (v, (n,)), m in beta.entries}
-    weight = {a.name: w.of(a) for a in quiver.arrows}
     shapes = []
     for (v, (n,)), cols in beta.entries:
         for a in quiver.arrows_from(v):
-            rows = dims.get((a.target, n + weight[a.name]), 0)
+            rows = dims.get((a.target, n + w[a.name]), 0)
             if rows:
                 shapes.append((a.name, n, rows, cols))
     for blocks in _fills(shapes, seed):
@@ -283,7 +282,7 @@ def emit_cell_table(chart: CellChart) -> "CellTable":
     """Symbol matrices per arrow: fixed entries of M on their level diagonal,
     structural zeros above, and '*' on the chosen free coordinates below."""
     base = chart.base
-    offsets, weights, totals, arrows = base._offsets, base._w, base._totals, base._arrows
+    offsets, weights, totals, arrows = base._offsets, base.weights, base._totals, base._arrows
     tables = {a.name: [["0"] * totals.get(a.source, 0) for _ in range(totals.get(a.target, 0))]
               for a in base.quiver.arrows}
     for (name, n), blk in base.blocks.items():

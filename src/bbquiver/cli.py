@@ -22,14 +22,14 @@ from .errors import InconsistencyError, UnsupportedError, ValidationError
 
 
 class RunConfig:
-    """One query's inputs.  `weights` are rank 1 (None for a command that takes
-    none), and `codec` decodes their characters for the report.  `inputs` is
-    every input the command reads, as the config hash covers it."""
+    """One query's inputs: `weights` maps each arrow name to its rank-1 weight
+    (None for a command that takes none), `codec` decodes characters for the
+    report, and `inputs` is every input the command reads, as the hash covers it."""
 
     __slots__ = ("quiver", "dim", "theta", "weights", "codec", "fmt", "inputs")
 
     def __init__(self, quiver: Quiver, dim: tuple[int, ...], theta: tuple[int, ...],
-                 weights: WeightAssignment | None, codec: covering.CharCodec | None, fmt: str,
+                 weights: dict | None, codec: covering.CharCodec | None, fmt: str,
                  inputs: dict):
         self.quiver, self.dim, self.theta, self.fmt = quiver, dim, theta, fmt
         self.weights, self.codec, self.inputs = weights, codec, inputs
@@ -55,11 +55,15 @@ def _load_config(args: dict) -> RunConfig:
     if "weights" in args:
         if args["weights"]:
             w = WeightAssignment.from_json(Path(args["weights"]).read_text())
-            unknown = sorted(set(w.weights) - {a.name for a in quiver.arrows})
+            names = [a.name for a in quiver.arrows]
+            unknown = sorted(set(w.weights) - set(names))
             if unknown:
                 raise ValidationError(f"weights for arrows the quiver does not have: {unknown}")
+            missing = [name for name in names if name not in w.weights]
+            if missing:  # every kernel reads a weight for every arrow
+                raise ValidationError(f"no weight assigned to arrow {missing[0]!r}")
         else:
-            w = generic_rank1_weights(quiver)
+            w = WeightAssignment(1, generic_rank1_weights(quiver))
         inputs["weights"] = w.to_dict()
         w, codec = covering.reduce_to_rank_one(w, dim)
     inputs.update((key, args[key]) for key in ("filter", "field", "seed") if key in args)
@@ -81,6 +85,14 @@ def _components(cfg: RunConfig, rejected: list | None = None):
 def _beta_label(beta, codec) -> str:
     return " ".join(f"{v}@{','.join(map(str, codec.decode(c)))}:{m}"
                     for (v, (c,)), m in beta.entries)
+
+
+def _csv_field(text: str, always: bool = False) -> str:
+    """`text` as one RFC 4180 field: quoted, with each inner quote doubled, when
+    `always` or when it holds a comma, a quote or a line break."""
+    if always or "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_key(key) -> str:
@@ -210,9 +222,9 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
         rejected_row = lambda beta: {"beta": _beta_json(beta, codec, memo),
                                      "invalid": "no stable lift"}
     elif cfg.fmt == "csv":
-        row = lambda c: (f"\"{_beta_label(c.beta, codec)}\",{c.dim_component},"
+        row = lambda c: (f"{_csv_field(_beta_label(c.beta, codec), True)},{c.dim_component},"
                          f"{c.att_plus},{c.att_minus},{c.isolated}")
-        rejected_row = lambda beta: f"\"{_beta_label(beta, codec)}\",invalid,,,"
+        rejected_row = lambda beta: f"{_csv_field(_beta_label(beta, codec), True)},invalid,,,"
     else:
         row = lambda c: (f"  [{_beta_label(c.beta, codec)}]  dim={c.dim_component}  "
                          f"att+={c.att_plus}  att-={c.att_minus}  isolated={c.isolated}")
@@ -413,8 +425,8 @@ def cmd_kronecker(args: dict) -> int:
                           "labels": _Layout(f"[{labels}\n  ]")}))
     elif fmt == "csv":
         print("\n".join(["label,kind,att_plus,att_minus"]
-                        + [f"{text},1,{plus},{minus}" if x is None else f"{text},2,{plus},"
-                           for text, plus, minus, x in rows]
+                        + [f"{_csv_field(text)},1,{plus},{minus}" if x is None
+                           else f"{_csv_field(text)},2,{plus}," for text, plus, minus, x in rows]
                         + [f"# P(t) = {poly.text()}"]))
     elif fmt == "latex":
         print(poly.latex())

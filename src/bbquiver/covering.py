@@ -7,10 +7,11 @@ vectors of the covering are the combinatorial shadows of torus-fixed
 points; they are considered up to simultaneous translation (shift) of all
 characters.
 
-A rank-n action enters through `reduce_to_rank_one`, which replaces each
-weight by its pairing with the one-parameter subgroup of `CharCodec`.  Every
-kernel reads rank-1 weights (`WeightAssignment.of`), so below the input a
-character is one integer; a covering vector stores it as the 1-tuple (c,).
+A rank-n action enters through `reduce_to_rank_one` (`WeightAssignment` is
+only that input), which replaces each weight by its pairing with the
+one-parameter subgroup of `CharCodec`.  Every kernel reads the plain
+{arrow name: int} map it returns, as `generic_rank1_weights` does, so below
+the input a character is one integer; a covering vector stores it as (c,).
 """
 
 from __future__ import annotations
@@ -23,20 +24,13 @@ from . import hn
 from .core import Arrow, Quiver, Record, check_vector
 from .errors import UnsupportedError, ValidationError
 
-Character = tuple[int, ...]
-
-
-def _as_char(chi, rank: int) -> Character:
+def _as_char(chi, rank: int) -> tuple:
     if isinstance(chi, int):
         chi = (chi,)
     t = tuple(int(x) for x in chi)
     if len(t) != rank:
         raise ValidationError(f"character {t} has length {len(t)}, expected rank {rank}")
     return t
-
-
-def char_sub(a: Character, b: Character) -> Character:
-    return tuple(map(operator.sub, a, b))
 
 
 class CharCodec:
@@ -59,7 +53,7 @@ class CharCodec:
             code = code * (6 * b + 1) + x
         return code
 
-    def decode(self, code: int) -> Character:
+    def decode(self, code: int) -> tuple:
         r, top, low = 3 * self.bound, code, ()
         for _ in range(1, self.rank):  # peel the low digits; the top one is what is left
             top, digit = divmod(top + r, 2 * r + 1)
@@ -82,17 +76,6 @@ class WeightAssignment(Record):
 
     def __hash__(self):  # the weights are compared, not hashed
         return hash((self.rank,))
-
-    def of(self, arrow: Arrow | str) -> int:
-        """The weight of an arrow under a rank-1 action, the only weight a kernel
-        reads; rank-n weights go through `reduce_to_rank_one` first."""
-        if self.rank != 1:
-            raise UnsupportedError(f"kernels take rank-1 weights, not rank {self.rank}")
-        name = arrow.name if isinstance(arrow, Arrow) else arrow
-        try:
-            return self.weights[name][0]
-        except KeyError:
-            raise ValidationError(f"no weight assigned to arrow {name!r}") from None
 
     def to_dict(self) -> dict:
         return {"rank": self.rank, "weights": {k: list(v) for k, v in self.weights.items()}}
@@ -119,8 +102,8 @@ class WeightAssignment(Record):
         return cls.from_dict(doc)
 
 
-def reduce_to_rank_one(w: WeightAssignment, d) -> tuple[WeightAssignment, CharCodec]:
-    """The rank-1 weights code(w_a) under `CharCodec(rank, |d| max|w_a|)`, with that codec.
+def reduce_to_rank_one(w: WeightAssignment, d) -> tuple[dict, CharCodec]:
+    """The rank-1 weights {a: code(w_a)} under `CharCodec(rank, |d| max|w_a|)`, with that codec.
 
     A connected support of total |d| spans at most (|d| - 1) max|w_a| in every
     coordinate, so its characters, and each weight-space character
@@ -131,33 +114,34 @@ def reduce_to_rank_one(w: WeightAssignment, d) -> tuple[WeightAssignment, CharCo
     """
     top = max((abs(x) for chi in w.weights.values() for x in chi), default=0)
     codec = CharCodec(w.rank, max(sum(map(abs, d)), 1) * max(top, 1))
-    return WeightAssignment(1, {a: (codec.encode(chi),) for a, chi in w.weights.items()}), codec
+    return {a: codec.encode(chi) for a, chi in w.weights.items()}, codec
 
 
-def generic_rank1_weights(quiver: Quiver) -> WeightAssignment:
-    """Rank-1 weights w_{a_k} = B^(N-k) realizing w_1 >> ... >> w_N > 0.
+def generic_rank1_weights(quiver: Quiver) -> dict:
+    """Rank-1 weights {a_k: B^(N-k)} realizing w_1 >> ... >> w_N > 0.
 
     B = 5 + 4 * (max arrow multiplicity) separates integer combinations of
-    weights with coefficients in [-4, 4], which is never checked against the
-    enumerated supports.  A base that fails to separate still gives a correct
-    answer for its C* action (Bialynicki-Birula holds for any C* action), but
-    a larger fixed locus than the full torus's.
+    weights with coefficients in [-4, 4]; only the tests check it against the
+    full torus's classes, on nine instances.  A base that fails to separate
+    still gives a correct answer for its C* action (Bialynicki-Birula holds
+    for any C* action), but a larger fixed locus than the full torus's.
     """
     base = 5 + 4 * quiver.max_multiplicity()
     n = len(quiver.arrows)
-    return WeightAssignment(1, {a.name: (base ** (n - k - 1),) for k, a in enumerate(quiver.arrows)})
+    return {a.name: base ** (n - k - 1) for k, a in enumerate(quiver.arrows)}
 
 
 class CoveringDimVector(Record):
     """Finitely supported dimension vector of the covering quiver.
 
-    Entries are stored as a sorted tuple of ((vertex, character), count)
-    with all counts positive, so equal vectors compare and hash equal.
+    Entries are stored as a sorted tuple of ((vertex, (c,)), count), c an int
+    given bare or as that 1-tuple, with all counts positive, so equal vectors
+    compare and hash equal.
     """
 
-    __slots__ = _fields = ("rank", "entries")
+    __slots__ = _fields = ("entries",)
 
-    def __init__(self, rank: int, entries: tuple):
+    def __init__(self, entries: tuple):
         fixed = []
         for (v, chi), m in entries:
             m = int(m)
@@ -165,23 +149,23 @@ class CoveringDimVector(Record):
                 raise ValidationError("negative covering multiplicity")
             if m == 0:
                 continue
-            fixed.append(((v, _as_char(chi, rank)), m))
+            fixed.append(((v, _as_char(chi, 1)), m))
         fixed.sort(key=lambda item: (item[0][1], item[0][0]))
-        self.rank, self.entries = rank, tuple(fixed)
+        self.entries = tuple(fixed)
 
     @classmethod
-    def trusted(cls, rank: int, entries: tuple) -> "CoveringDimVector":
+    def trusted(cls, entries: tuple) -> "CoveringDimVector":
         """Wrap entries already in stored form, skipping the constructor's checks."""
         beta = object.__new__(cls)
-        beta.rank, beta.entries = rank, entries
+        beta.entries = entries
         return beta
 
     @classmethod
-    def from_dict(cls, rank: int, support: dict) -> "CoveringDimVector":
-        return cls(rank, tuple(support.items()))
+    def from_dict(cls, support: dict) -> "CoveringDimVector":
+        return cls(tuple(support.items()))
 
     def get(self, v: str, chi) -> int:
-        chi = _as_char(chi, self.rank)
+        chi = _as_char(chi, 1)
         for (u, xi), m in self.entries:
             if u == v and xi == chi:
                 return m
@@ -191,18 +175,17 @@ class CoveringDimVector(Record):
         return not self.entries
 
 
-def shift(beta: CoveringDimVector, chi) -> CoveringDimVector:
+def shift(beta: CoveringDimVector, chi: int) -> CoveringDimVector:
     """s_chi(beta), whose value at (i, xi) is beta at (i, chi + xi)."""
-    chi = _as_char(chi, beta.rank)
     return CoveringDimVector.trusted(  # a translation keeps the entries' order
-        beta.rank, tuple(((v, char_sub(xi, chi)), m) for (v, xi), m in beta.entries))
+        tuple(((v, (xi - chi,)), m) for (v, (xi,)), m in beta.entries))
 
 
 def canonicalize(beta: CoveringDimVector) -> CoveringDimVector:
     """The unique shift whose lexicographically smallest support character is 0."""
     if beta.is_zero():
         raise ValidationError("cannot canonicalize the zero covering vector")
-    return shift(beta, beta.entries[0][0][1])
+    return shift(beta, beta.entries[0][0][1][0])
 
 
 class SupportQuiver:
@@ -222,7 +205,7 @@ class SupportQuiver:
         return tuple(theta[self.base.vertex_index(v)] for v, _ in self.covering_vertices)
 
 
-def support_quiver(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> SupportQuiver:
+def support_quiver(quiver: Quiver, w: dict, beta: CoveringDimVector) -> SupportQuiver:
     """The finite subquiver of Q(w) carrying beta, with beta as dimension vector."""
     if beta.is_zero():
         raise ValidationError("support quiver of the zero vector")
@@ -232,14 +215,14 @@ def support_quiver(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     arrows = []
     for v, c in keys:
         for a in quiver.arrows_from(v):
-            tgt = (a.target, c + w.of(a))
+            tgt = (a.target, c + w[a.name])
             if tgt in supp:
                 arrows.append(Arrow(f"{a.name}@{c}", names[(v, c)], names[tgt]))
     sub = Quiver(tuple(names.values()), tuple(arrows))
     return SupportQuiver(sub, tuple(supp[cv] for cv in keys), tuple(keys), quiver)
 
 
-def euler_form_covering(quiver: Quiver, w: WeightAssignment,
+def euler_form_covering(quiver: Quiver, w: dict,
                         beta: CoveringDimVector, gamma: CoveringDimVector) -> int:
     """<beta, gamma> for the covering quiver, via the finite supports."""
     gsup = {(v, c): m for (v, (c,)), m in gamma.entries}
@@ -247,7 +230,7 @@ def euler_form_covering(quiver: Quiver, w: WeightAssignment,
     for (v, (c,)), m in beta.entries:
         total += m * gsup.get((v, c), 0)
         for a in quiver.arrows_from(v):
-            total -= m * gsup.get((a.target, c + w.of(a)), 0)
+            total -= m * gsup.get((a.target, c + w[a.name]), 0)
     return total
 
 
@@ -292,7 +275,7 @@ def shape_key(dims, theta, arrows) -> tuple:
     return min(code(c, -1) for c in centres)
 
 
-def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
+def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
                          rejected: list | None = None) -> list[CoveringDimVector]:
     """All shift classes of covering dimension vectors compatible with d whose
     support quiver carries a stable representation.  d must be theta-coprime:
@@ -330,7 +313,7 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
     ins, outs = ({v: [] for v in order} for _ in range(2))  # (other end, character offset)
     for a in quiver.arrows:
         if cap[a.source] and cap[a.target]:
-            wa = w.of(a)
+            wa = w[a.name]
             ins[a.target].append((a.source, -wa))
             outs[a.source].append((a.target, wa))
     adj = {v: list(dict.fromkeys(ins[v] + outs[v])) for v in order}
@@ -390,7 +373,7 @@ def enumerate_compatible(quiver: Quiver, w: WeightAssignment, d, theta,
                 cells = [(u, chars.get(x) or chars.setdefault(x, (x,))) for x, u, _ in ranked]
                 by_char = [k for *_, k in ranked]
                 for sink, dims_list in ((out, kept), (dropped, lost)):
-                    sink.extend(CoveringDimVector.trusted(1, tuple(
+                    sink.extend(CoveringDimVector.trusted(tuple(
                         zip(cells, map(dims.__getitem__, by_char)))) for dims in dims_list)
         frontier = rest + new
         for k, nb in enumerate(frontier):

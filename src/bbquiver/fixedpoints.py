@@ -8,29 +8,28 @@ of class beta is
         + sum_{a, xi} beta_{s(a), xi} * beta_{t(a), xi + w_a - chi}
         - sum_{i, xi} beta_{i, xi} * beta_{i, xi - chi}.
 
-Everything here is a pure function of (Q, w, beta) under rank-1 weights, and
-a character chi is one integer; attractor sides are read off its sign.  A
-rank-n action arrives through `covering.reduce_to_rank_one`: chi is then the
-pairing of a rank-n character with the one-parameter subgroup of
-`CharCodec`, whose sign is the side of the character's first nonzero
-coordinate.
+Everything here is a pure function of (Q, w, beta), w being rank-1 weights
+{arrow name: int}, and a character chi is one integer; attractor sides are
+read off its sign.  A rank-n action arrives through
+`covering.reduce_to_rank_one`: chi is then the pairing of a rank-n
+character with the one-parameter subgroup of `CharCodec`, whose sign is the
+side of the character's first nonzero coordinate.
 """
 
 from __future__ import annotations
 
 from .core import Quiver
-from .covering import CoveringDimVector, WeightAssignment, _as_char, euler_form_covering, shift
+from .covering import CoveringDimVector, euler_form_covering, shift
 from .errors import InconsistencyError
 
 
-def weight_dimension(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector, chi) -> int:
+def weight_dimension(quiver: Quiver, w: dict, beta: CoveringDimVector, chi: int) -> int:
     """dim of the chi-weight space of the tangent space at a fixed point of class beta.
 
     Raises InconsistencyError on a negative value, which proves beta is not
     the class of an actual stable fixed point.
     """
-    (chi,) = _as_char(chi, 1)
-    moved = shift(beta, (-chi,))
+    moved = shift(beta, -chi)
     return _checked((0 if chi else 1) - euler_form_covering(quiver, w, beta, moved), chi)
 
 
@@ -41,7 +40,7 @@ def _checked(val: int, chi: int) -> int:
     return val
 
 
-def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector):
+def _weight_spaces(quiver: Quiver, w: dict, beta: CoveringDimVector):
     """(weight table, plus side, minus side, zero-weight dimension) in one pass.
 
     An arrow-linked pair of support entries (s(a), xi), (t(a), eta) adds to
@@ -58,7 +57,7 @@ def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
         by_vertex.setdefault(v, []).append((c, m))
     acc = {0: 1}
     for a in quiver.arrows:
-        wa = w.of(a)
+        wa = w[a.name]
         targets = by_vertex.get(a.target, ())
         for xi, m in by_vertex.get(a.source, ()):
             for eta, n in targets:
@@ -80,7 +79,7 @@ def _weight_spaces(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector)
     return table, sides[0], sides[1], acc[0]
 
 
-def weight_support(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> dict:
+def weight_support(quiver: Quiver, w: dict, beta: CoveringDimVector) -> dict:
     """All nonzero characters with positive weight-space dimension, with
     multiplicity, from one pass over pairs of support entries (`_weight_spaces`)."""
     return analyze_component(quiver, w, beta).weight_table
@@ -98,7 +97,7 @@ class FixedComponent:
         self.att_plus, self.att_minus, self.isolated = att_plus, att_minus, isolated
 
 
-def analyze_component(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> FixedComponent:
+def analyze_component(quiver: Quiver, w: dict, beta: CoveringDimVector) -> FixedComponent:
     """Bundle the tangent data of one fixed-point class; a character lies on
     the side of its sign (`_weight_spaces`)."""
     table, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)

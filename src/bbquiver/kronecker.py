@@ -20,7 +20,7 @@ import math
 
 from .betti import PoincarePolynomial, kirwan_subspace_poincare
 from .core import Quiver, Record
-from .covering import CoveringDimVector, WeightAssignment, canonicalize
+from .covering import CoveringDimVector, canonicalize
 from .errors import InconsistencyError, ValidationError
 
 
@@ -197,17 +197,17 @@ def d2_attractor(label: Label2) -> int:
     return total
 
 
-def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | None = None) -> CoveringDimVector:
-    """The covering dimension vector of a label, under rank-1 weights.
+def label_to_beta(label: Label1 | Label2, w: dict,
+                  quiver: Quiver | None = None) -> CoveringDimVector:
+    """The covering dimension vector of a label, under rank-1 weights {arrow name: int}.
 
     Arrow k of the quiver carries weight w_k; the label indices refer to the
     declared arrow order (1-based).
     """
     quiver = quiver or kronecker_quiver(label.l + 1)
-    wt = [w.of(a) for a in quiver.arrows]
 
     def wk(k: int) -> int:
-        return wt[k - 1]
+        return w[quiver.arrows[k - 1].name]
 
     support: dict = {}
 
@@ -229,7 +229,7 @@ def label_to_beta(label: Label1 | Label2, w: WeightAssignment, quiver: Quiver | 
             put("j", wk(mu))
         for nv in label.n_star:
             put("j", wk(nv), 2)
-    return canonicalize(CoveringDimVector.from_dict(1, support))
+    return canonicalize(CoveringDimVector.from_dict(support))
 
 
 def attractor_rows(l: int, r: int, betti: dict):

@@ -27,7 +27,7 @@ from bbquiver.cells import (
     _hom_rows,
 )
 from bbquiver.core import Quiver, check_vector
-from bbquiver.covering import CoveringDimVector, WeightAssignment
+from bbquiver.covering import CoveringDimVector
 from bbquiver.covering import shift as shift_covering
 from bbquiver.errors import InconsistencyError, ValidationError
 from bbquiver.linalg import leading_columns, rref
@@ -140,7 +140,7 @@ def level_dim(rep: GradedRep, v: str, n: int) -> int:
 
 
 def arrow_weight(rep: GradedRep, arrow_name: str) -> int:
-    return rep._w[arrow_name]
+    return rep.weights[arrow_name]
 
 
 def block(rep: GradedRep, arrow_name: str, n: int):
@@ -159,7 +159,7 @@ def shift(rep: GradedRep, c: int) -> GradedRep:
     return GradedRep(
         rep.quiver,
         rep.weights,
-        shift_covering(rep.beta, (c,)),
+        shift_covering(rep.beta, c),
         {(name, n - c): m for (name, n), m in rep.blocks.items()},
     )
 
@@ -267,7 +267,7 @@ def _step_value(by_level: dict, n: int):
     return by_level[chosen]
 
 
-def twisted_filtration_check(N: Representation, filtration: dict, w: WeightAssignment):
+def twisted_filtration_check(N: Representation, filtration: dict, w: dict):
     """Does N map each filtration level into the weight-shifted level?
 
     Returns (True, gr) with the induced graded representation on success and
@@ -293,7 +293,7 @@ def twisted_filtration_check(N: Representation, filtration: dict, w: WeightAssig
     for a in Q.arrows:
         if N.dim(a.source) == 0:
             continue
-        wa = w.of(a)
+        wa = w[a.name]
         fs = filtration[a.source]
         ft = filtration[a.target] if N.dim(a.target) else {}
         mat = N.matrix(a.name)
@@ -333,7 +333,7 @@ def _adapted_bases(filtration_v, dim_full):
     return adapted
 
 
-def _associated_graded(N: Representation, filtration: dict, w: WeightAssignment) -> GradedRep:
+def _associated_graded(N: Representation, filtration: dict, w: dict) -> GradedRep:
     Q = N.quiver
     adapted = {}
     level_dims = {}
@@ -344,10 +344,10 @@ def _associated_graded(N: Representation, filtration: dict, w: WeightAssignment)
         for n, (below, lifts) in adapted[v].items():
             if lifts:
                 level_dims[(v, (n,))] = len(lifts)
-    beta = CoveringDimVector.from_dict(1, level_dims)
+    beta = CoveringDimVector.from_dict(level_dims)
     blocks = {}
     for a in Q.arrows:
-        wa = w.of(a)
+        wa = w[a.name]
         if N.dim(a.source) == 0 or N.dim(a.target) == 0:
             continue
         mat = N.matrix(a.name)

@@ -7,12 +7,16 @@ weights of any rank (`reduced`, `decoded`), and the reference route for
 `enumerate_compatible` (`enumerate_per_support`).
 
 The helpers and the reference work on tuple characters of any rank with
-tuple arithmetic, reading the weights as given; they never code a
-character.  The reference collects every connected support as a frozenset
-from one walk per seed (`_connected_supports`), de-duplicates them in a
-set, and fills each support on its own, in support-quiver order, where
-`enumerate_compatible` walks once, carries each support's shape in
-discovery order and finds the fills once per shape."""
+tuple arithmetic, reading the weights as given: a `WeightAssignment` of any
+rank, or the rank-1 {arrow name: int} map the kernels take (`as_assignment`).
+They never code a character.  A class whose characters have rank n > 1 is a
+`CoveringDimVector` wrapped by `wide`, since the program's constructor takes
+rank-1 characters only; `wide_canonical` is its canonical shift.  The
+reference collects every connected support as a frozenset from one walk per
+seed (`_connected_supports`), de-duplicates them in a set, and fills each
+support on its own, in support-quiver order, where `enumerate_compatible`
+walks once, carries each support's shape in discovery order and finds the
+fills once per shape."""
 
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ import operator
 from bbquiver import hn
 from bbquiver.core import Arrow, Quiver, check_vector
 from bbquiver.covering import (
-    Character,
     CharCodec,
     CoveringDimVector,
     WeightAssignment,
@@ -34,17 +37,42 @@ from bbquiver.covering import (
 )
 from bbquiver.fixedpoints import FixedComponent
 
+Character = tuple[int, ...]
+
 
 def char_add(a: Character, b: Character) -> Character:
     return tuple(map(operator.add, a, b))
 
 
-def zero_character(w: WeightAssignment) -> Character:
-    return (0,) * w.rank
+def char_sub(a: Character, b: Character) -> Character:
+    return tuple(map(operator.sub, a, b))
 
 
-def covering_target(quiver: Quiver, w: WeightAssignment, arrow: Arrow | str, chi) -> tuple[str, Character]:
+def as_assignment(w) -> WeightAssignment:
+    """`w` as a WeightAssignment; rank-1 {arrow name: int} weights wrap as rank 1."""
+    return w if isinstance(w, WeightAssignment) else WeightAssignment(1, w)
+
+
+def wide(items) -> CoveringDimVector:
+    """The covering vector of ((vertex, character), count) items, the characters
+    tuples of any rank, with its entries sorted as `CoveringDimVector` stores them."""
+    entries = [((v, tuple(chi)), m) for (v, chi), m in items if m]
+    return CoveringDimVector.trusted(tuple(sorted(entries, key=lambda e: (e[0][1], e[0][0]))))
+
+
+def wide_canonical(beta: CoveringDimVector) -> CoveringDimVector:
+    """`canonicalize` on characters of any rank: the shift whose least character is 0."""
+    origin = beta.entries[0][0][1]
+    return wide(((v, char_sub(chi, origin)), m) for (v, chi), m in beta.entries)
+
+
+def zero_character(w) -> Character:
+    return (0,) * as_assignment(w).rank
+
+
+def covering_target(quiver: Quiver, w, arrow: Arrow | str, chi) -> tuple[str, Character]:
     """Target of the covering arrow (a, chi), namely (t(a), chi + w_a)."""
+    w = as_assignment(w)
     a = quiver.arrow(arrow) if isinstance(arrow, str) else arrow
     chi = _as_char(chi, w.rank)
     return (a.target, char_add(chi, w.weights[a.name]))
@@ -70,15 +98,15 @@ def total_tangent_dim(comp: FixedComponent) -> int:
     return comp.att_plus + comp.att_minus + comp.dim_component
 
 
-def _adjacency(quiver: Quiver, w: WeightAssignment) -> dict:
+def _adjacency(quiver: Quiver, w) -> dict:
     """Per base vertex, (neighbour vertex, character offset) for every incident arrow.
 
     The neighbours of (v, chi) in the underlying graph of Q(w) are the
     (u, chi + offset) over adj[v].
     """
-    adj = {v: [] for v in quiver.vertices}
+    adj, weights = {v: [] for v in quiver.vertices}, as_assignment(w).weights
     for a in quiver.arrows:
-        wa = w.weights[a.name]
+        wa = weights[a.name]
         adj[a.source].append((a.target, wa))
         adj[a.target].append((a.source, tuple(-x for x in wa)))
     return adj
@@ -116,7 +144,7 @@ def _connected_supports(adj: dict, cap: dict, seed):
     return results
 
 
-def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -> bool:
+def is_connected(quiver: Quiver, w, beta: CoveringDimVector) -> bool:
     supp = {cv for cv, _ in beta.entries}
     if not supp:
         return True
@@ -133,20 +161,19 @@ def is_connected(quiver: Quiver, w: WeightAssignment, beta: CoveringDimVector) -
     return seen == supp
 
 
-def reduced(quiver: Quiver, w: WeightAssignment, d, theta):
+def reduced(quiver: Quiver, w, d, theta):
     """(quiver, rank-1 weights, d, theta, codec): the case as the CLI hands it on,
     through `reduce_to_rank_one`."""
-    w1, codec = reduce_to_rank_one(w, d)
+    w1, codec = reduce_to_rank_one(as_assignment(w), d)
     return quiver, w1, d, theta, codec
 
 
 def decoded(codec: CharCodec, beta: CoveringDimVector) -> CoveringDimVector:
     """A class under reduced weights with its characters decoded to rank `codec.rank`."""
-    return CoveringDimVector(codec.rank, tuple(((v, codec.decode(c)), m)
-                                               for (v, (c,)), m in beta.entries))
+    return wide(((v, codec.decode(c)), m) for (v, (c,)), m in beta.entries)
 
 
-def candidates(quiver: Quiver, w: WeightAssignment, d, theta) -> list[CoveringDimVector]:
+def candidates(quiver: Quiver, w: dict, d, theta) -> list[CoveringDimVector]:
     """Every class `enumerate_compatible` weighs for the theta-coprime d: the
     ones it keeps and the ones it rejects, in one entries-sorted list."""
     rejected: list = []
@@ -154,7 +181,7 @@ def candidates(quiver: Quiver, w: WeightAssignment, d, theta) -> list[CoveringDi
     return sorted(kept + rejected, key=lambda b: b.entries)
 
 
-def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
+def enumerate_per_support(quiver: Quiver, w, d, theta,
                           use_existence_filter: bool = True) -> list[CoveringDimVector]:
     """`enumerate_compatible` on weights of any rank, with every support's
     fills generated, bounded and turned into vectors on their own, and
@@ -163,7 +190,7 @@ def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
     comes out canonical: its lexicographically least character is 0."""
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
-    vidx = quiver.vertex_index
+    vidx, w = quiver.vertex_index, as_assignment(w)
     zero = zero_character(w)
     adj = _adjacency(quiver, w)
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
@@ -187,7 +214,7 @@ def enumerate_per_support(quiver: Quiver, w: WeightAssignment, d, theta,
             if use_existence_filter and \
                     sum(m * m for m in dims) - sum(dims[i] * dims[j] for i, j in links) > 1:
                 continue
-            beta = CoveringDimVector.trusted(w.rank, tuple((cvs[k], dims[k]) for k in by_char))
+            beta = CoveringDimVector.trusted(tuple((cvs[k], dims[k]) for k in by_char))
             if use_existence_filter:
                 key = shape_key(dims, theta_hat, links)
                 if key not in verdicts:

@@ -94,7 +94,7 @@ def test_criterion_3_balance_invariant():
         for c in comps:
             assert c.att_plus + c.att_minus + c.dim_component == dim
             table = bq.weight_support(quiver, w, c.beta)
-            zero = bq.weight_dimension(quiver, w, c.beta, (0,))
+            zero = bq.weight_dimension(quiver, w, c.beta, 0)
             assert sum(table.values()) + zero == dim
             total_components += 1
     report(3, f"balance holds on {total_components} components across golden runs")
@@ -164,7 +164,7 @@ def test_criterion_7_ext_equivalence(k3, w3, k3_classes, k3_lifts):
             if c == 0:
                 continue
             _, ext = covering_hom_ext(rep, shift(rep, -c))
-            assert ext == bq.weight_dimension(k3, w3, beta, (c,)), (beta, c)
+            assert ext == bq.weight_dimension(k3, w3, beta, c), (beta, c)
             checked += 1
     report(7, f"Ext^1(N, shifted N) = weight dimension on {checked} samples")
 

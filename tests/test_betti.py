@@ -94,7 +94,7 @@ class TestComponentPoincare:
         # equal arrow weights act trivially: one component carrying the whole
         # projective line, resolved by counting and interpolation
         quiver = bq.kronecker_quiver(2)
-        w = bq.WeightAssignment(1, {"a1": (1,), "a2": (1,)})
+        w = {"a1": 1, "a2": 1}
         classes = bq.enumerate_compatible(quiver, w, (1, 1), (1, 0))
         assert len(classes) == 1
         comp = bq.analyze_component(quiver, w, classes[0])

@@ -66,7 +66,7 @@ class TestHomExt:
                 if c == 0:
                     continue
                 _, ext = covering_hom_ext(rep, shift(rep, -c))
-                assert ext == bq.weight_dimension(k3, w3, beta, (c,))
+                assert ext == bq.weight_dimension(k3, w3, beta, c)
 
 
 class TestBuildFixedRep:
@@ -119,15 +119,15 @@ def type2_star_beta(w3):
     """The K3 (2,3) type-2 class: two units of i at level 0, one j unit behind each arrow."""
     support = {("i", (0,)): 2}
     for k in (1, 2, 3):
-        support[("j", w3.of(f"a{k}"))] = 1
-    return bq.canonicalize(CoveringDimVector.from_dict(1, support))
+        support[("j", w3[f"a{k}"])] = 1
+    return bq.canonicalize(CoveringDimVector.from_dict(support))
 
 
 def uncertified_reps(quiver, w, beta, seed=0):
     """The representatives of class beta with 0/1 partial identity blocks and
     with random blocks in -9..9, as `build_fixed_rep` fills them, uncertified."""
     dims = {(v, chi[0]): m for (v, chi), m in beta.entries}
-    shapes = [(a.name, n, dims.get((a.target, n + w.of(a)), 0), cols)
+    shapes = [(a.name, n, dims.get((a.target, n + w[a.name]), 0), cols)
               for (v, n), cols in dims.items() for a in quiver.arrows_from(v)]
     rng = random.Random(seed)
     unit = {(a, n): [[int(r == c) for c in range(cols)] for r in range(rows)]
@@ -353,16 +353,16 @@ def rep_pairs(draw):
 def graded_reps(draw):
     """Graded representations of LOOPED, including a weight-0 loop, whose
     bracket sends two terms to one coordinate."""
-    w = bq.WeightAssignment(1, {"l": (draw(st.integers(0, 2)),), "a": (1,), "b": (3,)})
+    w = {"l": draw(st.integers(0, 2)), "a": 1, "b": 3}
     support = {(v, (n,)): draw(st.integers(0, 2)) for v in ("u", "v") for n in range(-2, 4)}
-    beta = CoveringDimVector.from_dict(1, support)
+    beta = CoveringDimVector.from_dict(support)
     assume(not beta.is_zero())
     entry = st.one_of(st.integers(-2, 2).map(Fraction),
                       st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
     blocks = {}
     for a in LOOPED.arrows:
         for n in range(-2, 4):
-            rows = beta.get(a.target, (n + w.of(a),))
+            rows = beta.get(a.target, (n + w[a.name],))
             cols = beta.get(a.source, (n,))
             if rows and cols:
                 blocks[(a.name, n)] = [[draw(entry) for _ in range(cols)] for _ in range(rows)]

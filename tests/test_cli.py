@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -162,7 +164,7 @@ def test_rank2_cells_chart_the_code_sign_subgroup(capsys, tmp_path, k3_file):
     rank2 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1), "a3": (1, 1)})
     encoded, _ = reduce_to_rank_one(rank2, (2, 3))
     reports = {}
-    for name, w in (("rank2", rank2), ("encoded", encoded)):
+    for name, w in (("rank2", rank2), ("encoded", bq.WeightAssignment(1, encoded))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(w.to_dict()))
         for command in ("cells", "fixed-points"):
@@ -234,6 +236,31 @@ def test_csv_component_report(capsys, k3_file):
     assert code == 0
     assert out.splitlines()[0] == "beta,dim_component,att_plus,att_minus,isolated"
     assert len([ln for ln in out.splitlines() if ln.startswith('"')]) == 13
+
+
+@pytest.mark.parametrize("l,r", [(2, 1), (3, 2), (5, 2)])
+def test_kronecker_csv_rows_have_the_header_fields(capsys, l, r):
+    """Labels hold commas; quoted as RFC 4180 asks, each row reads as 4 fields."""
+    assert main(["kronecker", "--l", str(l), "--r", str(r), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["label", "kind", "att_plus", "att_minus"]
+    assert rows[-1][0].startswith("# P(t) = ")
+    assert [len(row) for row in rows[1:-1]] == [4] * (len(rows) - 2)
+
+
+@pytest.mark.parametrize("filter_", ["on", "off"])
+def test_csv_quotes_vertex_names_with_commas_and_quotes(capsys, tmp_path, filter_):
+    names = ('i"x', "j,y")
+    quiver = bq.Quiver.from_arrows(names, [(f"a{k}", *names) for k in (1, 2, 3)])
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(quiver.to_dict()))
+    assert main(["fixed-points", "--quiver", str(path), "--dim", "2,3", "--theta", "1,0",
+                 "--filter", filter_, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["beta", "dim_component", "att_plus", "att_minus", "isolated"]
+    assert rows[-1][0].startswith("[config ")
+    assert len(rows) > 3 and all(len(row) == 5 for row in rows[1:-1])
+    assert all('i"x@' in row[0] and "j,y@" in row[0] for row in rows[1:-1])
 
 
 def test_star_quiver_run(capsys, tmp_path, star_quiver):
@@ -327,6 +354,37 @@ def test_weights_for_missing_arrow_exit_2(capsys, tmp_path, k3_file):
     assert "a4" in err["message"]
 
 
+WEIGHTS_COMMANDS = ("fixed-points", "poincare", "cells", "normal-form")
+
+
+def _missing_weight_errors(capsys, quiver, dim, theta, weights, tmp_path):
+    """(exit code, stderr) of each weights-taking command on the case."""
+    qfile, wfile = tmp_path / "q.json", tmp_path / "w.json"
+    qfile.write_text(json.dumps(quiver.to_dict()))
+    wfile.write_text(json.dumps({"rank": 1, "weights": weights}))
+    out = []
+    for command in WEIGHTS_COMMANDS:
+        code = main([command, "--quiver", str(qfile), "--dim", dim, "--theta", theta,
+                     "--weights", str(wfile)])
+        out.append((code, json.loads(capsys.readouterr().err)))
+    return out
+
+
+def test_weights_missing_an_arrow_no_class_meets_exit_2(capsys, tmp_path):
+    """On a -> b -> c with d = (1,1,0) no class meets the arrow y: b -> c, so
+    no kernel reads its weight; the input check still refuses the file."""
+    quiver = bq.Quiver.from_arrows(("a", "b", "c"), [("x", "a", "b"), ("y", "b", "c")])
+    error = {"error": "validation", "message": "no weight assigned to arrow 'y'"}
+    assert _missing_weight_errors(capsys, quiver, "1,1,0", "0,1,0", {"x": [1]}, tmp_path) == \
+        [(2, error)] * len(WEIGHTS_COMMANDS)
+
+
+def test_weights_missing_an_arrow_exit_2(capsys, tmp_path, k3):
+    error = {"error": "validation", "message": "no weight assigned to arrow 'a3'"}
+    assert _missing_weight_errors(capsys, k3, "2,3", "1,0", {"a1": [9], "a2": [3]},
+                                  tmp_path) == [(2, error)] * len(WEIGHTS_COMMANDS)
+
+
 def test_non_integer_weight_exit_2(capsys, tmp_path, k3_file):
     wfile = tmp_path / "w.json"
     wfile.write_text(json.dumps({"rank": 1, "weights": {"a1": ["x"], "a2": [3], "a3": [1]}}))
@@ -365,7 +423,7 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, tmp_path, k3, k3_fil
     value = OPTIONAL[flag]
     if value is None:
         value = str(tmp_path / "w.json")
-        Path(value).write_text(json.dumps(bq.generic_rank1_weights(k3).to_dict()))
+        Path(value).write_text(json.dumps(bq.WeightAssignment(1, bq.generic_rank1_weights(k3)).to_dict()))
     argv = [command, *base_args(k3_file, flag, value)]
     if flag in READS[command]:
         assert main(argv) == 0

@@ -4,8 +4,8 @@
   lexicographic order, for ranks 1-3 within the bound, and refusal outside it.
 * Kernels give the values of tuple arithmetic on rank-n weights reduced by
   `reduce_to_rank_one`, the code bound being sized from d and the weights.
-* Every kernel refuses rank-n weights that did not pass `reduce_to_rank_one`,
-  which leaves rank-1 weights as they are and codes rank-n ones as their
+* `reduce_to_rank_one` returns a plain {arrow: int} map, which every kernel
+  reads: it leaves rank-1 weights as they are and codes rank-n ones as their
   pairing with the one-parameter subgroup.
 * The trusted constructor against the validating one, on enumerator output.
 * The code-sign sides of `analyze_component` against the first nonzero
@@ -20,8 +20,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bbquiver as bq
-from bbquiver.covering import CharCodec, CoveringDimVector, char_sub, reduce_to_rank_one
-from covering_oracle import candidates, char_add, is_connected, reduced, zero_character
+from bbquiver.covering import CharCodec, CoveringDimVector, reduce_to_rank_one
+from covering_oracle import candidates, char_add, char_sub, is_connected, reduced, wide
 
 pytest.importorskip("numpy")  # the Schofield oracle below needs it
 import schofield_oracle
@@ -102,8 +102,8 @@ class TestWideClasses:
         """`wide` has total 2; reduced for d = (7, 7) its bound 14 covers
         (0, 13), which then keeps a code of its own, apart from (1, 0)'s."""
         k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (7, 7), (1, 0))
-        wide = CoveringDimVector.from_dict(1, {("i", codec.encode((0, 0))): 1,
-                                               ("j", codec.encode((0, 13))): 1})
+        wide = CoveringDimVector.from_dict({("i", codec.encode((0, 0))): 1,
+                                            ("j", codec.encode((0, 13))): 1})
         assert codec.encode((0, 13)) != codec.encode((1, 0))
         for fn in (bq.weight_support, bq.analyze_component):
             with pytest.raises(bq.InconsistencyError):  # zero weight: 1 - 2 < 0
@@ -113,23 +113,23 @@ class TestWideClasses:
         assert [(v, codec.decode(c)) for v, c in sq.covering_vertices] == \
             [("i", (0, 0)), ("j", (0, 13))]
         assert bq.euler_form_covering(k2, w, wide, wide) == 2
-        assert bq.weight_dimension(k2, w, wide, (codec.encode((1, 0)),)) == 0
-        assert bq.weight_dimension(k2, w, wide, (codec.encode((0, -13)),)) == 0
+        assert bq.weight_dimension(k2, w, wide, codec.encode((1, 0))) == 0
+        assert bq.weight_dimension(k2, w, wide, codec.encode((0, -13))) == 0
 
     def test_is_connected_says_no(self):
-        wide = CoveringDimVector.from_dict(2, {("i", (0, 0)): 1, ("j", (0, 13)): 1})
-        assert not is_connected(bq.kronecker_quiver(2), RANK2, wide)
+        beta = wide({("i", (0, 0)): 1, ("j", (0, 13)): 1}.items())
+        assert not is_connected(bq.kronecker_quiver(2), RANK2, beta)
 
     def test_far_characters_have_zero_weight_space(self):
         k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
-        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", codec.encode((1, 0))): 1})
+        beta = CoveringDimVector.from_dict({("i", 0): 1, ("j", codec.encode((1, 0))): 1})
         far = -1000 * (6 * codec.bound + 1) + 500  # the pairing of (-1000, 500), past the bound
-        assert bq.weight_dimension(k2, w, beta, (-far,)) == 0
-        assert bq.euler_form_covering(k2, w, beta, bq.shift(beta, (far,))) == 0
-        rank1 = bq.WeightAssignment(1, {"a1": 1, "a2": 2})
-        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", 1): 1})
-        assert bq.weight_dimension(k2, rank1, beta, (10 ** 6,)) == 0
-        assert bq.weight_dimension(k2, rank1, beta, (1,)) == 1
+        assert bq.weight_dimension(k2, w, beta, -far) == 0
+        assert bq.euler_form_covering(k2, w, beta, bq.shift(beta, far)) == 0
+        rank1 = {"a1": 1, "a2": 2}
+        beta = CoveringDimVector.from_dict({("i", 0): 1, ("j", 1): 1})
+        assert bq.weight_dimension(k2, rank1, beta, 10 ** 6) == 0
+        assert bq.weight_dimension(k2, rank1, beta, 1) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
@@ -148,8 +148,8 @@ class TestWideClasses:
             for (v, xi), m in beta.items() if v == "i" for wa in (w1, w2))
 
         def coded(support):
-            return CoveringDimVector.from_dict(1, {(v, codec.encode(xi)): m
-                                                   for (v, xi), m in support.items()})
+            return CoveringDimVector.from_dict({(v, codec.encode(xi)): m
+                                                for (v, xi), m in support.items()})
 
         assert bq.euler_form_covering(k2, w, coded(beta), coded(gamma)) == expected
 
@@ -157,25 +157,25 @@ class TestWideClasses:
         """A class far from 0 under the reduced weights has the tangent data of
         the class at 0: the kernels take differences of characters only."""
         k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
-        beta = CoveringDimVector.from_dict(1, {("i", 0): 1, ("j", codec.encode((1, 0))): 1})
-        far = bq.shift(beta, (-1000 * (6 * codec.bound + 1) + 500,))
+        beta = CoveringDimVector.from_dict({("i", 0): 1, ("j", codec.encode((1, 0))): 1})
+        far = bq.shift(beta, -1000 * (6 * codec.bound + 1) + 500)
         assert bq.weight_support(k2, w, far) == bq.weight_support(k2, w, beta)
         assert bq.euler_form_covering(k2, w, far, far) == 1
 
     def test_the_zero_class_still_has_a_codec(self):
         k2, w, *_, codec = reduced(bq.kronecker_quiver(2), RANK2, (1, 1), (1, 0))
-        comp = bq.analyze_component(k2, w, CoveringDimVector(1, ()))
+        comp = bq.analyze_component(k2, w, CoveringDimVector(()))
         assert (comp.weight_table, comp.att_plus, comp.att_minus, comp.dim_component) == \
             ({}, 0, 0, 1)
         assert codec.rank == 2
-        assert is_connected(k2, RANK2, CoveringDimVector(2, ()))
+        assert is_connected(k2, RANK2, wide(()))
 
 
 RANK2_K3 = bq.WeightAssignment(2, {"a1": (1, 0), "a2": (0, 1), "a3": (1, 1)})
 KERNELS = {  # each kernel on K3 (2,3), given the weights and a class
     "enumerate_compatible": lambda k3, w, beta: bq.enumerate_compatible(k3, w, (2, 3), (1, 0)),
     "analyze_component": lambda k3, w, beta: bq.analyze_component(k3, w, beta),
-    "weight_dimension": lambda k3, w, beta: bq.weight_dimension(k3, w, beta, (1,)),
+    "weight_dimension": lambda k3, w, beta: bq.weight_dimension(k3, w, beta, 1),
     "support_quiver": lambda k3, w, beta: bq.support_quiver(k3, w, beta),
     "euler_form_covering": lambda k3, w, beta: bq.euler_form_covering(k3, w, beta, beta),
     "build_fixed_rep": lambda k3, w, beta: bq.build_fixed_rep(k3, w, beta),
@@ -184,30 +184,36 @@ KERNELS = {  # each kernel on K3 (2,3), given the weights and a class
 
 
 class TestReduction:
-    """Rank-n weights reach a kernel only through `reduce_to_rank_one`."""
+    """Rank-n weights reach a kernel only through `reduce_to_rank_one`, as the
+    {arrow: int} map of their codes."""
 
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_every_kernel_refuses_rank_n_weights(self, k3, name):
-        w, _ = reduce_to_rank_one(RANK2_K3, (2, 3))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * rank), min_size=3, max_size=3)))
+    def test_every_kernel_reads_the_reduced_codes(self, weights):
+        k3 = bq.kronecker_quiver(3)
+        rank_n = bq.WeightAssignment(len(weights[0]), dict(zip(("a1", "a2", "a3"), weights)))
+        w, codec = reduce_to_rank_one(rank_n, (2, 3))
+        assert type(w) is dict and all(type(c) is int for c in w.values())
+        assert w == {a: codec.encode(chi) for a, chi in rank_n.weights.items()}
         beta = bq.enumerate_compatible(k3, w, (2, 3), (1, 0))[-1]
-        with pytest.raises(bq.UnsupportedError, match="rank-1 weights, not rank 2"):
-            KERNELS[name](k3, RANK2_K3, beta)
-        KERNELS[name](k3, w, beta)
+        for kernel in KERNELS.values():
+            kernel(k3, w, beta)
 
     def test_rank_one_weights_pass_unchanged(self, k3, w3):
-        w, codec = reduce_to_rank_one(w3, (2, 3))
+        w, codec = reduce_to_rank_one(bq.WeightAssignment(1, w3), (2, 3))
         assert w == w3 and codec.rank == 1
-        assert [codec.decode(w.of(a)) for a in k3.arrows] == [w3.weights[a.name] for a in k3.arrows]
+        assert [codec.decode(w[a.name]) for a in k3.arrows] == [(w3[a.name],) for a in k3.arrows]
 
     def test_codes_are_the_pairing_with_the_subgroup(self):
         w, codec = reduce_to_rank_one(RANK2_K3, (2, 3))
         base = 6 * codec.bound + 1
         assert codec.bound == 5
-        assert {a: w.of(a) for a in w.weights} == {"a1": base, "a2": 1, "a3": base + 1}
+        assert w == {"a1": base, "a2": 1, "a3": base + 1}
 
 
 def neg_weights():
-    return bq.WeightAssignment(1, {"a1": -3, "a2": 5, "a3": 0})
+    return {"a1": -3, "a2": 5, "a3": 0}
 
 
 ENUMERATED = {
@@ -235,7 +241,7 @@ class TestTrustedOutput:
         _, w, _, classes = enumerated
         assert classes
         for beta in classes:
-            rebuilt = CoveringDimVector(w.rank, tuple(reversed(beta.entries)))
+            rebuilt = CoveringDimVector(tuple(reversed(beta.entries)))
             assert rebuilt == beta and hash(rebuilt) == hash(beta)
             assert rebuilt.entries == beta.entries
             assert all(type(x) is int for (_, chi), _ in beta.entries for x in chi)
@@ -254,7 +260,7 @@ class TestTrustedOutput:
                     sides[next(x for x in codec.decode(chi) if x) < 0] += m
                 assert sides == [comp.att_plus, comp.att_minus]
                 seen += 1
-            assert comp.dim_component == bq.weight_dimension(quiver, w, beta, zero_character(w))
+            assert comp.dim_component == bq.weight_dimension(quiver, w, beta, 0)
         assert seen or codec.rank == 1
 
 

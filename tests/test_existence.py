@@ -217,16 +217,16 @@ class TestHasStable:
         assert bq.has_stable(k3, (2, 3), (1, 0))
 
     def test_x1_star_support_rejected(self, k3, w3):
-        support = {("i", (0,)): 2, ("j", w3.of("a1")): 1, ("j", w3.of("a2")): 2}
-        beta = CoveringDimVector.from_dict(1, support)
+        support = {("i", (0,)): 2, ("j", w3["a1"]): 1, ("j", w3["a2"]): 2}
+        beta = CoveringDimVector.from_dict(support)
         sq = bq.support_quiver(k3, w3, beta)
         assert not bq.has_stable(sq.quiver, sq.dims, sq.lift_stability((1, 0)))
 
     def test_x3_star_support_accepted(self, k3, w3):
         support = {("i", (0,)): 2}
         for k in (1, 2, 3):
-            support[("j", w3.of(f"a{k}"))] = 1
-        beta = CoveringDimVector.from_dict(1, support)
+            support[("j", w3[f"a{k}"])] = 1
+        beta = CoveringDimVector.from_dict(support)
         sq = bq.support_quiver(k3, w3, beta)
         assert bq.has_stable(sq.quiver, sq.dims, sq.lift_stability((1, 0)))
 

@@ -14,6 +14,8 @@
   classes are decoded before they meet the tuple-native reference; at
   signed weights up to the code bound, their tangent data also meets a
   tuple-arithmetic Euler form.
+* `generic_rank1_weights` against the full torus, arrow k acting by the
+  k-th coordinate: the same classes, weight tables and component dimensions.
 * `shape_key` against brute-force isomorphism of small labelled trees.
 """
 
@@ -25,8 +27,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import bbquiver as bq
 from bbquiver import hn
-from bbquiver.covering import char_sub, shape_key
-from covering_oracle import candidates, char_add, decoded, enumerate_per_support, reduced
+from bbquiver.covering import CoveringDimVector, reduce_to_rank_one, shape_key
+from covering_oracle import candidates, char_add, char_sub, decoded, enumerate_per_support, reduced
 
 
 def double_chain():
@@ -52,7 +54,7 @@ CASES = {
     "star5": (*generic(star(5)), (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0)),
     "chain (1,2,2)": (*generic(double_chain()), (1, 2, 2), (2, 1, 0)),
     "K3 (2,3) trivial weights": (bq.kronecker_quiver(3),
-                                 bq.WeightAssignment(1, {"a1": 1, "a2": 1, "a3": 1}),
+                                 {"a1": 1, "a2": 1, "a3": 1},
                                  (2, 3), (1, 0)),
 }
 
@@ -61,14 +63,14 @@ def looped_k2(loop_at, loop_weight):
     """K2 (weights 13 and 1) with a loop of weight `loop_weight` at one vertex."""
     quiver = bq.Quiver.from_arrows(("x", "y"), [("a1", "x", "y"), ("a2", "x", "y"),
                                                 ("l", loop_at, loop_at)])
-    return quiver, bq.WeightAssignment(1, {"a1": 13, "a2": 1, "l": loop_weight})
+    return quiver, {"a1": 13, "a2": 1, "l": loop_weight}
 
 
 def two_cycle(back):
     """x => y with a third arrow y -> x of weight `back`; -1 closes a covering cycle."""
     return bq.Quiver.from_arrows(("x", "y"), [("a", "x", "y"), ("c", "x", "y"),
                                               ("b", "y", "x")]), \
-        bq.WeightAssignment(1, {"a": 1, "c": 3, "b": back})
+        {"a": 1, "c": 3, "b": back}
 
 
 # Quivers with loops and cycles, and whether their classes reach a cyclic
@@ -119,10 +121,10 @@ def reference_weight_support(quiver, w, beta):
                 cands.add(xi - eta)
             for a in quiver.arrows_from(v):
                 if a.target == u:
-                    cands.add(xi + w.of(a) - eta)
+                    cands.add(xi + w[a.name] - eta)
     table = {}
     for chi in sorted(cands):
-        val = bq.weight_dimension(quiver, w, beta, (chi,))
+        val = bq.weight_dimension(quiver, w, beta, chi)
         if chi and val > 0:
             table[chi] = val
     return table
@@ -160,7 +162,7 @@ class TestWeightSupport:
         quiver, w = reduced_case(name)[:2]
         classes = unfiltered(name)
         beta = classes[data.draw(st.integers(0, len(classes) - 1))]
-        beta = bq.shift(beta, data.draw(st.tuples(*[st.integers(-9, 9)] * w.rank)))
+        beta = bq.shift(beta, data.draw(st.integers(-9, 9)))
         assert outcome(bq.weight_support, quiver, w, beta) == \
             outcome(reference_weight_support, quiver, w, beta)
 
@@ -261,7 +263,7 @@ def cyclic_cases(draw):
     arrows = [(f"a{i}{j}{m}", f"v{i}", f"v{j}") for i in range(n) for j in range(n)
               for m in range(draw(st.integers(0, 2 if i < j else 1)))]
     quiver = bq.Quiver.from_arrows(tuple(f"v{k}" for k in range(n)), arrows)
-    w = bq.WeightAssignment(1, {a[0]: draw(st.integers(-1, 1)) for a in arrows})
+    w = {a[0]: draw(st.integers(-1, 1)) for a in arrows}
     d = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)))
     theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
     return quiver, w, d, theta
@@ -325,6 +327,50 @@ class TestShapeCache:
             assert mine[1] == "UnsupportedError"
         else:
             assert mine
+
+
+GENERIC_CASES = {  # the benchmark's instances, with its theta
+    "K3 (2,3)": (bq.kronecker_quiver(3), (2, 3), (1, 0)),
+    "K4 (2,5)": (bq.kronecker_quiver(4), (2, 5), (1, 0)),
+    "K3 (3,4)": (bq.kronecker_quiver(3), (3, 4), (1, 0)),
+    "K5 (2,5)": (bq.kronecker_quiver(5), (2, 5), (1, 0)),
+    "K6 (2,3)": (bq.kronecker_quiver(6), (2, 3), (1, 0)),
+    "K2 (3,2)": (bq.kronecker_quiver(2), (3, 2), (1, 0)),
+    "star5": (star(5), (2,) + (1,) * 5, (1,) + (0,) * 5),
+    "star7": (star(7), (2,) + (1,) * 7, (1,) + (0,) * 7),
+    "chain (1,2,2)": (double_chain(), (1, 2, 2), (2, 1, 0)),
+}
+
+
+class TestGenericWeights:
+    """`generic_rank1_weights` has the full torus's fixed locus: its base
+    B = 5 + 4 (max multiplicity) separates the characters the supports reach."""
+
+    @pytest.mark.parametrize("name", list(GENERIC_CASES))
+    def test_the_full_torus_has_the_same_classes_and_weights(self, name):
+        quiver, d, theta = GENERIC_CASES[name]
+        generic = bq.generic_rank1_weights(quiver)
+        n = len(quiver.arrows)  # the full torus: arrow k acts by the k-th coordinate
+        full, codec = reduce_to_rank_one(bq.WeightAssignment(n, {
+            a.name: tuple(int(j == k) for j in range(n)) for k, a in enumerate(quiver.arrows)}), d)
+        pairing = [generic[a.name] for a in quiver.arrows]
+
+        def paired(code):  # a full-torus character paired with the generic weights
+            return sum(x * g for x, g in zip(codec.decode(code), pairing))
+
+        expected = {beta: bq.analyze_component(quiver, generic, beta)
+                    for beta in bq.enumerate_compatible(quiver, generic, d, theta)}
+        found = {}
+        for beta in bq.enumerate_compatible(quiver, full, d, theta):
+            comp = bq.analyze_component(quiver, full, beta)
+            table = {}
+            for chi, m in comp.weight_table.items():
+                table[paired(chi)] = table.get(paired(chi), 0) + m
+            moved = CoveringDimVector.from_dict({(v, paired(c)): m for (v, (c,)), m in beta.entries})
+            found[bq.canonicalize(moved)] = (table, comp.dim_component)
+        assert found.keys() == expected.keys()
+        for beta, comp in expected.items():
+            assert found[beta] == (comp.weight_table, comp.dim_component), beta
 
 
 def isomorphic(a, b):

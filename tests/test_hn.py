@@ -168,7 +168,7 @@ def test_other_verdicts_make_one_count_at_2(monkeypatch):
 def test_localization_sum_matches_whole_space(quiver, d, theta, weights):
     """Under degenerate weights components of positive dimension carry their
     own HN polynomials; shifted and summed they give the whole space's."""
-    w = bq.WeightAssignment(1, {a.name: (x,) for a, x in zip(quiver.arrows, weights)})
+    w = {a.name: x for a, x in zip(quiver.arrows, weights)}
     comps = [bq.analyze_component(quiver, w, beta)
              for beta in bq.enumerate_compatible(quiver, w, d, theta)]
     assert any(c.dim_component for c in comps)
@@ -201,7 +201,7 @@ def test_digits_match_lagrange(instance):
 
 def test_one_two_size_count_per_component(monkeypatch):
     quiver, d, theta = bq.kronecker_quiver(3), (3, 4), (1, 0)
-    w = bq.WeightAssignment(1, {"a1": (0,), "a2": (0,), "a3": (2,)})
+    w = {"a1": 0, "a2": 0, "a3": 2}
     comps = [bq.analyze_component(quiver, w, beta)
              for beta in bq.enumerate_compatible(quiver, w, d, theta)]
     calls = []

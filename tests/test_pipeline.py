@@ -6,8 +6,8 @@ import itertools
 import pytest
 
 import bbquiver as bq
-from bbquiver.covering import CoveringDimVector, canonicalize
-from covering_oracle import candidates, decoded, is_connected, project, reduced, total_tangent_dim
+from covering_oracle import (as_assignment, candidates, decoded, is_connected, project, reduced,
+                             total_tangent_dim, wide, wide_canonical)
 
 pytest.importorskip("numpy")  # the brute-force F_q oracle below needs it
 from bbquiver.existence import brute_force_stable_count
@@ -20,7 +20,7 @@ def window_enumerate(quiver, w, d, width):
     A canonical class has its lex-least character at 0 and spans at most
     (total units - 1) arrow steps, so a wide enough window sees every class.
     """
-    rank = w.rank
+    rank = as_assignment(w).rank
     chars = list(itertools.product(range(width + 1), repeat=rank))
     out = set()
     assignments = [
@@ -31,12 +31,12 @@ def window_enumerate(quiver, w, d, width):
         for v, assignment in zip(quiver.vertices, combo):
             for chi in assignment:
                 support[(v, chi)] = support.get((v, chi), 0) + 1
-        beta = CoveringDimVector.from_dict(rank, support)
+        beta = wide(support.items())
         if beta.is_zero() or project(beta, quiver) != tuple(d):
             continue
         if not is_connected(quiver, w, beta):
             continue
-        out.add(canonicalize(beta))
+        out.add(wide_canonical(beta))
     return out
 
 
@@ -53,7 +53,7 @@ class TestEnumerationOracle:
     @pytest.mark.parametrize("d,width", [((1, 2), 4), ((2, 3), 8)])
     def test_two_vertex_rank1(self, d, width):
         quiver = bq.kronecker_quiver(2)
-        w = bq.WeightAssignment(1, {"a1": (2,), "a2": (1,)})
+        w = {"a1": 2, "a2": 1}
         mine = set(candidates(quiver, w, d, (1, 0)))
         assert mine == window_enumerate(quiver, w, d, width)
 
@@ -65,12 +65,12 @@ class TestEnumerationOracle:
         assert mine == window_enumerate(quiver, w, (1, 2), 2)
 
     def test_chain(self):
-        w = bq.WeightAssignment(1, {"a": (2,), "b": (1,)})
+        w = {"a": 2, "b": 1}
         mine = set(candidates(a3_chain(), w, (1, 1, 1), (2, 0, -1)))
         assert mine == window_enumerate(a3_chain(), w, (1, 1, 1), 4)
 
     def test_mixed_orientation(self):
-        w = bq.WeightAssignment(1, {"a": (1,), "b": (2,)})
+        w = {"a": 1, "b": 2}
         mine = set(candidates(y_quiver(), w, (1, 2, 1), (2, 0, 1)))
         assert mine == window_enumerate(y_quiver(), w, (1, 2, 1), 4)
 

@@ -12,8 +12,9 @@ from bbquiver.covering import SupportQuiver
 
 K2 = bq.kronecker_quiver(2)
 W = bq.WeightAssignment(1, {"a1": (1,), "a2": (0,)})
-BETA = bq.CoveringDimVector(1, ((("i", (0,)), 1), (("j", (0,)), 1), (("j", (1,)), 1)))
-REP = bq.GradedRep(K2, W, BETA, {})
+W1 = {"a1": 1, "a2": 0}  # the same weights as the kernels take them
+BETA = bq.CoveringDimVector(((("i", (0,)), 1), (("j", (0,)), 1), (("j", (1,)), 1)))
+REP = bq.GradedRep(K2, W1, BETA, {})
 CHART = bq.CellChart(REP, (DegreeData(1, (("a2", 0, 0, 0),)),))
 
 # every field of each class, by name in constructor order, as stored
@@ -21,19 +22,19 @@ FIELDS = {
     Arrow: {"name": "a1", "source": "i", "target": "j"},
     bq.Quiver: {"vertices": K2.vertices, "arrows": K2.arrows},
     bq.WeightAssignment: {"rank": 1, "weights": {"a1": (1,), "a2": (0,)}},
-    bq.CoveringDimVector: {"rank": 1, "entries": BETA.entries},
+    bq.CoveringDimVector: {"entries": BETA.entries},
     SupportQuiver: {"quiver": K2, "dims": (1, 1), "covering_vertices": (("i", 0), ("j", 0)),
                     "base": K2},
     bq.FixedComponent: {"beta": BETA, "weight_table": {1: 1}, "dim_component": 0,
                         "att_plus": 1, "att_minus": 0, "isolated": True},
     bq.PoincarePolynomial: {"coefficients": ((0, 1), (2, 1))},
-    bq.GradedRep: {"quiver": K2, "weights": W, "beta": BETA, "blocks": {}},
+    bq.GradedRep: {"quiver": K2, "weights": W1, "beta": BETA, "blocks": {}},
     DegreeData: {"degree": 1, "free": (("a2", 0, 0, 0),)},
     bq.CellChart: {"base": REP, "degrees": CHART.degrees},
     CellTable: {"chart": CHART, "patterns": {"a1": [["1"]]}},
     bq.Label1: {"l": 2, "r": 1, "m": 1, "m_star": (2,), "n": 2, "n_star": (1,)},
     bq.Label2: {"l": 2, "r": 1, "y": 0, "m_star": (1, 2, 3), "n_star": ()},
-    RunConfig: {"quiver": K2, "dim": (2, 3), "theta": (1, 0), "weights": W, "codec": None,
+    RunConfig: {"quiver": K2, "dim": (2, 3), "theta": (1, 0), "weights": W1, "codec": None,
                 "fmt": "text", "inputs": {"dim": [2, 3]}},
 }
 
@@ -42,7 +43,7 @@ COMPARED = {
     Arrow: (("name", "source", "target"), {"target": "i"}),
     bq.Quiver: (("vertices", "arrows"), {"arrows": K2.arrows[:1]}),
     bq.WeightAssignment: (("rank",), {"weights": {"a1": (1,), "a2": (2,)}}),
-    bq.CoveringDimVector: (("rank", "entries"), {"entries": BETA.entries[:2]}),
+    bq.CoveringDimVector: (("entries",), {"entries": BETA.entries[:2]}),
     bq.PoincarePolynomial: (("coefficients",), {"coefficients": ((0, 1),)}),
     bq.Label1: (("l", "r", "m", "m_star", "n", "n_star"), {"n_star": (3,)}),
     bq.Label2: (("l", "r", "y", "m_star", "n_star"), {"l": 3}),
@@ -79,10 +80,10 @@ def test_quiver_equality_ignores_its_derived_indices():
 
 
 def test_trusted_equals_the_checked_constructor():
-    beta = bq.CoveringDimVector.trusted(1, BETA.entries)
+    beta = bq.CoveringDimVector.trusted(BETA.entries)
     assert type(beta) is bq.CoveringDimVector
     assert beta == BETA and hash(beta) == hash(BETA)
-    assert (beta.rank, beta.entries) == (BETA.rank, BETA.entries)
+    assert beta.entries == BETA.entries
 
 
 def test_a_class_patch_of_post_init_sees_every_construction(monkeypatch):
