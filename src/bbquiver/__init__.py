@@ -16,7 +16,7 @@ from .cells import (
     choose_complements,
     emit_cell_table,
 )
-from .core import Quiver, euler_form, is_coprime, slope
+from .core import Quiver, euler_form, is_coprime
 from .covering import (
     CoveringDimVector,
     WeightAssignment,
@@ -29,7 +29,6 @@ from .covering import (
 )
 from .errors import (
     BBQuiverError,
-    BudgetExceededError,
     InconsistencyError,
     UnsupportedError,
     ValidationError,

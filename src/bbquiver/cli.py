@@ -437,12 +437,13 @@ def cmd_kronecker(args: dict) -> int:
     return 0
 
 
-# each flag: its type or its choices, its default (None: the flag is required), its help
+# each flag: its type or its choices, its default (None: the flag is required), its help;
+# `--format` takes its choices from the command's entry in HANDLERS
 FLAGS = {
     "--quiver": (str, None, "quiver description JSON file"),
     "--dim": (str, None, "dimension vector, comma separated"),
     "--theta": (str, None, "stability weights, comma separated"),
-    "--format": (("text", "json", "latex", "csv"), "text", "report format"),
+    "--format": ((), "text", "report format"),
     "--weights": (str, "", "weight assignment JSON file (default: generic rank-1)"),
     "--filter": (("on", "off"), "on", "off also reports classes without a stable lift"),
     "--seed": (int, 0, "seed of the random lifts"),
@@ -451,23 +452,25 @@ FLAGS = {
     "--r": (int, None, "the dimension vector is (2, 2r + 1)"),
 }
 COMMON = ("--quiver", "--dim", "--theta", "--format")
-# each command with its handler and every flag it takes
+# each command with its handler, every flag it takes and every format it writes
 HANDLERS = {
-    "fixed-points": (cmd_fixed_points, COMMON + ("--weights", "--filter")),
-    "poincare": (cmd_poincare, COMMON + ("--weights",)),
-    "cells": (cmd_cells, COMMON + ("--weights", "--seed")),
-    "normal-form": (cmd_normal_form, COMMON + ("--weights", "--seed")),
-    "count": (cmd_count, COMMON + ("--field",)),
-    "kronecker": (cmd_kronecker, ("--l", "--r", "--format")),
+    "fixed-points": (cmd_fixed_points, COMMON + ("--weights", "--filter"), ("text", "json", "csv")),
+    "poincare": (cmd_poincare, COMMON + ("--weights",), ("text", "json", "latex")),
+    "cells": (cmd_cells, COMMON + ("--weights", "--seed"), ("text", "json", "latex")),
+    "normal-form": (cmd_normal_form, COMMON + ("--weights", "--seed"), ("text", "json", "latex")),
+    "count": (cmd_count, COMMON + ("--field",), ("text", "json")),
+    "kronecker": (cmd_kronecker, ("--l", "--r", "--format"), ("text", "json", "latex", "csv")),
 }
 ALIASES = {"attractors": "fixed-points"}
 USAGE = "usage: bbquiver COMMAND (--flag VALUE | --flag=VALUE)..."
 
 
 def _usage(name: str) -> str:
+    _, flags, formats = HANDLERS[ALIASES.get(name, name)]
     words = []
-    for flag in HANDLERS[ALIASES.get(name, name)][1]:
+    for flag in flags:
         kind, default, _ = FLAGS[flag]
+        kind = formats if flag == "--format" else kind
         metavar = "{" + ",".join(kind) + "}" if type(kind) is tuple else flag[2:].upper()
         words.append(f"{flag} {metavar}" if default is None else f"[{flag} {metavar}]")
     return f"usage: bbquiver {name} {' '.join(words)}"
@@ -490,7 +493,7 @@ def _parse(argv: list) -> tuple[str, dict]:
         raise SystemExit(0)
     if name not in HANDLERS and name not in ALIASES:
         _usage_error(None, f"unknown command {name!r}" if name else "a command is required")
-    flags = HANDLERS[ALIASES.get(name, name)][1]
+    _, flags, formats = HANDLERS[ALIASES.get(name, name)]
     args, extras = {}, []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -503,7 +506,7 @@ def _parse(argv: list) -> tuple[str, dict]:
             continue
         if not eq and (value := next(tokens, None)) is None:
             _usage_error(name, f"argument {flag}: expected one argument")
-        kind = FLAGS[flag][0]
+        kind = formats if flag == "--format" else FLAGS[flag][0]
         if type(kind) is tuple and value not in kind:
             _usage_error(name, f"argument {flag}: invalid choice: {value!r} (choose from "
                          f"{', '.join(kind)})")

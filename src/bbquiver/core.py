@@ -2,7 +2,7 @@
 
 A quiver is a finite directed multigraph.  Dimension vectors and stability
 conditions are integer tuples aligned with the declared vertex order; all
-arithmetic is exact (ints and Fractions, never floats).  The package's
+arithmetic is exact integer arithmetic, never floats.  The package's
 records are plain classes with `__slots__`, and those compared or hashed
 take `Record`'s equality, hash and repr, so a fresh interpreter imports no
 record generator and compiles no generated code.
@@ -156,18 +156,6 @@ def euler_form(quiver: Quiver, d, e) -> int:
     for a in quiver.arrows:
         total -= d[idx(a.source)] * e[idx(a.target)]
     return total
-
-
-def slope(theta, d) -> Fraction:
-    """theta(d) / sum_i d_i, exact; undefined for d = 0."""
-    d = tuple(int(x) for x in d)
-    total = sum(d)
-    if total == 0:
-        raise ValidationError("slope undefined for the zero dimension vector")
-    num = sum(t * x for t, x in zip(theta, d))
-    from fractions import Fraction  # imported here: no query makes a Fraction
-
-    return Fraction(num, total)
 
 
 def slope_scores(theta, d) -> tuple[int, ...]:

@@ -164,13 +164,6 @@ class CoveringDimVector(Record):
     def from_dict(cls, support: dict) -> "CoveringDimVector":
         return cls(tuple(support.items()))
 
-    def get(self, v: str, chi) -> int:
-        chi = _as_char(chi, 1)
-        for (u, xi), m in self.entries:
-            if u == v and xi == chi:
-                return m
-        return 0
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -18,13 +18,5 @@ class UnsupportedError(BBQuiverError):
     oriented cycles, a field size whose primality cannot be certified)."""
 
 
-class BudgetExceededError(UnsupportedError):
-    """A brute-force computation would exceed the configured budget.
-
-    Only the F_q oracle `existence.brute_force_stable_count` raises it; the
-    CLI never does.
-    """
-
-
 class InconsistencyError(BBQuiverError):
     """An internal invariant failed; indicates invalid upstream data or a bug."""

@@ -25,9 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Quiver, check_vector, is_coprime, slope_scores
-from .errors import BudgetExceededError, InconsistencyError, UnsupportedError
+from .errors import InconsistencyError, UnsupportedError
 from .finitefield import coordinates, encode_rows, small_field, subspaces
 from .hn import has_stable, pg_order  # noqa: F401 (has_stable: re-exported)
+
+
+class BudgetExceededError(UnsupportedError):
+    """The representation space `brute_force_stable_count` would count exceeds its budget."""
+
 
 _HOPELESS = -1  # generic count: no invariant tuple through this entry can score above 0
 

@@ -1,10 +1,10 @@
 """Covering-quiver helpers that only the tests use: the target of one
-covering arrow, the base dimension vector, total and characters of a
-class, connectedness of a class's support in the covering, the zero
-character, the total tangent dimension of a fixed component, every
-candidate class kept or rejected (`candidates`), the program's route for
-weights of any rank (`reduced`, `decoded`), and the reference route for
-`enumerate_compatible` (`enumerate_per_support`).
+covering arrow, the base dimension vector, total, multiplicities and
+characters of a class, connectedness of a class's support in the
+covering, the zero character, the total tangent dimension of a fixed
+component, every candidate class kept or rejected (`candidates`), the
+program's route for weights of any rank (`reduced`, `decoded`), and the
+reference route for `enumerate_compatible` (`enumerate_per_support`).
 
 The helpers and the reference work on tuple characters of any rank with
 tuple arithmetic, reading the weights as given: a `WeightAssignment` of any
@@ -88,6 +88,11 @@ def project(beta: CoveringDimVector, quiver: Quiver) -> tuple[int, ...]:
 
 def total(beta: CoveringDimVector) -> int:
     return sum(m for _, m in beta.entries)
+
+
+def multiplicity(beta: CoveringDimVector, v: str, chi: Character) -> int:
+    """beta at the covering vertex (v, chi), read from `beta.entries`."""
+    return dict(beta.entries).get((v, tuple(chi)), 0)
 
 
 def characters(beta: CoveringDimVector) -> list[Character]:

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 import bbquiver as bq
+from slope_oracle import slope
 
 
 def generic_subdimensions(quiver, d):
@@ -39,6 +40,6 @@ def generic_subdimensions(quiver, d):
 
 def has_stable(quiver, d, theta):
     """M^{theta-st}(Q, d) != {} by the slope criterion on Fraction slopes."""
-    mu = bq.slope(theta, d)
-    return all(bq.slope(theta, e) <= mu for e in generic_subdimensions(quiver, d)
+    mu = slope(theta, d)
+    return all(slope(theta, e) <= mu for e in generic_subdimensions(quiver, d)
                if any(e) and e != tuple(d))

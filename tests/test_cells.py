@@ -31,7 +31,7 @@ from chart_oracle import (
     zeros,
 )
 from conftest import type1_beta
-from covering_oracle import characters, total
+from covering_oracle import characters, multiplicity, total
 from kronecker_oracle import normal_form_label
 
 
@@ -362,8 +362,8 @@ def graded_reps(draw):
     blocks = {}
     for a in LOOPED.arrows:
         for n in range(-2, 4):
-            rows = beta.get(a.target, (n + w[a.name],))
-            cols = beta.get(a.source, (n,))
+            rows = multiplicity(beta, a.target, (n + w[a.name],))
+            cols = multiplicity(beta, a.source, (n,))
             if rows and cols:
                 blocks[(a.name, n)] = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     return bq.GradedRep(LOOPED, w, beta, blocks)

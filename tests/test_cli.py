@@ -412,6 +412,11 @@ READS = {
     "normal-form": {"--weights", "--seed"},
     "count": {"--field"},
 }
+# the formats each command writes; any other is a usage error
+FORMATS = {"fixed-points": "text,json,csv", "attractors": "text,json,csv",
+           "poincare": "text,json,latex", "cells": "text,json,latex",
+           "normal-form": "text,json,latex", "count": "text,json",
+           "kronecker": "text,json,latex,csv"}
 OPTIONAL = {"--weights": None, "--filter": "on", "--seed": "1", "--field": "3",
             "--budget": "100"}
 
@@ -435,13 +440,16 @@ def test_each_command_takes_only_the_flags_it_reads(capsys, tmp_path, k3, k3_fil
         assert captured.out == "" and f"unrecognized arguments: {flag} {value}" in captured.err
 
 
-@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("command", sorted(FORMATS))
 def test_help_lists_the_flags_a_command_reads(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
-    assert listed == {"--quiver", "--dim", "--theta", "--format"} | READS[command]
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"--[a-z]+", out)) - {"--help"}
+    assert listed == ({"--l", "--r", "--format"} if command == "kronecker" else
+                      {"--quiver", "--dim", "--theta", "--format"} | READS[command])
+    assert re.findall(r"--format \{([a-z,]+)\}", out) == [FORMATS[command]]
 
 
 def _config_hash(capsys, argv):
@@ -453,7 +461,8 @@ def test_config_hash_ignores_the_format(capsys, k3_file):
     """The text reports end in `[config <hash>]`; JSON reports carry the same hash."""
     for command in READS:
         text = _config_hash(capsys, [command, *base_args(k3_file)])
-        assert text == _config_hash(capsys, [command, *base_args(k3_file, "--format", "csv")])
+        for fmt in sorted(set(FORMATS[command].split(",")) - {"text", "json"}):
+            assert text == _config_hash(capsys, [command, *base_args(k3_file, "--format", fmt)])
         assert main([command, *base_args(k3_file, "--format", "json")]) == 0
         assert text == f"[config {json.loads(capsys.readouterr().out)['config_hash']}]"
 
@@ -618,6 +627,12 @@ def test_usage_error_shows_the_command_usage(capsys, k3_file):
     assert "bbquiver poincare: error: unrecognized arguments: --seed 3" in err
 
 
+# formats these commands have no writer for: each would be the text report
+# under another name
+TEXT_UNDER_ANOTHER_NAME = [("fixed-points", "latex"), ("poincare", "csv"), ("cells", "csv"),
+                           ("normal-form", "csv"), ("count", "csv"), ("count", "latex")]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["poincare", "--dim", "2,3", "--theta", "1,0"],
      "the following arguments are required: --quiver"),
@@ -631,6 +646,9 @@ def test_usage_error_shows_the_command_usage(capsys, k3_file):
     (["kronecker", "--r", "1", "--l"], "argument --l: expected one argument"),
     (["count", "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--form", "json"],
      "unrecognized arguments: --form json"),
+    *(([command, "--quiver", "q.json", "--dim", "2,3", "--theta", "1,0", "--format", fmt],
+       f"argument --format: invalid choice: {fmt!r} (choose from "
+       f"{FORMATS[command].replace(',', ', ')})") for command, fmt in TEXT_UNDER_ANOTHER_NAME),
 ])
 def test_usage_errors_exit_2(capsys, argv, message):
     err = _usage_error(capsys, argv)

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bbquiver as bq
 from bbquiver.covering import CharCodec, CoveringDimVector, reduce_to_rank_one
 from covering_oracle import candidates, char_add, char_sub, is_connected, reduced, wide
+from slope_oracle import slope
 
 pytest.importorskip("numpy")  # the Schofield oracle below needs it
 import schofield_oracle
@@ -278,8 +279,8 @@ def acyclic_quivers_with_d(draw):
 
 
 def reference_coprime(d, theta):
-    mu = bq.slope(theta, d)
-    return all(bq.slope(theta, e) != mu for e in itertools.product(*(range(x + 1) for x in d))
+    mu = slope(theta, d)
+    return all(slope(theta, e) != mu for e in itertools.product(*(range(x + 1) for x in d))
                if sum(e) and e != d)
 
 

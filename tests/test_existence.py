@@ -12,8 +12,8 @@ np = pytest.importorskip("numpy")  # the brute-force F_q oracle and its kernels
 from bbquiver import existence, hn
 from bbquiver.cli import main
 from bbquiver.covering import CoveringDimVector
-from bbquiver.errors import BudgetExceededError, InconsistencyError, UnsupportedError
-from bbquiver.existence import brute_force_stable_count
+from bbquiver.errors import InconsistencyError, UnsupportedError
+from bbquiver.existence import BudgetExceededError, brute_force_stable_count
 from bbquiver.finitefield import (
     batch_rank_ge,
     small_field,
@@ -23,6 +23,7 @@ from bbquiver.finitefield import (
 )
 from bbquiver.hn import gl_order, pg_order
 from schofield_oracle import generic_subdimensions
+from slope_oracle import slope
 
 
 def k2():
@@ -115,7 +116,7 @@ def flag_array_count(quiver, d, theta, q):
     radices = [q ** (d[idx(a.source)] * d[idx(a.target)]) for a in quiver.arrows]
     flags = np.zeros(radices, dtype=bool)
     subs = [subspaces(d[idx(v)], q) for v in quiver.vertices]
-    mu = bq.slope(theta, d)
+    mu = slope(theta, d)
 
     shape_tables: dict = {}
     arrow_tables = []
@@ -136,7 +137,7 @@ def flag_array_count(quiver, d, theta, q):
         dims = tuple(subs[i][k].dim for i, k in enumerate(tup))
         if sum(dims) == 0 or dims == tuple(d):
             continue
-        if bq.slope(theta, dims) < mu:
+        if slope(theta, dims) < mu:
             continue
         lists = [arrow_tables[ai][(tup[idx(a.source)], tup[idx(a.target)])]
                  for ai, a in enumerate(quiver.arrows)]
