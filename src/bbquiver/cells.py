@@ -19,14 +19,14 @@ which entries carry the stars is implementation-canonical, only their
 number is intrinsic.  Where u_k = 0 the complement is all of R_k.
 
 The bracket in degree k is the degree-k piece of the covering Hom map from
-M to itself (degree 0 resolves Hom and Ext^1), so one pass over pairs of
-levels (`_graded_blocks`) lays out the blocks of every degree, one routine
-(`_hom_rows`) assembles any such map block by block as sparse rows, and the
-fraction-free kernel `linalg.leading_columns` finds its rank and pivots.
-A GradedRep indexes its level dimensions, sorted levels, level offsets,
-vertex totals and arrows once, at construction, and makes that pass over
-itself once, on first use (`pieces`): certification reads degree 0 and the
-chart the degrees k > 0.  Blocks with integer entries stay int.  The CLI
+M to itself, and degree 0 resolves Hom and Ext^1.  One pass over pairs of
+distinct levels (`_graded_blocks`) lays out every degree k > 0 and
+`_degree_zero` degree 0; `_hom_rows` assembles any such map as sparse rows,
+and the fraction-free kernel `linalg.leading_columns` finds its rank and
+pivots.  A GradedRep indexes its levels once, at construction, and lays out
+its positive degrees on first use (`pieces`), so only a certified
+representative pays for them; a thin class whose unit fill links its support
+certifies without a solve.  Blocks with integer entries stay int.  The CLI
 runs only this pipeline; plain representations, dense bracket matrices and
 the twisted-filtration check of attractor membership are the tests' second
 route.
@@ -145,31 +145,43 @@ class GradedRep:
 
     @cached_property
     def pieces(self) -> dict:
-        """`_graded_blocks(self, self)`, built once: degree 0 certifies the
-        representative and each degree k > 0 is the bracket of u_k into R_k."""
+        """`_graded_blocks(self, self)`, built once and only when the chart
+        asks: each degree k > 0 is the bracket of u_k into R_k."""
         return _graded_blocks(self, self)
+
+
+def _degree_zero(M: GradedRep, N: GradedRep) -> tuple:
+    """Degree 0 of `_graded_blocks`, which resolves Hom and Ext^1 over the covering:
+    a domain block per level M and N share, a codomain block per arrow level."""
+    m_dims, n_dims = M._dims, N._dims
+    dom = [((v, n), n_dims[(v, n)], m_dims[(v, n)]) for v in M.quiver.vertices
+           for n in M._levels.get(v, ()) if (v, n) in n_dims]
+    cod = [((a.name, n), n_dims[tgt], m_dims[(a.source, n)], (a.source, n), tgt,
+            M.blocks.get((a.name, n)), N.blocks.get((a.name, n)))
+           for a in M.quiver.arrows for n in M._levels.get(a.source, ())
+           if (tgt := (a.target, n + M.weights[a.name])) in n_dims]
+    return dom, cod
 
 
 def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
     """The blocks of the covering Hom map from M to N with N's levels
-    lowered by k, for every k >= 0, in one pass over pairs of levels.
+    lowered by k, for every k > 0, in one pass over pairs of levels.
 
     Degree k maps the sum of Hom(M_{v,n}, N_{v,n-k}) to the sum of
-    Hom(M_{s(a),n}, N_{t(a),n+w_a-k}); k = 0 resolves Hom and Ext^1 over
-    the covering, and for N = M and k > 0 the map is the bracket of u_k
+    Hom(M_{s(a),n}, N_{t(a),n+w_a-k}); for N = M it is the bracket of u_k
     into R_k.  Returns {k: (dom, cod)} with only nonempty degrees, in the
     block layout of `_hom_rows`, keyed by (v, n) and (arrow, n) in
-    declaration order, then ascending n.
+    declaration order, then ascending n.  Degree 0 is `_degree_zero`.
     """
     m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
     out: dict = {}
-    # top level t meets N's sorted levels m <= t in degree t - m; each walk stops at the first m > t
+    # top level t meets N's sorted levels m < t in degree t - m; each walk stops at the first m >= t
     for v in M.quiver.vertices:
         below = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
         for n in m_levels.get(v, ()):
             key, cols = (v, n), m_dims[(v, n)]
             for m, rows in below:
-                if m > n:
+                if m >= n:
                     break
                 (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
     for a in M.quiver.arrows:
@@ -180,7 +192,7 @@ def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
             top, key, src = n + wa, (name, n), (a.source, n)
             cols, tgt, f = m_dims[src], (target, top), M.blocks.get(key)
             for m, rows, g in below:
-                if m > top:
+                if m >= top:
                     break
                 (out.get(top - m) or out.setdefault(top - m, ([], [])))[1].append(
                     (key, rows, cols, src, tgt, f, g))
@@ -206,23 +218,35 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     """A certified representative of the fixed point of class beta.
 
     beta must already have passed the existence filter.  Certification is
-    dim End = 1, read off degree 0 of `GradedRep.pieces`.  That also gives
-    rigidity when beta is a real root: in degree 0, dim Hom - dim Ext^1 is
-    the size of the domain minus the size of the codomain, which is
-    <beta, beta>, so Hom = 1 forces Ext^1 = 0 when <beta, beta> = 1.  The
-    first fill that certifies is returned (`_fills`): the 0/1 unit fill, else
-    a random one.
+    dim End = 1 (`_degree_zero`).  That also gives rigidity when beta is a
+    real root: in degree 0, dim Hom - dim Ext^1 is the size of the domain
+    minus the size of the codomain, which is <beta, beta>, so Hom = 1 forces
+    Ext^1 = 0 when <beta, beta> = 1.  The first fill that certifies is
+    returned (`_fills`): the 0/1 unit fill, else a random one.  A thin beta
+    (every multiplicity 1) needs no solve: End of a fill is a scalar per
+    entry, equal along every nonzero block, so the unit fill certifies
+    exactly when its blocks link the support (as in King's criterion), and
+    no fill does otherwise.
     """
     dims = {(v, n): m for (v, (n,)), m in beta.entries}
-    shapes = []
+    thin = set(dims.values()) == {1}
+    shapes, parent = [], {}  # parent: a union-find forest over a thin support
+
+    def root(x):
+        return root(parent[x]) if x in parent else x
+
     for (v, (n,)), cols in beta.entries:
         for a in quiver.arrows_from(v):
-            rows = dims.get((a.target, n + w[a.name]), 0)
-            if rows:
+            tgt = (a.target, n + w[a.name])
+            if rows := dims.get(tgt, 0):
                 shapes.append((a.name, n, rows, cols))
+                if thin and (s := root((v, n))) != (t := root(tgt)):
+                    parent[s] = t
+    if thin and len(parent) == len(dims) - 1:  # linked
+        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)))
     for blocks in _fills(shapes, seed):
         rep = GradedRep(quiver, w, beta, blocks)
-        if _hom_ext_of(*rep.pieces[0])[0] == 1:
+        if _hom_ext_of(*_degree_zero(rep, rep))[0] == 1:
             return rep
     raise InconsistencyError(
         f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
@@ -264,8 +288,6 @@ def choose_complements(rep: GradedRep) -> CellChart:
     """
     degrees = []
     for k, (dom, cod) in sorted(rep.pieces.items()):
-        if k == 0:
-            continue  # the certificate
         free = _basis(cod)
         if dom:  # else u_k = 0 and the complement is all of R_k
             pivots = set(leading_columns(_hom_rows(dom, cod)))

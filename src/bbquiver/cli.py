@@ -277,8 +277,8 @@ def cmd_poincare(cfg: RunConfig) -> int:
 
 
 def _cell_table(cfg: RunConfig, c):
-    """Chart and cell table at the fixed point of component c, checked against its tangent
-    weights: degree k > 0 has dim T_k free coordinates, and the chart has att+ of them."""
+    """Dimension and cell table of the chart at the fixed point of component c, checked against
+    its tangent weights: degree k > 0 has dim T_k free coordinates, att+ in all."""
     rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
     chart = cells.choose_complements(rep)
     free = {d.degree: len(d.free) for d in chart.degrees if d.free}
@@ -289,22 +289,22 @@ def _cell_table(cfg: RunConfig, c):
             f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has {free.get(k, 0)} free "
             f"coordinates in degree {','.join(map(str, cfg.codec.decode(k)))}, the weight "
             f"space has dimension {weights.get(k, 0)}")
-    if chart.total_dim != c.att_plus:
+    if (dim := sum(free.values())) != c.att_plus:
         raise InconsistencyError(f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has dimension "
-                                 f"{chart.total_dim}, attractor has {c.att_plus}")
-    return chart, cells.emit_cell_table(chart)
+                                 f"{dim}, attractor has {c.att_plus}")
+    return dim, cells.emit_cell_table(chart)
 
 
 def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
     """The JSON rows, or the text lines headed by `caption`, of the charts at `comps`."""
     out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
     for c in comps:
-        chart, table = _cell_table(cfg, c)
+        dim, table = _cell_table(cfg, c)
         if cfg.fmt == "json":
-            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": chart.total_dim,
+            out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": dim,
                         "patterns": _patterns_json(table.patterns, row_memo)})
         else:
-            lines.append(caption.format(dim=chart.total_dim, beta=_beta_label(c.beta, cfg.codec)))
+            lines.append(caption.format(dim=dim, beta=_beta_label(c.beta, cfg.codec)))
             lines.append(table.latex() if cfg.fmt == "latex" else table.text())
     return out, lines
 
@@ -489,7 +489,7 @@ def _parse(argv: list) -> tuple[str, dict]:
     flags are never abbreviated."""
     name = argv[0] if argv else None
     if name in ("-h", "--help"):
-        print(f"{USAGE}\ncommands: {', '.join(HANDLERS)}, attractors (= fixed-points)")
+        print(f"{USAGE}\ncommands: {', '.join(HANDLERS)}, attractors (= fixed-points)", flush=True)
         raise SystemExit(0)
     if name not in HANDLERS and name not in ALIASES:
         _usage_error(None, f"unknown command {name!r}" if name else "a command is required")
@@ -498,7 +498,7 @@ def _parse(argv: list) -> tuple[str, dict]:
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_usage(name) + "".join(f"\n  {f:<10} {FLAGS[f][2]}" for f in flags))
+            print(_usage(name) + "".join(f"\n  {f:<10} {FLAGS[f][2]}" for f in flags), flush=True)
             raise SystemExit(0)
         flag, eq, value = token.partition("=")
         if flag not in flags:
@@ -523,10 +523,9 @@ def _parse(argv: list) -> tuple[str, dict]:
 
 
 def main(argv=None) -> int:
-    command, args = _parse(sys.argv[1:] if argv is None else argv)
-    handler = HANDLERS[command][0]
     try:
-        code = handler(args if command == "kronecker" else _load_config(args))
+        command, args = _parse(sys.argv[1:] if argv is None else argv)  # help is flushed in here
+        code = HANDLERS[command][0](args if command == "kronecker" else _load_config(args))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -45,10 +45,7 @@ def rref(m):
 
 def _integer_row(row: dict) -> dict:
     """The nonzero entries of a sparse rational row, scaled to coprime integers."""
-    den = 1
-    for x in row.values():
-        if x.denominator != 1:
-            den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for x in row.values()))
     out = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
     g = gcd(*out.values())
     if g != 1:

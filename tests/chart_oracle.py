@@ -2,11 +2,13 @@
 
 Plain (ungraded) representations with their Hom and Ext^1, the Hom and
 Ext^1 of graded ones over the covering, the dense matrix of the bracket in
-one degree, a graded representation read level by
-level, and the twisted-filtration check of attractor membership: a point of
-a chart attracts to its fixed point exactly when it maps the standard
-filtration of the fixed representation into the weight-shifted filtration,
-with an associated graded isomorphic to the fixed representation.  The
+one degree, a graded representation read level by level, the one walk over
+pairs of levels that lays out every degree k >= 0 at once (the reference
+for `_degree_zero` and `_graded_blocks`), and the twisted-filtration check
+of attractor membership: a point of a chart attracts to its fixed point
+exactly when it maps the standard filtration of the fixed representation
+into the weight-shifted filtration, with an associated graded isomorphic to
+the fixed representation.  The
 dense Fraction solvers (`zeros`, `rank`, `solve`, `row_space_contains`)
 serve this route and the other oracles.
 """
@@ -21,6 +23,7 @@ from bbquiver.cells import (
     CellTable,
     GradedRep,
     _basis,
+    _degree_zero,
     _freeze_matrix,
     _graded_blocks,
     _hom_ext_of,
@@ -122,7 +125,36 @@ def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
     degree-0 piece of the graded Hom blocks."""
     if M.quiver != N.quiver or M.weights != N.weights:
         raise ValidationError("graded representations live over different coverings")
-    return _hom_ext_of(*_graded_blocks(M, N).get(0, ((), ())))
+    return _hom_ext_of(*_degree_zero(M, N))
+
+
+def graded_blocks_from_zero(M: GradedRep, N: GradedRep) -> dict:
+    """{k: (dom, cod)} for every nonempty degree k >= 0, in one walk over the
+    pairs of levels m <= n: the layout that `_degree_zero` (k = 0) and
+    `_graded_blocks` (k > 0) split between them."""
+    m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
+    out: dict = {}
+    for v in M.quiver.vertices:
+        below = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
+        for n in m_levels.get(v, ()):
+            key, cols = (v, n), m_dims[(v, n)]
+            for m, rows in below:
+                if m > n:
+                    break
+                (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
+    for a in M.quiver.arrows:
+        name, target, wa = a.name, a.target, M.weights[a.name]
+        below = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
+                 for m in n_levels.get(target, ())]
+        for n in m_levels.get(a.source, ()):
+            top, key, src = n + wa, (name, n), (a.source, n)
+            cols, tgt, f = m_dims[src], (target, top), M.blocks.get(key)
+            for m, rows, g in below:
+                if m > top:
+                    break
+                (out.get(top - m) or out.setdefault(top - m, ([], [])))[1].append(
+                    (key, rows, cols, src, tgt, f, g))
+    return out
 
 
 def is_schur(rep: GradedRep) -> bool:
@@ -187,7 +219,7 @@ def ungraded(rep: GradedRep) -> Representation:
 
 
 def _degree_candidates(rep: GradedRep) -> list[int]:
-    return sorted(k for k in _graded_blocks(rep, rep) if k > 0)
+    return sorted(_graded_blocks(rep, rep))
 
 
 def graded_pieces(rep: GradedRep, k: int):

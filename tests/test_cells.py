@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bbquiver as bq
 from bbquiver import cells
 from bbquiver.covering import CoveringDimVector
-from bbquiver.errors import ValidationError
+from bbquiver.errors import InconsistencyError, ValidationError
 from bbquiver.linalg import rref
 
 from chart_oracle import (
@@ -16,6 +16,7 @@ from chart_oracle import (
     arrow_weight,
     block,
     covering_hom_ext,
+    graded_blocks_from_zero,
     graded_isomorphic,
     graded_pieces,
     hom_ext,
@@ -104,15 +105,21 @@ class TestBuildFixedRep:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_failed_unit_fill_falls_back_to_a_seeded_random_fill(self, k3, w3, star_quiver,
                                                                  case, seed):
-        if case == "star5":
-            quiver, w = star_quiver, bq.generic_rank1_weights(star_quiver)
-            (beta,) = bq.enumerate_compatible(quiver, w, (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0))
-        else:
-            quiver, w, beta = k3, w3, type2_star_beta(w3)
+        quiver, w, beta = unit_fill_fails(case, k3, w3, star_quiver)
         rep = bq.build_fixed_rep(quiver, w, beta, seed)
         assert covering_hom_ext(rep, rep)[0] == 1
         assert any(x not in (0, 1) for blk in rep.blocks.values() for row in blk for x in row)
         assert bq.build_fixed_rep(quiver, w, beta, seed).blocks == rep.blocks
+
+
+def unit_fill_fails(case, k3, w3, star_quiver):
+    """(quiver, weights, beta) of "star5" or "K3 type-2 star", two classes whose
+    0/1 unit fill does not certify."""
+    if case == "star5":
+        w = bq.generic_rank1_weights(star_quiver)
+        (beta,) = bq.enumerate_compatible(star_quiver, w, (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0))
+        return star_quiver, w, beta
+    return k3, w3, type2_star_beta(w3)
 
 
 def type2_star_beta(w3):
@@ -135,6 +142,34 @@ def uncertified_reps(quiver, w, beta, seed=0):
     rand = {(a, n): [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             for a, n, rows, cols in shapes if rows}
     return [bq.GradedRep(quiver, w, beta, unit), bq.GradedRep(quiver, w, beta, rand)]
+
+
+THIN_QUIVERS = (bq.kronecker_quiver(3), bq.kronecker_quiver(4),
+                *(bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, n + 1))),
+                                        [(f"f{k}", "c", f"p{k}") for k in range(1, n + 1)])
+                  for n in (3, 5)))  # the 3- and 5-leaf stars
+
+
+@st.composite
+def thin_classes(draw):
+    """Thin covering vectors (every multiplicity 1) under generic weights: a
+    walk along the arrows, whose support is linked, plus up to two entries
+    placed one arrow weight or a few levels away from it, linked or not."""
+    quiver = draw(st.sampled_from(THIN_QUIVERS))
+    w = bq.generic_rank1_weights(quiver)
+    support = {(quiver.vertices[0], 0)}
+    for _ in range(draw(st.integers(0, 5))):
+        v, n = draw(st.sampled_from(sorted(support)))
+        a = draw(st.sampled_from(quiver.arrows))
+        if a.source == v:
+            support.add((a.target, n + w[a.name]))
+        elif a.target == v:
+            support.add((a.source, n - w[a.name]))
+    steps = sorted({1, 2, 3} | {s * x for x in w.values() for s in (1, -1)})
+    for _ in range(draw(st.integers(0, 2))):
+        _, n = draw(st.sampled_from(sorted(support)))
+        support.add((draw(st.sampled_from(quiver.vertices)), n + draw(st.sampled_from(steps))))
+    return quiver, w, CoveringDimVector.from_dict({(v, (n,)): 1 for v, n in support})
 
 
 class TestCertificate:
@@ -164,6 +199,47 @@ class TestCertificate:
             built = [M for M, _, _ in calls]
             assert len({id(M) for M in built}) == len(built)  # once per attempted representative
             assert any(M is rep for M in built)
+
+    def test_thin_classes_make_no_solve(self, monkeypatch):
+        quiver = bq.kronecker_quiver(4)
+        w = bq.generic_rank1_weights(quiver)
+        calls = []
+        original = cells._hom_ext_of
+        monkeypatch.setattr(cells, "_hom_ext_of",
+                            lambda *args: calls.append(args) or original(*args))
+        thin = 0
+        for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0)):
+            calls.clear()
+            bq.build_fixed_rep(quiver, w, beta)
+            if all(m == 1 for _, m in beta.entries):
+                thin += 1
+                assert calls == []
+            else:
+                assert calls
+        assert thin == 54
+
+    @settings(max_examples=80, deadline=None)
+    @given(thin_classes())
+    def test_thin_class_certifies_exactly_when_its_unit_fill_does(self, case):
+        quiver, w, beta = case
+        unit = uncertified_reps(quiver, w, beta)[0]
+        if covering_hom_ext(unit, unit)[0] == 1:
+            assert bq.build_fixed_rep(quiver, w, beta).blocks == unit.blocks
+        else:
+            with pytest.raises(InconsistencyError):
+                bq.build_fixed_rep(quiver, w, beta)
+
+    @pytest.mark.parametrize("case", ["star5", "K3 type-2 star"])
+    def test_positive_degrees_laid_out_once_for_the_returned_representative(
+            self, monkeypatch, k3, w3, star_quiver, case):
+        quiver, w, beta = unit_fill_fails(case, k3, w3, star_quiver)
+        calls = []
+        original = cells._graded_blocks
+        monkeypatch.setattr(cells, "_graded_blocks",
+                            lambda M, N: calls.append((M, N)) or original(M, N))
+        rep = bq.build_fixed_rep(quiver, w, beta)
+        bq.choose_complements(rep)
+        assert len(calls) == 1 and calls[0][0] is rep and calls[0][1] is rep
 
 
 class TestGradedPieces:
@@ -402,3 +478,36 @@ class TestAgainstTheDenseRoute:
                 pivots = rref([list(col) for col in zip(*ad)])[1]
                 assert len(pivots) == len(u)
                 assert d.free == tuple(r[i] for i in range(len(r)) if i not in pivots)
+
+
+class TestAgainstTheWalkFromDegreeZero:
+    """`_degree_zero` and `_graded_blocks` split the one walk over pairs of
+    levels m <= n that laid out every degree at once."""
+
+    @staticmethod
+    def check(M, N):
+        every = graded_blocks_from_zero(M, N)
+        assert cells._degree_zero(M, N) == every.pop(0, ([], []))
+        assert cells._graded_blocks(M, N) == every
+
+    def test_golden_cases_and_shifted_pairs(self, k3_lifts, star_quiver):
+        quiver = bq.kronecker_quiver(4)
+        w = bq.generic_rank1_weights(quiver)
+        k4_lifts = [bq.build_fixed_rep(quiver, w, beta)
+                    for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0))]
+        w5 = bq.generic_rank1_weights(star_quiver)
+        (beta5,) = bq.enumerate_compatible(star_quiver, w5, (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0))
+        for lifts in (k3_lifts, k4_lifts, [bq.build_fixed_rep(star_quiver, w5, beta5)]):
+            for i, rep in enumerate(lifts):
+                self.check(rep, rep)
+                self.check(rep, lifts[i - 1])
+                for c in {1, -2, *rep.weights.values()}:
+                    self.check(rep, shift(rep, c))
+                    self.check(shift(rep, c), rep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_reps(), st.integers(-3, 3))
+    def test_looped_shifted_pairs(self, rep, c):
+        self.check(rep, rep)
+        self.check(rep, shift(rep, c))
+        self.check(shift(rep, c), rep)

@@ -597,18 +597,37 @@ def test_negative_vector_as_its_own_argument(capsys, k3_file, flag, value, fmt):
     assert joined == (0 if flag == "--theta" else 2)
 
 
+def _module_env() -> dict:
+    """The environment in which `python -m bbquiver.cli` imports this checkout's package."""
+    src = str(Path(bq.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+
+
 def test_closed_stdout_is_not_an_error(tmp_path):
     """A reader that stops early (`| head -c 10`) ends the run quietly with exit 1."""
-    src = str(Path(bq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "bbquiver.cli", "kronecker", "--l", "6",
                              "--r", "2", "--format", "json"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+                            stderr=subprocess.PIPE, env=_module_env(), cwd=tmp_path)
     assert proc.stdout.read(10) == b'{\n  "l": 6'
     proc.stdout.close()  # the report is far larger than a pipe buffer
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["poincare", "--help"]])
+def test_help_to_a_closed_stdout_is_not_an_error(tmp_path, argv):
+    """`bbquiver --help | head -c0`: help whose reader is gone exits 1 quietly, as a report."""
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes, so its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bbquiver.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=_module_env(), cwd=tmp_path,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def _usage_error(capsys, argv):
