@@ -23,7 +23,8 @@ M to itself, and degree 0 resolves Hom and Ext^1.  One pass over pairs of
 distinct levels (`_graded_blocks`) lays out every degree k > 0 and
 `_degree_zero` degree 0; `_hom_rows` assembles any such map as sparse rows,
 and the fraction-free kernel `linalg.leading_columns` finds its rank and
-pivots.  A GradedRep indexes its levels once, at construction, and lays out
+pivots; `choose_complements` reduces each distinct bracket layout once per
+report.  A GradedRep indexes its levels once, at construction, and lays out
 its positive degrees on first use (`pieces`), so only a certified
 representative pays for them; a thin class whose unit fill links its support
 certifies without a solve.  Blocks with integer entries stay int.  The CLI
@@ -121,7 +122,7 @@ class GradedRep:
     """
 
     def __init__(self, quiver: Quiver, weights: dict, beta: CoveringDimVector,
-                 blocks: dict):
+                 blocks: dict, frozen: bool = False):
         self.quiver, self.weights, self.beta = quiver, weights, beta
         # the index: {(v, n): dim}, and per v its sorted levels, level offsets and total dim
         dims, levels, offsets, totals = {}, {}, {}, {}
@@ -133,6 +134,9 @@ class GradedRep:
                 totals[v] = totals.get(v, 0) + m
         self._dims, self._levels, self._offsets, self._totals = dims, levels, offsets, totals
         self._arrows = arrows = {a.name: a for a in quiver.arrows}
+        if frozen:  # `_fills`: tuples of int tuples, on populated levels only
+            self.blocks = blocks
+            return
         fixed = {}
         for (name, n), m in blocks.items():
             a = arrows.get(name) or quiver.arrow(name)  # the scan names an unknown arrow
@@ -203,13 +207,13 @@ RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
 
 
 def _fills(shapes, seed: int):
-    """The blocks of each fill in turn: 0/1 partial identities, then
-    RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
-    yield {(name, n): [[int(r == c) for c in range(cols)] for r in range(rows)]
+    """The blocks of each fill in turn, as tuples of int tuples: 0/1 partial identities,
+    then RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
+    yield {(name, n): tuple(tuple(int(r == c) for c in range(cols)) for r in range(rows))
            for name, n, rows, cols in shapes}
     for k in range(RANDOM_LIFTS):
         rng = random.Random(seed + k)
-        yield {(name, n): [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        yield {(name, n): tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
                for name, n, rows, cols in shapes}
 
 
@@ -243,9 +247,9 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
                 if thin and (s := root((v, n))) != (t := root(tgt)):
                     parent[s] = t
     if thin and len(parent) == len(dims) - 1:  # linked
-        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)))
+        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)), frozen=True)
     for blocks in _fills(shapes, seed):
-        rep = GradedRep(quiver, w, beta, blocks)
+        rep = GradedRep(quiver, w, beta, blocks, frozen=True)
         if _hom_ext_of(*_degree_zero(rep, rep))[0] == 1:
             return rep
     raise InconsistencyError(
@@ -278,25 +282,40 @@ class CellChart:
         """(arrow, source level, row, col, degree) for every free entry."""
         return [(*coord, d.degree) for d in self.degrees for coord in d.free]
 
-def choose_complements(rep: GradedRep) -> CellChart:
+
+def _free_cells(dom, cod):
+    """(codomain block index, row, col) of each non-pivot coordinate of the
+    bracket's image, in basis order; None when the bracket is not injective."""
+    pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else ()  # u_k = 0: all of R_k
+    if len(pivots) != _size(dom):
+        return None
+    cells = _basis([((i,), *block[1:3]) for i, block in enumerate(cod)])
+    return tuple(x for j, x in enumerate(cells) if j not in pivots)
+
+
+def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
     """Row-echelon the bracket image in every positive degree and keep the
     non-pivot standard coordinates of R_k as the chart's free directions.
 
     Raises when the bracket is not injective in some degree, which would
     contradict freeness of the unipotent action at a genuine fixed point.
     Where u_k is zero the complement is all of R_k and nothing is reduced.
+    Each distinct block layout is reduced once per `memo` (the CLI keeps one
+    per report); its key is all that `_hom_rows` reads, so a hit is exact.
     """
+    memo = {} if memo is None else memo
     degrees = []
     for k, (dom, cod) in sorted(rep.pieces.items()):
-        free = _basis(cod)
-        if dom:  # else u_k = 0 and the complement is all of R_k
-            pivots = set(leading_columns(_hom_rows(dom, cod)))
-            if len(pivots) != _size(dom):
-                raise InconsistencyError(
-                    f"bracket with the fixed representation is not injective in degree {k}"
-                )
-            free = [x for i, x in enumerate(free) if i not in pivots]
-        degrees.append(DegreeData(k, tuple(free)))
+        at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
+        key = (tuple(block[1:] for block in dom),
+               tuple((rows, cols, at.get(x), at.get(y), f, g) for _, rows, cols, x, y, f, g in cod))
+        if (cells := memo.get(key, key)) is key:
+            cells = memo[key] = _free_cells(dom, cod)
+        if cells is None:
+            raise InconsistencyError(
+                f"bracket with the fixed representation is not injective in degree {k}"
+            )
+        degrees.append(DegreeData(k, tuple([(*cod[i][0], r, c) for i, r, c in cells])))
     return CellChart(rep, tuple(degrees))
 
 

@@ -276,11 +276,12 @@ def cmd_poincare(cfg: RunConfig) -> int:
     return 0
 
 
-def _cell_table(cfg: RunConfig, c):
+def _cell_table(cfg: RunConfig, c, brackets: dict):
     """Dimension and cell table of the chart at the fixed point of component c, checked against
-    its tangent weights: degree k > 0 has dim T_k free coordinates, att+ in all."""
+    its tangent weights: degree k > 0 has dim T_k free coordinates, att+ in all.  `brackets`
+    is the report's memo of `cells.choose_complements`."""
     rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
-    chart = cells.choose_complements(rep)
+    chart = cells.choose_complements(rep, brackets)
     free = {d.degree: len(d.free) for d in chart.degrees if d.free}
     weights = {k: m for k, m in c.weight_table.items() if k > 0}
     if free != weights:
@@ -298,8 +299,9 @@ def _cell_table(cfg: RunConfig, c):
 def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
     """The JSON rows, or the text lines headed by `caption`, of the charts at `comps`."""
     out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
+    brackets: dict = {}  # bracket block layout -> free cells, for this report's charts
     for c in comps:
-        dim, table = _cell_table(cfg, c)
+        dim, table = _cell_table(cfg, c, brackets)
         if cfg.fmt == "json":
             out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": dim,
                         "patterns": _patterns_json(table.patterns, row_memo)})

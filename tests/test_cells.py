@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -511,3 +512,80 @@ class TestAgainstTheWalkFromDegreeZero:
         self.check(rep, rep)
         self.check(rep, shift(rep, c))
         self.check(shift(rep, c), rep)
+
+
+def chart_or_error(rep, *memo):
+    """(degree, free) of each degree of rep's chart, or the message of the error it raises."""
+    try:
+        return [(d.degree, d.free) for d in bq.choose_complements(rep, *memo).degrees]
+    except InconsistencyError as e:
+        return str(e)
+
+
+class TestBracketMemo:
+    """One memo shared by many charts reduces each distinct block layout once,
+    and a hit gives the chart that a fresh reduction gives."""
+
+    @staticmethod
+    def check(reps):
+        memo: dict = {}
+        assert [chart_or_error(rep, memo) for rep in reps] == [chart_or_error(rep) for rep in reps]
+        return memo
+
+    def test_golden_cases(self, k3_lifts, star_quiver):
+        quiver = bq.kronecker_quiver(4)
+        w = bq.generic_rank1_weights(quiver)
+        k4_lifts = [bq.build_fixed_rep(quiver, w, beta)
+                    for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0))]
+        w5 = bq.generic_rank1_weights(star_quiver)
+        (beta5,) = bq.enumerate_compatible(star_quiver, w5, (2, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0))
+        reps = [*k3_lifts, *k4_lifts, bq.build_fixed_rep(star_quiver, w5, beta5)]
+        memo = self.check(reps)
+        assert len(memo) < sum(len(rep.pieces) for rep in reps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(graded_reps(), min_size=1, max_size=3), st.integers(-3, 3))
+    def test_looped_reps_and_their_shifts(self, reps, c):
+        self.check([x for rep in reps for x in (rep, shift(rep, c))])
+
+    def test_a_hit_on_a_bracket_that_is_not_injective_raises_in_its_own_degree(self):
+        """A weight-0 loop with f = g = 1 sends both terms to one coordinate,
+        so the bracket of a 1x1 block is zero, in any degree and at any level."""
+        memo: dict = {}
+        for k, n in ((2, 0), (5, 3)):
+            rep = bq.GradedRep(LOOPED, {"l": 0, "a": 1, "b": 3},
+                               CoveringDimVector.from_dict({("v", (n,)): 1}), {})
+            one = ((1,),)
+            rep.pieces = {k: ([(("v", n), 1, 1)],
+                              [(("l", n), 1, 1, ("v", n), ("v", n), one, one)])}
+            with pytest.raises(InconsistencyError, match=f"not injective in degree {k}$"):
+                bq.choose_complements(rep, memo)
+        assert list(memo.values()) == [None]
+
+    def test_k4_cells_reduces_each_layout_once(self, monkeypatch, tmp_path, capsys):
+        """`cells` on K4 (2,5) reduces 444 positive degrees of 30 distinct layouts."""
+        from bbquiver.cli import main
+
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(bq.kronecker_quiver(4).to_dict()))
+        real_choose, real_leading = cells.choose_complements, cells.leading_columns
+        charting, reduced, solves = [], [], []
+
+        def choose(rep, *memo):
+            reduced.extend(k for k, (dom, _) in rep.pieces.items() if dom)
+            charting.append(rep)
+            try:
+                return real_choose(rep, *memo)
+            finally:
+                charting.pop()
+
+        def leading(rows):
+            if charting:
+                solves.append(rows)
+            return real_leading(rows)
+
+        monkeypatch.setattr(cells, "choose_complements", choose)
+        monkeypatch.setattr(cells, "leading_columns", leading)
+        assert main(["cells", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0"]) == 0
+        capsys.readouterr()
+        assert len(reduced) == 444 and len(solves) <= 30

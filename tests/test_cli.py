@@ -557,8 +557,8 @@ def _move_a_free_coordinate(monkeypatch) -> list:
 
     real, left = cells.choose_complements, []
 
-    def moved(rep):
-        chart = real(rep)
+    def moved(rep, *args):
+        chart = real(rep, *args)
         degrees = list(chart.degrees)
         for i, d in enumerate(degrees):
             if d.free:
