@@ -19,41 +19,27 @@ which entries carry the stars is implementation-canonical, only their
 number is intrinsic.  Where u_k = 0 the complement is all of R_k.
 
 The bracket in degree k is the degree-k piece of the covering Hom map from
-M to itself, and degree 0 resolves Hom and Ext^1.  One pass over pairs of
-distinct levels (`_graded_blocks`) lays out every degree k > 0 and
-`_degree_zero` degree 0; `_hom_rows` assembles any such map as sparse rows,
-and the fraction-free kernel `linalg.leading_columns` finds its rank and
-pivots; `choose_complements` reduces each distinct bracket layout once per
-report.  A GradedRep indexes its levels once, at construction, and lays out
-its positive degrees on first use (`pieces`), so only a certified
-representative pays for them; a thin class whose unit fill links its support
-certifies without a solve.  Blocks with integer entries stay int.  The CLI
-runs only this pipeline; plain representations, dense bracket matrices and
-the twisted-filtration check of attractor membership are the tests' second
-route.
+M to itself, and degree 0 resolves End(M).  One pass over pairs of distinct
+levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
+degree 0; `_hom_rows` assembles any such map as sparse rows, and the
+fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
+`choose_complements` reduces each distinct bracket layout once per report.
+A GradedRep indexes its levels once, at construction, and holds the int
+blocks of `_fills`; only a certified representative has its positive degrees
+laid out, and a thin class whose unit fill links its support certifies
+without a solve.  The CLI runs only this pipeline; Hom and Ext^1 between two
+representations, plain representations, dense bracket matrices and the
+twisted-filtration check of attractor membership are the tests' second route.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from functools import cached_property
 
 from .core import Quiver
 from .covering import CoveringDimVector
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError
 from .linalg import leading_columns
-
-
-def _freeze_matrix(m, rows, cols, what="matrix"):
-    """The matrix as a tuple of rows; integer entries stay int, others become Fraction."""
-    if rows and cols and (len(m) != rows or any(len(r) != cols for r in m)):
-        raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
-    if not set(map(type, itertools.chain(*m))) <= {int}:
-        from fractions import Fraction
-
-        m = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
-    return tuple(map(tuple, m))
 
 
 def _hom_rows(dom, cod) -> list:
@@ -98,11 +84,6 @@ def _hom_rows(dom, cod) -> list:
     return out
 
 
-def _hom_ext_of(dom, cod) -> tuple[int, int]:
-    rk = len(leading_columns(_hom_rows(dom, cod)))
-    return _size(dom) - rk, _size(cod) - rk
-
-
 def _size(blocks) -> int:
     return sum(block[1] * block[2] for block in blocks)
 
@@ -116,14 +97,16 @@ def _basis(blocks) -> list:
 class GradedRep:
     """Level-graded representation realizing a covering class under weights {arrow: int}.
 
-    `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a}; only
-    blocks with both endpoint levels populated are stored.  No `__slots__`:
-    `pieces` caches in the instance dict.
+    `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a} as a
+    tuple of rows, stored as given: `_fills` gives one per pair of populated
+    endpoint levels.
     """
 
-    def __init__(self, quiver: Quiver, weights: dict, beta: CoveringDimVector,
-                 blocks: dict, frozen: bool = False):
-        self.quiver, self.weights, self.beta = quiver, weights, beta
+    __slots__ = ("quiver", "weights", "beta", "blocks",
+                 "_dims", "_levels", "_offsets", "_totals", "_arrows")
+
+    def __init__(self, quiver: Quiver, weights: dict, beta: CoveringDimVector, blocks: dict):
+        self.quiver, self.weights, self.beta, self.blocks = quiver, weights, beta, blocks
         # the index: {(v, n): dim}, and per v its sorted levels, level offsets and total dim
         dims, levels, offsets, totals = {}, {}, {}, {}
         for (v, (n,)), m in beta.entries:  # sorted by level
@@ -133,68 +116,54 @@ class GradedRep:
                 offsets.setdefault(v, {})[n] = totals.get(v, 0)
                 totals[v] = totals.get(v, 0) + m
         self._dims, self._levels, self._offsets, self._totals = dims, levels, offsets, totals
-        self._arrows = arrows = {a.name: a for a in quiver.arrows}
-        if frozen:  # `_fills`: tuples of int tuples, on populated levels only
-            self.blocks = blocks
-            return
-        fixed = {}
-        for (name, n), m in blocks.items():
-            a = arrows.get(name) or quiver.arrow(name)  # the scan names an unknown arrow
-            rows = dims.get((a.target, n + weights[name]), 0)
-            cols = dims.get((a.source, n), 0)
-            if rows == 0 or cols == 0:
-                continue
-            fixed[(name, int(n))] = _freeze_matrix(m, rows, cols, f"block ({name}, {n})")
-        self.blocks = fixed
-
-    @cached_property
-    def pieces(self) -> dict:
-        """`_graded_blocks(self, self)`, built once and only when the chart
-        asks: each degree k > 0 is the bracket of u_k into R_k."""
-        return _graded_blocks(self, self)
+        self._arrows = {a.name: a for a in quiver.arrows}
 
 
-def _degree_zero(M: GradedRep, N: GradedRep) -> tuple:
-    """Degree 0 of `_graded_blocks`, which resolves Hom and Ext^1 over the covering:
-    a domain block per level M and N share, a codomain block per arrow level."""
-    m_dims, n_dims = M._dims, N._dims
-    dom = [((v, n), n_dims[(v, n)], m_dims[(v, n)]) for v in M.quiver.vertices
-           for n in M._levels.get(v, ()) if (v, n) in n_dims]
-    cod = [((a.name, n), n_dims[tgt], m_dims[(a.source, n)], (a.source, n), tgt,
-            M.blocks.get((a.name, n)), N.blocks.get((a.name, n)))
-           for a in M.quiver.arrows for n in M._levels.get(a.source, ())
-           if (tgt := (a.target, n + M.weights[a.name])) in n_dims]
+def _degree_zero(rep: GradedRep) -> tuple:
+    """Degree 0 of `_graded_blocks`, which resolves End(rep) over the covering:
+    a domain block per level, a codomain block per arrow level."""
+    dims, blocks = rep._dims, rep.blocks
+    dom = [((v, n), dims[(v, n)], dims[(v, n)]) for v in rep.quiver.vertices
+           for n in rep._levels.get(v, ())]
+    cod = [((a.name, n), dims[tgt], dims[(a.source, n)], (a.source, n), tgt,
+            blocks.get((a.name, n)), blocks.get((a.name, n)))
+           for a in rep.quiver.arrows for n in rep._levels.get(a.source, ())
+           if (tgt := (a.target, n + rep.weights[a.name])) in dims]
     return dom, cod
 
 
-def _graded_blocks(M: GradedRep, N: GradedRep) -> dict:
-    """The blocks of the covering Hom map from M to N with N's levels
-    lowered by k, for every k > 0, in one pass over pairs of levels.
+def _dim_end(rep: GradedRep) -> int:
+    """dim End(rep) over the covering: the nullity of degree 0."""
+    dom, cod = _degree_zero(rep)
+    return _size(dom) - len(leading_columns(_hom_rows(dom, cod)))
 
-    Degree k maps the sum of Hom(M_{v,n}, N_{v,n-k}) to the sum of
-    Hom(M_{s(a),n}, N_{t(a),n+w_a-k}); for N = M it is the bracket of u_k
-    into R_k.  Returns {k: (dom, cod)} with only nonempty degrees, in the
-    block layout of `_hom_rows`, keyed by (v, n) and (arrow, n) in
-    declaration order, then ascending n.  Degree 0 is `_degree_zero`.
+
+def _graded_blocks(rep: GradedRep) -> dict:
+    """The bracket of u_k into R_k for every k > 0, in one pass over pairs of levels.
+
+    Degree k maps the sum of Hom(V_{v,n}, V_{v,n-k}) to the sum of
+    Hom(V_{s(a),n}, V_{t(a),n+w_a-k}).  Returns {k: (dom, cod)} with only
+    nonempty degrees, in the block layout of `_hom_rows`, keyed by (v, n) and
+    (arrow, n) in declaration order, then ascending n.  Degree 0 is
+    `_degree_zero`.
     """
-    m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
+    dims, levels, blocks = rep._dims, rep._levels, rep.blocks
     out: dict = {}
-    # top level t meets N's sorted levels m < t in degree t - m; each walk stops at the first m >= t
-    for v in M.quiver.vertices:
-        below = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
-        for n in m_levels.get(v, ()):
-            key, cols = (v, n), m_dims[(v, n)]
+    # top level t meets the sorted levels m < t in degree t - m; each walk stops at the first m >= t
+    for v in rep.quiver.vertices:
+        below = [(m, dims[(v, m)]) for m in levels.get(v, ())]
+        for n, cols in below:
             for m, rows in below:
                 if m >= n:
                     break
-                (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
-    for a in M.quiver.arrows:
-        name, target, wa = a.name, a.target, M.weights[a.name]
-        below = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
-                 for m in n_levels.get(target, ())]
-        for n in m_levels.get(a.source, ()):
+                (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append(((v, n), rows, cols))
+    for a in rep.quiver.arrows:
+        name, target, wa = a.name, a.target, rep.weights[a.name]
+        below = [(m, dims[(target, m)], blocks.get((name, m - wa)))
+                 for m in levels.get(target, ())]
+        for n in levels.get(a.source, ()):
             top, key, src = n + wa, (name, n), (a.source, n)
-            cols, tgt, f = m_dims[src], (target, top), M.blocks.get(key)
+            cols, tgt, f = dims[src], (target, top), blocks.get(key)
             for m, rows, g in below:
                 if m >= top:
                     break
@@ -222,7 +191,7 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     """A certified representative of the fixed point of class beta.
 
     beta must already have passed the existence filter.  Certification is
-    dim End = 1 (`_degree_zero`).  That also gives rigidity when beta is a
+    dim End = 1 (`_dim_end`).  That also gives rigidity when beta is a
     real root: in degree 0, dim Hom - dim Ext^1 is the size of the domain
     minus the size of the codomain, which is <beta, beta>, so Hom = 1 forces
     Ext^1 = 0 when <beta, beta> = 1.  The first fill that certifies is
@@ -247,22 +216,14 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
                 if thin and (s := root((v, n))) != (t := root(tgt)):
                     parent[s] = t
     if thin and len(parent) == len(dims) - 1:  # linked
-        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)), frozen=True)
+        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)))
     for blocks in _fills(shapes, seed):
-        rep = GradedRep(quiver, w, beta, blocks, frozen=True)
-        if _hom_ext_of(*_degree_zero(rep, rep))[0] == 1:
+        rep = GradedRep(quiver, w, beta, blocks)
+        if _dim_end(rep) == 1:
             return rep
     raise InconsistencyError(
         f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
     )
-
-
-class DegreeData:
-    __slots__ = ("degree", "free")
-
-    def __init__(self, degree: int, free: tuple):
-        # free: (arrow, source level, row, col) of each coordinate of the complement
-        self.degree, self.free = degree, free
 
 
 class CellChart:
@@ -270,17 +231,14 @@ class CellChart:
 
     __slots__ = ("base", "degrees")
 
-    def __init__(self, base: GradedRep, degrees: tuple):
-        # degrees: DegreeData per positive degree with nonzero spaces
+    def __init__(self, base: GradedRep, degrees: dict):
+        # degrees: {k: (arrow, source level, row, col) of each free coordinate}, per positive
+        # degree with nonzero spaces, ascending
         self.base, self.degrees = base, degrees
 
     @property
     def total_dim(self) -> int:
-        return sum(len(d.free) for d in self.degrees)
-
-    def free_coordinates(self) -> list[tuple]:
-        """(arrow, source level, row, col, degree) for every free entry."""
-        return [(*coord, d.degree) for d in self.degrees for coord in d.free]
+        return sum(map(len, self.degrees.values()))
 
 
 def _free_cells(dom, cod):
@@ -295,7 +253,9 @@ def _free_cells(dom, cod):
 
 def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
     """Row-echelon the bracket image in every positive degree and keep the
-    non-pivot standard coordinates of R_k as the chart's free directions.
+    non-pivot standard coordinates of R_k as the chart's free directions,
+    as {k: free coordinates}.  The degrees are laid out once per call
+    (`_graded_blocks`), so only a certified representative pays for them.
 
     Raises when the bracket is not injective in some degree, which would
     contradict freeness of the unipotent action at a genuine fixed point.
@@ -304,8 +264,8 @@ def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
     per report); its key is all that `_hom_rows` reads, so a hit is exact.
     """
     memo = {} if memo is None else memo
-    degrees = []
-    for k, (dom, cod) in sorted(rep.pieces.items()):
+    degrees = {}
+    for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
         at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
         key = (tuple(block[1:] for block in dom),
                tuple((rows, cols, at.get(x), at.get(y), f, g) for _, rows, cols, x, y, f, g in cod))
@@ -315,8 +275,8 @@ def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
             raise InconsistencyError(
                 f"bracket with the fixed representation is not injective in degree {k}"
             )
-        degrees.append(DegreeData(k, tuple([(*cod[i][0], r, c) for i, r, c in cells])))
-    return CellChart(rep, tuple(degrees))
+        degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
+    return CellChart(rep, degrees)
 
 
 def emit_cell_table(chart: CellChart) -> "CellTable":
@@ -333,10 +293,11 @@ def emit_cell_table(chart: CellChart) -> "CellTable":
         grid = tables[name]
         for r, row in enumerate(blk):
             grid[t0 + r][s0:s0 + len(row)] = map(str, row)
-    for name, n, r, c, k in chart.free_coordinates():
-        a = arrows[name]
-        row = offsets[a.target][n + weights[name] - k] + r
-        tables[name][row][offsets[a.source][n] + c] = "*"
+    for k, free in chart.degrees.items():
+        for name, n, r, c in free:
+            a = arrows[name]
+            row = offsets[a.target][n + weights[name] - k] + r
+            tables[name][row][offsets[a.source][n] + c] = "*"
     return CellTable(chart, tables)
 
 

@@ -46,15 +46,24 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
+def _read_json(path: str):
+    """The JSON document in the file at `path`, decoded as UTF-8 (RFC 8259, section 8.1)."""
+    data = Path(path).read_bytes()
+    try:  # only the parse: a RecursionError anywhere else is a bug and must show
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not UTF-8 JSON: {exc}") from None
+
+
 def _load_config(args: dict) -> RunConfig:
-    quiver = Quiver.from_dict(json.loads(Path(args["quiver"]).read_text()))
+    quiver = Quiver.from_dict(_read_json(args["quiver"]))
     dim = _int_list(args["dim"], "--dim")
     theta = _int_list(args["theta"], "--theta")
     inputs = {"quiver": quiver.to_dict(), "dim": list(dim), "theta": list(theta)}
     w = codec = None
     if "weights" in args:
         if args["weights"]:
-            w = WeightAssignment.from_json(Path(args["weights"]).read_text())
+            w = WeightAssignment.from_dict(_read_json(args["weights"]))
             names = [a.name for a in quiver.arrows]
             unknown = sorted(set(w.weights) - set(names))
             if unknown:
@@ -282,7 +291,7 @@ def _cell_table(cfg: RunConfig, c, brackets: dict):
     is the report's memo of `cells.choose_complements`."""
     rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
     chart = cells.choose_complements(rep, brackets)
-    free = {d.degree: len(d.free) for d in chart.degrees if d.free}
+    free = {k: len(coords) for k, coords in chart.degrees.items() if coords}
     weights = {k: m for k, m in c.weight_table.items() if k > 0}
     if free != weights:
         k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
@@ -544,7 +553,7 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(json.dumps({"error": "inconsistency", "message": str(exc)}), file=sys.stderr)
         return 4
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}), file=sys.stderr)
         return 2
 

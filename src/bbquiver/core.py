@@ -84,12 +84,6 @@ class Quiver(Record):
         except KeyError:
             raise ValidationError(f"unknown vertex {v!r}") from None
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise ValidationError(f"unknown arrow {name!r}")
-
     def arrows_from(self, v: str) -> tuple[Arrow, ...]:
         return self._out.get(v, ())
 

@@ -17,7 +17,6 @@ the input a character is one integer; a covering vector stores it as (c,).
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 
 from . import hn
@@ -92,14 +91,6 @@ class WeightAssignment(Record):
             return cls(rank, weights)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed weight document: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightAssignment":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 def reduce_to_rank_one(w: WeightAssignment, d) -> tuple[dict, CharCodec]:

@@ -1,40 +1,35 @@
 """Second routes for the cell charts, kept for the tests.
 
-Plain (ungraded) representations with their Hom and Ext^1, the Hom and
-Ext^1 of graded ones over the covering, the dense matrix of the bracket in
-one degree, a graded representation read level by level, the one walk over
-pairs of levels that lays out every degree k >= 0 at once (the reference
-for `_degree_zero` and `_graded_blocks`), and the twisted-filtration check
-of attractor membership: a point of a chart attracts to its fixed point
-exactly when it maps the standard filtration of the fixed representation
-into the weight-shifted filtration, with an associated graded isomorphic to
-the fixed representation.  The
-dense Fraction solvers (`zeros`, `rank`, `solve`, `row_space_contains`)
-serve this route and the other oracles.
+Plain (ungraded) representations with their Hom and Ext^1; graded ones
+built from blocks of any rational entries, checked for shape and frozen
+(`graded_rep`, where the program's GradedRep takes the int blocks of its
+fills as they are); the one walk over pairs of levels that lays out every
+degree k >= 0 of the Hom map between two graded representations at once
+(the reference for `_degree_zero` and `_graded_blocks`, which lay out a
+representation against itself) and their Hom and Ext^1 over the covering,
+read from its degree 0; the dense matrix of the bracket in one degree; a
+graded representation read level by level; a chart's free coordinates as
+one list; and the twisted-filtration check of attractor membership: a
+point of a chart attracts to its fixed point exactly when it maps the
+standard filtration of the fixed representation into the weight-shifted
+filtration, with an associated graded isomorphic to the fixed
+representation.  The dense Fraction solvers (`zeros`, `rank`, `solve`,
+`row_space_contains`) serve this route and the other oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bbquiver.cells import (
-    CellChart,
-    CellTable,
-    GradedRep,
-    _basis,
-    _degree_zero,
-    _freeze_matrix,
-    _graded_blocks,
-    _hom_ext_of,
-    _hom_rows,
-)
+from bbquiver.cells import CellChart, CellTable, GradedRep, _basis, _graded_blocks, _hom_rows, _size
 from bbquiver.core import Quiver, check_vector
 from bbquiver.covering import CoveringDimVector
 from bbquiver.covering import shift as shift_covering
 from bbquiver.errors import InconsistencyError, ValidationError
 from bbquiver.linalg import leading_columns, rref
-from covering_oracle import project
+from covering_oracle import arrow_named, project
 
 
 def zeros(rows: int, cols: int):
@@ -75,6 +70,30 @@ def row_space_contains(sub_rows, big_rows) -> bool:
     return rank(big_rows + sub_rows) == r_big
 
 
+def _freeze_matrix(m, rows, cols, what="matrix"):
+    """The matrix as a tuple of rows; integer entries stay int, others become Fraction."""
+    if rows and cols and (len(m) != rows or any(len(r) != cols for r in m)):
+        raise ValidationError(f"{what} has wrong shape, expected {rows}x{cols}")
+    if not set(map(type, itertools.chain(*m))) <= {int}:
+        m = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+    return tuple(map(tuple, m))
+
+
+def graded_rep(quiver: Quiver, weights: dict, beta: CoveringDimVector, blocks: dict) -> GradedRep:
+    """The GradedRep of `blocks` {(arrow, n): rows}, checked for shape and frozen,
+    with the blocks between unpopulated levels dropped."""
+    dims = {(v, n): m for (v, (n,)), m in beta.entries}
+    fixed = {}
+    for (name, n), m in blocks.items():
+        a = arrow_named(quiver, name)
+        rows = dims.get((a.target, n + weights[name]), 0)
+        cols = dims.get((a.source, n), 0)
+        if rows == 0 or cols == 0:
+            continue
+        fixed[(name, int(n))] = _freeze_matrix(m, rows, cols, f"block ({name}, {n})")
+    return GradedRep(quiver, weights, beta, fixed)
+
+
 @dataclass(frozen=True)
 class Representation:
     """A representation of a finite quiver with exact rational matrices."""
@@ -103,6 +122,11 @@ class Representation:
         return self.dims[self.quiver.vertex_index(v)]
 
 
+def _hom_ext_of(dom, cod) -> tuple[int, int]:
+    rk = len(leading_columns(_hom_rows(dom, cod)))
+    return _size(dom) - rk, _size(cod) - rk
+
+
 def hom_ext(M: Representation, N: Representation) -> tuple[int, int]:
     """(dim Hom, dim Ext^1) between representations of the same quiver.
 
@@ -125,13 +149,13 @@ def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
     degree-0 piece of the graded Hom blocks."""
     if M.quiver != N.quiver or M.weights != N.weights:
         raise ValidationError("graded representations live over different coverings")
-    return _hom_ext_of(*_degree_zero(M, N))
+    return _hom_ext_of(*graded_blocks_from_zero(M, N).get(0, ([], [])))
 
 
 def graded_blocks_from_zero(M: GradedRep, N: GradedRep) -> dict:
     """{k: (dom, cod)} for every nonempty degree k >= 0, in one walk over the
-    pairs of levels m <= n: the layout that `_degree_zero` (k = 0) and
-    `_graded_blocks` (k > 0) split between them."""
+    pairs of levels m <= n: for N = M, the layout that `_degree_zero` (k = 0)
+    and `_graded_blocks` (k > 0) split between them."""
     m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
     out: dict = {}
     for v in M.quiver.vertices:
@@ -180,7 +204,7 @@ def block(rep: GradedRep, arrow_name: str, n: int):
     got = rep.blocks.get((arrow_name, n))
     if got is not None:
         return got
-    a = rep.quiver.arrow(arrow_name)
+    a = arrow_named(rep.quiver, arrow_name)
     rows = level_dim(rep, a.target, n + arrow_weight(rep, arrow_name))
     cols = level_dim(rep, a.source, n)
     return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
@@ -209,7 +233,7 @@ def ungraded(rep: GradedRep) -> Representation:
     mats = {a.name: [[Fraction(0)] * dims[idx(a.source)] for _ in range(dims[idx(a.target)])]
             for a in rep.quiver.arrows}
     for (name, n), blk in rep.blocks.items():
-        a = rep.quiver.arrow(name)
+        a = arrow_named(rep.quiver, name)
         t0 = rep._offsets[a.target][n + arrow_weight(rep, name)]
         s0 = rep._offsets[a.source][n]
         m = mats[name]
@@ -219,7 +243,7 @@ def ungraded(rep: GradedRep) -> Representation:
 
 
 def _degree_candidates(rep: GradedRep) -> list[int]:
-    return sorted(_graded_blocks(rep, rep))
+    return sorted(_graded_blocks(rep))
 
 
 def graded_pieces(rep: GradedRep, k: int):
@@ -231,7 +255,7 @@ def graded_pieces(rep: GradedRep, k: int):
     """
     if k <= 0:
         raise ValidationError("graded pieces are indexed by positive degrees")
-    dom, cod = _graded_blocks(rep, rep).get(k, ((), ()))
+    dom, cod = _graded_blocks(rep).get(k, ((), ()))
     u_basis, r_basis = _basis(dom), _basis(cod)
     ad = zeros(len(r_basis), len(u_basis))
     for col, row in enumerate(_hom_rows(dom, cod)):
@@ -240,13 +264,18 @@ def graded_pieces(rep: GradedRep, k: int):
     return u_basis, r_basis, ad
 
 
+def free_coordinates(chart: CellChart) -> list[tuple]:
+    """(arrow, source level, row, col, degree) for every free entry of the chart."""
+    return [(*coord, k) for k, free in chart.degrees.items() for coord in free]
+
+
 def sample_point(chart: CellChart, values) -> Representation:
     """The plain representation {M} + sum values[c] * (free coordinate c).
 
     `values` is a sequence of rationals, one per free coordinate, in the
-    order of chart.free_coordinates().
+    order of free_coordinates(chart).
     """
-    coords = chart.free_coordinates()
+    coords = free_coordinates(chart)
     values = [Fraction(v) for v in values]
     if len(values) != len(coords):
         raise ValidationError(f"need {len(coords)} coordinate values")
@@ -254,7 +283,7 @@ def sample_point(chart: CellChart, values) -> Representation:
     flat = ungraded(base)
     mats = {a: [list(row) for row in flat.matrix(a)] for a in flat.matrices}
     for (a, n, r, c, k), val in zip(coords, values):
-        arrow = base.quiver.arrow(a)
+        arrow = arrow_named(base.quiver, a)
         wa = arrow_weight(base, a)
         t_off = level_offsets(base, arrow.target)
         s_off = level_offsets(base, arrow.source)
@@ -403,7 +432,7 @@ def _associated_graded(N: Representation, filtration: dict, w: dict) -> GradedRe
             rows = len(lifts_t)
             cols = len(lifts_s)
             blocks[(a.name, n)] = [[images[c][r] for c in range(cols)] for r in range(rows)]
-    return GradedRep(Q, w, beta, blocks)
+    return graded_rep(Q, w, beta, blocks)
 
 
 def graded_isomorphic(A: GradedRep, B: GradedRep) -> bool:

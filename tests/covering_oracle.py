@@ -1,9 +1,9 @@
-"""Covering-quiver helpers that only the tests use: the target of one
-covering arrow, the base dimension vector, total, multiplicities and
-characters of a class, connectedness of a class's support in the
-covering, the zero character, the total tangent dimension of a fixed
-component, every candidate class kept or rejected (`candidates`), the
-program's route for weights of any rank (`reduced`, `decoded`), and the
+"""Covering-quiver helpers that only the tests use: an arrow by its name,
+the target of one covering arrow, the base dimension vector, total,
+multiplicities and characters of a class, connectedness of a class's
+support in the covering, the zero character, the total tangent dimension
+of a fixed component, every candidate class kept or rejected
+(`candidates`), the program's route for weights of any rank (`reduced`, `decoded`), and the
 reference route for `enumerate_compatible` (`enumerate_per_support`).
 
 The helpers and the reference work on tuple characters of any rank with
@@ -70,10 +70,14 @@ def zero_character(w) -> Character:
     return (0,) * as_assignment(w).rank
 
 
+def arrow_named(quiver: Quiver, name: str) -> Arrow:
+    return next(a for a in quiver.arrows if a.name == name)
+
+
 def covering_target(quiver: Quiver, w, arrow: Arrow | str, chi) -> tuple[str, Character]:
     """Target of the covering arrow (a, chi), namely (t(a), chi + w_a)."""
     w = as_assignment(w)
-    a = quiver.arrow(arrow) if isinstance(arrow, str) else arrow
+    a = arrow_named(quiver, arrow) if isinstance(arrow, str) else arrow
     chi = _as_char(chi, w.rank)
     return (a.target, char_add(chi, w.weights[a.name]))
 

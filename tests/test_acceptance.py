@@ -11,6 +11,7 @@ import pytest
 import bbquiver as bq
 from chart_oracle import (
     covering_hom_ext,
+    free_coordinates,
     graded_isomorphic,
     sample_point,
     shift,
@@ -142,7 +143,7 @@ def test_criterion_6_cell_charts(k3, w3, k3_classes, k3_lifts):
     rep_open = bq.build_fixed_rep(k3, w3, bq.label_to_beta(lab_open, w3, k3))
     chart_open = bq.choose_complements(rep_open)
     assert chart_open.total_dim == 6
-    assert {fc[0] for fc in chart_open.free_coordinates()} == {"a1"}
+    assert {fc[0] for fc in free_coordinates(chart_open)} == {"a1"}
     assert chart_open.total_dim == (2 * 1 + 1) * (2 * 1 + 1) - 3
 
     lab_empty = bq.Label1(2, 1, 2, (1,), 3, (1,))  # printed label 1231

@@ -68,6 +68,22 @@ def test_malformed_quiver_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00garbage", b"[" * 200_000],
+                         ids=["not-utf8", "nested-200000"])
+@pytest.mark.parametrize("flag", ["--quiver", "--weights"])
+def test_unreadable_json_file_exit_2(capsys, tmp_path, k3_file, flag, content):
+    """An input file that is not UTF-8 JSON, or is nested deeper than the parser
+    goes, is a validation error, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    # a repeated flag keeps its last value: a second --quiver replaces k3's
+    assert main(["poincare", *base_args(k3_file), flag, str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "validation"
+
+
 def test_count_command(capsys, k3_file):
     code = main(["count", *base_args(k3_file, "--field", "2")])
     out = capsys.readouterr().out
@@ -559,14 +575,14 @@ def _move_a_free_coordinate(monkeypatch) -> list:
 
     def moved(rep, *args):
         chart = real(rep, *args)
-        degrees = list(chart.degrees)
-        for i, d in enumerate(degrees):
-            if d.free:
-                left.append(d.degree)
-                degrees[i] = cells.DegreeData(d.degree, d.free[1:])
-                degrees.append(cells.DegreeData(degrees[-1].degree + 1, d.free[:1]))
+        degrees = dict(chart.degrees)
+        for k, free in chart.degrees.items():
+            if free:
+                left.append(k)
+                degrees[k] = free[1:]
+                degrees[max(degrees) + 1] = free[:1]
                 break
-        return cells.CellChart(chart.base, tuple(degrees))
+        return cells.CellChart(chart.base, degrees)
 
     monkeypatch.setattr(cells, "choose_complements", moved)
     return left
