@@ -106,11 +106,11 @@ def component_poincare(quiver: Quiver, w: dict, theta,
     off its HN counts by `stable_poincare`, once per `shape_key` of that
     quiver when the caller passes one `memo` dict for its components.
     """
-    if component.isolated and component.dim_component == 0:
+    if component.isolated:
         return PoincarePolynomial.one()
     sq = support_quiver(quiver, w, component.beta)
-    theta_hat, idx = sq.lift_stability(theta), sq.quiver.vertex_index
-    key = shape_key(sq.dims, theta_hat, [(idx(a.source), idx(a.target)) for a in sq.quiver.arrows])
+    theta_hat = sq.lift_stability(theta)
+    key = shape_key(sq.dims, theta_hat, sq.quiver.arrow_pairs)
     memo = {} if memo is None else memo
     if key not in memo:
         memo[key] = stable_poincare(sq.quiver, sq.dims, theta_hat, component.dim_component)
@@ -125,8 +125,7 @@ def stable_poincare(quiver: Quiver, d, theta, dim: int) -> PoincarePolynomial:
     exceeds every Betti number (see `interpolate_from_counts`), and it is not
     2 even when d meets no arrow.
     """
-    idx = quiver.vertex_index
-    a = sum(d[idx(x.source)] * d[idx(x.target)] for x in quiver.arrows)
+    a = sum(d[s] * d[t] for s, t in quiver.arrow_pairs)
     return interpolate_from_counts(stable_counts(quiver, d, theta, (2, 2 ** (a + 2))), dim)
 
 

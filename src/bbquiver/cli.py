@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import betti, cells, covering, fixedpoints, hn, kronecker
-from .core import Quiver, is_coprime
+from .core import Quiver, euler_form, is_coprime
 from .covering import WeightAssignment, generic_rank1_weights
 from .errors import InconsistencyError, UnsupportedError, ValidationError
 
@@ -87,8 +87,12 @@ def _require_coprime(cfg: RunConfig):
 
 
 def _components(cfg: RunConfig, rejected: list | None = None):
+    """The analysed fixed-point classes, in class order, one at a time: each
+    component (weight table included) is built as it is read, so one the
+    caller does not keep is freed before the next is built.  The classes are
+    enumerated before this returns, so `rejected` is complete by then."""
     classes = covering.enumerate_compatible(cfg.quiver, cfg.weights, cfg.dim, cfg.theta, rejected)
-    return [fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta) for beta in classes]
+    return (fixedpoints.analyze_component(cfg.quiver, cfg.weights, beta) for beta in classes)
 
 
 def _beta_label(beta, codec) -> str:
@@ -205,18 +209,9 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_fixed_points(cfg: RunConfig) -> int:
     _require_coprime(cfg)
-    from .core import euler_form
-
     rejected = [] if cfg.inputs["filter"] == "off" else None
-    comps = _components(cfg, rejected)
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
     codec = cfg.codec
-    for c in comps:
-        if c.att_plus + c.att_minus + c.dim_component != total:
-            raise InconsistencyError(
-                f"balance fails at [{_beta_label(c.beta, codec)}]: att+ + att- + dim = "
-                f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
-            )
     # one row per class, in the format that prints it; a rejected class has no stable lift
     if cfg.fmt == "json":  # only the JSON report reads the weights
         memo: dict = {}  # covering entry -> its JSON text, for this report
@@ -238,9 +233,16 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
         row = lambda c: (f"  [{_beta_label(c.beta, codec)}]  dim={c.dim_component}  "
                          f"att+={c.att_plus}  att-={c.att_minus}  isolated={c.isolated}")
         rejected_row = lambda beta: f"  [{_beta_label(beta, codec)}]  no stable lift"
-    rows = [r for _, r in sorted([(c.beta.entries, row(c)) for c in comps]
-                                 + [(beta.entries, rejected_row(beta)) for beta in rejected or ()],
-                                 key=lambda pair: pair[0])]
+    keyed = []
+    for c in _components(cfg, rejected):  # fills `rejected` before the first class
+        if c.att_plus + c.att_minus + c.dim_component != total:
+            raise InconsistencyError(
+                f"balance fails at [{_beta_label(c.beta, codec)}]: att+ + att- + dim = "
+                f"{c.att_plus + c.att_minus + c.dim_component}, expected {total}"
+            )
+        keyed.append((c.beta.entries, row(c)))
+    keyed += [(beta.entries, rejected_row(beta)) for beta in rejected or ()]
+    rows = [r for _, r in sorted(keyed, key=lambda pair: pair[0])]
     count = len(rows)
     lines = rows  # `_emit` prints the payload for JSON and the lines otherwise
     if cfg.fmt == "csv":
@@ -257,16 +259,15 @@ def cmd_poincare(cfg: RunConfig) -> int:
     if not cfg.quiver.is_acyclic():
         # M^st is then not projective, so the BB sum is not its Poincare polynomial
         raise UnsupportedError("poincare needs an acyclic quiver")
-    comps = _components(cfg)
     memo: dict = {}  # shape_key -> polynomial, for this query's components
     poly = betti.assemble_poincare(
-        (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c, memo)) for c in comps)
-    from .core import euler_form
-
+        (c, betti.component_poincare(cfg.quiver, cfg.weights, cfg.theta, c, memo))
+        for c in _components(cfg))
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
-    # a nonempty projective variety with a torus action has a fixed point
-    dim = total if comps else None
-    if comps and not poly.is_palindromic(dim):
+    # a nonempty projective variety with a torus action has a fixed point, and each
+    # fixed-point component adds a positive term, so P(t) = 0 exactly when it is empty
+    dim = total if poly.coefficients else None
+    if dim is not None and not poly.is_palindromic(dim):
         raise InconsistencyError(f"P(t) = {poly.text()} breaks Poincare duality in dimension {dim}")
     whole = betti.stable_poincare(cfg.quiver, cfg.dim, cfg.theta, total)
     if whole != poly:
@@ -278,7 +279,7 @@ def cmd_poincare(cfg: RunConfig) -> int:
         "dimension": dim,
     }
     lines = [f"P(t) = {poly.text()}",
-             f"dimension {dim}, duality ok" if comps else "the moduli space is empty"]
+             "the moduli space is empty" if dim is None else f"dimension {dim}, duality ok"]
     if cfg.fmt == "latex":
         lines = [poly.latex()]
     _emit(cfg, {"poincare": poly.as_dict(), "text": poly.text(), "checks": checks}, lines)

@@ -53,11 +53,12 @@ class Quiver(Record):
 
     Vertex and arrow order is significant: it fixes the coordinate order of
     dimension vectors and every downstream canonicalization.  The vertex
-    index and the arrows out of each vertex are derived, outside `_fields`.
+    index, the arrows out of each vertex and `arrow_pairs`, the (source
+    index, target index) of each arrow in order, are derived, outside `_fields`.
     """
 
     _fields = ("vertices", "arrows")
-    __slots__ = (*_fields, "_vindex", "_out")
+    __slots__ = (*_fields, "_vindex", "_out", "arrow_pairs")
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
         self.vertices, self.arrows = vertices, arrows
@@ -72,6 +73,7 @@ class Quiver(Record):
                 raise ValidationError(f"arrow {a.name}: endpoint not a declared vertex")
         self._vindex = {v: k for k, v in enumerate(vertices)}
         self._out = {v: tuple(a for a in arrows if a.source == v) for v in vertices}
+        self.arrow_pairs = tuple((self._vindex[a.source], self._vindex[a.target]) for a in arrows)
 
     @classmethod
     def from_arrows(cls, vertices, arrows):
@@ -145,10 +147,9 @@ def euler_form(quiver: Quiver, d, e) -> int:
     """Euler form <d,e> = sum_i d_i e_i - sum_{a: i->j} d_i e_j."""
     d = check_vector(quiver, d, "d")
     e = check_vector(quiver, e, "e")
-    idx = quiver.vertex_index
     total = sum(di * ei for di, ei in zip(d, e))
-    for a in quiver.arrows:
-        total -= d[idx(a.source)] * e[idx(a.target)]
+    for s, t in quiver.arrow_pairs:
+        total -= d[s] * e[t]
     return total
 
 

@@ -50,8 +50,7 @@ def _is_kronecker_shape(quiver: Quiver, d, theta) -> bool:
 
 
 def _rep_radices(quiver: Quiver, d, q):
-    idx = quiver.vertex_index
-    return [q ** (d[idx(a.source)] * d[idx(a.target)]) for a in quiver.arrows]
+    return [q ** (d[s] * d[t]) for s, t in quiver.arrow_pairs]
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +102,6 @@ def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
     become -1, so states merge and their weights add; a representation is
     stable iff its final state is hopeless.
     """
-    idx = quiver.vertex_index
     if math.prod(_rep_radices(quiver, d, q)) >= 2**63:
         raise UnsupportedError("the generic count needs fewer than 2^63 representations")
     score = slope_scores(theta, d)
@@ -113,7 +111,7 @@ def _count_stable_generic(quiver: Quiver, d, theta, q) -> int:
     if bound >= 2**63:
         raise UnsupportedError("the generic count needs subspace scores below 2^63")
     dtype = np.min_scalar_type(-bound)
-    arrows = [(idx(a.source), idx(a.target)) for a in quiver.arrows]
+    arrows = quiver.arrow_pairs
     last = {v: k for k, arrow in enumerate(arrows) for v in arrow}
     live: list = []
     states = _clip(np.array([sum(gain)], dtype=dtype))

@@ -40,17 +40,38 @@ def _checked(val: int, chi: int) -> int:
     return val
 
 
-def _weight_spaces(quiver: Quiver, w: dict, beta: CoveringDimVector):
-    """(weight table, plus side, minus side, zero-weight dimension) in one pass.
+def weight_support(quiver: Quiver, w: dict, beta: CoveringDimVector) -> dict:
+    """All nonzero characters with positive weight-space dimension, with
+    multiplicity: the `weight_table` of `analyze_component`."""
+    return analyze_component(quiver, w, beta).weight_table
+
+
+class FixedComponent:
+    """A fixed-point class with its derived tangent data; `weight_table` maps
+    each nonzero character to its weight-space dimension where positive."""
+
+    __slots__ = ("beta", "weight_table", "dim_component", "att_plus", "att_minus", "isolated")
+
+    def __init__(self, beta: CoveringDimVector, weight_table: dict, dim_component: int,
+                 att_plus: int, att_minus: int, isolated: bool):
+        self.beta, self.weight_table, self.dim_component = beta, weight_table, dim_component
+        self.att_plus, self.att_minus, self.isolated = att_plus, att_minus, isolated
+
+
+def analyze_component(quiver: Quiver, w: dict, beta: CoveringDimVector) -> FixedComponent:
+    """The tangent data of one fixed-point class, from one pass over pairs of
+    its support entries.
 
     An arrow-linked pair of support entries (s(a), xi), (t(a), eta) adds to
     the character xi + w_a - eta, a same-vertex pair (v, xi), (v, eta)
     subtracts from xi - eta, and delta(chi, 0) adds to 0; outside these
     characters both sums vanish.  Characters are checked in sorted order,
     raising InconsistencyError at the first negative dimension as
-    `weight_dimension` does.  The table maps each nonzero character of
-    positive dimension to that dimension, in character order.  The sides
-    split by the sign of the character.
+    `weight_dimension` does.  The weight table maps each nonzero character
+    of positive dimension to that dimension, in character order; a character
+    lies on the attractor side of its sign, and the zero weight space is the
+    component's tangent space.  The table lives as long as the component, so
+    a report that does not print it can drop each component once read.
     """
     by_vertex: dict = {}
     for (v, (c,)), m in beta.entries:
@@ -76,32 +97,8 @@ def _weight_spaces(quiver: Quiver, w: dict, beta: CoveringDimVector):
         if val and chi:
             table[chi] = val
             sides[chi < 0] += val
-    return table, sides[0], sides[1], acc[0]
-
-
-def weight_support(quiver: Quiver, w: dict, beta: CoveringDimVector) -> dict:
-    """All nonzero characters with positive weight-space dimension, with
-    multiplicity, from one pass over pairs of support entries (`_weight_spaces`)."""
-    return analyze_component(quiver, w, beta).weight_table
-
-
-class FixedComponent:
-    """A fixed-point class with its derived tangent data; `weight_table` maps
-    each nonzero character to its weight-space dimension where positive."""
-
-    __slots__ = ("beta", "weight_table", "dim_component", "att_plus", "att_minus", "isolated")
-
-    def __init__(self, beta: CoveringDimVector, weight_table: dict, dim_component: int,
-                 att_plus: int, att_minus: int, isolated: bool):
-        self.beta, self.weight_table, self.dim_component = beta, weight_table, dim_component
-        self.att_plus, self.att_minus, self.isolated = att_plus, att_minus, isolated
-
-
-def analyze_component(quiver: Quiver, w: dict, beta: CoveringDimVector) -> FixedComponent:
-    """Bundle the tangent data of one fixed-point class; a character lies on
-    the side of its sign (`_weight_spaces`)."""
-    table, att_plus, att_minus, dim_component = _weight_spaces(quiver, w, beta)
-    return FixedComponent(beta, table, dim_component, att_plus, att_minus, dim_component == 0)
+    dim_component = acc[0]
+    return FixedComponent(beta, table, dim_component, sides[0], sides[1], dim_component == 0)
 
 
 def generic_normal_form_test(c: FixedComponent) -> bool:

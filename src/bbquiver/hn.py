@@ -53,8 +53,7 @@ def pg_order(dims, q: int) -> int:
 def _plan(quiver: Quiver, d, theta) -> list:
     """The recursion's steps [(e, a(e, e), [(step of f, a(e - f, e), f) for the
     destabilizing f < e])], for each destabilizing e and then d, f before e."""
-    idx = quiver.vertex_index
-    arrows = [(idx(a.source), idx(a.target)) for a in quiver.arrows]
+    arrows = quiver.arrow_pairs
     score = slope_scores(theta, d)
     vecs = []
     for e in itertools.product(*(range(x + 1) for x in d)):
@@ -150,12 +149,10 @@ def _king_stable(quiver: Quiver, d, theta) -> bool:
     and successor mask come from S without its highest vertex.  A proper
     nonempty S scoring 0 refuses d as the count does.
     """
-    idx = quiver.vertex_index
     support = [i for i, x in enumerate(d) if x]
     bit = {i: 1 << k for k, i in enumerate(support)}
     succ = dict.fromkeys(support, 0)
-    for a in quiver.arrows:
-        s, t = idx(a.source), idx(a.target)
+    for s, t in quiver.arrow_pairs:
         if d[s] and d[t]:
             succ[s] |= bit[t]
     score = slope_scores(theta, d)

@@ -553,6 +553,40 @@ def test_poincare_counts_each_component_shape_once(capsys, monkeypatch, tmp_path
     assert dims == [2, 32]
 
 
+def test_poincare_frees_each_component_once_summed(capsys, monkeypatch, tmp_path):
+    """`poincare` sums the components as they are analysed: of the 1 566 on
+    K6 (2,5), at most the one being summed and the next one live at once."""
+    from bbquiver import fixedpoints
+
+    count = {"built": 0, "live": 0, "peak": 0}
+
+    class Counted(bq.FixedComponent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            count["built"] += 1
+            count["live"] += 1
+            count["peak"] = max(count["peak"], count["live"])
+
+        def __del__(self):
+            count["live"] -= 1
+
+    real = fixedpoints.analyze_component
+
+    def counted(*args):
+        c = real(*args)
+        return Counted(c.beta, c.weight_table, c.dim_component, c.att_plus, c.att_minus,
+                       c.isolated)
+
+    monkeypatch.setattr(fixedpoints, "analyze_component", counted)
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(6).to_dict()))
+    assert main(["poincare", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0",
+                 "--format", "json"]) == 0
+    closed = {str(d): c for d, c in bq.kronecker_poincare(5, 2).coefficients}
+    assert json.loads(capsys.readouterr().out)["poincare"] == closed
+    assert count["built"] == 1566 and count["peak"] <= 2
+
+
 def test_balance_failure_exits_4(capsys, monkeypatch, k3_file):
     _bump_att_plus(monkeypatch)
     err = _exit_4(capsys, ["fixed-points", *base_args(k3_file)])
