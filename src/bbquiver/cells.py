@@ -24,12 +24,13 @@ levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
 degree 0; `_hom_rows` assembles any such map as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
 `choose_complements` reduces each distinct bracket layout once per report.
-A GradedRep indexes its levels once, at construction, and holds the int
-blocks of `_fills`; only a certified representative has its positive degrees
-laid out, and a thin class whose unit fill links its support certifies
-without a solve.  The CLI runs only this pipeline; Hom and Ext^1 between two
-representations, plain representations, dense bracket matrices and the
-twisted-filtration check of attractor membership are the tests' second route.
+One GradedRep per class indexes its levels and arrow pairs, and each fill of
+`_fills` is set on it in turn; only a certified representative has its
+positive degrees laid out, and a thin class certifies without a solve.
+Charts become plain grids (`emit_cell_table`).  The CLI runs only this
+pipeline; Hom and Ext^1 between two representations, plain representations,
+dense bracket matrices and the twisted-filtration check of attractor
+membership are the tests' second route.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ class GradedRep:
     """Level-graded representation realizing a covering class under weights {arrow: int}.
 
     `blocks[(arrow, n)]` is the map V_{s(a), n} -> V_{t(a), n + w_a} as a
-    tuple of rows, stored as given: `_fills` gives one per pair of populated
-    endpoint levels.
+    tuple of rows, stored as given: `_fills` gives one per populated pair,
+    which `_pairs` lists as (arrow, n, rows, cols, source, target).
     """
 
     __slots__ = ("quiver", "weights", "beta", "blocks",
-                 "_dims", "_levels", "_offsets", "_totals", "_arrows")
+                 "_dims", "_levels", "_offsets", "_totals", "_pairs")
 
     def __init__(self, quiver: Quiver, weights: dict, beta: CoveringDimVector, blocks: dict):
         self.quiver, self.weights, self.beta, self.blocks = quiver, weights, beta, blocks
@@ -116,7 +117,9 @@ class GradedRep:
                 offsets.setdefault(v, {})[n] = totals.get(v, 0)
                 totals[v] = totals.get(v, 0) + m
         self._dims, self._levels, self._offsets, self._totals = dims, levels, offsets, totals
-        self._arrows = {a.name: a for a in quiver.arrows}
+        self._pairs = [(a.name, n, rows, cols, (v, n), tgt)
+                       for (v, n), cols in dims.items() for a in quiver.arrows_from(v)
+                       if (rows := dims.get(tgt := (a.target, n + weights[a.name]), 0))]
 
 
 def _degree_zero(rep: GradedRep) -> tuple:
@@ -175,15 +178,15 @@ def _graded_blocks(rep: GradedRep) -> dict:
 RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
 
 
-def _fills(shapes, seed: int):
-    """The blocks of each fill in turn, as tuples of int tuples: 0/1 partial identities,
-    then RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
+def _fills(pairs, seed: int):
+    """The blocks of each fill of the pairs in turn, as tuples of int tuples: 0/1 partial
+    identities, then RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
     yield {(name, n): tuple(tuple(int(r == c) for c in range(cols)) for r in range(rows))
-           for name, n, rows, cols in shapes}
+           for name, n, rows, cols, _, _ in pairs}
     for k in range(RANDOM_LIFTS):
         rng = random.Random(seed + k)
         yield {(name, n): tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
-               for name, n, rows, cols in shapes}
+               for name, n, rows, cols, _, _ in pairs}
 
 
 def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
@@ -194,33 +197,32 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     dim End = 1 (`_dim_end`).  That also gives rigidity when beta is a
     real root: in degree 0, dim Hom - dim Ext^1 is the size of the domain
     minus the size of the codomain, which is <beta, beta>, so Hom = 1 forces
-    Ext^1 = 0 when <beta, beta> = 1.  The first fill that certifies is
-    returned (`_fills`): the 0/1 unit fill, else a random one.  A thin beta
-    (every multiplicity 1) needs no solve: End of a fill is a scalar per
-    entry, equal along every nonzero block, so the unit fill certifies
-    exactly when its blocks link the support (as in King's criterion), and
-    no fill does otherwise.
+    Ext^1 = 0 when <beta, beta> = 1.  One GradedRep indexes the class, and
+    each fill (`_fills`) is set on it in turn until one certifies: the 0/1
+    unit fill, else a random one.  A thin beta (every multiplicity 1) needs
+    no solve: End of a fill is a scalar per entry, equal along every nonzero
+    block, so the unit fill certifies exactly when its blocks link the
+    support (as in King's criterion), and no fill does otherwise.
     """
-    dims = {(v, n): m for (v, (n,)), m in beta.entries}
-    thin = set(dims.values()) == {1}
-    shapes, parent = [], {}  # parent: a union-find forest over a thin support
+    rep = GradedRep(quiver, w, beta, {})
+    fills = _fills(rep._pairs, seed)
+    if set(rep._dims.values()) == {1}:  # thin: link the support with a union-find forest
+        parent: dict = {}
 
-    def root(x):
-        return root(parent[x]) if x in parent else x
+        def root(x):
+            return root(parent[x]) if x in parent else x
 
-    for (v, (n,)), cols in beta.entries:
-        for a in quiver.arrows_from(v):
-            tgt = (a.target, n + w[a.name])
-            if rows := dims.get(tgt, 0):
-                shapes.append((a.name, n, rows, cols))
-                if thin and (s := root((v, n))) != (t := root(tgt)):
-                    parent[s] = t
-    if thin and len(parent) == len(dims) - 1:  # linked
-        return GradedRep(quiver, w, beta, next(_fills(shapes, seed)))
-    for blocks in _fills(shapes, seed):
-        rep = GradedRep(quiver, w, beta, blocks)
-        if _dim_end(rep) == 1:
+        for *_, s, t in rep._pairs:
+            if (s := root(s)) != (t := root(t)):
+                parent[s] = t
+        if len(parent) == len(rep._dims) - 1:
+            rep.blocks = next(fills)
             return rep
+    else:
+        for blocks in fills:
+            rep.blocks = blocks
+            if _dim_end(rep) == 1:
+                return rep
     raise InconsistencyError(
         f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
     )
@@ -279,47 +281,43 @@ def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
     return CellChart(rep, degrees)
 
 
-def emit_cell_table(chart: CellChart) -> "CellTable":
-    """Symbol matrices per arrow: fixed entries of M on their level diagonal,
-    structural zeros above, and '*' on the chosen free coordinates below."""
+def emit_cell_table(chart: CellChart) -> dict:
+    """Symbol matrices {arrow: rows of strings}, in arrow order: fixed entries of M on their
+    level diagonal, structural zeros above, and '*' on the chosen free coordinates below."""
     base = chart.base
-    offsets, weights, totals, arrows = base._offsets, base.weights, base._totals, base._arrows
-    tables = {a.name: [["0"] * totals.get(a.source, 0) for _ in range(totals.get(a.target, 0))]
-              for a in base.quiver.arrows}
+    offsets, weights, totals = base._offsets, base.weights, base._totals
+    arrows = {a.name: a for a in base.quiver.arrows}
+    grids = {name: [["0"] * totals.get(a.source, 0) for _ in range(totals.get(a.target, 0))]
+             for name, a in arrows.items()}
     for (name, n), blk in base.blocks.items():
         a = arrows[name]
         t0 = offsets[a.target][n + weights[name]]
         s0 = offsets[a.source][n]
-        grid = tables[name]
+        grid = grids[name]
         for r, row in enumerate(blk):
             grid[t0 + r][s0:s0 + len(row)] = map(str, row)
     for k, free in chart.degrees.items():
         for name, n, r, c in free:
             a = arrows[name]
             row = offsets[a.target][n + weights[name] - k] + r
-            tables[name][row][offsets[a.source][n] + c] = "*"
-    return CellTable(chart, tables)
+            grids[name][row][offsets[a.source][n] + c] = "*"
+    return grids
 
 
-class CellTable:
-    __slots__ = ("chart", "patterns")
+def table_text(grids: dict) -> str:
+    """The grids of `emit_cell_table` as text: each arrow's name, then its rows right-aligned."""
+    parts = []
+    for name, grid in grids.items():
+        width = max((len(x) for row in grid for x in row), default=1)
+        lines = ["  ".join(x.rjust(width) for x in row) for row in grid]
+        parts.append(f"{name}:\n" + "\n".join("  " + ln for ln in lines))
+    return "\n".join(parts)
 
-    def __init__(self, chart: CellChart, patterns: dict):
-        self.chart, self.patterns = chart, patterns
 
-    def text(self) -> str:
-        parts = []
-        for name in (a.name for a in self.chart.base.quiver.arrows):
-            grid = self.patterns[name]
-            width = max((len(x) for row in grid for x in row), default=1)
-            lines = ["  ".join(x.rjust(width) for x in row) for row in grid]
-            parts.append(f"{name}:\n" + "\n".join("  " + ln for ln in lines))
-        return "\n".join(parts)
-
-    def latex(self) -> str:
-        mats = []
-        for name in (a.name for a in self.chart.base.quiver.arrows):
-            grid = self.patterns[name]
-            body = r" \\ ".join(" & ".join(x.replace("*", r"\ast") for x in row) for row in grid)
-            mats.append(r"\begin{pmatrix} " + body + r" \end{pmatrix}")
-        return r",\; ".join(mats)
+def table_latex(grids: dict) -> str:
+    """The grids of `emit_cell_table` as LaTeX pmatrices, '*' set as \\ast."""
+    mats = []
+    for grid in grids.values():
+        body = r" \\ ".join(" & ".join(x.replace("*", r"\ast") for x in row) for row in grid)
+        mats.append(r"\begin{pmatrix} " + body + r" \end{pmatrix}")
+    return r",\; ".join(mats)

@@ -184,11 +184,11 @@ def _beta_json(beta, codec, memo: dict) -> _Layout:
     return _Layout(f"[\n        {texts}\n      ]")
 
 
-def _patterns_json(patterns: dict, memo: dict) -> dict:
-    """A cell table's grids, each laid out at its depth in a `cells` or `normal-form`
+def _patterns_json(grids: dict, memo: dict) -> dict:
+    """A chart's star-pattern grids, each laid out at its depth in a `cells` or `normal-form`
     row; each distinct grid is laid out once per report and kept in `memo`."""
     out = {}
-    for name, grid in patterns.items():
+    for name, grid in grids.items():
         key = tuple(map(tuple, grid))
         text = memo.get(key)
         if text is None:
@@ -286,38 +286,34 @@ def cmd_poincare(cfg: RunConfig) -> int:
     return 0
 
 
-def _cell_table(cfg: RunConfig, c, brackets: dict):
-    """Dimension and cell table of the chart at the fixed point of component c, checked against
-    its tangent weights: degree k > 0 has dim T_k free coordinates, att+ in all.  `brackets`
-    is the report's memo of `cells.choose_complements`."""
-    rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
-    chart = cells.choose_complements(rep, brackets)
-    free = {k: len(coords) for k, coords in chart.degrees.items() if coords}
-    weights = {k: m for k, m in c.weight_table.items() if k > 0}
-    if free != weights:
-        k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
-        raise InconsistencyError(
-            f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has {free.get(k, 0)} free "
-            f"coordinates in degree {','.join(map(str, cfg.codec.decode(k)))}, the weight "
-            f"space has dimension {weights.get(k, 0)}")
-    if (dim := sum(free.values())) != c.att_plus:
-        raise InconsistencyError(f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has dimension "
-                                 f"{dim}, attractor has {c.att_plus}")
-    return dim, cells.emit_cell_table(chart)
-
-
 def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
-    """The JSON rows, or the text lines headed by `caption`, of the charts at `comps`."""
+    """The JSON rows, or the text lines headed by `caption`, of the charts at `comps`.
+
+    Each chart is checked against its component's tangent weights: degree k > 0
+    has dim T_k free coordinates, att+ in all."""
     out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
     brackets: dict = {}  # bracket block layout -> free cells, for this report's charts
     for c in comps:
-        dim, table = _cell_table(cfg, c, brackets)
+        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
+        chart = cells.choose_complements(rep, brackets)
+        free = {k: len(coords) for k, coords in chart.degrees.items() if coords}
+        weights = {k: m for k, m in c.weight_table.items() if k > 0}
+        if free != weights:
+            k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
+            raise InconsistencyError(
+                f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has {free.get(k, 0)} free "
+                f"coordinates in degree {','.join(map(str, cfg.codec.decode(k)))}, the weight "
+                f"space has dimension {weights.get(k, 0)}")
+        if (dim := sum(free.values())) != c.att_plus:
+            raise InconsistencyError(f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has "
+                                     f"dimension {dim}, attractor has {c.att_plus}")
+        grids = cells.emit_cell_table(chart)
         if cfg.fmt == "json":
             out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": dim,
-                        "patterns": _patterns_json(table.patterns, row_memo)})
+                        "patterns": _patterns_json(grids, row_memo)})
         else:
             lines.append(caption.format(dim=dim, beta=_beta_label(c.beta, cfg.codec)))
-            lines.append(table.latex() if cfg.fmt == "latex" else table.text())
+            lines.append((cells.table_latex if cfg.fmt == "latex" else cells.table_text)(grids))
     return out, lines
 
 

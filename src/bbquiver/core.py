@@ -11,9 +11,12 @@ record generator and compiles no generated code.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
-from .errors import ValidationError
+from .errors import UnsupportedError, ValidationError
+
+BOX_LIMIT = 1 << 20  # the most vectors 0 <= e <= d that a box walk visits
 
 
 class Record:
@@ -159,18 +162,26 @@ def slope_scores(theta, d) -> tuple[int, ...]:
     return tuple(total * t - value for t in theta)
 
 
+def box(d: tuple[int, ...]) -> itertools.product:
+    """The vectors 0 <= e <= d in lexicographic order; UnsupportedError, before `product`
+    builds its pools, when there are more than BOX_LIMIT."""
+    if (size := math.prod(x + 1 for x in d)) > BOX_LIMIT:
+        raise UnsupportedError(f"the box 0 <= e <= d holds {size} vectors; at most {BOX_LIMIT} "
+                               f"are supported")
+    return itertools.product(*(range(x + 1) for x in d))
+
+
 def is_coprime(quiver: Quiver, d, theta) -> bool:
     """True iff no proper nonzero d' <= d has the same slope as d.
 
-    Decided by exhausting the box 0 <= d' <= d on integer slope scores; fine
-    at desk scale.
+    Decided by exhausting the box 0 <= d' <= d (`box`, so a d whose box holds
+    more than BOX_LIMIT vectors is refused) on integer slope scores.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
         raise ValidationError("coprimality undefined for the zero dimension vector")
     score = slope_scores(theta, d)
-    box = itertools.product(*(range(x + 1) for x in d))
-    next(box)  # skip e = 0; e = d scores 0 and comes last, so it must be the first zero
-    return next(e for e in box if not sum(map(operator.mul, score, e))) == d
-
+    vectors = box(d)
+    next(vectors)  # skip e = 0; e = d scores 0 and comes last, so it must be the first zero
+    return next(e for e in vectors if not sum(map(operator.mul, score, e))) == d

@@ -284,7 +284,8 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
     between their positions (a weight-0 loop links a vertex to itself), and
     how many of them lie over each base vertex.  Which fills survive depends
     only on that shape, so they are found once per shape, and vectors are
-    built only for a support whose shape has a fill to report.
+    built only for a support whose shape has a fill to report, from entries
+    built once per walk, so equal entries of two classes are one object.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -301,15 +302,16 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
             ins[a.target].append((a.source, -wa))
             outs[a.source].append((a.target, wa))
     adj = {v: list(dict.fromkeys(ins[v] + outs[v])) for v in order}
-    # the walk's set in discovery order: (character, vertex, position) per member, its
-    # base vertices, the position of each member and the links between positions
-    placed, bases, pos, links = [], [], {}, []
-    chars: dict = {}  # character -> its 1-tuple, one shared tuple per character
+    # the walk's set in discovery order: (character, vertex, position) per member, the
+    # position of each member and the links between positions
+    placed, pos, links = [], {}, []
+    # (vertex, character) -> its shared entries ((vertex, (character,)), m) for m = 0 .. d_v
+    entries: dict = {}
     count = dict.fromkeys(order, 0)
     covered = 0  # base vertices with a member over them
     out, dropped = [], []
     verdicts: dict = {}  # shape_key -> has_stable
-    fills: dict = {}     # (bases, links) -> (its surviving fills, its dropped fills)
+    fills: dict = {}     # (base vertices, links) -> (its surviving fills, its dropped fills)
 
     def shape_fills(vertices, arrows):  # a memo key: base vertices and links by position
         split = ([], [])
@@ -343,29 +345,29 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
         pos[cv] = n
         links.extend([(n, pos[t]) for u, off in outs[v] if (t := (u, c + off)) in pos])
         placed.append((c, v, n))
-        bases.append(v)
         covered += not count[v]
         count[v] += 1
         if covered == len(order):
-            key = (tuple(bases), tuple(links))
+            key = (tuple([u for _, u, _ in placed]), tuple(links))
             split = fills.get(key)
             if split is None:
                 split = fills[key] = shape_fills(*key)
             kept, lost = split if rejected is not None else (split[0], ())
             if kept or lost:  # the entries sorted by (character, vertex), as a vector stores them
                 ranked = sorted(placed)
-                cells = [(u, chars.get(x) or chars.setdefault(x, (x,))) for x, u, _ in ranked]
+                rows = [entries.get((u, x)) or entries.setdefault((u, x), tuple(
+                    zip(itertools.repeat((u, (x,))), range(cap[u] + 1)))) for x, u, _ in ranked]
                 by_char = [k for *_, k in ranked]
                 for sink, dims_list in ((out, kept), (dropped, lost)):
-                    sink.extend(CoveringDimVector.trusted(tuple(
-                        zip(cells, map(dims.__getitem__, by_char)))) for dims in dims_list)
+                    sink.extend(CoveringDimVector.trusted(tuple(map(
+                        operator.getitem, rows, map(dims.__getitem__, by_char))))
+                        for dims in dims_list)
         frontier = rest + new
         for k, nb in enumerate(frontier):
             if count[nb[0]] < cap[nb[0]]:
                 grow(nb, frontier[k + 1:], seen)
         count[v] -= 1
         covered -= not count[v]
-        bases.pop()
         placed.pop()
         del pos[cv], links[mark:]
         seen.difference_update(new)

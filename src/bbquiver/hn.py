@@ -24,10 +24,9 @@ the answer off the count at q = 2.
 
 from __future__ import annotations
 
-import itertools
 import operator
 
-from .core import Quiver, check_vector, slope_scores
+from .core import Quiver, box, check_vector, slope_scores
 from .errors import InconsistencyError, UnsupportedError, ValidationError
 
 _NOT_COPRIME = "the HN count needs a theta-coprime dimension vector"
@@ -56,7 +55,7 @@ def _plan(quiver: Quiver, d, theta) -> list:
     arrows = quiver.arrow_pairs
     score = slope_scores(theta, d)
     vecs = []
-    for e in itertools.product(*(range(x + 1) for x in d)):
+    for e in box(d):
         side = sum(map(operator.mul, score, e))  # > 0 iff mu(e) > mu(d)
         if side > 0:
             vecs.append(e)
@@ -89,8 +88,9 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
     """[(q, |M^theta-st_d(F_q)|)] for each integer q >= 2 in qs.
 
     Raises ValidationError for a malformed or zero d or theta and for a q that
-    is not an int >= 2, UnsupportedError unless d is theta-coprime, and
-    InconsistencyError if s(d) is not divisible by |PG_d(F_q)|.
+    is not an int >= 2, UnsupportedError unless d is theta-coprime with a box
+    of at most `core.BOX_LIMIT` vectors, and InconsistencyError if s(d) is not
+    divisible by |PG_d(F_q)|.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")

@@ -21,7 +21,7 @@ import math
 from .betti import PoincarePolynomial, kirwan_subspace_poincare
 from .core import Quiver, Record
 from .covering import CoveringDimVector, canonicalize
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError, UnsupportedError, ValidationError
 
 
 def kronecker_quiver(num_arrows: int) -> Quiver:
@@ -33,11 +33,21 @@ def kronecker_quiver(num_arrows: int) -> Quiver:
     )
 
 
+LABEL_LIMIT = 1 << 22  # the most type-1 labels, and entries of the `_pairs` table, supported
+
+
 def _check_lr(l: int, r: int):
     if l < 1 or r < 0:
         raise ValidationError("need l >= 1 and r >= 0")
     if l < r:
         raise ValidationError(f"empty moduli: l = {l} < r = {r}")
+    # the table first: it bounds l, so the label count below is cheap
+    if (entries := (l + 2) ** 2) > LABEL_LIMIT:
+        raise UnsupportedError(f"l = {l} needs a table of (l + 2)^2 = {entries} index pairs; "
+                               f"at most {LABEL_LIMIT} are supported")
+    if (labels := math.comb(l + 1, 2) * math.comb(l, r) ** 2) > LABEL_LIMIT:
+        raise UnsupportedError(f"(l, r) = ({l}, {r}) has C(l + 1, 2) C(l, r)^2 = {labels} type-1 "
+                               f"labels; at most {LABEL_LIMIT} are supported")
 
 
 class Label1(Record):

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bbquiver.cells import CellChart, CellTable, GradedRep, _basis, _graded_blocks, _hom_rows, _size
+from bbquiver.cells import CellChart, GradedRep, _basis, _graded_blocks, _hom_rows, _size
 from bbquiver.core import Quiver, check_vector
 from bbquiver.covering import CoveringDimVector
 from bbquiver.covering import shift as shift_covering
@@ -291,8 +291,8 @@ def sample_point(chart: CellChart, values) -> Representation:
     return Representation(flat.quiver, flat.dims, mats)
 
 
-def star_count(table: CellTable) -> int:
-    return sum(row.count("*") for grid in table.patterns.values() for row in grid)
+def star_count(grids: dict) -> int:
+    return sum(row.count("*") for grid in grids.values() for row in grid)
 
 
 def standard_filtration(rep: GradedRep) -> dict:

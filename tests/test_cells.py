@@ -221,6 +221,32 @@ class TestCertificate:
                 assert calls
         assert thin == 54
 
+    def test_one_representative_per_class(self, monkeypatch, k3, w3, star_quiver):
+        """The 5-star's class, whose unit fill does not certify, is indexed once: every
+        fill is tried on one GradedRep."""
+        built = []
+
+        class Counted(cells.GradedRep):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cells, "GradedRep", Counted)
+        rep = bq.build_fixed_rep(*unit_fill_fails("star5", k3, w3, star_quiver))
+        assert len(built) == 1 and built[0] is rep
+
+    def test_unlinked_thin_class_raises_without_a_solve(self, monkeypatch, k3):
+        """No fill certifies a thin class whose support the arrows do not link, so none
+        is solved: j at level -1 lies behind no positive weight from i at level 0."""
+        calls = []
+        monkeypatch.setattr(cells, "_dim_end", lambda *args: calls.append(args) or 1)
+        beta = CoveringDimVector.from_dict({("i", (0,)): 1, ("j", (-1,)): 1})
+        with pytest.raises(InconsistencyError, match="no certified lift"):
+            bq.build_fixed_rep(k3, bq.generic_rank1_weights(k3), beta)
+        assert calls == []
+
     @settings(max_examples=80, deadline=None)
     @given(thin_classes())
     def test_thin_class_certifies_exactly_when_its_unit_fill_does(self, case):
@@ -281,9 +307,9 @@ class TestCellCharts:
         assert chart.total_dim == 6
         assert {fc[0] for fc in free_coordinates(chart)} == {"a1"}
         table = bq.emit_cell_table(chart)
-        assert table.patterns["a1"] == [["*", "*"]] * 3
-        assert table.patterns["a2"] == [["0", "0"], ["1", "0"], ["0", "1"]]
-        assert table.patterns["a3"] == [["1", "0"], ["0", "1"], ["0", "0"]]
+        assert table["a1"] == [["*", "*"]] * 3
+        assert table["a2"] == [["0", "0"], ["1", "0"], ["0", "1"]]
+        assert table["a3"] == [["1", "0"], ["0", "1"], ["0", "0"]]
 
     def test_multiset_of_chart_dimensions(self, k3, w3, k3_classes, k3_lifts):
         dims = sorted(bq.choose_complements(rep).total_dim for rep in k3_lifts)

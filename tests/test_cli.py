@@ -135,6 +135,33 @@ def test_root_beyond_certified_bound_exit_3(capsys, k3_file):
     assert json.loads(capsys.readouterr().err)["error"] == "unsupported"
 
 
+# a box of more than 2^20 vectors, or more than 2^22 Kronecker labels or index pairs
+OVERSIZED = [
+    ["poincare", "--quiver", "k3.json", "--dim", "200000000000000000000,3", "--theta", "1,0"],
+    *([command, "--quiver", "k3.json", "--dim", "100000000,3", "--theta", "1,0"]
+      for command in ("fixed-points", "poincare", "cells", "normal-form", "count")),
+    ["kronecker", "--l", "100000000000000000000", "--r", "0"],
+    ["kronecker", "--l", "12", "--r", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda argv: " ".join(argv[:5:2]))
+def test_oversized_input_exits_3_before_any_walk(tmp_path, k3, argv):
+    """An input too large to walk is refused with its size and the bound, before
+    any box, label or table is built.  Each runs in a child whose address space is
+    capped at 400 MB: a box pool of d = (10^8, 3) alone would take gigabytes."""
+    (tmp_path / "k3.json").write_text(json.dumps(k3.to_dict()))
+    cap = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (400 << 20,) * 2); "
+           "runpy.run_module('bbquiver.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", cap, *argv], capture_output=True,
+                          env=_module_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == b""
+    (line,) = proc.stderr.decode().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "unsupported"
+    assert re.search(r" \d+ .*; at most (1048576|4194304) are supported$", err["message"])
+
+
 def test_large_field_answers_at_once(capsys, k3_file):
     start = time.perf_counter()
     code = main(["count", *base_args(k3_file, "--field", str(2**61 - 1))])

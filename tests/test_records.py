@@ -5,7 +5,6 @@ tuple of the hashed fields, so set and dict orders, and every report, stay."""
 import pytest
 
 import bbquiver as bq
-from bbquiver.cells import CellTable
 from bbquiver.cli import RunConfig
 from bbquiver.core import Arrow
 from bbquiver.covering import SupportQuiver
@@ -30,7 +29,6 @@ FIELDS = {
     bq.PoincarePolynomial: {"coefficients": ((0, 1), (2, 1))},
     bq.GradedRep: {"quiver": K2, "weights": W1, "beta": BETA, "blocks": {}},
     bq.CellChart: {"base": REP, "degrees": CHART.degrees},
-    CellTable: {"chart": CHART, "patterns": {"a1": [["1"]]}},
     bq.Label1: {"l": 2, "r": 1, "m": 1, "m_star": (2,), "n": 2, "n_star": (1,)},
     bq.Label2: {"l": 2, "r": 1, "y": 0, "m_star": (1, 2, 3), "n_star": ()},
     RunConfig: {"quiver": K2, "dim": (2, 3), "theta": (1, 0), "weights": W1, "codec": None,
