@@ -24,9 +24,13 @@ levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
 degree 0; `_hom_rows` assembles any such map as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
 `choose_complements` reduces each distinct bracket layout once per report.
-One GradedRep per class indexes its levels and arrow pairs, and each fill of
-`_fills` is set on it in turn; only a certified representative has its
-positive degrees laid out, and a thin class certifies without a solve.
+A thin rep (every dimension 1) whose every populated pair carries the unit
+block ((1,),), as `build_fixed_rep` fills a thin class, takes neither: its
+bracket columns are graph edges, and `_forest_cells` finds the same pivots
+with one union-find pass.  One GradedRep per class indexes its levels and
+arrow pairs, and each fill of `_fills` is set on it in turn; only a
+certified representative has its positive degrees laid out, and a thin
+class certifies without a solve.
 Charts become plain grids (`emit_cell_table`).  The CLI runs only this
 pipeline; Hom and Ext^1 between two representations, plain representations,
 dense bracket matrices and the twisted-filtration check of attractor
@@ -175,6 +179,17 @@ def _graded_blocks(rep: GradedRep) -> dict:
     return out
 
 
+def _link(parent: dict, x, y) -> bool:
+    """Join the union-find trees of x and y in `parent`; False when they are one tree."""
+    while x in parent:
+        x = parent[x]
+    while y in parent:
+        y = parent[y]
+    if x != y:
+        parent[x] = y
+    return x != y
+
+
 RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
 
 
@@ -208,13 +223,8 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     fills = _fills(rep._pairs, seed)
     if set(rep._dims.values()) == {1}:  # thin: link the support with a union-find forest
         parent: dict = {}
-
-        def root(x):
-            return root(parent[x]) if x in parent else x
-
         for *_, s, t in rep._pairs:
-            if (s := root(s)) != (t := root(t)):
-                parent[s] = t
+            _link(parent, s, t)
         if len(parent) == len(rep._dims) - 1:
             rep.blocks = next(fills)
             return rep
@@ -253,31 +263,83 @@ def _free_cells(dom, cod):
     return tuple(x for j, x in enumerate(cells) if j not in pivots)
 
 
-def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
-    """Row-echelon the bracket image in every positive degree and keep the
-    non-pivot standard coordinates of R_k as the chart's free directions,
-    as {k: free coordinates}.  The degrees are laid out once per call
-    (`_graded_blocks`), so only a certified representative pays for them.
+def _forest_cells(rep: GradedRep) -> dict:
+    """The free coordinates of every degree k > 0 of a thin rep on its unit fill, with no
+    layout or reduction: {k: (arrow, n, 0, 0) of each, or None where the bracket is not
+    injective}, ascending, as the echelon route gives them.
 
-    Raises when the bracket is not injective in some degree, which would
-    contradict freeness of the unipotent action at a genuine fixed point.
-    Where u_k is zero the complement is all of R_k and nothing is reduced.
-    Each distinct block layout is reduced once per `memo` (the CLI keeps one
-    per report); its key is all that `_hom_rows` reads, so a hit is exact.
+    Column (a, n, m), of degree k = n + w_a - m, is +1 at the domain pair
+    (t(a), n + w_a -> m) and -1 at (s(a), n -> n - k), each where that pair is populated;
+    an absent end is degree k's ground node, and a weight-0 loop's two ends coincide, so
+    its column is zero.  Columns are independent exactly when their edges form a forest,
+    so the echelon pivots, the first independent columns in basis order, are the edges a
+    union-find pass keeps; the columns that close a cycle are free.
     """
-    memo = {} if memo is None else memo
-    degrees = {}
-    for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
-        at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
-        key = (tuple(block[1:] for block in dom),
-               tuple((rows, cols, at.get(x), at.get(y), f, g) for _, rows, cols, x, y, f, g in cod))
-        if (cells := memo.get(key, key)) is key:
-            cells = memo[key] = _free_cells(dom, cod)
+    dims, levels = rep._dims, rep._levels
+    unlinked: dict = {}  # per degree, the domain pairs no pivot has joined to the ground yet
+    for ns in levels.values():
+        for i, n in enumerate(ns):
+            for m in ns[:i]:
+                unlinked[n - m] = unlinked.get(n - m, 0) + 1
+    free: dict = {}  # a degree with columns but no domain pair has only free columns
+    parent: dict = {}
+    for a in rep.quiver.arrows:
+        name, s, t, wa = a.name, a.source, a.target, rep.weights[a.name]
+        tails = [(m, (s, m - wa) in dims) for m in levels.get(t, ())]  # n - k = m - w_a
+        for n in levels.get(s, ()):
+            top = n + wa
+            head = (t, top) in dims
+            for m, tail in tails:
+                if m >= top:
+                    break
+                k = top - m
+                if _link(parent, (k, t, top) if head else k, (k, s, n) if tail else k):
+                    unlinked[k] -= 1
+                else:
+                    free.setdefault(k, []).append((name, n, 0, 0))
+    return {k: None if unlinked.get(k) else tuple(free.get(k, ()))
+            for k in sorted(free.keys() | unlinked.keys())}
+
+
+def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
+    """Keep the non-pivot standard coordinates of R_k, against the echelon
+    pivots of the bracket image, as the chart's free directions in every
+    positive degree, as {k: free coordinates}.
+
+    Two routes give the same pivots.  A thin rep (every dimension 1) whose
+    every populated pair carries the unit block ((1,),), which is how
+    `build_fixed_rep` fills a thin class, takes `_forest_cells`: its bracket
+    columns form a graph, so a union-find pass picks the pivots.  Any other
+    rep lays its degrees out once per call (`_graded_blocks`), so only a
+    certified representative pays for them, and reduces them; each distinct
+    block layout is reduced once per `memo` (the CLI keeps one per report),
+    and its key is all that `_hom_rows` reads, so a hit is exact.
+
+    Raises at the smallest degree where the bracket is not injective, which
+    would contradict freeness of the unipotent action at a genuine fixed
+    point.  Where u_k is zero the complement is all of R_k.
+    """
+    if set(rep._dims.values()) == {1} and all(rep.blocks.get(p[:2]) == ((1,),) for p in rep._pairs):
+        degrees = _forest_cells(rep)
+    else:
+        memo = {} if memo is None else memo
+        degrees = {}
+        for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
+            at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
+            key = (tuple(block[1:] for block in dom),
+                   tuple((rows, cols, at.get(x), at.get(y), f, g)
+                         for _, rows, cols, x, y, f, g in cod))
+            if (cells := memo.get(key, key)) is key:
+                cells = memo[key] = _free_cells(dom, cod)
+            if cells is None:
+                degrees[k] = None
+                break
+            degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
+    for k, cells in degrees.items():
         if cells is None:
             raise InconsistencyError(
                 f"bracket with the fixed representation is not injective in degree {k}"
             )
-        degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
     return CellChart(rep, degrees)
 
 

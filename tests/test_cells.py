@@ -147,6 +147,13 @@ def uncertified_reps(quiver, w, beta, seed=0):
     return [graded_rep(quiver, w, beta, unit), graded_rep(quiver, w, beta, rand)]
 
 
+def thin_unit_filled(rep):
+    """Whether rep is thin with every block the unit block ((1,),), as `build_fixed_rep`
+    fills a thin class: the reps that `choose_complements` charts by a spanning forest."""
+    return ({m for _, m in rep.beta.entries} == {1}
+            and all(blk == ((1,),) for blk in rep.blocks.values()))
+
+
 THIN_QUIVERS = (bq.kronecker_quiver(3), bq.kronecker_quiver(4),
                 *(bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, n + 1))),
                                         [(f"f{k}", "c", f"p{k}") for k in range(1, n + 1)])
@@ -190,18 +197,25 @@ class TestCertificate:
                 assert hom - ext == euler, (beta, rep.blocks)
 
     def test_graded_blocks_built_once_per_representative(self, monkeypatch, k3, w3, k3_classes):
+        """A thin unit-filled representative is charted by its forest and lays out no
+        degree; every other representative is laid out once, by its chart."""
         calls = []
         original = cells._graded_blocks
         monkeypatch.setattr(cells, "_graded_blocks",
                             lambda M, *rest: calls.append((M, rest)) or original(M, *rest))
+        thin = 0
         for beta in k3_classes:
             calls.clear()
             rep = bq.build_fixed_rep(k3, w3, beta)
             bq.choose_complements(rep)
             assert all(rest == () for _, rest in calls)
             built = [M for M, _ in calls]
-            assert len({id(M) for M in built}) == len(built)  # once per attempted representative
-            assert any(M is rep for M in built)
+            if thin_unit_filled(rep):
+                thin += 1
+                assert built == []
+            else:
+                assert len(built) == 1 and built[0] is rep
+        assert 0 < thin < len(k3_classes)
 
     def test_thin_classes_make_no_solve(self, monkeypatch):
         quiver = bq.kronecker_quiver(4)
@@ -589,7 +603,9 @@ class TestBracketMemo:
         assert list(memo.values()) == [None]
 
     def test_k4_cells_reduces_each_layout_once(self, monkeypatch, tmp_path, capsys):
-        """`cells` on K4 (2,5) reduces 444 positive degrees of 30 distinct layouts."""
+        """`cells` on K4 (2,5) charts 444 positive degrees with a bracket to reduce.
+        The 54 thin classes are charted by their forests, so only the 24 such degrees of
+        the 4 other classes reach the memo, and they hold 10 distinct layouts."""
         from bbquiver.cli import main
 
         path = tmp_path / "k4.json"
@@ -614,4 +630,119 @@ class TestBracketMemo:
         monkeypatch.setattr(cells, "leading_columns", leading)
         assert main(["cells", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0"]) == 0
         capsys.readouterr()
-        assert len(reduced) == 444 and len(solves) <= 30
+        assert len(reduced) == 444 and len(solves) <= 10
+
+
+def matrix_route(rep):
+    """{k: free coordinates, or None where the bracket is not injective} of every positive
+    degree of rep by echelon reduction: `_graded_blocks`, then `_free_cells`."""
+    out = {}
+    for k, (dom, cod) in sorted(cells._graded_blocks(rep).items()):
+        free = cells._free_cells(dom, cod)
+        out[k] = free and tuple([(*cod[i][0], r, c) for i, r, c in free])
+    return out
+
+
+FRAMED_2_LOOP = bq.Quiver.from_arrows(("inf", "o"), [("f", "inf", "o"), ("l1", "o", "o"),
+                                                     ("l2", "o", "o")])
+CYCLE3 = bq.Quiver.from_arrows("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")])
+
+
+@st.composite
+def thin_unit_reps(draw):
+    """Thin reps on their unit fill: LOOPED with loop weight 0, 1 or 2, whose weight-0 loop
+    gives zero bracket columns, or the oriented 3-cycle with weights of either sign."""
+    if draw(st.booleans()):
+        quiver, w = LOOPED, {"l": draw(st.integers(0, 2)), "a": 1, "b": 3}
+    else:
+        quiver, w = CYCLE3, {a: draw(st.integers(-2, 3)) for a in "xyz"}
+    support = {(v, (n,)): 1 for v in quiver.vertices for n in range(-2, 4) if draw(st.booleans())}
+    assume(support)
+    beta = CoveringDimVector.from_dict(support)
+    blocks = {(a.name, n): ((1,),) for a in quiver.arrows for n in range(-2, 4)
+              if (a.source, (n,)) in support and (a.target, (n + w[a.name],)) in support}
+    return graded_rep(quiver, w, beta, blocks)
+
+
+class TestForestRoute:
+    """A thin class on its unit fill is charted by a spanning forest of its bracket
+    columns, and gives the echelon route's free cells and errors exactly."""
+
+    @pytest.mark.parametrize("quiver,d", [(bq.kronecker_quiver(3), (2, 3)),
+                                          (bq.kronecker_quiver(4), (2, 3)),
+                                          (bq.kronecker_quiver(6), (2, 3)),
+                                          (bq.kronecker_quiver(4), (2, 5)),
+                                          (FRAMED_2_LOOP, (1, 4))],
+                             ids=["K3 (2,3)", "K4 (2,3)", "K6 (2,3)", "K4 (2,5)", "2-loop (1,4)"])
+    def test_thin_classes_chart_as_the_matrix_route(self, quiver, d):
+        w = bq.generic_rank1_weights(quiver)
+        thin = 0
+        for beta in bq.enumerate_compatible(quiver, w, d, (1, 0)):
+            rep = bq.build_fixed_rep(quiver, w, beta)
+            if thin_unit_filled(rep):
+                thin += 1
+                degrees = bq.choose_complements(rep).degrees
+                assert list(degrees.items()) == list(matrix_route(rep).items())
+        assert thin
+
+    @settings(max_examples=150, deadline=None)
+    @given(thin_unit_reps())
+    def test_thin_unit_reps(self, rep):
+        expected = matrix_route(rep)
+        assert cells._forest_cells(rep) == expected
+        bad = [k for k, free in expected.items() if free is None]
+        assert chart_or_error(rep) == (
+            f"bracket with the fixed representation is not injective in degree {bad[0]}"
+            if bad else list(expected.items()))
+
+    def test_k6_cells_reduces_non_thin_classes_only(self, monkeypatch, tmp_path, capsys):
+        """While `cells` on K6 (2,3) charts, only its 20 non-thin classes are laid out
+        and reduced; its 375 thin classes are not."""
+        from bbquiver.cli import main
+
+        path = tmp_path / "k6.json"
+        path.write_text(json.dumps(bq.kronecker_quiver(6).to_dict()))
+        real_choose, real_leading, real_blocks = (cells.choose_complements, cells.leading_columns,
+                                                  cells._graded_blocks)
+        charting, charted, laid_out, solved = [], [], [], []
+
+        def choose(rep, *memo):
+            charting.append(rep)
+            charted.append(rep)
+            try:
+                return real_choose(rep, *memo)
+            finally:
+                charting.pop()
+
+        def spy(real, seen):
+            def wrapped(arg):
+                if charting:
+                    seen.append(charting[-1])
+                return real(arg)
+            return wrapped
+
+        monkeypatch.setattr(cells, "choose_complements", choose)
+        monkeypatch.setattr(cells, "_graded_blocks", spy(real_blocks, laid_out))
+        monkeypatch.setattr(cells, "leading_columns", spy(real_leading, solved))
+        assert main(["cells", "--quiver", str(path), "--dim", "2,3", "--theta", "1,0"]) == 0
+        capsys.readouterr()
+        thin = [rep for rep in charted if thin_unit_filled(rep)]
+        assert (len(charted), len(thin)) == (395, 375)
+        assert laid_out == [rep for rep in charted if not thin_unit_filled(rep)]
+        assert solved and not any(thin_unit_filled(rep) for rep in solved)
+
+    def test_weight_zero_loop_is_not_injective_in_the_matrix_route_degree(self, monkeypatch):
+        """v at levels 0, 1 and 3 under the weight-0 loop l, and u at level 1 behind a from
+        v's level 0.  Degree 1 links v's pair 1 -> 0 through a, and degree 3 links 3 -> 0,
+        but the loop's column in degree 2 is zero, so nothing links v's pair 3 -> 1."""
+        beta = CoveringDimVector.from_dict({("v", (0,)): 1, ("v", (1,)): 1, ("v", (3,)): 1,
+                                            ("u", (1,)): 1})
+        one = ((1,),)
+        rep = bq.GradedRep(LOOPED, {"l": 0, "a": 1, "b": 3}, beta,
+                           {("a", 0): one, ("l", 0): one, ("l", 1): one, ("l", 3): one})
+        expected = matrix_route(rep)
+        assert expected == {1: (("l", 1, 0, 0),), 2: None, 3: (("l", 3, 0, 0), ("b", 1, 0, 0)),
+                            5: (("b", 3, 0, 0),)}
+        monkeypatch.setattr(cells, "_graded_blocks", None)  # the forest lays out nothing
+        with pytest.raises(InconsistencyError, match="not injective in degree 2$"):
+            bq.choose_complements(rep)
