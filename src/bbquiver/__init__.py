@@ -13,6 +13,7 @@ from .cells import (
     CellChart,
     GradedRep,
     build_fixed_rep,
+    chart_class,
     choose_complements,
     emit_cell_table,
 )

@@ -24,17 +24,16 @@ levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
 degree 0; `_hom_rows` assembles any such map as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
 `choose_complements` reduces each distinct bracket layout once per report.
-A thin rep (every dimension 1) whose every populated pair carries the unit
-block ((1,),), as `build_fixed_rep` fills a thin class, takes neither: its
-bracket columns are graph edges, and `_forest_cells` finds the same pivots
-with one union-find pass.  One GradedRep per class indexes its levels and
-arrow pairs, and each fill of `_fills` is set on it in turn; only a
-certified representative has its positive degrees laid out, and a thin
-class certifies without a solve.
-Charts become plain grids (`emit_cell_table`).  The CLI runs only this
-pipeline; Hom and Ext^1 between two representations, plain representations,
-dense bracket matrices and the twisted-filtration check of attractor
-membership are the tests' second route.
+One GradedRep per class indexes its levels and arrow pairs, and each fill of
+`_fills` is set on it in turn; only a certified representative has its
+positive degrees laid out.  Charts become plain grids (`emit_cell_table`).
+`chart_class` charts one class, and the CLI charts every class by it.  A
+thin class (every multiplicity 1) takes none of the above: on its unit fill
+the bracket columns are graph edges, and `_thin_chart` certifies the fill,
+finds the same pivots and writes the grids in one union-find walk.  Hom and
+Ext^1 between two representations, plain representations, dense bracket
+matrices and the twisted-filtration check of attractor membership are the
+tests' second route, and the general route is the thin walk's.
 """
 
 from __future__ import annotations
@@ -190,18 +189,23 @@ def _link(parent: dict, x, y) -> bool:
     return x != y
 
 
-RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify
+RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify or is not tried
 
 
-def _fills(pairs, seed: int):
+def _fills(pairs, seed: int, unit: bool):
     """The blocks of each fill of the pairs in turn, as tuples of int tuples: 0/1 partial
-    identities, then RANDOM_LIFTS fills of entries drawn in -9..9 from seed, seed + 1, ..."""
-    yield {(name, n): tuple(tuple(int(r == c) for c in range(cols)) for r in range(rows))
-           for name, n, rows, cols, _, _ in pairs}
+    identities when `unit`, then RANDOM_LIFTS fills of entries drawn in -9..9 from seed,
+    seed + 1, ..."""
+    if unit:
+        yield {(name, n): tuple(tuple(int(r == c) for c in range(cols)) for r in range(rows))
+               for name, n, rows, cols, _, _ in pairs}
     for k in range(RANDOM_LIFTS):
         rng = random.Random(seed + k)
         yield {(name, n): tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
                for name, n, rows, cols, _, _ in pairs}
+
+
+NO_LIFT = f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
 
 
 def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
@@ -214,28 +218,18 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     minus the size of the codomain, which is <beta, beta>, so Hom = 1 forces
     Ext^1 = 0 when <beta, beta> = 1.  One GradedRep indexes the class, and
     each fill (`_fills`) is set on it in turn until one certifies: the 0/1
-    unit fill, else a random one.  A thin beta (every multiplicity 1) needs
-    no solve: End of a fill is a scalar per entry, equal along every nonzero
-    block, so the unit fill certifies exactly when its blocks link the
-    support (as in King's criterion), and no fill does otherwise.
+    unit fill, then random ones.  The unit fill is tried only for a thin beta
+    (every multiplicity 1): its blocks map basis index r to index r, so it is
+    the direct sum of its index layers, and where some multiplicity is 2 or
+    more there are two layers and dim End >= 2.  (`chart_class` certifies a
+    thin beta without a solve.)
     """
     rep = GradedRep(quiver, w, beta, {})
-    fills = _fills(rep._pairs, seed)
-    if set(rep._dims.values()) == {1}:  # thin: link the support with a union-find forest
-        parent: dict = {}
-        for *_, s, t in rep._pairs:
-            _link(parent, s, t)
-        if len(parent) == len(rep._dims) - 1:
-            rep.blocks = next(fills)
+    for blocks in _fills(rep._pairs, seed, set(rep._dims.values()) == {1}):
+        rep.blocks = blocks
+        if _dim_end(rep) == 1:
             return rep
-    else:
-        for blocks in fills:
-            rep.blocks = blocks
-            if _dim_end(rep) == 1:
-                return rep
-    raise InconsistencyError(
-        f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
-    )
+    raise InconsistencyError(NO_LIFT)
 
 
 class CellChart:
@@ -263,42 +257,9 @@ def _free_cells(dom, cod):
     return tuple(x for j, x in enumerate(cells) if j not in pivots)
 
 
-def _forest_cells(rep: GradedRep) -> dict:
-    """The free coordinates of every degree k > 0 of a thin rep on its unit fill, with no
-    layout or reduction: {k: (arrow, n, 0, 0) of each, or None where the bracket is not
-    injective}, ascending, as the echelon route gives them.
-
-    Column (a, n, m), of degree k = n + w_a - m, is +1 at the domain pair
-    (t(a), n + w_a -> m) and -1 at (s(a), n -> n - k), each where that pair is populated;
-    an absent end is degree k's ground node, and a weight-0 loop's two ends coincide, so
-    its column is zero.  Columns are independent exactly when their edges form a forest,
-    so the echelon pivots, the first independent columns in basis order, are the edges a
-    union-find pass keeps; the columns that close a cycle are free.
-    """
-    dims, levels = rep._dims, rep._levels
-    unlinked: dict = {}  # per degree, the domain pairs no pivot has joined to the ground yet
-    for ns in levels.values():
-        for i, n in enumerate(ns):
-            for m in ns[:i]:
-                unlinked[n - m] = unlinked.get(n - m, 0) + 1
-    free: dict = {}  # a degree with columns but no domain pair has only free columns
-    parent: dict = {}
-    for a in rep.quiver.arrows:
-        name, s, t, wa = a.name, a.source, a.target, rep.weights[a.name]
-        tails = [(m, (s, m - wa) in dims) for m in levels.get(t, ())]  # n - k = m - w_a
-        for n in levels.get(s, ()):
-            top = n + wa
-            head = (t, top) in dims
-            for m, tail in tails:
-                if m >= top:
-                    break
-                k = top - m
-                if _link(parent, (k, t, top) if head else k, (k, s, n) if tail else k):
-                    unlinked[k] -= 1
-                else:
-                    free.setdefault(k, []).append((name, n, 0, 0))
-    return {k: None if unlinked.get(k) else tuple(free.get(k, ()))
-            for k in sorted(free.keys() | unlinked.keys())}
+def _not_injective(k) -> InconsistencyError:
+    return InconsistencyError(
+        f"bracket with the fixed representation is not injective in degree {k}")
 
 
 def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
@@ -306,40 +267,27 @@ def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
     pivots of the bracket image, as the chart's free directions in every
     positive degree, as {k: free coordinates}.
 
-    Two routes give the same pivots.  A thin rep (every dimension 1) whose
-    every populated pair carries the unit block ((1,),), which is how
-    `build_fixed_rep` fills a thin class, takes `_forest_cells`: its bracket
-    columns form a graph, so a union-find pass picks the pivots.  Any other
-    rep lays its degrees out once per call (`_graded_blocks`), so only a
-    certified representative pays for them, and reduces them; each distinct
+    The degrees are laid out once per call (`_graded_blocks`), so only a
+    certified representative pays for them, and reduced; each distinct
     block layout is reduced once per `memo` (the CLI keeps one per report),
-    and its key is all that `_hom_rows` reads, so a hit is exact.
+    and its key is all that `_hom_rows` reads, so a hit is exact.  This is the
+    route of every rep; the CLI charts a thin class by `_thin_chart` instead.
 
     Raises at the smallest degree where the bracket is not injective, which
     would contradict freeness of the unipotent action at a genuine fixed
     point.  Where u_k is zero the complement is all of R_k.
     """
-    if set(rep._dims.values()) == {1} and all(rep.blocks.get(p[:2]) == ((1,),) for p in rep._pairs):
-        degrees = _forest_cells(rep)
-    else:
-        memo = {} if memo is None else memo
-        degrees = {}
-        for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
-            at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
-            key = (tuple(block[1:] for block in dom),
-                   tuple((rows, cols, at.get(x), at.get(y), f, g)
-                         for _, rows, cols, x, y, f, g in cod))
-            if (cells := memo.get(key, key)) is key:
-                cells = memo[key] = _free_cells(dom, cod)
-            if cells is None:
-                degrees[k] = None
-                break
-            degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
-    for k, cells in degrees.items():
+    memo = {} if memo is None else memo
+    degrees = {}
+    for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
+        at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
+        key = (tuple(block[1:] for block in dom),
+               tuple((rows, cols, at.get(x), at.get(y), f, g) for _, rows, cols, x, y, f, g in cod))
+        if (cells := memo.get(key, key)) is key:
+            cells = memo[key] = _free_cells(dom, cod)
         if cells is None:
-            raise InconsistencyError(
-                f"bracket with the fixed representation is not injective in degree {k}"
-            )
+            raise _not_injective(k)
+        degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
     return CellChart(rep, degrees)
 
 
@@ -364,6 +312,72 @@ def emit_cell_table(chart: CellChart) -> dict:
             row = offsets[a.target][n + weights[name] - k] + r
             grids[name][row][offsets[a.source][n] + c] = "*"
     return grids
+
+
+def _thin_chart(quiver: Quiver, w: dict, beta: CoveringDimVector) -> tuple[dict, dict]:
+    """`chart_class` of a thin beta (every multiplicity 1), in one walk over the columns of
+    every degree k >= 0 of its unit fill, with no representative, layout or reduction.
+
+    With every block the unit block ((1,),), column (a, n, m), of degree k = n + w_a - m,
+    is +1 at the domain pair (t(a), n + w_a -> m) and -1 at (s(a), n -> n - k), each where
+    that pair is populated; an absent end is degree k's ground node, and a weight-0 loop's
+    two ends coincide, so its column is zero.  Columns are independent exactly when their
+    edges form a forest, so the echelon pivots, the first independent columns in basis
+    order (arrows, then n, then m, ascending), are the edges a union-find pass keeps, and
+    the columns that close a cycle are free.  Degree 0 has no ground: its columns are the
+    unit entries, and dim End = 1, the certificate, exactly when they join every level
+    into one tree (as in King's criterion); where they do not, no fill of beta certifies.
+    """
+    levels: dict = {}  # per vertex, {level: its row or column in the grids}, ascending
+    for (v, (n,)), _ in beta.entries:
+        at = levels.setdefault(v, {})
+        at.setdefault(n, len(at))
+    unlinked = {0: -1}  # per degree, the domain pairs no pivot has joined yet; less a root in 0
+    for at in levels.values():
+        ns = list(at)
+        for i, n in enumerate(ns):
+            for m in ns[:i + 1]:
+                unlinked[n - m] = unlinked.get(n - m, 0) + 1
+    grids, free, parent = {}, {}, {}
+    for a in quiver.arrows:
+        s, t, wa = a.source, a.target, w[a.name]
+        src, tgt = levels.get(s, {}), levels.get(t, {})
+        grid = grids[a.name] = [["0"] * len(src) for _ in tgt]
+        tails = [(m, row, m - wa in src) for m, row in tgt.items()]  # n - k = m - w_a
+        for n, col in src.items():
+            top = n + wa
+            head = top in tgt
+            for m, row, tail in tails:
+                if m > top:
+                    break
+                k = top - m
+                if not k:
+                    grid[row][col] = "1"
+                if _link(parent, (k, t, top) if head else k, (k, s, n) if tail else k):
+                    unlinked[k] -= 1
+                elif k:
+                    free[k] = free.get(k, 0) + 1
+                    grid[row][col] = "*"
+    if unlinked[0]:
+        raise InconsistencyError(NO_LIFT)
+    if bad := [k for k, left in unlinked.items() if left]:
+        raise _not_injective(min(bad))
+    return grids, free
+
+
+def chart_class(quiver: Quiver, w: dict, beta: CoveringDimVector, seed: int = 0,
+                memo: dict | None = None) -> tuple[dict, dict]:
+    """The cell chart of the fixed point of class beta: its grids, as `emit_cell_table`
+    writes them, and its number of free coordinates in each positive degree that has any.
+
+    A thin beta takes `_thin_chart`.  Any other is charted at a certified representative:
+    `build_fixed_rep`, then `choose_complements` with `memo`, then `emit_cell_table`.
+    Raises as they do where no fill certifies or the bracket is not injective.
+    """
+    if all(m == 1 for _, m in beta.entries):
+        return _thin_chart(quiver, w, beta)
+    chart = choose_complements(build_fixed_rep(quiver, w, beta, seed), memo)
+    return emit_cell_table(chart), {k: len(cells) for k, cells in chart.degrees.items() if cells}
 
 
 def table_text(grids: dict) -> str:

@@ -294,9 +294,8 @@ def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
     out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
     brackets: dict = {}  # bracket block layout -> free cells, for this report's charts
     for c in comps:
-        rep = cells.build_fixed_rep(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
-        chart = cells.choose_complements(rep, brackets)
-        free = {k: len(coords) for k, coords in chart.degrees.items() if coords}
+        grids, free = cells.chart_class(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"],
+                                        brackets)
         weights = {k: m for k, m in c.weight_table.items() if k > 0}
         if free != weights:
             k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
@@ -307,7 +306,6 @@ def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
         if (dim := sum(free.values())) != c.att_plus:
             raise InconsistencyError(f"cell chart at [{_beta_label(c.beta, cfg.codec)}] has "
                                      f"dimension {dim}, attractor has {c.att_plus}")
-        grids = cells.emit_cell_table(chart)
         if cfg.fmt == "json":
             out.append({"beta": _beta_json(c.beta, cfg.codec, memo), "dimension": dim,
                         "patterns": _patterns_json(grids, row_memo)})
@@ -420,28 +418,53 @@ _KIND2_JSON = ('\n    {{\n      "att_plus": {1},\n      "kind": 2,\n      "label
                '\n      "x": {3}\n    }}')
 
 
+ROW_CHUNK = 4096  # `kronecker` rows formatted and written at a time
+
+
+def _write_rows(head: str, rows, line, sep: str) -> None:
+    """Write `head`, then line(*row) for each of `rows` with `sep` between two, ROW_CHUNK
+    rows at a time, so no more than one chunk is held.  The first chunk is read before
+    anything is written, so the input checks of a generator of rows run first."""
+    write = sys.stdout.write
+    chunk = list(itertools.islice(rows, ROW_CHUNK))
+    write(head)
+    while chunk:
+        write(sep.join(itertools.starmap(line, chunk)))
+        if chunk := list(itertools.islice(rows, ROW_CHUNK)):
+            write(sep)
+
+
 def cmd_kronecker(args: dict) -> int:
+    """The rows are written as they are made.  The polynomial is known only once they are
+    all read, and every format writes it after them: JSON sorts "labels" before
+    "poincare", text and CSV end with it, and LaTeX writes no rows."""
     l, r, fmt = args["l"], args["r"], args["format"]
     coeffs: dict = {}
-    rows = list(kronecker.attractor_rows(l, r, coeffs))
-    poly = betti.PoincarePolynomial.from_dict(coeffs)
+    rows = kronecker.attractor_rows(l, r, coeffs)  # adds into coeffs as it is read
     if fmt == "json":
         # the rows are many and alike, so each is one template instead of a walk
-        labels = ",".join((_KIND1_JSON if x is None else _KIND2_JSON).format(
-            _quote(text), plus, minus, x) for text, plus, minus, x in rows)
-        print(_json_text({"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
-                          "labels": _Layout(f"[{labels}\n  ]")}))
+        _write_rows(f'{{\n  "l": {l},\n  "labels": [', rows, lambda text, plus, minus, x: (
+            _KIND1_JSON if x is None else _KIND2_JSON).format(_quote(text), plus, minus, x), ",")
     elif fmt == "csv":
-        print("\n".join(["label,kind,att_plus,att_minus"]
-                        + [f"{_csv_field(text)},1,{plus},{minus}" if x is None
-                           else f"{_csv_field(text)},2,{plus}," for text, plus, minus, x in rows]
-                        + [f"# P(t) = {poly.text()}"]))
+        _write_rows("label,kind,att_plus,att_minus\n", rows, lambda text, plus, minus, x: (
+            f"{_csv_field(text)},1,{plus},{minus}\n" if x is None
+            else f"{_csv_field(text)},2,{plus},\n"), "")
+    elif fmt == "text":
+        _write_rows("", rows, lambda text, plus, minus, x: (
+            f"  {text}  kind=1  att+={plus}  att-={minus}\n" if x is None
+            else f"  {text}  kind=2  att+={plus}\n"), "")
+    else:
+        for _ in rows:
+            pass
+    poly = betti.PoincarePolynomial.from_dict(coeffs)
+    if fmt == "json":  # the report after its rows, as `_json_text` lays it out
+        doc = _json_text({"l": l, "r": r, "poincare": poly.as_dict(), "text": poly.text(),
+                          "labels": _Layout("[\n  ]")})
+        print(doc.partition('"labels": [')[2])
     elif fmt == "latex":
         print(poly.latex())
     else:
-        print("\n".join([f"  {text}  kind=1  att+={plus}  att-={minus}" if x is None else
-                         f"  {text}  kind=2  att+={plus}" for text, plus, minus, x in rows]
-                        + [f"P(t) = {poly.text()}"]))
+        print(f"{'# ' if fmt == 'csv' else ''}P(t) = {poly.text()}")
     return 0
 
 

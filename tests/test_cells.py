@@ -149,7 +149,7 @@ def uncertified_reps(quiver, w, beta, seed=0):
 
 def thin_unit_filled(rep):
     """Whether rep is thin with every block the unit block ((1,),), as `build_fixed_rep`
-    fills a thin class: the reps that `choose_complements` charts by a spanning forest."""
+    fills a thin class."""
     return ({m for _, m in rep.beta.entries} == {1}
             and all(blk == ((1,),) for blk in rep.blocks.values()))
 
@@ -160,13 +160,10 @@ THIN_QUIVERS = (bq.kronecker_quiver(3), bq.kronecker_quiver(4),
                   for n in (3, 5)))  # the 3- and 5-leaf stars
 
 
-@st.composite
-def thin_classes(draw):
-    """Thin covering vectors (every multiplicity 1) under generic weights: a
-    walk along the arrows, whose support is linked, plus up to two entries
-    placed one arrow weight or a few levels away from it, linked or not."""
-    quiver = draw(st.sampled_from(THIN_QUIVERS))
-    w = bq.generic_rank1_weights(quiver)
+def walked_support(draw, quiver, w) -> CoveringDimVector:
+    """A thin covering vector (every multiplicity 1) under weights w: a walk along
+    the arrows, whose support is linked, plus up to two entries placed one arrow
+    weight or a few levels away from it, linked or not."""
     support = {(quiver.vertices[0], 0)}
     for _ in range(draw(st.integers(0, 5))):
         v, n = draw(st.sampled_from(sorted(support)))
@@ -179,7 +176,15 @@ def thin_classes(draw):
     for _ in range(draw(st.integers(0, 2))):
         _, n = draw(st.sampled_from(sorted(support)))
         support.add((draw(st.sampled_from(quiver.vertices)), n + draw(st.sampled_from(steps))))
-    return quiver, w, CoveringDimVector.from_dict({(v, (n,)): 1 for v, n in support})
+    return CoveringDimVector.from_dict({(v, (n,)): 1 for v, n in support})
+
+
+@st.composite
+def thin_classes(draw):
+    """Thin covering vectors under generic weights, as `walked_support` draws them."""
+    quiver = draw(st.sampled_from(THIN_QUIVERS))
+    w = bq.generic_rank1_weights(quiver)
+    return quiver, w, walked_support(draw, quiver, w)
 
 
 class TestCertificate:
@@ -197,24 +202,27 @@ class TestCertificate:
                 assert hom - ext == euler, (beta, rep.blocks)
 
     def test_graded_blocks_built_once_per_representative(self, monkeypatch, k3, w3, k3_classes):
-        """A thin unit-filled representative is charted by its forest and lays out no
-        degree; every other representative is laid out once, by its chart."""
-        calls = []
-        original = cells._graded_blocks
+        """`chart_class` charts a thin class by `_thin_chart`, which builds no representative
+        and lays out no degree; every other class is laid out once, at the representative
+        `build_fixed_rep` certified."""
+        calls, reps = [], []
+        original, build = cells._graded_blocks, cells.build_fixed_rep
         monkeypatch.setattr(cells, "_graded_blocks",
                             lambda M, *rest: calls.append((M, rest)) or original(M, *rest))
+        monkeypatch.setattr(cells, "build_fixed_rep",
+                            lambda *args: reps.append(build(*args)) or reps[-1])
         thin = 0
         for beta in k3_classes:
             calls.clear()
-            rep = bq.build_fixed_rep(k3, w3, beta)
-            bq.choose_complements(rep)
+            reps.clear()
+            bq.chart_class(k3, w3, beta)
             assert all(rest == () for _, rest in calls)
             built = [M for M, _ in calls]
-            if thin_unit_filled(rep):
+            if {m for _, m in beta.entries} == {1}:
                 thin += 1
-                assert built == []
+                assert built == [] and reps == []
             else:
-                assert len(built) == 1 and built[0] is rep
+                assert len(built) == 1 and len(reps) == 1 and built[0] is reps[0]
         assert 0 < thin < len(k3_classes)
 
     def test_thin_classes_make_no_solve(self, monkeypatch):
@@ -227,7 +235,7 @@ class TestCertificate:
         thin = 0
         for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0)):
             calls.clear()
-            bq.build_fixed_rep(quiver, w, beta)
+            bq.chart_class(quiver, w, beta)
             if all(m == 1 for _, m in beta.entries):
                 thin += 1
                 assert calls == []
@@ -258,7 +266,7 @@ class TestCertificate:
         monkeypatch.setattr(cells, "_dim_end", lambda *args: calls.append(args) or 1)
         beta = CoveringDimVector.from_dict({("i", (0,)): 1, ("j", (-1,)): 1})
         with pytest.raises(InconsistencyError, match="no certified lift"):
-            bq.build_fixed_rep(k3, bq.generic_rank1_weights(k3), beta)
+            bq.chart_class(k3, bq.generic_rank1_weights(k3), beta)
         assert calls == []
 
     @settings(max_examples=80, deadline=None)
@@ -268,9 +276,12 @@ class TestCertificate:
         unit = uncertified_reps(quiver, w, beta)[0]
         if covering_hom_ext(unit, unit)[0] == 1:
             assert bq.build_fixed_rep(quiver, w, beta).blocks == unit.blocks
+            assert not str(outcome(bq.chart_class, quiver, w, beta)).startswith("no certified")
         else:
             with pytest.raises(InconsistencyError):
                 bq.build_fixed_rep(quiver, w, beta)
+            with pytest.raises(InconsistencyError, match="no certified lift"):
+                bq.chart_class(quiver, w, beta)
 
     @pytest.mark.parametrize("case", ["star5", "K3 type-2 star"])
     def test_positive_degrees_laid_out_once_for_the_returned_representative(
@@ -604,17 +615,22 @@ class TestBracketMemo:
 
     def test_k4_cells_reduces_each_layout_once(self, monkeypatch, tmp_path, capsys):
         """`cells` on K4 (2,5) charts 444 positive degrees with a bracket to reduce.
-        The 54 thin classes are charted by their forests, so only the 24 such degrees of
+        The 54 thin classes are charted by `_thin_chart`, so only the 24 such degrees of
         the 4 other classes reach the memo, and they hold 10 distinct layouts."""
         from bbquiver.cli import main
 
         path = tmp_path / "k4.json"
         path.write_text(json.dumps(bq.kronecker_quiver(4).to_dict()))
-        real_choose, real_leading = cells.choose_complements, cells.leading_columns
+        real_chart, real_choose = cells.chart_class, cells.choose_complements
+        real_leading = cells.leading_columns
         charting, reduced, solves = [], [], []
 
+        def chart(quiver, w, beta, *rest):
+            layout = cells._graded_blocks(cells.GradedRep(quiver, w, beta, {}))
+            reduced.extend(k for k, (dom, _) in layout.items() if dom)
+            return real_chart(quiver, w, beta, *rest)
+
         def choose(rep, *memo):
-            reduced.extend(k for k, (dom, _) in cells._graded_blocks(rep).items() if dom)
             charting.append(rep)
             try:
                 return real_choose(rep, *memo)
@@ -626,6 +642,7 @@ class TestBracketMemo:
                 solves.append(rows)
             return real_leading(rows)
 
+        monkeypatch.setattr(cells, "chart_class", chart)
         monkeypatch.setattr(cells, "choose_complements", choose)
         monkeypatch.setattr(cells, "leading_columns", leading)
         assert main(["cells", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0"]) == 0
@@ -633,14 +650,19 @@ class TestBracketMemo:
         assert len(reduced) == 444 and len(solves) <= 10
 
 
-def matrix_route(rep):
-    """{k: free coordinates, or None where the bracket is not injective} of every positive
-    degree of rep by echelon reduction: `_graded_blocks`, then `_free_cells`."""
-    out = {}
-    for k, (dom, cod) in sorted(cells._graded_blocks(rep).items()):
-        free = cells._free_cells(dom, cod)
-        out[k] = free and tuple([(*cod[i][0], r, c) for i, r, c in free])
-    return out
+def outcome(fn, *args):
+    """fn(*args), or the message of the InconsistencyError it raises."""
+    try:
+        return fn(*args)
+    except InconsistencyError as e:
+        return str(e)
+
+
+def matrix_chart(quiver, w, beta, seed=0, memo=None):
+    """`chart_class` by the general route, which charts a thin class correctly too:
+    `build_fixed_rep`, `choose_complements` and `emit_cell_table`."""
+    chart = cells.choose_complements(cells.build_fixed_rep(quiver, w, beta, seed), memo)
+    return cells.emit_cell_table(chart), {k: len(free) for k, free in chart.degrees.items() if free}
 
 
 FRAMED_2_LOOP = bq.Quiver.from_arrows(("inf", "o"), [("f", "inf", "o"), ("l1", "o", "o"),
@@ -649,24 +671,20 @@ CYCLE3 = bq.Quiver.from_arrows("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "
 
 
 @st.composite
-def thin_unit_reps(draw):
-    """Thin reps on their unit fill: LOOPED with loop weight 0, 1 or 2, whose weight-0 loop
-    gives zero bracket columns, or the oriented 3-cycle with weights of either sign."""
+def looped_thin_classes(draw):
+    """Thin classes, as `walked_support` draws them, of LOOPED with loop weight -2..2,
+    whose weight-0 loop gives zero bracket columns, or of the oriented 3-cycle with
+    weights of either sign."""
     if draw(st.booleans()):
-        quiver, w = LOOPED, {"l": draw(st.integers(0, 2)), "a": 1, "b": 3}
+        quiver, w = LOOPED, {"l": draw(st.integers(-2, 2)), "a": 1, "b": 3}
     else:
         quiver, w = CYCLE3, {a: draw(st.integers(-2, 3)) for a in "xyz"}
-    support = {(v, (n,)): 1 for v in quiver.vertices for n in range(-2, 4) if draw(st.booleans())}
-    assume(support)
-    beta = CoveringDimVector.from_dict(support)
-    blocks = {(a.name, n): ((1,),) for a in quiver.arrows for n in range(-2, 4)
-              if (a.source, (n,)) in support and (a.target, (n + w[a.name],)) in support}
-    return graded_rep(quiver, w, beta, blocks)
+    return quiver, w, walked_support(draw, quiver, w)
 
 
 class TestForestRoute:
-    """A thin class on its unit fill is charted by a spanning forest of its bracket
-    columns, and gives the echelon route's free cells and errors exactly."""
+    """`_thin_chart` charts a thin class by a spanning forest of its bracket columns, and
+    gives the grids, the free counts and the errors of the general route exactly."""
 
     @pytest.mark.parametrize("quiver,d", [(bq.kronecker_quiver(3), (2, 3)),
                                           (bq.kronecker_quiver(4), (2, 3)),
@@ -678,33 +696,31 @@ class TestForestRoute:
         w = bq.generic_rank1_weights(quiver)
         thin = 0
         for beta in bq.enumerate_compatible(quiver, w, d, (1, 0)):
-            rep = bq.build_fixed_rep(quiver, w, beta)
-            if thin_unit_filled(rep):
+            if {m for _, m in beta.entries} == {1}:
                 thin += 1
-                degrees = bq.choose_complements(rep).degrees
-                assert list(degrees.items()) == list(matrix_route(rep).items())
+                assert cells._thin_chart(quiver, w, beta) == matrix_chart(quiver, w, beta)
         assert thin
 
     @settings(max_examples=150, deadline=None)
-    @given(thin_unit_reps())
-    def test_thin_unit_reps(self, rep):
-        expected = matrix_route(rep)
-        assert cells._forest_cells(rep) == expected
-        bad = [k for k, free in expected.items() if free is None]
-        assert chart_or_error(rep) == (
-            f"bracket with the fixed representation is not injective in degree {bad[0]}"
-            if bad else list(expected.items()))
+    @given(looped_thin_classes())
+    def test_thin_unit_reps(self, case):
+        assert outcome(cells._thin_chart, *case) == outcome(matrix_chart, *case)
 
     def test_k6_cells_reduces_non_thin_classes_only(self, monkeypatch, tmp_path, capsys):
-        """While `cells` on K6 (2,3) charts, only its 20 non-thin classes are laid out
-        and reduced; its 375 thin classes are not."""
+        """While `cells` on K6 (2,3) charts its 395 classes, only its 20 non-thin classes
+        reach `choose_complements`, to be laid out and reduced; its 375 thin ones do not."""
         from bbquiver.cli import main
 
         path = tmp_path / "k6.json"
         path.write_text(json.dumps(bq.kronecker_quiver(6).to_dict()))
-        real_choose, real_leading, real_blocks = (cells.choose_complements, cells.leading_columns,
-                                                  cells._graded_blocks)
-        charting, charted, laid_out, solved = [], [], [], []
+        real_chart, real_choose, real_leading, real_blocks = (
+            cells.chart_class, cells.choose_complements, cells.leading_columns,
+            cells._graded_blocks)
+        classes, charting, charted, laid_out, solved = [], [], [], [], []
+
+        def chart(quiver, w, beta, *rest):
+            classes.append(beta)
+            return real_chart(quiver, w, beta, *rest)
 
         def choose(rep, *memo):
             charting.append(rep)
@@ -721,28 +737,113 @@ class TestForestRoute:
                 return real(arg)
             return wrapped
 
+        monkeypatch.setattr(cells, "chart_class", chart)
         monkeypatch.setattr(cells, "choose_complements", choose)
         monkeypatch.setattr(cells, "_graded_blocks", spy(real_blocks, laid_out))
         monkeypatch.setattr(cells, "leading_columns", spy(real_leading, solved))
         assert main(["cells", "--quiver", str(path), "--dim", "2,3", "--theta", "1,0"]) == 0
         capsys.readouterr()
-        thin = [rep for rep in charted if thin_unit_filled(rep)]
-        assert (len(charted), len(thin)) == (395, 375)
-        assert laid_out == [rep for rep in charted if not thin_unit_filled(rep)]
+        thin = [beta for beta in classes if {m for _, m in beta.entries} == {1}]
+        assert (len(classes), len(thin)) == (395, 375)
+        assert [rep.beta for rep in charted] == [beta for beta in classes if beta not in thin]
+        assert laid_out == charted
         assert solved and not any(thin_unit_filled(rep) for rep in solved)
 
     def test_weight_zero_loop_is_not_injective_in_the_matrix_route_degree(self, monkeypatch):
-        """v at levels 0, 1 and 3 under the weight-0 loop l, and u at level 1 behind a from
-        v's level 0.  Degree 1 links v's pair 1 -> 0 through a, and degree 3 links 3 -> 0,
-        but the loop's column in degree 2 is zero, so nothing links v's pair 3 -> 1."""
-        beta = CoveringDimVector.from_dict({("v", (0,)): 1, ("v", (1,)): 1, ("v", (3,)): 1,
-                                            ("u", (1,)): 1})
-        one = ((1,),)
-        rep = bq.GradedRep(LOOPED, {"l": 0, "a": 1, "b": 3}, beta,
-                           {("a", 0): one, ("l", 0): one, ("l", 1): one, ("l", 3): one})
-        expected = matrix_route(rep)
-        assert expected == {1: (("l", 1, 0, 0),), 2: None, 3: (("l", 3, 0, 0), ("b", 1, 0, 0)),
-                            5: (("b", 3, 0, 0),)}
+        """v at levels 1 and 2 under the weight-0 loop l, and u at 3 and 4 behind a (weight
+        1) and b (weight 2): b joins v1 to u3, and a and b join v2 to u3 and u4, so the
+        support is linked.  Degree 1 has the pairs v 2 -> 1 and u 4 -> 3.  b's column joins
+        them to each other, and the loop's column at v 2 -> 1 is zero, so neither reaches
+        the ground."""
+        w = {"l": 0, "a": 1, "b": 2}
+        beta = CoveringDimVector.from_dict({("v", (1,)): 1, ("v", (2,)): 1, ("u", (3,)): 1,
+                                            ("u", (4,)): 1})
+        expected = "bracket with the fixed representation is not injective in degree 1"
+        assert outcome(matrix_chart, LOOPED, w, beta) == expected
         monkeypatch.setattr(cells, "_graded_blocks", None)  # the forest lays out nothing
-        with pytest.raises(InconsistencyError, match="not injective in degree 2$"):
-            bq.choose_complements(rep)
+        monkeypatch.setattr(cells, "_dim_end", None)  # ... and solves nothing
+        with pytest.raises(InconsistencyError, match="not injective in degree 1$"):
+            bq.chart_class(LOOPED, w, beta)
+
+    @pytest.mark.parametrize("quiver,d,weights", [
+        (bq.kronecker_quiver(3), "2,3", None),
+        (bq.kronecker_quiver(4), "2,3", None),
+        (bq.kronecker_quiver(6), "2,3", None),
+        (bq.kronecker_quiver(4), "2,5", None),
+        (bq.kronecker_quiver(4), "3,5", None),
+        (FRAMED_2_LOOP, "1,4", None),
+        (bq.kronecker_quiver(3), "2,3", {"rank": 2, "weights": {"a1": [1, 0], "a2": [0, 1],
+                                                                 "a3": [1, 1]}}),
+    ], ids=["K3 (2,3)", "K4 (2,3)", "K6 (2,3)", "K4 (2,5)", "K4 (3,5)", "2-loop (1,4)",
+            "rank-2 K3 (2,3)"])
+    def test_reports_equal_the_general_route(self, monkeypatch, tmp_path, capsys, quiver, d,
+                                             weights):
+        """`cells` and `normal-form`, in every format, write the same bytes when every thin
+        class is charted by the general route instead of `_thin_chart`."""
+        from bbquiver.cli import main
+
+        path = tmp_path / "quiver.json"
+        path.write_text(json.dumps(quiver.to_dict()))
+        argv = ["--quiver", str(path), "--dim", d, "--theta", "1,0"]
+        if weights:
+            (tmp_path / "w.json").write_text(json.dumps(weights))
+            argv += ["--weights", str(tmp_path / "w.json")]
+        runs = [[main([command, *argv, "--format", fmt]), capsys.readouterr()]
+                for command in ("cells", "normal-form") for fmt in ("text", "json", "latex")]
+        monkeypatch.setattr(cells, "_thin_chart", matrix_chart)
+        forced = [[main([command, *argv, "--format", fmt]), capsys.readouterr()]
+                  for command in ("cells", "normal-form") for fmt in ("text", "json", "latex")]
+        assert forced == runs and {code for code, _ in runs} == {0}
+
+
+class TestUnitFillOfANonThinClass:
+    """The 0/1 unit fill maps basis index r to index r, so it is the direct sum of its
+    index layers; where some multiplicity is 2 or more, dim End >= 2 and it never
+    certifies, so `build_fixed_rep` does not solve it."""
+
+    @pytest.mark.parametrize("arrows,d,count", [(6, (2, 3), 20), (5, (2, 3), 10),
+                                                (4, (2, 5), 4), (4, (3, 5), 280)])
+    def test_unit_fill_has_two_endomorphisms(self, arrows, d, count):
+        quiver = bq.kronecker_quiver(arrows)
+        w = bq.generic_rank1_weights(quiver)
+        wide = [beta for beta in bq.enumerate_compatible(quiver, w, d, (1, 0))
+                if {m for _, m in beta.entries} != {1}]
+        assert len(wide) == count
+        for beta in wide:
+            rep = cells.GradedRep(quiver, w, beta, {})
+            rep.blocks = next(cells._fills(rep._pairs, 0, True))
+            assert cells._dim_end(rep) >= 2, beta
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_unit_fill_of_any_wide_vector_has_two_endomorphisms(self, data):
+        quiver = data.draw(st.sampled_from((bq.kronecker_quiver(3), LOOPED, CYCLE3)))
+        w = {a.name: data.draw(st.integers(-2, 3)) for a in quiver.arrows}
+        support = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(quiver.vertices), st.integers(-2, 3)), st.integers(1, 3),
+            min_size=1, max_size=5))
+        assume(max(support.values()) >= 2)
+        beta = CoveringDimVector.from_dict({(v, (n,)): m for (v, n), m in support.items()})
+        rep = uncertified_reps(quiver, w, beta)[0]
+        assert cells._dim_end(rep) >= 2 and covering_hom_ext(rep, rep)[0] >= 2
+
+    @pytest.mark.parametrize("case", ["star5", "K3 type-2 star", "K4 (2,5)"])
+    def test_no_unit_fill_is_solved_for_a_non_thin_class(self, monkeypatch, k3, w3,
+                                                          star_quiver, case):
+        if case == "K4 (2,5)":
+            quiver = bq.kronecker_quiver(4)
+            w = bq.generic_rank1_weights(quiver)
+            betas = [beta for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0))
+                     if {m for _, m in beta.entries} != {1}]
+        else:
+            quiver, w, beta = unit_fill_fails(case, k3, w3, star_quiver)
+            betas = [beta]
+        solved, original = [], cells._dim_end
+        monkeypatch.setattr(cells, "_dim_end",
+                            lambda rep: solved.append(dict(rep.blocks)) or original(rep))
+        for beta in betas:
+            solved.clear()
+            rep = bq.build_fixed_rep(quiver, w, beta)
+            unit = next(cells._fills(rep._pairs, 0, True))
+            assert solved and unit not in solved
+            assert solved[-1] == rep.blocks

@@ -162,6 +162,22 @@ def test_oversized_input_exits_3_before_any_walk(tmp_path, k3, argv):
     assert re.search(r" \d+ .*; at most (1048576|4194304) are supported$", err["message"])
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_kronecker_rows_stream_in_bounded_memory(tmp_path, fmt):
+    """`kronecker` writes its rows as they are made.  At (l, r) = (24, 1) its 172 800
+    type-1 rows take 70 to 130 MB when held, while the streaming child peaks near 27 MB,
+    so it runs in an address space capped at 56 MB."""
+    cap = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (56 << 20,) * 2); "
+           "runpy.run_module('bbquiver.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", cap, "kronecker", "--l", "24", "--r", "1",
+                           "--format", fmt], capture_output=True, env=_module_env(),
+                          cwd=tmp_path, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) > 172_800
+    assert lines[-1].startswith({"json": "}", "text": "P(t) = 1 + ", "csv": "# P(t) = 1 + "}[fmt])
+
+
 def test_large_field_answers_at_once(capsys, k3_file):
     start = time.perf_counter()
     code = main(["count", *base_args(k3_file, "--field", str(2**61 - 1))])
@@ -627,25 +643,26 @@ def test_chart_dimension_failure_exits_4(capsys, monkeypatch, k3_file):
 
 
 def _move_a_free_coordinate(monkeypatch) -> list:
-    """Patch `cells.choose_complements` to move the first free coordinate of
-    each chart to a degree above all of the chart's degrees, which keeps the
-    chart's dimension.  Returns the degrees the coordinates left."""
+    """Patch `cells.chart_class` to move one free coordinate of each chart from its
+    lowest degree with any to a degree above all of them, which keeps the chart's
+    dimension.  Returns the degrees the coordinates left."""
     from bbquiver import cells
 
-    real, left = cells.choose_complements, []
+    real, left = cells.chart_class, []
 
-    def moved(rep, *args):
-        chart = real(rep, *args)
-        degrees = dict(chart.degrees)
-        for k, free in chart.degrees.items():
-            if free:
-                left.append(k)
-                degrees[k] = free[1:]
-                degrees[max(degrees) + 1] = free[:1]
-                break
-        return cells.CellChart(chart.base, degrees)
+    def moved(*args):
+        grids, free = real(*args)
+        free = dict(free)
+        if free:
+            k = min(free)
+            left.append(k)
+            free[max(free) + 1] = 1
+            free[k] -= 1
+            if not free[k]:
+                del free[k]
+        return grids, free
 
-    monkeypatch.setattr(cells, "choose_complements", moved)
+    monkeypatch.setattr(cells, "chart_class", moved)
     return left
 
 
