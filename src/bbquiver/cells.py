@@ -23,11 +23,12 @@ M to itself, and degree 0 resolves End(M).  One pass over pairs of distinct
 levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
 degree 0; `_hom_rows` assembles any such map as sparse rows, and the
 fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
-`choose_complements` reduces each distinct bracket layout once per report.
+`choose_complements` reduces each degree of a chart where it is laid out.
 One GradedRep per class indexes its levels and arrow pairs, and each fill of
 `_fills` is set on it in turn; only a certified representative has its
 positive degrees laid out.  Charts become plain grids (`emit_cell_table`).
-`chart_class` charts one class, and the CLI charts every class by it.  A
+`chart_class` charts one class from its beta and seed alone, and the CLI
+charts every class by it, with no state shared between charts.  A
 thin class (every multiplicity 1) takes none of the above: on its unit fill
 the bracket columns are graph edges, and `_thin_chart` certifies the fill,
 finds the same pivots and writes the grids in one union-find walk.  Hom and
@@ -205,7 +206,7 @@ def _fills(pairs, seed: int, unit: bool):
                for name, n, rows, cols, _, _ in pairs}
 
 
-NO_LIFT = f"no certified lift found for beta: the unit fill and {RANDOM_LIFTS} random fills failed"
+NO_LIFT = "no certified lift found for beta"
 
 
 def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
@@ -225,11 +226,13 @@ def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
     thin beta without a solve.)
     """
     rep = GradedRep(quiver, w, beta, {})
-    for blocks in _fills(rep._pairs, seed, set(rep._dims.values()) == {1}):
+    unit = set(rep._dims.values()) == {1}
+    for blocks in _fills(rep._pairs, seed, unit):
         rep.blocks = blocks
         if _dim_end(rep) == 1:
             return rep
-    raise InconsistencyError(NO_LIFT)
+    tried = f"the unit fill and {RANDOM_LIFTS}" if unit else f"its {RANDOM_LIFTS}"
+    raise InconsistencyError(f"{NO_LIFT}: {tried} random fills failed")
 
 
 class CellChart:
@@ -247,47 +250,31 @@ class CellChart:
         return sum(map(len, self.degrees.values()))
 
 
-def _free_cells(dom, cod):
-    """(codomain block index, row, col) of each non-pivot coordinate of the
-    bracket's image, in basis order; None when the bracket is not injective."""
-    pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else ()  # u_k = 0: all of R_k
-    if len(pivots) != _size(dom):
-        return None
-    cells = _basis([((i,), *block[1:3]) for i, block in enumerate(cod)])
-    return tuple(x for j, x in enumerate(cells) if j not in pivots)
-
-
 def _not_injective(k) -> InconsistencyError:
     return InconsistencyError(
         f"bracket with the fixed representation is not injective in degree {k}")
 
 
-def choose_complements(rep: GradedRep, memo: dict | None = None) -> CellChart:
+def choose_complements(rep: GradedRep) -> CellChart:
     """Keep the non-pivot standard coordinates of R_k, against the echelon
     pivots of the bracket image, as the chart's free directions in every
     positive degree, as {k: free coordinates}.
 
     The degrees are laid out once per call (`_graded_blocks`), so only a
-    certified representative pays for them, and reduced; each distinct
-    block layout is reduced once per `memo` (the CLI keeps one per report),
-    and its key is all that `_hom_rows` reads, so a hit is exact.  This is the
-    route of every rep; the CLI charts a thin class by `_thin_chart` instead.
+    certified representative pays for them, and each is reduced where it is
+    laid out.  This is the route of every rep; the CLI charts a thin class
+    by `_thin_chart` instead.
 
     Raises at the smallest degree where the bracket is not injective, which
     would contradict freeness of the unipotent action at a genuine fixed
     point.  Where u_k is zero the complement is all of R_k.
     """
-    memo = {} if memo is None else memo
     degrees = {}
     for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
-        at = {block[0]: i for i, block in enumerate(dom)}  # the key: shapes, endpoints, f and g
-        key = (tuple(block[1:] for block in dom),
-               tuple((rows, cols, at.get(x), at.get(y), f, g) for _, rows, cols, x, y, f, g in cod))
-        if (cells := memo.get(key, key)) is key:
-            cells = memo[key] = _free_cells(dom, cod)
-        if cells is None:
+        pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else ()  # u_k = 0: all of R_k
+        if len(pivots) != _size(dom):
             raise _not_injective(k)
-        degrees[k] = tuple([(*cod[i][0], r, c) for i, r, c in cells])
+        degrees[k] = tuple([x for j, x in enumerate(_basis(cod)) if j not in pivots])
     return CellChart(rep, degrees)
 
 
@@ -359,24 +346,25 @@ def _thin_chart(quiver: Quiver, w: dict, beta: CoveringDimVector) -> tuple[dict,
                     free[k] = free.get(k, 0) + 1
                     grid[row][col] = "*"
     if unlinked[0]:
-        raise InconsistencyError(NO_LIFT)
+        raise InconsistencyError(f"{NO_LIFT}: its support is unlinked, so no fill has dim End = 1")
     if bad := [k for k, left in unlinked.items() if left]:
         raise _not_injective(min(bad))
     return grids, free
 
 
-def chart_class(quiver: Quiver, w: dict, beta: CoveringDimVector, seed: int = 0,
-                memo: dict | None = None) -> tuple[dict, dict]:
+def chart_class(quiver: Quiver, w: dict, beta: CoveringDimVector,
+                seed: int = 0) -> tuple[dict, dict]:
     """The cell chart of the fixed point of class beta: its grids, as `emit_cell_table`
     writes them, and its number of free coordinates in each positive degree that has any.
 
     A thin beta takes `_thin_chart`.  Any other is charted at a certified representative:
-    `build_fixed_rep`, then `choose_complements` with `memo`, then `emit_cell_table`.
-    Raises as they do where no fill certifies or the bracket is not injective.
+    `build_fixed_rep`, then `choose_complements`, then `emit_cell_table`.  The chart depends
+    on beta and seed only; no state is kept between calls.  Raises as they do where no fill
+    certifies or the bracket is not injective.
     """
     if all(m == 1 for _, m in beta.entries):
         return _thin_chart(quiver, w, beta)
-    chart = choose_complements(build_fixed_rep(quiver, w, beta, seed), memo)
+    chart = choose_complements(build_fixed_rep(quiver, w, beta, seed))
     return emit_cell_table(chart), {k: len(cells) for k, cells in chart.degrees.items() if cells}
 
 

@@ -292,10 +292,8 @@ def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
     Each chart is checked against its component's tangent weights: degree k > 0
     has dim T_k free coordinates, att+ in all."""
     out, lines, memo, row_memo = [], [], {}, {}  # memos: entries and pattern grids -> JSON text
-    brackets: dict = {}  # bracket block layout -> free cells, for this report's charts
     for c in comps:
-        grids, free = cells.chart_class(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"],
-                                        brackets)
+        grids, free = cells.chart_class(cfg.quiver, cfg.weights, c.beta, cfg.inputs["seed"])
         weights = {k: m for k, m in c.weight_table.items() if k > 0}
         if free != weights:
             k = min(k for k in free.keys() | weights.keys() if free.get(k) != weights.get(k))
