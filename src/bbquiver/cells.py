@@ -19,22 +19,26 @@ which entries carry the stars is implementation-canonical, only their
 number is intrinsic.  Where u_k = 0 the complement is all of R_k.
 
 The bracket in degree k is the degree-k piece of the covering Hom map from
-M to itself, and degree 0 resolves End(M).  One pass over pairs of distinct
-levels (`_graded_blocks`) lays out every degree k > 0 and `_degree_zero`
-degree 0; `_hom_rows` assembles any such map as sparse rows, and the
-fraction-free kernel `linalg.leading_columns` finds its rank and pivots;
-`choose_complements` reduces each degree of a chart where it is laid out.
-One GradedRep per class indexes its levels and arrow pairs, and each fill of
-`_fills` is set on it in turn; only a certified representative has its
-positive degrees laid out.  Charts become plain grids (`emit_cell_table`).
-`chart_class` charts one class from its beta and seed alone, and the CLI
-charts every class by it, with no state shared between charts.  A
-thin class (every multiplicity 1) takes none of the above: on its unit fill
-the bracket columns are graph edges, and `_thin_chart` certifies the fill,
-finds the same pivots and writes the grids in one union-find walk.  Hom and
-Ext^1 between two representations, plain representations, dense bracket
-matrices and the twisted-filtration check of attractor membership are the
-tests' second route, and the general route is the thin walk's.
+M to itself, and the degrees k in Z together resolve End(M): degree 0 holds
+the scalars, so M is a brick (End = scalars) exactly when degree 0 has
+nullity 1 and every other degree's bracket is injective.  One pass over
+every ordered pair of levels (`_graded_blocks`) lays out every degree;
+`_hom_rows` assembles any such map as sparse rows, and the fraction-free
+kernel `linalg.leading_columns` finds its rank and pivots;
+`choose_complements` reduces each degree where it is laid out, certifies
+the brick and keeps the positive degrees' complements.  One GradedRep per
+class indexes its levels and arrow pairs, and each fill of `_fills` is set
+on it in turn, laid out and reduced once; the first fill that certifies is
+charted by the reductions that certified it.  Charts become plain grids
+(`emit_cell_table`).  `chart_class` charts one class from its beta and seed
+alone, and the CLI charts every class by it, with no state shared between
+charts.  A thin class (every multiplicity 1) takes none of the above: on
+its unit fill the bracket columns are graph edges, and `_thin_chart`
+certifies the fill by its degree 0, finds the same pivots and writes the
+grids in one union-find walk.  Hom and Ext^1 between two representations,
+plain representations, dense bracket matrices and the twisted-filtration
+check of attractor membership are the tests' second route, and the general
+route is the thin walk's.
 """
 
 from __future__ import annotations
@@ -126,54 +130,31 @@ class GradedRep:
                        if (rows := dims.get(tgt := (a.target, n + weights[a.name]), 0))]
 
 
-def _degree_zero(rep: GradedRep) -> tuple:
-    """Degree 0 of `_graded_blocks`, which resolves End(rep) over the covering:
-    a domain block per level, a codomain block per arrow level."""
-    dims, blocks = rep._dims, rep.blocks
-    dom = [((v, n), dims[(v, n)], dims[(v, n)]) for v in rep.quiver.vertices
-           for n in rep._levels.get(v, ())]
-    cod = [((a.name, n), dims[tgt], dims[(a.source, n)], (a.source, n), tgt,
-            blocks.get((a.name, n)), blocks.get((a.name, n)))
-           for a in rep.quiver.arrows for n in rep._levels.get(a.source, ())
-           if (tgt := (a.target, n + rep.weights[a.name])) in dims]
-    return dom, cod
-
-
-def _dim_end(rep: GradedRep) -> int:
-    """dim End(rep) over the covering: the nullity of degree 0."""
-    dom, cod = _degree_zero(rep)
-    return _size(dom) - len(leading_columns(_hom_rows(dom, cod)))
-
-
 def _graded_blocks(rep: GradedRep) -> dict:
-    """The bracket of u_k into R_k for every k > 0, in one pass over pairs of levels.
+    """The bracket of u_k into R_k for every degree k, in one pass over every
+    ordered pair of levels.
 
     Degree k maps the sum of Hom(V_{v,n}, V_{v,n-k}) to the sum of
-    Hom(V_{s(a),n}, V_{t(a),n+w_a-k}).  Returns {k: (dom, cod)} with only
-    nonempty degrees, in the block layout of `_hom_rows`, keyed by (v, n) and
-    (arrow, n) in declaration order, then ascending n.  Degree 0 is
-    `_degree_zero`.
+    Hom(V_{s(a),n}, V_{t(a),n+w_a-k}); together the degrees are the Hom map
+    of the plain representation to itself, split by degree.  Returns
+    {k: (dom, cod)} with only nonempty degrees, in the block layout of
+    `_hom_rows`, keyed by (v, n) and (arrow, n) in declaration order, then
+    ascending n.
     """
     dims, levels, blocks = rep._dims, rep._levels, rep.blocks
     out: dict = {}
-    # top level t meets the sorted levels m < t in degree t - m; each walk stops at the first m >= t
     for v in rep.quiver.vertices:
-        below = [(m, dims[(v, m)]) for m in levels.get(v, ())]
-        for n, cols in below:
-            for m, rows in below:
-                if m >= n:
-                    break
+        at = [(m, dims[(v, m)]) for m in levels.get(v, ())]
+        for n, cols in at:
+            for m, rows in at:
                 (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append(((v, n), rows, cols))
     for a in rep.quiver.arrows:
         name, target, wa = a.name, a.target, rep.weights[a.name]
-        below = [(m, dims[(target, m)], blocks.get((name, m - wa)))
-                 for m in levels.get(target, ())]
+        at = [(m, dims[(target, m)], blocks.get((name, m - wa))) for m in levels.get(target, ())]
         for n in levels.get(a.source, ()):
             top, key, src = n + wa, (name, n), (a.source, n)
             cols, tgt, f = dims[src], (target, top), blocks.get(key)
-            for m, rows, g in below:
-                if m >= top:
-                    break
+            for m, rows, g in at:
                 (out.get(top - m) or out.setdefault(top - m, ([], [])))[1].append(
                     (key, rows, cols, src, tgt, f, g))
     return out
@@ -190,7 +171,7 @@ def _link(parent: dict, x, y) -> bool:
     return x != y
 
 
-RANDOM_LIFTS = 5  # random fills tried where the unit fill does not certify or is not tried
+RANDOM_LIFTS = 24  # random fills tried after the unit fill, or alone where it is not tried
 
 
 def _fills(pairs, seed: int, unit: bool):
@@ -209,32 +190,6 @@ def _fills(pairs, seed: int, unit: bool):
 NO_LIFT = "no certified lift found for beta"
 
 
-def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
-                    seed: int = 0) -> GradedRep:
-    """A certified representative of the fixed point of class beta.
-
-    beta must already have passed the existence filter.  Certification is
-    dim End = 1 (`_dim_end`).  That also gives rigidity when beta is a
-    real root: in degree 0, dim Hom - dim Ext^1 is the size of the domain
-    minus the size of the codomain, which is <beta, beta>, so Hom = 1 forces
-    Ext^1 = 0 when <beta, beta> = 1.  One GradedRep indexes the class, and
-    each fill (`_fills`) is set on it in turn until one certifies: the 0/1
-    unit fill, then random ones.  The unit fill is tried only for a thin beta
-    (every multiplicity 1): its blocks map basis index r to index r, so it is
-    the direct sum of its index layers, and where some multiplicity is 2 or
-    more there are two layers and dim End >= 2.  (`chart_class` certifies a
-    thin beta without a solve.)
-    """
-    rep = GradedRep(quiver, w, beta, {})
-    unit = set(rep._dims.values()) == {1}
-    for blocks in _fills(rep._pairs, seed, unit):
-        rep.blocks = blocks
-        if _dim_end(rep) == 1:
-            return rep
-    tried = f"the unit fill and {RANDOM_LIFTS}" if unit else f"its {RANDOM_LIFTS}"
-    raise InconsistencyError(f"{NO_LIFT}: {tried} random fills failed")
-
-
 class CellChart:
     """Coordinates of the plus-attractor cell around a fixed representation."""
 
@@ -251,31 +206,64 @@ class CellChart:
 
 
 def _not_injective(k) -> InconsistencyError:
-    return InconsistencyError(
-        f"bracket with the fixed representation is not injective in degree {k}")
+    kernel = "has a kernel beyond the scalars" if k == 0 else "is not injective"
+    return InconsistencyError(f"bracket with the fixed representation {kernel} in degree {k}")
 
 
 def choose_complements(rep: GradedRep) -> CellChart:
-    """Keep the non-pivot standard coordinates of R_k, against the echelon
-    pivots of the bracket image, as the chart's free directions in every
-    positive degree, as {k: free coordinates}.
+    """Certify that End(rep) is the scalars, and keep the non-pivot standard
+    coordinates of R_k, against the echelon pivots of the bracket image, as
+    the chart's free directions in every positive degree, as {k: free
+    coordinates}.
 
-    The degrees are laid out once per call (`_graded_blocks`), so only a
-    certified representative pays for them, and each is reduced where it is
-    laid out.  This is the route of every rep; the CLI charts a thin class
-    by `_thin_chart` instead.
-
-    Raises at the smallest degree where the bracket is not injective, which
-    would contradict freeness of the unipotent action at a genuine fixed
-    point.  Where u_k is zero the complement is all of R_k.
+    Every degree is laid out in one pass (`_graded_blocks`) and reduced
+    where it is laid out, in ascending order.  End(rep) is the sum of the
+    kernels, so it is the scalars exactly when degree 0 has nullity 1 and
+    every other degree's bracket is injective; raises at the smallest degree
+    where that fails.  Where u_k is zero the complement is all of R_k.
     """
     degrees = {}
     for k, (dom, cod) in sorted(_graded_blocks(rep).items()):
         pivots = set(leading_columns(_hom_rows(dom, cod))) if dom else ()  # u_k = 0: all of R_k
-        if len(pivots) != _size(dom):
+        if len(pivots) != _size(dom) - (k == 0):
             raise _not_injective(k)
-        degrees[k] = tuple([x for j, x in enumerate(_basis(cod)) if j not in pivots])
+        if k > 0:
+            degrees[k] = tuple([x for j, x in enumerate(_basis(cod)) if j not in pivots])
     return CellChart(rep, degrees)
+
+
+def _certified_chart(quiver: Quiver, w: dict, beta: CoveringDimVector, seed: int) -> CellChart:
+    """The chart (`choose_complements`) of the first fill of beta that certifies.
+
+    One GradedRep indexes the class, and each fill (`_fills`) is set on it
+    in turn, laid out and reduced once, until End is the scalars: the 0/1
+    unit fill, then random ones.  The unit fill is tried only for a thin
+    beta (every multiplicity 1): its blocks map basis index r to index r, so
+    it is the direct sum of its index layers, and where some multiplicity is
+    2 or more there are two layers and dim End >= 2.  A failing fill is
+    skipped for the next.  Where beta is a real root, dim End_0 = 1 alone
+    forces Ext^1 = 0 over the covering (dim Hom - dim Ext^1 there is the
+    size of degree 0's domain minus its codomain's, <beta, beta> = 1), so
+    such a fill is the generic, stable one and passes in every degree.
+    """
+    rep = GradedRep(quiver, w, beta, {})
+    unit = set(rep._dims.values()) == {1}
+    for blocks in _fills(rep._pairs, seed, unit):
+        rep.blocks = blocks
+        try:
+            return choose_complements(rep)
+        except InconsistencyError:
+            pass
+    tried = f"the unit fill and {RANDOM_LIFTS}" if unit else f"its {RANDOM_LIFTS}"
+    raise InconsistencyError(f"{NO_LIFT}: {tried} random fills failed")
+
+
+def build_fixed_rep(quiver: Quiver, w: dict, beta: CoveringDimVector,
+                    seed: int = 0) -> GradedRep:
+    """A certified representative of the fixed point of class beta, whose End is
+    the scalars: the base of `_certified_chart`.  beta must already have passed
+    the existence filter."""
+    return _certified_chart(quiver, w, beta, seed).base
 
 
 def emit_cell_table(chart: CellChart) -> dict:
@@ -312,8 +300,10 @@ def _thin_chart(quiver: Quiver, w: dict, beta: CoveringDimVector) -> tuple[dict,
     edges form a forest, so the echelon pivots, the first independent columns in basis
     order (arrows, then n, then m, ascending), are the edges a union-find pass keeps, and
     the columns that close a cycle are free.  Degree 0 has no ground: its columns are the
-    unit entries, and dim End = 1, the certificate, exactly when they join every level
-    into one tree (as in King's criterion); where they do not, no fill of beta certifies.
+    unit entries, and dim End_0 = 1, the certificate, exactly when they join every level
+    into one tree; where they do not, no fill of beta certifies.  On a class that passed
+    the existence filter, such a unit fill is stable by King's criterion, so it is a brick
+    and its negative degrees need no check.
     """
     levels: dict = {}  # per vertex, {level: its row or column in the grids}, ascending
     for (v, (n,)), _ in beta.entries:
@@ -357,14 +347,14 @@ def chart_class(quiver: Quiver, w: dict, beta: CoveringDimVector,
     """The cell chart of the fixed point of class beta: its grids, as `emit_cell_table`
     writes them, and its number of free coordinates in each positive degree that has any.
 
-    A thin beta takes `_thin_chart`.  Any other is charted at a certified representative:
-    `build_fixed_rep`, then `choose_complements`, then `emit_cell_table`.  The chart depends
-    on beta and seed only; no state is kept between calls.  Raises as they do where no fill
-    certifies or the bracket is not injective.
+    A thin beta takes `_thin_chart`.  Any other is charted at its first certified fill
+    (`_certified_chart`), whose reductions are the chart, by `emit_cell_table`.  The chart
+    depends on beta and seed only; no state is kept between calls.  Raises where no fill
+    certifies, or where the thin walk finds a bracket that is not injective.
     """
     if all(m == 1 for _, m in beta.entries):
         return _thin_chart(quiver, w, beta)
-    chart = choose_complements(build_fixed_rep(quiver, w, beta, seed))
+    chart = _certified_chart(quiver, w, beta, seed)
     return emit_cell_table(chart), {k: len(cells) for k, cells in chart.degrees.items() if cells}
 
 

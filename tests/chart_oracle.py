@@ -3,9 +3,9 @@
 Plain (ungraded) representations with their Hom and Ext^1; graded ones
 built from blocks of any rational entries, checked for shape and frozen
 (`graded_rep`, where the program's GradedRep takes the int blocks of its
-fills as they are); the one walk over pairs of levels that lays out every
-degree k >= 0 of the Hom map between two graded representations at once
-(the reference for `_degree_zero` and `_graded_blocks`, which lay out a
+fills as they are); the one walk over every ordered pair of levels that
+lays out every degree k of the Hom map between two graded representations
+at once (the reference for `_graded_blocks`, which lays out a
 representation against itself) and their Hom and Ext^1 over the covering,
 read from its degree 0; the dense matrix of the bracket in one degree; a
 graded representation read level by level; a chart's free coordinates as
@@ -149,33 +149,29 @@ def covering_hom_ext(M: GradedRep, N: GradedRep) -> tuple[int, int]:
     degree-0 piece of the graded Hom blocks."""
     if M.quiver != N.quiver or M.weights != N.weights:
         raise ValidationError("graded representations live over different coverings")
-    return _hom_ext_of(*graded_blocks_from_zero(M, N).get(0, ([], [])))
+    return _hom_ext_of(*graded_hom_blocks(M, N).get(0, ([], [])))
 
 
-def graded_blocks_from_zero(M: GradedRep, N: GradedRep) -> dict:
-    """{k: (dom, cod)} for every nonempty degree k >= 0, in one walk over the
-    pairs of levels m <= n: for N = M, the layout that `_degree_zero` (k = 0)
-    and `_graded_blocks` (k > 0) split between them."""
+def graded_hom_blocks(M: GradedRep, N: GradedRep) -> dict:
+    """{k: (dom, cod)} for every nonempty degree k of the Hom map from M to N, in
+    one walk over every ordered pair of levels: for N = M, the layout of
+    `_graded_blocks`."""
     m_dims, m_levels, n_dims, n_levels = M._dims, M._levels, N._dims, N._levels
     out: dict = {}
     for v in M.quiver.vertices:
-        below = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
+        at = [(m, n_dims[(v, m)]) for m in n_levels.get(v, ())]
         for n in m_levels.get(v, ()):
             key, cols = (v, n), m_dims[(v, n)]
-            for m, rows in below:
-                if m > n:
-                    break
+            for m, rows in at:
                 (out.get(n - m) or out.setdefault(n - m, ([], [])))[0].append((key, rows, cols))
     for a in M.quiver.arrows:
         name, target, wa = a.name, a.target, M.weights[a.name]
-        below = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
-                 for m in n_levels.get(target, ())]
+        at = [(m, n_dims[(target, m)], N.blocks.get((name, m - wa)))
+              for m in n_levels.get(target, ())]
         for n in m_levels.get(a.source, ()):
             top, key, src = n + wa, (name, n), (a.source, n)
             cols, tgt, f = m_dims[src], (target, top), M.blocks.get(key)
-            for m, rows, g in below:
-                if m > top:
-                    break
+            for m, rows, g in at:
                 (out.get(top - m) or out.setdefault(top - m, ([], [])))[1].append(
                     (key, rows, cols, src, tgt, f, g))
     return out
@@ -243,7 +239,8 @@ def ungraded(rep: GradedRep) -> Representation:
 
 
 def _degree_candidates(rep: GradedRep) -> list[int]:
-    return sorted(_graded_blocks(rep))
+    """The positive degrees of rep's layout, ascending."""
+    return sorted(k for k in _graded_blocks(rep) if k > 0)
 
 
 def graded_pieces(rep: GradedRep, k: int):

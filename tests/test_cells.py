@@ -18,7 +18,7 @@ from chart_oracle import (
     block,
     covering_hom_ext,
     free_coordinates,
-    graded_blocks_from_zero,
+    graded_hom_blocks,
     graded_isomorphic,
     graded_pieces,
     graded_rep,
@@ -154,6 +154,12 @@ def thin_unit_filled(rep):
             and all(blk == ((1,),) for blk in rep.blocks.values()))
 
 
+def is_brick(rep) -> bool:
+    """Whether End of rep's plain representation is the scalars, by the oracle's Hom."""
+    plain = ungraded(rep)
+    return hom_ext(plain, plain)[0] == 1
+
+
 THIN_QUIVERS = (bq.kronecker_quiver(3), bq.kronecker_quiver(4),
                 *(bq.Quiver.from_arrows(("c", *(f"p{k}" for k in range(1, n + 1))),
                                         [(f"f{k}", "c", f"p{k}") for k in range(1, n + 1)])
@@ -202,36 +208,41 @@ class TestCertificate:
                 assert hom - ext == euler, (beta, rep.blocks)
 
     def test_graded_blocks_built_once_per_representative(self, monkeypatch, k3, w3, k3_classes):
-        """`chart_class` charts a thin class by `_thin_chart`, which builds no representative
-        and lays out no degree; every other class is laid out once, at the representative
-        `build_fixed_rep` certified."""
-        calls, reps = [], []
-        original, build = cells._graded_blocks, cells.build_fixed_rep
+        """`chart_class` charts a thin class by `_thin_chart`, which lays out no degree; every
+        other class lays out each fill it tries once, all on one GradedRep, and is charted at
+        the last of them with no further layout.  At seed 17 the K3 (2,3) class that is not
+        thin skips two fills before one certifies."""
+        laid_out, emitted = [], []
+        original, emit = cells._graded_blocks, cells.emit_cell_table
         monkeypatch.setattr(cells, "_graded_blocks",
-                            lambda M, *rest: calls.append((M, rest)) or original(M, *rest))
-        monkeypatch.setattr(cells, "build_fixed_rep",
-                            lambda *args: reps.append(build(*args)) or reps[-1])
-        thin = 0
-        for beta in k3_classes:
-            calls.clear()
-            reps.clear()
-            bq.chart_class(k3, w3, beta)
-            assert all(rest == () for _, rest in calls)
-            built = [M for M, _ in calls]
-            if {m for _, m in beta.entries} == {1}:
-                thin += 1
-                assert built == [] and reps == []
-            else:
-                assert len(built) == 1 and len(reps) == 1 and built[0] is reps[0]
-        assert 0 < thin < len(k3_classes)
+                            lambda M: laid_out.append((M, M.blocks)) or original(M))
+        monkeypatch.setattr(cells, "emit_cell_table",
+                            lambda chart: emitted.append((chart, len(laid_out))) or emit(chart))
+        thin, tried = 0, set()
+        for seed in (0, 17):
+            for beta in k3_classes:
+                laid_out.clear()
+                emitted.clear()
+                bq.chart_class(k3, w3, beta, seed)
+                if {m for _, m in beta.entries} == {1}:
+                    thin += 1
+                    assert laid_out == [] and emitted == []
+                    continue
+                ((chart, seen),) = emitted
+                fills = [blocks for _, blocks in laid_out]
+                assert all(M is chart.base for M, _ in laid_out) and seen == len(laid_out)
+                assert fills[-1] is chart.base.blocks
+                assert all(fills[i] != fills[j] for i in range(len(fills)) for j in range(i))
+                tried.add(len(fills))
+        assert 0 < thin < 2 * len(k3_classes) and tried == {1, 3}
 
     def test_thin_classes_make_no_solve(self, monkeypatch):
         quiver = bq.kronecker_quiver(4)
         w = bq.generic_rank1_weights(quiver)
         calls = []
-        original = cells._dim_end
-        monkeypatch.setattr(cells, "_dim_end",
-                            lambda *args: calls.append(args) or original(*args))
+        for name in ("_graded_blocks", "leading_columns"):
+            monkeypatch.setattr(cells, name, lambda arg, name=name, real=getattr(cells, name):
+                                calls.append(name) or real(arg))
         thin = 0
         for beta in bq.enumerate_compatible(quiver, w, (2, 5), (1, 0)):
             calls.clear()
@@ -240,7 +251,7 @@ class TestCertificate:
                 thin += 1
                 assert calls == []
             else:
-                assert calls
+                assert {"_graded_blocks", "leading_columns"} <= set(calls)
         assert thin == 54
 
     def test_one_representative_per_class(self, monkeypatch, k3, w3, star_quiver):
@@ -261,9 +272,10 @@ class TestCertificate:
 
     def test_unlinked_thin_class_raises_without_a_solve(self, monkeypatch, k3):
         """No fill certifies a thin class whose support the arrows do not link, so none
-        is solved: j at level -1 lies behind no positive weight from i at level 0."""
+        is laid out or solved: j at level -1 lies behind no positive weight from i at level 0."""
         calls = []
-        monkeypatch.setattr(cells, "_dim_end", lambda *args: calls.append(args) or 1)
+        monkeypatch.setattr(cells, "_graded_blocks", lambda *args: calls.append(args) or {})
+        monkeypatch.setattr(cells, "leading_columns", lambda *args: calls.append(args) or [])
         beta = CoveringDimVector.from_dict({("i", (0,)): 1, ("j", (-1,)): 1})
         with pytest.raises(InconsistencyError, match="no certified lift"):
             bq.chart_class(k3, bq.generic_rank1_weights(k3), beta)
@@ -271,7 +283,10 @@ class TestCertificate:
 
     def test_random_fills_that_fail_are_named_alone(self, monkeypatch, k3, w3, star_quiver):
         """A non-thin class is offered its random fills only, and the error says so."""
-        monkeypatch.setattr(cells, "_dim_end", lambda rep: 2)
+        def not_a_brick(rep):
+            raise cells._not_injective(0)
+
+        monkeypatch.setattr(cells, "choose_complements", not_a_brick)
         with pytest.raises(InconsistencyError, match="no certified lift") as raised:
             bq.chart_class(*unit_fill_fails("star5", k3, w3, star_quiver))
         assert f"{cells.RANDOM_LIFTS} random fills failed" in str(raised.value)
@@ -289,28 +304,41 @@ class TestCertificate:
     @settings(max_examples=80, deadline=None)
     @given(thin_classes())
     def test_thin_class_certifies_exactly_when_its_unit_fill_does(self, case):
+        """Each route's certificate, against the oracle.  The thin walk certifies the unit
+        fill when its End_0 over the covering is 1.  The general route offers the unit fill
+        first and certifies a fill when its plain End is 1, the scalars."""
         quiver, w, beta = case
         unit = uncertified_reps(quiver, w, beta)[0]
-        if covering_hom_ext(unit, unit)[0] == 1:
-            assert bq.build_fixed_rep(quiver, w, beta).blocks == unit.blocks
-            assert not str(outcome(bq.chart_class, quiver, w, beta)).startswith("no certified")
+        walked = outcome(bq.chart_class, quiver, w, beta)
+        assert str(walked).startswith(cells.NO_LIFT) == (covering_hom_ext(unit, unit)[0] != 1)
+        rep = outcome(bq.build_fixed_rep, quiver, w, beta)
+        if is_brick(unit):
+            assert rep.blocks == unit.blocks
+        elif isinstance(rep, str):
+            assert rep.startswith(cells.NO_LIFT)
         else:
-            with pytest.raises(InconsistencyError):
-                bq.build_fixed_rep(quiver, w, beta)
-            with pytest.raises(InconsistencyError, match="no certified lift"):
-                bq.chart_class(quiver, w, beta)
+            assert is_brick(rep) and rep.blocks != unit.blocks
 
     @pytest.mark.parametrize("case", ["star5", "K3 type-2 star"])
     def test_positive_degrees_laid_out_once_for_the_returned_representative(
             self, monkeypatch, k3, w3, star_quiver, case):
+        """At seed 17 the type-2 star skips two fills.  The fill that certifies is laid out
+        once, every degree of it is solved once, and its chart is emitted from those
+        reductions, with no further layout or solve."""
         quiver, w, beta = unit_fill_fails(case, k3, w3, star_quiver)
-        calls = []
-        original = cells._graded_blocks
+        events = []
+        layout, leading, emit = cells._graded_blocks, cells.leading_columns, cells.emit_cell_table
         monkeypatch.setattr(cells, "_graded_blocks",
-                            lambda M: calls.append(M) or original(M))
-        rep = bq.build_fixed_rep(quiver, w, beta)
-        bq.choose_complements(rep)
-        assert len(calls) == 1 and calls[0] is rep
+                            lambda M: events.append(layout(M)) or events[-1])
+        monkeypatch.setattr(cells, "leading_columns",
+                            lambda rows: events.append("solve") or leading(rows))
+        monkeypatch.setattr(cells, "emit_cell_table",
+                            lambda chart: events.append("emit") or emit(chart))
+        bq.chart_class(quiver, w, beta, 17)
+        fills = [i for i, event in enumerate(events) if isinstance(event, dict)]
+        assert len(fills) == (3 if case == "K3 type-2 star" else 1)
+        solved = sum(1 for dom, _ in events[fills[-1]].values() if dom)
+        assert events[fills[-1] + 1:] == ["solve"] * solved + ["emit"]
 
 
 class TestGradedPieces:
@@ -551,16 +579,22 @@ class TestAgainstTheDenseRoute:
                 assert free == tuple(r[i] for i in range(len(r)) if i not in pivots)
 
 
-class TestAgainstTheWalkFromDegreeZero:
-    """`_degree_zero` and `_graded_blocks` split the one walk over pairs of
-    levels m <= n that laid out every degree at once, on one representation
-    against itself; the oracle's Hom and Ext^1 tests cover pairs of two."""
+class TestAgainstTheOracleWalk:
+    """`_graded_blocks` lays out every degree of a representation against itself in one
+    walk over every ordered pair of levels, as the oracle's walk of two representations
+    does at M = N.  Together the degrees resolve the plain representation, so their
+    nullities and coranks sum to its Hom and Ext^1."""
 
     @staticmethod
     def check(rep):
-        every = graded_blocks_from_zero(rep, rep)
-        assert cells._degree_zero(rep) == every.pop(0, ([], []))
-        assert cells._graded_blocks(rep) == every
+        layout = cells._graded_blocks(rep)
+        assert layout == graded_hom_blocks(rep, rep)
+        hom = ext = 0
+        for dom, cod in layout.values():
+            rk = len(cells.leading_columns(cells._hom_rows(dom, cod)))
+            hom, ext = hom + cells._size(dom) - rk, ext + cells._size(cod) - rk
+        plain = ungraded(rep)
+        assert (hom, ext) == hom_ext(plain, plain)
 
     def test_golden_cases_and_shifted_pairs(self, k3_lifts, star_quiver):
         quiver = bq.kronecker_quiver(4)
@@ -591,22 +625,29 @@ def chart_or_error(rep):
 
 
 def rref_chart_or_error(rep):
-    """`chart_or_error` by the dense route: in each degree, the coordinates of R_k that are
-    not `rref` pivots of the columns of `dense_bracket`, up to the smallest degree where
-    the bracket is not injective, whose error it gives instead."""
-    out = []
-    for k in _degree_candidates(rep):
+    """`chart_or_error` by the dense route.  Every degree that a pair of levels meets, in
+    ascending order, is ranked by `rref` on the columns of `dense_bracket`.  At the first
+    degree whose kernel is more than the scalars (in degree 0) or nonzero (elsewhere), its
+    error; else the coordinates of R_k that are not pivots, in each positive degree."""
+    quiver, out = rep.quiver, []
+    degrees = {n - m for v in quiver.vertices for n in levels(rep, v) for m in levels(rep, v)}
+    degrees |= {n + arrow_weight(rep, a.name) - m for a in quiver.arrows
+                for n in levels(rep, a.source) for m in levels(rep, a.target)}
+    for k in sorted(degrees):
         u, r, ad = dense_bracket(rep, k)
         pivots = rref([list(col) for col in zip(*ad)])[1] if u else ()
-        if len(pivots) != len(u):
-            return f"bracket with the fixed representation is not injective in degree {k}"
-        out.append((k, tuple(x for i, x in enumerate(r) if i not in pivots)))
+        if len(u) - len(pivots) != (k == 0):
+            kernel = "has a kernel beyond the scalars" if k == 0 else "is not injective"
+            return f"bracket with the fixed representation {kernel} in degree {k}"
+        if k > 0:
+            out.append((k, tuple(x for i, x in enumerate(r) if i not in pivots)))
     return out
 
 
 class TestBracketMemo:
-    """Charts share no bracket memo: each chart reduces each of its degrees where it lays
-    it out, to the pivots of the dense route."""
+    """Charts share no bracket memo: each chart lays out every degree of its
+    representation and reduces it where it is laid out, to the pivots of the dense route,
+    and raises where the dense route finds End beyond the scalars."""
 
     @staticmethod
     def check(reps):
@@ -642,8 +683,10 @@ class TestBracketMemo:
 
     def test_k4_cells_reduces_each_degree_once(self, monkeypatch, tmp_path, capsys):
         """`cells` on K4 (2,5) charts 444 positive degrees with a bracket to reduce.
-        The 54 thin classes are charted by `_thin_chart`, so only the 24 such degrees of
-        the 4 other classes reach `choose_complements`, and each is solved once there."""
+        The 54 thin classes are charted by `_thin_chart`, so only the 4 other classes reach
+        `choose_complements`.  Each certifies at its first fill, whose 13 degrees with a
+        bracket (6 positive, degree 0 and 6 negative) are each solved once there: 52 solves.
+        """
         from bbquiver.cli import main
 
         path = tmp_path / "k4.json"
@@ -654,7 +697,7 @@ class TestBracketMemo:
 
         def chart(quiver, w, beta, *rest):
             layout = cells._graded_blocks(cells.GradedRep(quiver, w, beta, {}))
-            reduced.extend(k for k, (dom, _) in layout.items() if dom)
+            reduced.extend(k for k, (dom, _) in layout.items() if dom and k > 0)
             return real_chart(quiver, w, beta, *rest)
 
         def choose(rep):
@@ -674,7 +717,7 @@ class TestBracketMemo:
         monkeypatch.setattr(cells, "leading_columns", leading)
         assert main(["cells", "--quiver", str(path), "--dim", "2,5", "--theta", "1,0"]) == 0
         capsys.readouterr()
-        assert len(reduced) == 444 and len(solves) == 24
+        assert len(reduced) == 444 and len(solves) == 52
 
 
 def outcome(fn, *args):
@@ -686,10 +729,31 @@ def outcome(fn, *args):
 
 
 def matrix_chart(quiver, w, beta, seed=0):
-    """`chart_class` by the general route, which charts a thin class correctly too:
-    `build_fixed_rep`, `choose_complements` and `emit_cell_table`."""
+    """`chart_class` by the general route, which charts a thin class that passed the
+    existence filter correctly too: `build_fixed_rep`, `choose_complements` and
+    `emit_cell_table`."""
     chart = cells.choose_complements(cells.build_fixed_rep(quiver, w, beta, seed))
     return cells.emit_cell_table(chart), {k: len(free) for k, free in chart.degrees.items() if free}
+
+
+def unit_chart(quiver, w, beta):
+    """`_thin_chart` by the dense route, on the unit fill.  Where its End_0 over the
+    covering is not 1, the walk's error.  Else the grids, as `emit_cell_table` writes
+    them, of the coordinates of R_k that are not `rref` pivots of the columns of
+    `dense_bracket` in each positive degree, and their counts; or the error of the
+    smallest positive degree where the bracket is not injective."""
+    rep = uncertified_reps(quiver, w, beta)[0]
+    if covering_hom_ext(rep, rep)[0] != 1:
+        return f"{cells.NO_LIFT}: its support is unlinked, so no fill has dim End = 1"
+    degrees = {}
+    for k in _degree_candidates(rep):
+        u, r, ad = dense_bracket(rep, k)
+        pivots = rref([list(col) for col in zip(*ad)])[1] if u else ()
+        if len(pivots) != len(u):
+            return f"bracket with the fixed representation is not injective in degree {k}"
+        degrees[k] = tuple(x for i, x in enumerate(r) if i not in pivots)
+    grids = cells.emit_cell_table(cells.CellChart(rep, degrees))
+    return grids, {k: len(free) for k, free in degrees.items() if free}
 
 
 FRAMED_2_LOOP = bq.Quiver.from_arrows(("inf", "o"), [("f", "inf", "o"), ("l1", "o", "o"),
@@ -710,8 +774,10 @@ def looped_thin_classes(draw):
 
 
 class TestForestRoute:
-    """`_thin_chart` charts a thin class by a spanning forest of its bracket columns, and
-    gives the grids, the free counts and the errors of the general route exactly."""
+    """`_thin_chart` charts a thin class by a spanning forest of its bracket columns.  On a
+    class that passed the existence filter it gives the grids and free counts of the
+    general route exactly; on any thin class, the grids, free counts and errors of the
+    dense route on its unit fill, certified by End_0."""
 
     @pytest.mark.parametrize("quiver,d", [(bq.kronecker_quiver(3), (2, 3)),
                                           (bq.kronecker_quiver(4), (2, 3)),
@@ -731,11 +797,7 @@ class TestForestRoute:
     @settings(max_examples=150, deadline=None)
     @given(looped_thin_classes())
     def test_thin_unit_reps(self, case):
-        expected = outcome(matrix_chart, *case)
-        if isinstance(expected, str) and expected.startswith(cells.NO_LIFT):
-            # the general route names the fills it tried; the walk, which tries none, the support
-            expected = f"{cells.NO_LIFT}: its support is unlinked, so no fill has dim End = 1"
-        assert outcome(cells._thin_chart, *case) == expected
+        assert outcome(cells._thin_chart, *case) == unit_chart(*case)
 
     def test_k6_cells_reduces_non_thin_classes_only(self, monkeypatch, tmp_path, capsys):
         """While `cells` on K6 (2,3) charts its 395 classes, only its 20 non-thin classes
@@ -790,9 +852,9 @@ class TestForestRoute:
         beta = CoveringDimVector.from_dict({("v", (1,)): 1, ("v", (2,)): 1, ("u", (3,)): 1,
                                             ("u", (4,)): 1})
         expected = "bracket with the fixed representation is not injective in degree 1"
-        assert outcome(matrix_chart, LOOPED, w, beta) == expected
+        assert unit_chart(LOOPED, w, beta) == expected
         monkeypatch.setattr(cells, "_graded_blocks", None)  # the forest lays out nothing
-        monkeypatch.setattr(cells, "_dim_end", None)  # ... and solves nothing
+        monkeypatch.setattr(cells, "leading_columns", None)  # ... and solves nothing
         with pytest.raises(InconsistencyError, match="not injective in degree 1$"):
             bq.chart_class(LOOPED, w, beta)
 
@@ -827,10 +889,23 @@ class TestForestRoute:
         assert forced == runs and {code for code, _ in runs} == {0}
 
 
+@st.composite
+def wide_classes(draw):
+    """Covering vectors with some multiplicity 2 or more, of K3, LOOPED or the oriented
+    3-cycle, under weights in -2..3."""
+    quiver = draw(st.sampled_from((bq.kronecker_quiver(3), LOOPED, CYCLE3)))
+    w = {a.name: draw(st.integers(-2, 3)) for a in quiver.arrows}
+    support = draw(st.dictionaries(
+        st.tuples(st.sampled_from(quiver.vertices), st.integers(-2, 3)), st.integers(1, 3),
+        min_size=1, max_size=5))
+    assume(max(support.values()) >= 2)
+    return quiver, w, CoveringDimVector.from_dict({(v, (n,)): m for (v, n), m in support.items()})
+
+
 class TestUnitFillOfANonThinClass:
     """The 0/1 unit fill maps basis index r to index r, so it is the direct sum of its
     index layers; where some multiplicity is 2 or more, dim End >= 2 and it never
-    certifies, so `build_fixed_rep` does not solve it."""
+    certifies, so `build_fixed_rep` does not lay it out."""
 
     @pytest.mark.parametrize("arrows,d,count", [(6, (2, 3), 20), (5, (2, 3), 10),
                                                 (4, (2, 5), 4), (4, (3, 5), 280)])
@@ -843,20 +918,15 @@ class TestUnitFillOfANonThinClass:
         for beta in wide:
             rep = cells.GradedRep(quiver, w, beta, {})
             rep.blocks = next(cells._fills(rep._pairs, 0, True))
-            assert cells._dim_end(rep) >= 2, beta
+            assert covering_hom_ext(rep, rep)[0] >= 2, beta
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_unit_fill_of_any_wide_vector_has_two_endomorphisms(self, data):
-        quiver = data.draw(st.sampled_from((bq.kronecker_quiver(3), LOOPED, CYCLE3)))
-        w = {a.name: data.draw(st.integers(-2, 3)) for a in quiver.arrows}
-        support = data.draw(st.dictionaries(
-            st.tuples(st.sampled_from(quiver.vertices), st.integers(-2, 3)), st.integers(1, 3),
-            min_size=1, max_size=5))
-        assume(max(support.values()) >= 2)
-        beta = CoveringDimVector.from_dict({(v, (n,)): m for (v, n), m in support.items()})
-        rep = uncertified_reps(quiver, w, beta)[0]
-        assert cells._dim_end(rep) >= 2 and covering_hom_ext(rep, rep)[0] >= 2
+    @given(wide_classes())
+    def test_unit_fill_of_any_wide_vector_has_two_endomorphisms(self, case):
+        rep = uncertified_reps(*case)[0]
+        assert covering_hom_ext(rep, rep)[0] >= 2
+        with pytest.raises(InconsistencyError, match="^bracket with the fixed representation"):
+            cells.choose_complements(rep)
 
     @pytest.mark.parametrize("case", ["star5", "K3 type-2 star", "K4 (2,5)"])
     def test_no_unit_fill_is_solved_for_a_non_thin_class(self, monkeypatch, k3, w3,
@@ -869,12 +939,95 @@ class TestUnitFillOfANonThinClass:
         else:
             quiver, w, beta = unit_fill_fails(case, k3, w3, star_quiver)
             betas = [beta]
-        solved, original = [], cells._dim_end
-        monkeypatch.setattr(cells, "_dim_end",
-                            lambda rep: solved.append(dict(rep.blocks)) or original(rep))
+        laid_out, original = [], cells._graded_blocks
+        monkeypatch.setattr(cells, "_graded_blocks",
+                            lambda rep: laid_out.append(dict(rep.blocks)) or original(rep))
         for beta in betas:
-            solved.clear()
+            laid_out.clear()
             rep = bq.build_fixed_rep(quiver, w, beta)
             unit = next(cells._fills(rep._pairs, 0, True))
-            assert solved and unit not in solved
-            assert solved[-1] == rep.blocks
+            assert laid_out and unit not in laid_out
+            assert laid_out[-1] == rep.blocks
+
+
+def k4_wide_classes():
+    """K4 (3,5) under the generic weights, with its 280 classes that are not thin."""
+    quiver = bq.kronecker_quiver(4)
+    w = bq.generic_rank1_weights(quiver)
+    return quiver, w, [beta for beta in bq.enumerate_compatible(quiver, w, (3, 5), (1, 0))
+                       if {m for _, m in beta.entries} != {1}]
+
+
+class TestBrickCertificate:
+    """A fill certifies exactly when End of its plain representation is the scalars (a
+    brick), as the oracle's `hom_ext` finds it.  End_0 = 1 over the covering is not enough:
+    on K4 (3,5) some random fills have End_0 = 1 and an endomorphism in another degree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graded_reps())
+    def test_a_fill_certifies_exactly_when_it_is_a_brick(self, rep):
+        assert (not isinstance(outcome(cells.choose_complements, rep), str)) == is_brick(rep)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(thin_classes(), looped_thin_classes(), wide_classes()), st.integers(0, 99))
+    def test_random_fills_certify_exactly_when_they_are_bricks(self, case, seed):
+        rep = uncertified_reps(*case, seed)[1]
+        assert (not isinstance(outcome(cells.choose_complements, rep), str)) == is_brick(rep)
+
+    @pytest.mark.parametrize("seed", [1, 16, 18])
+    def test_k4_fills_certify_exactly_when_they_are_bricks(self, seed):
+        """Every fill `cells` tries on the non-thin classes of K4 (3,5), up to the one that
+        certifies.  At seed 1 some that certified before had End_0 = 1 and a positive-degree
+        endomorphism, at 18 some had one in a negative degree only, and at 16 one class
+        failed all of its first five fills."""
+        quiver, w, wide = k4_wide_classes()
+        tried = 0
+        for beta in wide:
+            rep = cells.GradedRep(quiver, w, beta, {})
+            for blocks in cells._fills(rep._pairs, seed, False):
+                rep.blocks = blocks
+                tried += 1
+                certified = not isinstance(outcome(cells.choose_complements, rep), str)
+                assert certified == is_brick(rep), (beta, blocks)
+                if certified:
+                    break
+            assert certified, beta
+        assert tried > len(wide)
+
+    @pytest.mark.parametrize("arrows,d,seeds", [(4, (3, 5), (18, 19)), (3, (3, 4), (0, 59))],
+                             ids=["K4 (3,5)", "K3 (3,4)"])
+    def test_representatives_are_bricks(self, arrows, d, seeds):
+        quiver = bq.kronecker_quiver(arrows)
+        w = bq.generic_rank1_weights(quiver)
+        wide = [beta for beta in bq.enumerate_compatible(quiver, w, d, (1, 0))
+                if {m for _, m in beta.entries} != {1}]
+        assert wide
+        for seed in seeds:
+            for beta in wide:
+                assert is_brick(bq.build_fixed_rep(quiver, w, beta, seed)), (seed, beta)
+
+
+@pytest.mark.parametrize("arrows,d,seed", [(4, "3,5", 1), (4, "3,5", 16), (4, "3,5", 18),
+                                           (3, "3,4", 59)],
+                         ids=["K4 (3,5) seed 1", "K4 (3,5) seed 16", "K4 (3,5) seed 18",
+                              "K3 (3,4) seed 59"])
+def test_charts_at_once_unlucky_seeds_have_att_plus(tmp_path, capsys, arrows, d, seed):
+    """`cells` and `normal-form` chart every class with att+ coordinates where a certificate
+    by End_0 alone, or five random fills, failed: K4 (3,5) at seed 1 met a fill with a
+    positive-degree endomorphism, at 16 a class whose first five fills failed, and at 18
+    charted a representative with dim End = 2; K3 (3,4) at 59 ran out of fills."""
+    from bbquiver.cli import main
+
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(bq.kronecker_quiver(arrows).to_dict()))
+    argv = ["--quiver", str(path), "--dim", d, "--theta", "1,0", "--format", "json"]
+
+    def rows(command, key, *extra):
+        assert main([command, *argv, *extra]) == 0
+        return {json.dumps(r["beta"]): r for r in json.loads(capsys.readouterr().out)[key]}
+
+    att = {beta: r["att_plus"] for beta, r in rows("fixed-points", "components").items()}
+    charts = rows("cells", "cells", "--seed", str(seed))
+    assert {beta: r["dimension"] for beta, r in charts.items()} == att
+    normal = rows("normal-form", "normal_forms", "--seed", str(seed))
+    assert normal and all(r["dimension"] == att[beta] for beta, r in normal.items())

@@ -302,6 +302,21 @@ class TestEndToEnd:
     def test_pipeline_agrees_with_closed_form_slow(self, l, r):
         self._check(l, r)
 
+    @pytest.mark.parametrize("l", [7, 8])
+    def test_one_arrow_torus_agrees_with_closed_form(self, tmp_path, capsys, l):
+        """P(t) does not depend on the torus.  Under weight 1 on a1 and 0 on every other
+        arrow, `poincare` on K(l+1) (2,7) sums a handful of classes to the (l, 3) closed
+        form: the (7,3) and (8,3) rungs of the ladder, without a `slow` run."""
+        quiver = bq.kronecker_quiver(l + 1)
+        (tmp_path / "q.json").write_text(json.dumps(quiver.to_dict()))
+        (tmp_path / "w.json").write_text(json.dumps(
+            {"rank": 1, "weights": {a.name: [int(a.name == "a1")] for a in quiver.arrows}}))
+        assert main(["poincare", "--quiver", str(tmp_path / "q.json"), "--dim", "2,7",
+                     "--theta", "1,0", "--weights", str(tmp_path / "w.json"),
+                     "--format", "json"]) == 0
+        closed = {str(d): c for d, c in bq.kronecker_poincare(l, 3).coefficients}
+        assert json.loads(capsys.readouterr().out)["poincare"] == closed
+
     @staticmethod
     def _check(l, r):
         quiver = bq.kronecker_quiver(l + 1)
