@@ -12,6 +12,18 @@ over the 0 < f < e with mu(f) > mu(d).  For theta-coprime d the semistable
 points are stable with free PG_d-orbits, so |M^st_d(F_q)| = s(d) / |PG_d(F_q)|
 exactly.  The identity is polynomial in q, so any integer q >= 2 serves.
 
+The recursion runs on orbits of twin vertices: loop-free vertices with d_i = 1,
+equal theta_i and equal multisets of in-arrow sources and out-arrow targets.
+No arrow joins two twins, since it would force a loop.  Swapping two twins is
+an automorphism of (Q, d, theta), so s(e) and the slope of e depend only on how
+many vertices e holds in each twin group G (a vertex that is no twin is a
+group of its own).  So does a(f, e) = sum_G f_G ae_G: each member of G has the
+same number m of arrows to each member of H, so ae_G = sum_H m e_H reads the
+arrows of one member of G into one member of each H.  The f <= e of one orbit
+give equal terms, and there are prod_G C(e_G, f_G) of them; on a twin, [1
+choose f_i]_q = 1.  On a star with x leaves the recursion visits at most
+3 (x + 1) orbits where the walk over every vector visits up to 3 * 2^x.
+
 `has_stable` decides whether the stable moduli is nonempty.  On a thin d
 (every d_i 0 or 1) it applies King's criterion (A. D. King, Q. J. Math. 45,
 1994) to the generic representation, which puts a nonzero scalar on every
@@ -24,6 +36,7 @@ the answer off the count at q = 2.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .core import Quiver, box, check_vector, slope_scores
@@ -49,11 +62,32 @@ def pg_order(dims, q: int) -> int:
     return total // (q - 1)
 
 
-def _plan(quiver: Quiver, d, theta) -> list:
-    """The recursion's steps [(e, a(e, e), [(step of f, a(e - f, e), f) for the
-    destabilizing f < e])], for each destabilizing e and then d, f before e."""
-    arrows = quiver.arrow_pairs
-    score = slope_scores(theta, d)
+def _plan(quiver: Quiver, d, theta) -> tuple:
+    """(twins, steps): the recursion on orbits of twin vertices (module docstring).
+
+    A coordinate counts a vector's vertices in one group, placed at its first
+    vertex; `twins` lists the groups of two or more.  The steps [(e, a(e, e),
+    [(step of f, a(e - f, e), f) for the destabilizing f < e])] run over each
+    destabilizing orbit e and then d, f before e; on a twin-free input they are
+    the ungrouped steps.  The full box of d is refused beyond `core.BOX_LIMIT`.
+    """
+    box(d)
+    ins, outs = [[] for _ in d], [[] for _ in d]
+    for s, t in quiver.arrow_pairs:
+        outs[s].append(t)
+        ins[t].append(s)
+    groups: dict = {}
+    for i, x in enumerate(d):
+        twin = x == 1 and i not in ins[i]
+        key = (theta[i], tuple(sorted(ins[i])), tuple(sorted(outs[i]))) if twin else i
+        groups.setdefault(key, []).append(i)
+    first = {g[0]: k for k, g in enumerate(groups.values())}
+    # each member of G has m(G, H) arrows to each member of H, so to H's first vertex
+    arrows = [(first[s], first[t]) for s, t in quiver.arrow_pairs if s in first and t in first]
+    scores = slope_scores(theta, d)
+    score = [scores[i] for i in first]
+    twins = [k for k, g in enumerate(groups.values()) if len(g) > 1]
+    d = tuple(d[g[0]] * len(g) for g in groups.values())
     vecs = []
     for e in box(d):
         side = sum(map(operator.mul, score, e))  # > 0 iff mu(e) > mu(d)
@@ -62,12 +96,13 @@ def _plan(quiver: Quiver, d, theta) -> list:
         elif side == 0 and any(e) and e != d:
             raise UnsupportedError(_NOT_COPRIME)
     vecs.append(d)
-    # one bit field per vertex: f <= e iff no field of (e | guard) - f borrows its guard bit
+    # one bit field per coordinate: f <= e iff no field of (e | guard) - f borrows its guard bit
     width = max(d).bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(len(d)))
     codes = [sum(x << (width * i) for i, x in enumerate(e)) for e in vecs]
     # a(f, e) = f . ae is the middle field of (f packed) * (ae packed in reverse); every field
-    # of that product is at most |f| |ae| <= |d| * (sum of d_t over the arrows), so none carries
+    # of that product is at most |f| |ae| <= |d| * (sum of d_t over the arrows kept), where
+    # d_t counts t's group, so none carries
     span = (sum(d) * sum(d[t] for _, t in arrows)).bit_length() or 1
     mid, mask = span * (len(d) - 1), (1 << span) - 1
     packed = [sum(x << (span * i) for i, x in enumerate(f)) for f in vecs]
@@ -81,16 +116,17 @@ def _plan(quiver: Quiver, d, theta) -> list:
         top = codes[j] | guard
         plan.append((e, aee, [(k, aee - ((packed[k] * rev >> mid) & mask), vecs[k])
                               for k in range(j) if (top - codes[k]) & guard == guard]))
-    return plan
+    return twins, plan
 
 
 def stable_counts(quiver: Quiver, d, theta, qs) -> list:
     """[(q, |M^theta-st_d(F_q)|)] for each integer q >= 2 in qs.
 
-    Raises ValidationError for a malformed or zero d or theta and for a q that
-    is not an int >= 2, UnsupportedError unless d is theta-coprime with a box
-    of at most `core.BOX_LIMIT` vectors, and InconsistencyError if s(d) is not
-    divisible by |PG_d(F_q)|.
+    A term f < e of `_plan`'s recursion stands for the prod_G C(e_G, f_G)
+    vectors of its orbit below e.  Raises ValidationError for a malformed or
+    zero d or theta and for a q that is not an int >= 2, UnsupportedError
+    unless d is theta-coprime with a box of at most `core.BOX_LIMIT` vectors,
+    and InconsistencyError if s(d) is not divisible by |PG_d(F_q)|.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -100,20 +136,25 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
     for q in qs:
         if type(q) is not int or q < 2:
             raise ValidationError(f"q must be an integer >= 2, got {q!r}")
-    plan = _plan(quiver, d, theta)
-    big = [i for i, x in enumerate(d) if x > 1]  # elsewhere [e_i choose f_i]_q = 1
+    twins, plan = _plan(quiver, d, theta)
+    orbits = plan[-1][0]
+    # a vertex with d_i <= 1 has [e_i choose f_i]_q = 1; a twin group G weighs C(e_G, f_G)
+    big = [i for i, x in enumerate(orbits) if x > 1 and i not in twins]
+    comb = {(n, m): math.comb(n, m)
+            for n in range(max([orbits[i] for i in twins], default=0) + 1) for m in range(n + 1)}
     out = []
     for q in qs:
         binom = {(n, m): gl_order(n, q) // (gl_order(m, q) * gl_order(n - m, q) * q**(m * (n - m)))
                  for n in range(max(d) + 1) for m in range(n + 1)}
+        tables = [(i, binom) for i in big] + [(i, comb) for i in twins]
         power = [q**x for x in range(plan[-1][1] + 1)]
         s: list = []
         for e, aee, terms in plan:
             v = power[aee]
             for k, x, f in terms:
                 t = s[k] * power[x]
-                for i in big:
-                    t *= binom[e[i], f[i]]
+                for i, b in tables:
+                    t *= b[e[i], f[i]]
                 v -= t
             s.append(v)
         count, rest = divmod(s[-1], pg_order(d, q))

@@ -1,8 +1,11 @@
 """The Harder-Narasimhan count against independent routes: brute-force F_q
 counts, Kirwan's subspace-star formula, the Kronecker closed form and the
-per-pair recursion of `hn_oracle`; `has_stable`'s King criterion on thin d
-against the count; and the base-q digit reader that turns two counts into a
-Poincare polynomial, against Lagrange interpolation of dim + 2 counts."""
+ungrouped per-pair recursion of `hn_oracle`, also on quivers with planted
+twins; `has_stable`'s King criterion on thin d against the count; and the
+base-q digit reader that turns two counts into a Poincare polynomial, against
+Lagrange interpolation of dim + 2 counts."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,10 +48,21 @@ def test_matches_brute_force(quiver, d, theta):
     assert stable_counts(quiver, d, theta, (2, 3)) == brute
 
 
-@pytest.mark.parametrize("x", [3, 5, 7])
+@pytest.mark.parametrize("x", [3, 5, 7, 9, 11, 13, 15])
 def test_star_support_matches_kirwan(x):
+    """The x leaves are twins, so the recursion runs on the orbits 0 <= e <= (2, x): at most
+    3 (x + 1) steps where the ungrouped walk has up to 3 * 2^x."""
     d, theta = (2,) + (1,) * x, (1,) + (0,) * x
     assert hn_poincare(star(x), d, theta, x - 3) == bq.kirwan_subspace_poincare(x)
+    twins, steps = hn._plan(star(x), d, theta)
+    assert twins == [1] and len(steps) <= 3 * (x + 1)
+
+
+def test_star_box_limit_counts_every_vertex():
+    """The box refusal reads the full box 0 <= e <= d, 3 * 2^20 vectors on the 20-leaf star,
+    not the 63 orbits the recursion would visit."""
+    with pytest.raises(UnsupportedError, match="holds 3145728 vectors"):
+        stable_counts(star(20), (2,) + (1,) * 20, (1,) + (0,) * 20, (2,))
 
 
 @pytest.mark.parametrize("l,r", [(3, 1), (4, 1), (3, 2), (5, 2),
@@ -113,6 +127,78 @@ def test_counts_match_the_per_pair_reference(instance):
     quiver, d, theta = instance
     idx = quiver.vertex_index
     a = sum(d[idx(x.source)] * d[idx(x.target)] for x in quiver.arrows)
+    qs = (2, 3, 2 ** (a + 2))
+    assert outcome(stable_counts, quiver, d, theta, qs) == \
+        outcome(hn_oracle.stable_counts, quiver, d, theta, qs)
+
+
+@st.composite
+def twin_instances(draw):
+    """A quiver on up to 4 vertices whose arrows join any ordered pair, loops and 2-cycles
+    included, with d <= 2 and theta in [-5, 5]; then up to 3 planted twins.  Each copies the
+    theta and the arrows of a vertex with d = 1 onto a new vertex with d = 1, a loop as a loop
+    at the copy, so a looped vertex's copy is no twin."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    d = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    theta = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    d[draw(st.integers(0, n - 1))] = 1
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.sampled_from([i for i, x in enumerate(d) if x == 1]))
+        w = len(d)
+        arrows += [(w if s == v else s, w if t == v else t) for s, t in arrows if v in (s, t)]
+        d.append(1)
+        theta.append(theta[v])
+    quiver = bq.Quiver.from_arrows(tuple(f"v{i}" for i in range(len(d))),
+                                   [(f"a{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(arrows)])
+    return quiver, tuple(d), tuple(theta)
+
+
+def twin_groups(quiver, d, theta) -> list:
+    """The sizes of the groups of two or more twins, straight from the definition."""
+    arrows = quiver.arrow_pairs
+
+    def profile(i):
+        return (theta[i], Counter(s for s, t in arrows if t == i),
+                Counter(t for s, t in arrows if s == i))
+
+    groups: list = []
+    for i in (i for i, x in enumerate(d) if x == 1 and (i, i) not in arrows):
+        group = next((g for g in groups if profile(g[0]) == profile(i)), None)
+        if group:
+            group.append(i)
+        else:
+            groups.append([i])
+    return sorted(len(g) for g in groups if len(g) > 1)
+
+
+def ungrouped_plan(quiver, d, theta):
+    return [], hn_oracle.plan(quiver, d, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dag_instances(6, st.integers(0, 2)), twin_instances()))
+def test_plan_groups_exactly_the_twins(instance):
+    """`_plan` gives each group of twins one coordinate, which counts its vertices.  On a
+    twin-free input its steps are the ungrouped reference's, step for step, refusals too."""
+    quiver, d, theta = instance
+    sizes = twin_groups(quiver, d, theta)
+    plan = outcome(hn._plan, quiver, d, theta)
+    if not sizes:
+        assert plan == outcome(ungrouped_plan, quiver, d, theta)
+    elif not isinstance(plan, str):
+        twins, steps = plan
+        assert sorted(steps[-1][0][k] for k in twins) == sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_instances())
+def test_twin_counts_match_the_ungrouped_reference(instance):
+    """On quivers with planted twins, cyclic ones included, the recursion on orbits gives
+    the ungrouped reference's counts at q = 2, 3 and 2^(a+2), and its refusals."""
+    quiver, d, theta = instance
+    a = sum(d[s] * d[t] for s, t in quiver.arrow_pairs)
     qs = (2, 3, 2 ** (a + 2))
     assert outcome(stable_counts, quiver, d, theta, qs) == \
         outcome(hn_oracle.stable_counts, quiver, d, theta, qs)

@@ -302,11 +302,11 @@ class TestEndToEnd:
     def test_pipeline_agrees_with_closed_form_slow(self, l, r):
         self._check(l, r)
 
-    @pytest.mark.parametrize("l", [7, 8])
+    @pytest.mark.parametrize("l", [7, 8, 9])
     def test_one_arrow_torus_agrees_with_closed_form(self, tmp_path, capsys, l):
         """P(t) does not depend on the torus.  Under weight 1 on a1 and 0 on every other
         arrow, `poincare` on K(l+1) (2,7) sums a handful of classes to the (l, 3) closed
-        form: the (7,3) and (8,3) rungs of the ladder, without a `slow` run."""
+        form: the (7,3), (8,3) and (9,3) rungs of the ladder, without a `slow` run."""
         quiver = bq.kronecker_quiver(l + 1)
         (tmp_path / "q.json").write_text(json.dumps(quiver.to_dict()))
         (tmp_path / "w.json").write_text(json.dumps(
