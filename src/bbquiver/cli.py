@@ -375,21 +375,15 @@ def _is_prime_power(q: int) -> bool:
     """q = p^k for a prime p and k >= 1.
 
     The least root r of q (q = r^k with k largest) is p exactly when q is a
-    power of the prime p.  It is found by taking exact prime-th roots while
-    there are any.  A root r >= MR_BOUND is still shown composite by a factor
-    in MR_BASES or, up to FERMAT_BITS bits, by failing the base-2 Fermat
-    test; otherwise it raises UnsupportedError, since primality cannot be
-    certified there.
+    power of the prime p.  It is the exact k-th root for the first k that
+    has one, scanning down from the bit length of q to k = 1.  A root r >=
+    MR_BOUND is still shown composite by a factor in MR_BASES or, up to
+    FERMAT_BITS bits, by failing the base-2 Fermat test; otherwise it raises
+    UnsupportedError, since primality cannot be certified there.
     """
     if q < 2:
         return False
-    root, k = q, 2
-    while k <= root.bit_length():
-        r = _iroot(root, k)
-        if r**k == root:
-            root = r
-        else:
-            k = next(p for p in itertools.count(k + 1) if _is_prime(p))
+    root = next(r for k in range(q.bit_length(), 0, -1) if (r := _iroot(q, k)) ** k == q)
     if root >= MR_BOUND:
         if any(root % p == 0 for p in MR_BASES) or (
                 root.bit_length() <= FERMAT_BITS and pow(2, root - 1, root) != 1):

@@ -20,9 +20,12 @@ many vertices e holds in each twin group G (a vertex that is no twin is a
 group of its own).  So does a(f, e) = sum_G f_G ae_G: each member of G has the
 same number m of arrows to each member of H, so ae_G = sum_H m e_H reads the
 arrows of one member of G into one member of each H.  The f <= e of one orbit
-give equal terms, and there are prod_G C(e_G, f_G) of them; on a twin, [1
-choose f_i]_q = 1.  On a star with x leaves the recursion visits at most
-3 (x + 1) orbits where the walk over every vector visits up to 3 * 2^x.
+give equal terms, prod_G C(e_G, f_G) of them.  So a term weighs prod_G [e_G
+choose f_G] from one table of q-binomials built by Pascal's rule, read at q on
+a vertex of its own and at q = 1, where it is C(e_G, f_G), on a twin group.
+An orbit scores theta'' . e as its vectors do, so d is refused as not
+theta-coprime when an orbit other than 0 and d scores 0.  On a star with x
+leaves the recursion visits at most 3 (x + 1) orbits, not up to 3 * 2^x.
 
 `has_stable` decides whether the stable moduli is nonempty.  On a thin d
 (every d_i 0 or 1) it applies King's criterion (A. D. King, Q. J. Math. 45,
@@ -46,20 +49,24 @@ _NOT_COPRIME = "the HN count needs a theta-coprime dimension vector"
 
 
 def gl_order(n: int, q: int) -> int:
-    total = 1
-    for k in range(n):
-        total *= q**n - q**k
-    return total
+    return math.prod(q**n - q**k for k in range(n))
 
 
 def pg_order(dims, q: int) -> int:
-    """|PG_d(F_q)| = prod_i |GL_{d_i}(F_q)| / (q - 1)."""
-    total = 1
-    for d in dims:
-        total *= gl_order(d, q)
-    if total % (q - 1) != 0:
-        raise UnsupportedError("group order not divisible by q-1")
-    return total // (q - 1)
+    """|PG_d(F_q)| = prod_i |GL_{d_i}(F_q)| / (q - 1), exact for d != 0: the factor of a
+    d_i > 0 has q^{d_i} - 1 among its own factors."""
+    return math.prod(gl_order(x, q) for x in dims) // (q - 1)
+
+
+def q_binomials(n: int, q: int) -> list:
+    """rows[k][m] = [k choose m]_q for 0 <= m <= k <= n, by Pascal's rule
+    [k choose m]_q = [k-1 choose m-1]_q + q^m [k-1 choose m]_q; at q = 1, C(k, m)."""
+    power = [q**m for m in range(n + 1)]
+    rows = [[1]]
+    for k in range(1, n + 1):
+        row = rows[-1]
+        rows.append([1, *(row[m - 1] + power[m] * row[m] for m in range(1, k)), 1])
+    return rows
 
 
 def _plan(quiver: Quiver, d, theta) -> tuple:
@@ -69,7 +76,9 @@ def _plan(quiver: Quiver, d, theta) -> tuple:
     vertex; `twins` lists the groups of two or more.  The steps [(e, a(e, e),
     [(step of f, a(e - f, e), f) for the destabilizing f < e])] run over each
     destabilizing orbit e and then d, f before e; on a twin-free input they are
-    the ungrouped steps.  The full box of d is refused beyond `core.BOX_LIMIT`.
+    the ungrouped steps.  theta'' . e is one list over the orbit box, in `box`
+    order; d is refused as not theta-coprime if it holds a zero besides e = 0
+    and e = d.  The full box of d is refused beyond `core.BOX_LIMIT`.
     """
     box(d)
     ins, outs = [[] for _ in d], [[] for _ in d]
@@ -88,14 +97,12 @@ def _plan(quiver: Quiver, d, theta) -> tuple:
     score = [scores[i] for i in first]
     twins = [k for k, g in enumerate(groups.values()) if len(g) > 1]
     d = tuple(d[g[0]] * len(g) for g in groups.values())
-    vecs = []
-    for e in box(d):
-        side = sum(map(operator.mul, score, e))  # > 0 iff mu(e) > mu(d)
-        if side > 0:
-            vecs.append(e)
-        elif side == 0 and any(e) and e != d:
-            raise UnsupportedError(_NOT_COPRIME)
-    vecs.append(d)
+    sides = [0]  # theta'' . e for each orbit e in `box` order: > 0 iff mu(e) > mu(d)
+    for x, n in zip(score, d):
+        sides = [y + k * x for y in sides for k in range(n + 1)]
+    if sides.count(0) > 2:  # e = 0 and e = d both score 0
+        raise UnsupportedError(_NOT_COPRIME)
+    vecs = [e for e, side in zip(box(d), sides) if side > 0] + [d]
     # one bit field per coordinate: f <= e iff no field of (e | guard) - f borrows its guard bit
     width = max(d).bit_length() + 1
     guard = sum(1 << (width * i + width - 1) for i in range(len(d)))
@@ -123,10 +130,12 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
     """[(q, |M^theta-st_d(F_q)|)] for each integer q >= 2 in qs.
 
     A term f < e of `_plan`'s recursion stands for the prod_G C(e_G, f_G)
-    vectors of its orbit below e.  Raises ValidationError for a malformed or
-    zero d or theta and for a q that is not an int >= 2, UnsupportedError
-    unless d is theta-coprime with a box of at most `core.BOX_LIMIT` vectors,
-    and InconsistencyError if s(d) is not divisible by |PG_d(F_q)|.
+    vectors of its orbit below e.  It weighs prod_i [e_i choose f_i] from one
+    Pascal table (`q_binomials`), read at q and, on a twin group, at q = 1.
+    Raises ValidationError for a malformed or zero d or theta and for a q that
+    is not an int >= 2, UnsupportedError unless d is theta-coprime with a box
+    of at most `core.BOX_LIMIT` vectors, and InconsistencyError if s(d) is not
+    divisible by |PG_d(F_q)|.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
@@ -138,15 +147,12 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
             raise ValidationError(f"q must be an integer >= 2, got {q!r}")
     twins, plan = _plan(quiver, d, theta)
     orbits = plan[-1][0]
-    # a vertex with d_i <= 1 has [e_i choose f_i]_q = 1; a twin group G weighs C(e_G, f_G)
-    big = [i for i, x in enumerate(orbits) if x > 1 and i not in twins]
-    comb = {(n, m): math.comb(n, m)
-            for n in range(max([orbits[i] for i in twins], default=0) + 1) for m in range(n + 1)}
+    comb = q_binomials(max([orbits[i] for i in twins], default=0), 1)
     out = []
     for q in qs:
-        binom = {(n, m): gl_order(n, q) // (gl_order(m, q) * gl_order(n - m, q) * q**(m * (n - m)))
-                 for n in range(max(d) + 1) for m in range(n + 1)}
-        tables = [(i, binom) for i in big] + [(i, comb) for i in twins]
+        binom = q_binomials(max(orbits), q)
+        # a coordinate of at most 1 weighs 1; a twin group reads the table at q = 1
+        tables = [(i, comb if i in twins else binom) for i, x in enumerate(orbits) if x > 1]
         power = [q**x for x in range(plan[-1][1] + 1)]
         s: list = []
         for e, aee, terms in plan:
@@ -154,7 +160,7 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
             for k, x, f in terms:
                 t = s[k] * power[x]
                 for i, b in tables:
-                    t *= b[e[i], f[i]]
+                    t *= b[e[i]][f[i]]
                 v -= t
             s.append(v)
         count, rest = divmod(s[-1], pg_order(d, q))
@@ -169,13 +175,14 @@ def has_stable(quiver: Quiver, d, theta) -> bool:
 
     A thin d is decided by King's criterion, any other d by the count at
     q = 2: M^st is then smooth and projective with |M^st(F_q)| =
-    sum_i b_{2i} q^i and b_0 = 1 when nonempty.  Both routes refuse a d that
-    is not theta-coprime with the count's UnsupportedError.
+    sum_i b_{2i} q^i and b_0 = 1 when nonempty.  A zero d raises
+    ValidationError, as in `stable_counts`; both routes refuse a d that is not
+    theta-coprime with the count's UnsupportedError.
     """
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
     if sum(d) == 0:
-        raise UnsupportedError("d must be nonzero")
+        raise ValidationError("d must be nonzero")
     if not quiver.is_acyclic():
         raise UnsupportedError("the existence test needs an acyclic quiver")
     if max(d) == 1:

@@ -1,11 +1,12 @@
 """The ungrouped Harder-Narasimhan recursion with one pairing sum per pair, kept for the tests.
 
 The plan and its evaluation as `bbquiver.hn` computed them before the pairing
-a(f, e) = f . ae became one product of packed integers and before the
-recursion ran on orbits of twin vertices: here every vector 0 <= e <= d is its
-own step, and each pair sums f_i * ae_i over the vertices.  It takes no input
-checks; a d that is not theta-coprime is refused by the plan with the count's
-own UnsupportedError.  No numpy.
+a(f, e) = f . ae became one product of packed integers, before the recursion
+ran on orbits of twin vertices and before its q-binomials came from Pascal's
+rule: here every vector 0 <= e <= d is its own step, each pair sums f_i * ae_i
+over the vertices, and [n choose m]_q is a quotient of `gl_order`s.  It takes
+no input checks; a d that is not theta-coprime is refused by the plan with the
+count's own UnsupportedError.  No numpy.
 """
 
 import itertools

@@ -1,10 +1,12 @@
 """The Harder-Narasimhan count against independent routes: brute-force F_q
-counts, Kirwan's subspace-star formula, the Kronecker closed form and the
-ungrouped per-pair recursion of `hn_oracle`, also on quivers with planted
-twins; `has_stable`'s King criterion on thin d against the count; and the
-base-q digit reader that turns two counts into a Poincare polynomial, against
-Lagrange interpolation of dim + 2 counts."""
+counts, Kirwan's subspace-star formula, the Kronecker closed form, Grassmannian
+point counts and the ungrouped per-pair recursion of `hn_oracle`, also on
+quivers with planted twins; its Pascal table of q-binomials against the
+group-order quotient; `has_stable`'s King criterion on thin d against the
+count; and the base-q digit reader that turns two counts into a Poincare
+polynomial, against Lagrange interpolation of dim + 2 counts."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -15,7 +17,7 @@ import hn_oracle
 from bbquiver import betti, hn
 from bbquiver.betti import PoincarePolynomial, interpolate_from_counts, stable_poincare
 from bbquiver.errors import InconsistencyError, UnsupportedError, ValidationError
-from bbquiver.hn import stable_counts
+from bbquiver.hn import gl_order, stable_counts
 from lagrange_oracle import interpolate
 
 
@@ -71,6 +73,38 @@ def test_whole_space_matches_closed_form(l, r):
     quiver, d = bq.kronecker_quiver(l + 1), (2, 2 * r + 1)
     dim = 1 - bq.euler_form(quiver, d, d)
     assert hn_poincare(quiver, d, (1, 0), dim) == bq.kronecker_poincare(l, r)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 2**61])
+def test_pascal_table_is_the_group_order_quotient(q):
+    assert hn.q_binomials(12, q) == [
+        [gl_order(n, q) // (gl_order(m, q) * gl_order(n - m, q) * q**(m * (n - m)))
+         for m in range(n + 1)] for n in range(13)]
+
+
+def test_pascal_table_at_1_is_the_binomial_coefficients():
+    assert hn.q_binomials(12, 1) == [[math.comb(n, m) for m in range(n + 1)] for n in range(13)]
+
+
+def gaussian_binomial(m, n, q):
+    """[m choose n]_q = prod_{i < n} (q^(m-i) - 1) / (q^(i+1) - 1) for n <= m, else 0."""
+    if n > m:
+        return 0
+    return math.prod(q**(m - i) - 1 for i in range(n)) // math.prod(q**(i + 1) - 1 for i in range(n))
+
+
+@pytest.mark.parametrize("m,n", [(6, 3), (48, 40), (64, 60), (3, 100)])
+def test_framed_kronecker_counts_the_grassmannian(m, n):
+    """K_m at d = (1, n), theta = (1, 0): a stable point is m vectors spanning F^n up to
+    GL_n, so the moduli is the Grassmannian Gr(n, m) with [m choose n]_q points, none
+    when m < n."""
+    assert stable_counts(bq.kronecker_quiver(m), (1, n), (1, 0), (2, 3)) == \
+        [(q, gaussian_binomial(m, n, q)) for q in (2, 3)]
+
+
+def test_has_stable_refuses_a_zero_d_as_malformed(k3):
+    with pytest.raises(ValidationError, match="d must be nonzero"):
+        bq.has_stable(k3, (0, 0), (1, 0))
 
 
 def test_non_coprime_refused():
