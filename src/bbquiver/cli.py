@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import betti, cells, covering, fixedpoints, hn, kronecker
-from .core import Quiver, euler_form, is_coprime
+from .core import NOT_COPRIME, Quiver, euler_form, is_coprime
 from .covering import WeightAssignment, generic_rank1_weights
 from .errors import InconsistencyError, UnsupportedError, ValidationError
 
@@ -76,14 +76,9 @@ def _load_config(args: dict) -> RunConfig:
         inputs["weights"] = w.to_dict()
         w, codec = covering.reduce_to_rank_one(w, dim)
     inputs.update((key, args[key]) for key in ("filter", "field", "seed") if key in args)
+    if not is_coprime(quiver, dim, theta):
+        raise UnsupportedError(NOT_COPRIME)
     return RunConfig(quiver, dim, theta, w, codec, args["format"], inputs)
-
-
-def _require_coprime(cfg: RunConfig):
-    if not is_coprime(cfg.quiver, cfg.dim, cfg.theta):
-        raise UnsupportedError(
-            "dimension vector is not theta-coprime; only the coprime regime is supported"
-        )
 
 
 def _components(cfg: RunConfig, rejected: list | None = None):
@@ -208,7 +203,6 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_fixed_points(cfg: RunConfig) -> int:
-    _require_coprime(cfg)
     rejected = [] if cfg.inputs["filter"] == "off" else None
     total = 1 - euler_form(cfg.quiver, cfg.dim, cfg.dim)
     codec = cfg.codec
@@ -255,7 +249,6 @@ def cmd_fixed_points(cfg: RunConfig) -> int:
 
 
 def cmd_poincare(cfg: RunConfig) -> int:
-    _require_coprime(cfg)
     if not cfg.quiver.is_acyclic():
         # M^st is then not projective, so the BB sum is not its Poincare polynomial
         raise UnsupportedError("poincare needs an acyclic quiver")
@@ -314,7 +307,6 @@ def _chart_rows(cfg: RunConfig, comps, caption: str) -> tuple[list, list]:
 
 
 def cmd_cells(cfg: RunConfig) -> int:
-    _require_coprime(cfg)
     out, lines = _chart_rows(cfg, _components(cfg), "component [{beta}]: cell dimension {dim}")
     lines.append("chart dimensions match attractors: ok")
     _emit(cfg, {"cells": out, "checks": {"charts_match_attractors": True}}, lines)
@@ -322,7 +314,6 @@ def cmd_cells(cfg: RunConfig) -> int:
 
 
 def cmd_normal_form(cfg: RunConfig) -> int:
-    _require_coprime(cfg)
     hits = [c for c in _components(cfg) if fixedpoints.generic_normal_form_test(c)]
     out, lines = _chart_rows(cfg, hits, "open cell of dimension {dim} at [{beta}]")
     _emit(cfg, {"normal_forms": out}, [f"{len(hits)} generic-normal-form class(es)", *lines])
@@ -394,7 +385,6 @@ def _is_prime_power(q: int) -> bool:
 
 
 def cmd_count(cfg: RunConfig) -> int:
-    _require_coprime(cfg)
     q = cfg.inputs["field"]
     if not _is_prime_power(q):
         raise ValidationError(f"--field must be a prime power, got {q}")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from .errors import UnsupportedError, ValidationError
 
 BOX_LIMIT = 1 << 20  # the most vectors 0 <= e <= d that a box walk visits
+NOT_COPRIME = "dimension vector is not theta-coprime; only the coprime regime is supported"
 
 
 class Record:
@@ -171,17 +171,28 @@ def box(d: tuple[int, ...]) -> itertools.product:
     return itertools.product(*(range(x + 1) for x in d))
 
 
-def is_coprime(quiver: Quiver, d, theta) -> bool:
-    """True iff no proper nonzero d' <= d has the same slope as d.
-
-    Decided by exhausting the box 0 <= d' <= d (`box`, so a d whose box holds
-    more than BOX_LIMIT vectors is refused) on integer slope scores.
-    """
+def check_dim(quiver: Quiver, d, theta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(d, theta) as int tuples matching the quiver's vertex count; ValidationError
+    for a wrong length, a negative d or a zero d."""
     d = check_vector(quiver, d, "d", nonnegative=True)
     theta = check_vector(quiver, theta, "theta")
-    if sum(d) == 0:
-        raise ValidationError("coprimality undefined for the zero dimension vector")
-    score = slope_scores(theta, d)
-    vectors = box(d)
-    next(vectors)  # skip e = 0; e = d scores 0 and comes last, so it must be the first zero
-    return next(e for e in vectors if not sum(map(operator.mul, score, e))) == d
+    if not any(d):
+        raise ValidationError("d must be nonzero")
+    return d, theta
+
+
+def box_sides(score, d) -> list:
+    """score . e for every e of `box(d)`, in `box` order: one list pass per coordinate, last
+    to first.  It walks any box, so a caller that bounds it calls `box(d)` first."""
+    sides = [0]
+    for x, n in zip(reversed(score), reversed(d)):
+        sides += [y + k * x for k in range(1, n + 1) for y in sides]
+    return sides
+
+
+def is_coprime(quiver: Quiver, d, theta) -> bool:
+    """True iff no proper nonzero d' <= d has the same slope as d: theta'' . e is 0 only
+    at e = 0 and e = d.  A d whose box holds more than BOX_LIMIT vectors is refused."""
+    d, theta = check_dim(quiver, d, theta)
+    box(d)
+    return box_sides(slope_scores(theta, d), d).count(0) == 2

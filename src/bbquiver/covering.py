@@ -20,7 +20,7 @@ import itertools
 import operator
 
 from . import hn
-from .core import Arrow, Quiver, Record, check_vector
+from .core import Arrow, Quiver, Record, check_dim, check_vector
 from .errors import UnsupportedError, ValidationError
 
 def _as_char(chi, rank: int) -> tuple:
@@ -272,8 +272,8 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
     1 - <beta, beta> < 0 is dropped on its integer tuple before a vector is
     built, and a class is dropped when the stable moduli on its support quiver
     is empty; `has_stable` is asked once per isomorphism class of labelled
-    support quiver (`shape_key`).  When `rejected` is a list, the dropped
-    classes are appended to it, sorted as the result is.
+    support quiver (`shape_key`).  Only when `rejected` is a list are dropped
+    fills kept, and their classes appended to it, sorted as the result is.
 
     The supports come from one backtracking walk (Wernicke's ESU), at most
     d_v covering vertices over each base vertex v.  The walk from the seed
@@ -287,10 +287,7 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
     built only for a support whose shape has a fill to report, from entries
     built once per walk, so equal entries of two classes are one object.
     """
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    theta = check_vector(quiver, theta, "theta")
-    if sum(d) == 0:
-        raise ValidationError("d must be nonzero")
+    d, theta = check_dim(quiver, d, theta)
 
     vidx = quiver.vertex_index
     order = [v for v, dv in zip(quiver.vertices, d) if dv]
@@ -311,7 +308,7 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
     covered = 0  # base vertices with a member over them
     out, dropped = [], []
     verdicts: dict = {}  # shape_key -> has_stable
-    fills: dict = {}     # (base vertices, links) -> (its surviving fills, its dropped fills)
+    fills: dict = {}     # (base vertices, links) -> (surviving fills, kept dropped fills)
 
     def shape_fills(vertices, arrows):  # a memo key: base vertices and links by position
         split = ([], [])
@@ -331,7 +328,8 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
                         (str(k), str(i), str(j)) for k, (i, j) in enumerate(arrows)))
                     verdicts[key] = hn.has_stable(sub, dims, theta_hat)
                 ok = verdicts[key]
-            split[not ok].append(dims)
+            if ok or rejected is not None:  # a dropped fill is kept only to be reported
+                split[not ok].append(dims)
         return split
 
     def grow(cv, rest, seen):
@@ -349,10 +347,9 @@ def enumerate_compatible(quiver: Quiver, w: dict, d, theta,
         count[v] += 1
         if covered == len(order):
             key = (tuple([u for _, u, _ in placed]), tuple(links))
-            split = fills.get(key)
-            if split is None:
-                split = fills[key] = shape_fills(*key)
-            kept, lost = split if rejected is not None else (split[0], ())
+            if key not in fills:
+                fills[key] = shape_fills(*key)
+            kept, lost = fills[key]
             if kept or lost:  # the entries sorted by (character, vertex), as a vector stores them
                 ranked = sorted(placed)
                 rows = [entries.get((u, x)) or entries.setdefault((u, x), tuple(

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Quiver, check_vector, is_coprime, slope_scores
+from .core import NOT_COPRIME, Quiver, check_dim, is_coprime, slope_scores
 from .errors import InconsistencyError, UnsupportedError
 from .finitefield import coordinates, encode_rows, small_field, subspaces
 from .hn import has_stable, pg_order  # noqa: F401 (has_stable: re-exported)
@@ -295,19 +295,17 @@ def brute_force_stable_count(quiver: Quiver, d, theta, q: int,
     """|M^theta(Q, d)(F_q)|: stable points of R(Q, d)(F_q) divided by |PG_d(F_q)|.
 
     The Kronecker kernel counts the two-vertex (2, 2r+1) shape, the generic
-    kernel every other.  The representation space must not exceed `budget`
-    points, whether or not the kernel enumerates it.
+    kernel every other.  It checks d and theta (`core.check_dim`), then q, then
+    coprimality (`core.NOT_COPRIME`).  The representation space must not exceed
+    `budget` points, whether or not the kernel enumerates it.
     """
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    theta = check_vector(quiver, theta, "theta")
+    d, theta = check_dim(quiver, d, theta)
     if q < 2 or q > 5:
         raise UnsupportedError("the oracle is restricted to prime powers q <= 5")
     small_field(q)  # validates q is a prime power
     if not is_coprime(quiver, d, theta):
-        raise UnsupportedError("counting requires a theta-coprime dimension vector")
-    size = 1
-    for r in _rep_radices(quiver, d, q):
-        size *= r
+        raise UnsupportedError(NOT_COPRIME)
+    size = math.prod(_rep_radices(quiver, d, q))
     if size > budget:
         raise BudgetExceededError(
             f"representation space has {size} points, budget is {budget}"

@@ -23,9 +23,10 @@ arrows of one member of G into one member of each H.  The f <= e of one orbit
 give equal terms, prod_G C(e_G, f_G) of them.  So a term weighs prod_G [e_G
 choose f_G] from one table of q-binomials built by Pascal's rule, read at q on
 a vertex of its own and at q = 1, where it is C(e_G, f_G), on a twin group.
-An orbit scores theta'' . e as its vectors do, so d is refused as not
-theta-coprime when an orbit other than 0 and d scores 0.  On a star with x
-leaves the recursion visits at most 3 (x + 1) orbits, not up to 3 * 2^x.
+An orbit scores theta'' . e as its vectors do, so d is refused with
+`core.NOT_COPRIME` when an orbit other than 0 and d scores 0 (`core.box_sides`
+over the orbit box).  On a star with x leaves the recursion visits at most
+3 (x + 1) orbits, not up to 3 * 2^x.
 
 `has_stable` decides whether the stable moduli is nonempty.  On a thin d
 (every d_i 0 or 1) it applies King's criterion (A. D. King, Q. J. Math. 45,
@@ -42,10 +43,8 @@ from __future__ import annotations
 import math
 import operator
 
-from .core import Quiver, box, check_vector, slope_scores
+from .core import NOT_COPRIME, Quiver, box, box_sides, check_dim, slope_scores
 from .errors import InconsistencyError, UnsupportedError, ValidationError
-
-_NOT_COPRIME = "the HN count needs a theta-coprime dimension vector"
 
 
 def gl_order(n: int, q: int) -> int:
@@ -76,9 +75,9 @@ def _plan(quiver: Quiver, d, theta) -> tuple:
     vertex; `twins` lists the groups of two or more.  The steps [(e, a(e, e),
     [(step of f, a(e - f, e), f) for the destabilizing f < e])] run over each
     destabilizing orbit e and then d, f before e; on a twin-free input they are
-    the ungrouped steps.  theta'' . e is one list over the orbit box, in `box`
-    order; d is refused as not theta-coprime if it holds a zero besides e = 0
-    and e = d.  The full box of d is refused beyond `core.BOX_LIMIT`.
+    the ungrouped steps.  theta'' . e over the orbit box is `core.box_sides`;
+    d is refused as not theta-coprime if it holds a zero besides e = 0 and
+    e = d.  The full box of d is refused beyond `core.BOX_LIMIT`.
     """
     box(d)
     ins, outs = [[] for _ in d], [[] for _ in d]
@@ -97,11 +96,9 @@ def _plan(quiver: Quiver, d, theta) -> tuple:
     score = [scores[i] for i in first]
     twins = [k for k, g in enumerate(groups.values()) if len(g) > 1]
     d = tuple(d[g[0]] * len(g) for g in groups.values())
-    sides = [0]  # theta'' . e for each orbit e in `box` order: > 0 iff mu(e) > mu(d)
-    for x, n in zip(score, d):
-        sides = [y + k * x for y in sides for k in range(n + 1)]
+    sides = box_sides(score, d)  # theta'' . e per orbit e: > 0 iff mu(e) > mu(d)
     if sides.count(0) > 2:  # e = 0 and e = d both score 0
-        raise UnsupportedError(_NOT_COPRIME)
+        raise UnsupportedError(NOT_COPRIME)
     vecs = [e for e, side in zip(box(d), sides) if side > 0] + [d]
     # one bit field per coordinate: f <= e iff no field of (e | guard) - f borrows its guard bit
     width = max(d).bit_length() + 1
@@ -132,15 +129,12 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
     A term f < e of `_plan`'s recursion stands for the prod_G C(e_G, f_G)
     vectors of its orbit below e.  It weighs prod_i [e_i choose f_i] from one
     Pascal table (`q_binomials`), read at q and, on a twin group, at q = 1.
-    Raises ValidationError for a malformed or zero d or theta and for a q that
-    is not an int >= 2, UnsupportedError unless d is theta-coprime with a box
-    of at most `core.BOX_LIMIT` vectors, and InconsistencyError if s(d) is not
-    divisible by |PG_d(F_q)|.
+    Raises ValidationError where `core.check_dim` does and for a q that is not
+    an int >= 2, UnsupportedError unless d is theta-coprime (`core.NOT_COPRIME`)
+    with a box of at most `core.BOX_LIMIT` vectors, and InconsistencyError if
+    s(d) is not divisible by |PG_d(F_q)|.
     """
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    theta = check_vector(quiver, theta, "theta")
-    if sum(d) == 0:
-        raise ValidationError("d must be nonzero")
+    d, theta = check_dim(quiver, d, theta)
     qs = list(qs)
     for q in qs:
         if type(q) is not int or q < 2:
@@ -173,16 +167,12 @@ def stable_counts(quiver: Quiver, d, theta, qs) -> list:
 def has_stable(quiver: Quiver, d, theta) -> bool:
     """M^{theta-st}(Q, d) != {} for theta-coprime d on an acyclic quiver.
 
-    A thin d is decided by King's criterion, any other d by the count at
-    q = 2: M^st is then smooth and projective with |M^st(F_q)| =
-    sum_i b_{2i} q^i and b_0 = 1 when nonempty.  A zero d raises
-    ValidationError, as in `stable_counts`; both routes refuse a d that is not
-    theta-coprime with the count's UnsupportedError.
+    A thin d is decided by King's criterion, any other d by the count at q = 2:
+    M^st is then smooth and projective with |M^st(F_q)| = sum_i b_{2i} q^i and
+    b_0 = 1 when nonempty.  It checks d and theta with `core.check_dim`, and
+    both routes refuse a d that is not theta-coprime with `core.NOT_COPRIME`.
     """
-    d = check_vector(quiver, d, "d", nonnegative=True)
-    theta = check_vector(quiver, theta, "theta")
-    if sum(d) == 0:
-        raise ValidationError("d must be nonzero")
+    d, theta = check_dim(quiver, d, theta)
     if not quiver.is_acyclic():
         raise UnsupportedError("the existence test needs an acyclic quiver")
     if max(d) == 1:
@@ -193,9 +183,9 @@ def has_stable(quiver: Quiver, d, theta) -> bool:
 def _king_stable(quiver: Quiver, d, theta) -> bool:
     """Is the generic representation of the thin d theta-stable?
 
-    S ranges over the bitmasks of the vertices with d_v = 1; S's slope score
-    and successor mask come from S without its highest vertex.  A proper
-    nonempty S scoring 0 refuses d as the count does.
+    S ranges over the bitmasks of the vertices with d_v = 1: its slope score is
+    `core.box_sides` over the support reversed, its successor mask that of S
+    without its highest vertex.  A proper nonempty S scoring 0 refuses d.
     """
     support = [i for i, x in enumerate(d) if x]
     bit = {i: 1 << k for k, i in enumerate(support)}
@@ -204,11 +194,10 @@ def _king_stable(quiver: Quiver, d, theta) -> bool:
         if d[s] and d[t]:
             succ[s] |= bit[t]
     score = slope_scores(theta, d)
-    sums, reach = [0], [0]
-    for i in support:
-        x, r = score[i], succ[i]
-        sums += [y + x for y in sums]
-        reach += [y | r for y in reach]
+    sums = box_sides([score[i] for i in reversed(support)], [1] * len(support))
     if sums.count(0) > 2:  # the empty set and the whole support both score 0
-        raise UnsupportedError(_NOT_COPRIME)
+        raise UnsupportedError(NOT_COPRIME)
+    reach = [0]
+    for i in support:
+        reach += [y | succ[i] for y in reach]
     return not any(x > 0 and r | s == s for s, (x, r) in enumerate(zip(sums, reach)))

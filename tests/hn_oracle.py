@@ -12,7 +12,7 @@ count's own UnsupportedError.  No numpy.
 import itertools
 import operator
 
-from bbquiver.core import slope_scores
+from bbquiver.core import NOT_COPRIME, slope_scores
 from bbquiver.errors import InconsistencyError, UnsupportedError
 from bbquiver.hn import gl_order, pg_order
 
@@ -29,7 +29,7 @@ def plan(quiver, d, theta) -> list:
         if side > 0:
             vecs.append(e)
         elif side == 0 and any(e) and e != d:
-            raise UnsupportedError("the HN count needs a theta-coprime dimension vector")
+            raise UnsupportedError(NOT_COPRIME)
     vecs.append(d)
     # one bit field per vertex: f <= e iff no field of (e | guard) - f borrows its guard bit
     width = max(d).bit_length() + 1
